@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog, kgraph, measures, operators, sbfs
-from .errors import KGraphLabError, UsageError
+from .errors import KGraphLabError, NotComposable, UsageError
 
 COMMANDS = [
     "validate",
@@ -140,6 +140,9 @@ def _validate_job(job):
     )
     if needs_graph and not job.graph:
         raise UsageError(f"{job.command} needs --graph or --builtin")
+    depth = job.param("depth")
+    if not isinstance(depth, int) or depth < 0:
+        raise UsageError(f"depth must be a non-negative integer, got {depth!r}")
     if job.command == "kakutani":
         have_product = job.param("product_a") and job.param("product_b")
         have_markov = job.param("markov_a") and job.param("markov_b")
@@ -166,21 +169,40 @@ def _load_measure(job, g):
     if spec == "pf":
         return measures.pf_measure(g)
     if spec.startswith("product:"):
-        return measures.product_measure(
-            g, measures.parse_product_spec(spec.split(":", 1)[1])
-        )
+        return measures.product_measure(g, _product_spec(spec.split(":", 1)[1]))
     if spec.startswith("markov:"):
         return measures.markov_measure(g, _markov_spec(spec.split(":", 1)[1]))
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
+def _product_spec(text):
+    try:
+        return measures.parse_product_spec(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad product spec {text!r}: {exc}") from exc
+
+
 def _markov_spec(text):
-    if text.startswith("x="):
-        return measures.t_x_matrix(Fraction(text[2:]))
-    rows = tuple(
-        tuple(Fraction(x) for x in row.split(",")) for row in text.split(";")
-    )
+    try:
+        if text.startswith("x="):
+            return measures.t_x_matrix(Fraction(text[2:]))
+        rows = tuple(
+            tuple(Fraction(x) for x in row.split(",")) for row in text.split(";")
+        )
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad markov spec {text!r}: {exc}") from exc
     return measures.MarkovMeasureSpec(rows).validated()
+
+
+def _resolution(job):
+    text = job.param("resolution")
+    try:
+        res = Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad resolution {text!r}: {exc}") from exc
+    if res <= 0:
+        raise UsageError(f"resolution must be positive, got {text!r}")
+    return res
 
 
 def _json_default(obj):
@@ -336,15 +358,20 @@ def _run_rep_verify(job):
     if not report.ok:
         worst = report.worst()
         violations.append(
-            {"check": worst.relation, "witness": worst.witness, "residual": worst.residual}
+            {
+                "check": worst.relation,
+                "witness": worst.witness,
+                "residual": worst.residual,
+                "blocks_checked": worst.blocks_checked,
+            }
         )
     return payload, violations
 
 
 def _run_kakutani(job):
     if job.param("product_a"):
-        a = measures.parse_product_spec(job.param("product_a"))
-        b = measures.parse_product_spec(job.param("product_b"))
+        a = _product_spec(job.param("product_a"))
+        b = _product_spec(job.param("product_b"))
     else:
         a = _markov_spec(job.param("markov_a"))
         b = _markov_spec(job.param("markov_b"))
@@ -356,10 +383,9 @@ def _run_monic(job):
     name = job.param("builtin")
     if not name:
         raise UsageError("monic runs on builtin systems (--builtin)")
+    resolution = _resolution(job)
     sys_ = catalog.builtin_sbfs(name)
-    res = sbfs.monic_probe(
-        sys_, depth=job.param("depth"), resolution=Fraction(job.param("resolution"))
-    )
+    res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
     payload = {"verdict": type(res).__name__}
     violations = []
     if isinstance(res, sbfs.NotMonic):
@@ -377,8 +403,10 @@ def _run_orbit(job):
     g = _load_graph(job)
 
     def parse_prefix(text):
-        ids = text.split(".")
-        return g.path(ids)
+        try:
+            return g.path(text.split("."))
+        except (KeyError, NotComposable) as exc:
+            raise UsageError(f"prefix {text!r} is not a graph path: {exc}") from exc
 
     x = parse_prefix(job.param("x_prefix"))
     y = parse_prefix(job.param("y_prefix"))

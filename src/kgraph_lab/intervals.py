@@ -22,10 +22,6 @@ def poly_const(c):
     return (Fraction(c),)
 
 
-def poly_x():
-    return (Fraction(0), Fraction(1))
-
-
 def poly_trim(p):
     p = list(p)
     while len(p) > 1 and p[-1] == 0:

@@ -392,6 +392,9 @@ def parse_product_spec(text):
     """Parse 'const:1/4', 'geometric:1/2,1/2', 'finite:1/4,0,1/8'."""
     family, _, rest = text.partition(":")
     vals = [Fraction(x) for x in rest.split(",") if x]
+    need = {"const": 1, "geometric": 2}.get(family, 0)
+    if len(vals) < need:
+        raise ValueError(f"{family} spec needs {need} values, got {len(vals)}")
     if family == "const":
         return ProductMeasureSpec("const", c=vals[0])
     if family == "geometric":

@@ -16,6 +16,7 @@ rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1144,9 +1145,7 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
         space = space.union(sys.domains[v])
 
     ranges = [sys.domains[v] for v in g.vertices]
-    import itertools as _it
-
-    for nd in _it.product(range(depth + 1), repeat=g.k):
+    for nd in itertools.product(range(depth + 1), repeat=g.k):
         if deg_total(nd) == 0 or deg_total(nd) > g.enum_cap:
             continue
         for lam in g.enumerate_paths(nd):

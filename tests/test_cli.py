@@ -113,6 +113,40 @@ def test_rep_verify_faithful(tmp_path):
     assert report["results"]["gauge_residual"] == 0.0
 
 
+def test_rep_verify_zero_blocks_exit_1(tmp_path):
+    code = main(
+        ["rep-verify", "--builtin", "ex3v8e", "--rep", "faithful", "--depth", "0",
+         "--out", str(tmp_path)]
+    )
+    assert code == 1
+    report = read_report(tmp_path)
+    assert report["results"]["ok"] is False
+    assert report["results"]["checks"][0]["blocks_checked"] == 0
+    assert report["violations"][0]["check"] == "CK1"
+    assert report["violations"][0]["blocks_checked"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["monic", "--builtin", "kawamura", "--resolution", "abc"],
+        ["monic", "--builtin", "kawamura", "--resolution", "0"],
+        ["measure", "--builtin", "exonevtwoe", "--measure", "markov:x=abc"],
+        ["measure", "--builtin", "exonevtwoe", "--measure", "product:geometric:zz"],
+        ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=q"],
+        ["kakutani", "--product-a", "geometric:1/2", "--product-b", "const:1"],
+        ["orbit", "--builtin", "ex3v8e", "--x-prefix", "nosuch", "--y-prefix", "nosuch"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "-1"],
+    ],
+)
+def test_bad_input_exit_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_kakutani_equivalent(tmp_path):
     code = main(
         ["kakutani", "--product-a", "geometric:1/2,1/2", "--product-b", "const:0",

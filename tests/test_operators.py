@@ -10,6 +10,7 @@ from kgraph_lab.errors import (
     PeriodicOrbit,
     UnsupportedMeasure,
 )
+from kgraph_lab.kgraph import deg_add, deg_sub
 from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
@@ -126,6 +127,78 @@ def test_fault_injected_scaling_detected():
     report = verify_ck(rep, max_level=2)
     assert not report.ok
     assert any(c.relation == "CK3" and c.residual > 1 for c in report.checks)
+
+
+def test_verify_ck_fails_when_a_relation_checks_no_block():
+    g = builtin_graph("ex3v8e")
+    report = verify_ck(faithful_rep(g, depth=0), max_level=2)
+    assert report.max_residual == 0.0
+    assert not report.ok
+    assert report.worst().relation == "CK1"
+    checks = report.to_dict()["checks"]
+    assert [c["blocks_checked"] for c in checks] == [0] * 5
+    assert all("level" not in c for c in checks)
+
+
+def test_block_maps_with_mismatched_keys_raise():
+    g = builtin_graph("ex3v8e")
+    rep = faithful_rep(g, depth=3)
+    lam = g.edge_path(g.edges[0].eid)
+    t = next(
+        op for key in rep.block_keys() if (op := op_forward(rep, lam, key)) is not None
+    )
+    tv = op_forward(rep, g.vertex_path(lam.range), t.src_key)
+    with pytest.raises(ValueError):
+        t.then(t)  # t ends in block src + d(lam), not in block src
+    with pytest.raises(ValueError):
+        t.add(tv)
+
+
+def _kp_sum():
+    g = builtin_graph("exonevtwoe")
+    return DirectSumRep([kp_style_rep(g, 3), kp_style_rep(g, 3)])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kp_style_rep(builtin_graph("exonevtwoe"), 3),
+        lambda: faithful_rep(builtin_graph("ex3v8e"), depth=3),
+        lambda: faithful_rep(builtin_graph("exonevtwoe"), depth=3),
+        _kp_sum,
+    ],
+    ids=["kp", "faithful-ex3v8e", "faithful-exonevtwoe", "kp-sum"],
+)
+def test_label_actions_follow_block_tables(make):
+    """Each basis label goes where its row of the block table sends it."""
+    rep = make()
+    g = rep.graph
+    compared = 0
+    for e in g.edges:
+        lam = g.edge_path(e.eid)
+        for key in rep.block_keys():
+            src = rep.block(key)
+            for apply, act, point_dst in (
+                (rep.apply_path, rep.forward_label, deg_add(key, lam.degree)),
+                (rep.apply_adjoint, rep.adjoint_label, deg_sub(key, lam.degree)),
+            ):
+                res = apply(lam, key)
+                if res is None:
+                    continue
+                table, dst = res
+                if dst != point_dst:
+                    # a counting adjoint below d(lam) spreads u_eta over the
+                    # extensions of eta; a label that short has no image
+                    assert all(act(lam, label) is None for label in src)
+                    continue
+                images = rep.block(dst)
+                for t, label in enumerate(src):
+                    row = table.get(t, {})
+                    assert len(row) <= 1 and all(c == 1 for c in row.values())
+                    expected = images[next(iter(row))] if row else None
+                    assert act(lam, label) == expected, (lam, key, label)
+                    compared += bool(row)
+    assert compared
 
 
 def test_nonconstant_product_measure_unsupported():
