@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import InvalidPermutation, ParameterOutOfRange, UsageError
 from .kgraph import Edge, Square, build_double, build_lambda2N, build_product, validate_kgraph
 
 
@@ -101,6 +101,14 @@ def parse_builtin_name(name):
     return base, params
 
 
+def _parsed(convert, text, key, name):
+    """convert(text) for parameter key of builtin name; bad text is a usage error."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"builtin {name!r}: bad {key} value {text!r}") from exc
+
+
 def builtin_graph(name):
     base, params = parse_builtin_name(name)
     if base == "exonevthreeed":
@@ -120,15 +128,20 @@ def builtin_graph(name):
         g = _kawamura_graph()
         return build_product(g, g)
     if base == "lambda2N":
-        n_half = int(params.get("N", "1"))
+        n_half = _parsed(int, params.get("N", "1"), "N", name)
+        if n_half < 1:
+            raise UsageError(f"builtin {name!r}: N must be positive, got {n_half}")
         if "perm" in params:
-            perm = [int(x) for x in params["perm"].split(";")]
+            perm = [_parsed(int, x, "perm", name) for x in params["perm"].split(";")]
         else:
             # default: transposition within each pair (2i-1, 2i)
             perm = []
             for i in range(1, n_half + 1):
                 perm.extend([2 * i, 2 * i - 1])
-        return build_lambda2N(n_half, perm)
+        try:
+            return build_lambda2N(n_half, perm)
+        except InvalidPermutation as exc:
+            raise UsageError(f"builtin {name!r}: {exc}") from exc
     if base == "ehfg":
         return _periodic_ehfg()
     raise UsageError(
@@ -149,16 +162,17 @@ def builtin_sbfs(name):
         return _sbfs.system_nonconstant_rn()
     if base == "ex3v8e":
         return _sbfs.system_three_vertex_eight_edge()
-    if base == "kawamura":
-        a = Fraction(params.get("a", "1/2"))
-        return _sbfs.system_kawamura(a)
-    if base == "double-kawamura":
-        a = Fraction(params.get("a", "1/2"))
-        return _sbfs.lift_double_sbfs(_sbfs.system_kawamura(a))
-    if base == "product-kawamura":
-        a = Fraction(params.get("a", "1/2"))
-        sys1 = _sbfs.system_kawamura(a)
-        return _sbfs.lift_product_sbfs(sys1, sys1)
+    if base in ("kawamura", "double-kawamura", "product-kawamura"):
+        a = _parsed(Fraction, params.get("a", "1/2"), "a", name)
+        try:
+            sys1 = _sbfs.system_kawamura(a)
+        except ParameterOutOfRange as exc:
+            raise UsageError(f"builtin {name!r}: {exc}") from exc
+        if base == "double-kawamura":
+            return _sbfs.lift_double_sbfs(sys1)
+        if base == "product-kawamura":
+            return _sbfs.lift_product_sbfs(sys1, sys1)
+        return sys1
     raise UsageError(
         f"no builtin interval system named {name!r}; "
         f"known: {', '.join(BUILTIN_SBFS_NAMES)}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -91,6 +92,10 @@ def parse_job(argv):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read job file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError("job file must hold a JSON object")
+        if not isinstance(data.get("params", {}), dict):
+            raise UsageError("job file params must be a JSON object")
         if "command" in data and data["command"] != ns.command:
             raise UsageError("job file command disagrees with the CLI command")
         params.update(data.get("params", {}))
@@ -143,6 +148,9 @@ def _validate_job(job):
     depth = job.param("depth")
     if not isinstance(depth, int) or depth < 0:
         raise UsageError(f"depth must be a non-negative integer, got {depth!r}")
+    tol = job.param("tol")
+    if not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:  # NaN fails too
+        raise UsageError(f"tol must be a finite non-negative number, got {tol!r}")
     if job.command == "kakutani":
         have_product = job.param("product_a") and job.param("product_b")
         have_markov = job.param("markov_a") and job.param("markov_b")

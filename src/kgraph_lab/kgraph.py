@@ -3,8 +3,16 @@
 A k-graph is stored as a colored directed multigraph together with one
 commuting square per composable bi-colored edge pair.  Paths are kept in a
 color-sorted canonical form (all color-1 edges first, then color-2, ...);
-two paths are equal iff their canonical edge lists agree.  Reordering a
-path is done by "bubbling" adjacent edge pairs through the square table.
+two paths are equal iff their canonical edge lists agree.  A path is put
+in canonical form by insertion: each edge in turn moves left past the
+higher-colored edges before it, one square swap at a time.  By unique
+factorization every swap sequence that ends color-sorted ends at the same
+edge list.
+
+Minimal common extensions follow from unique factorization as well: when
+d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
+then (rho, s(q)) is the only one; the mirror case is the same.  Only
+degree-incomparable pairs search the extensions of p.
 
 Conventions
 -----------
@@ -193,18 +201,14 @@ class KGraph:
         raise ValueError("cannot swap a same-color pair")
 
     def _canonicalize(self, ids):
-        """Bubble edges into color-sorted order, leftmost inversion first."""
+        """Color-sorted form by insertion: one left-to-right pass of swaps."""
+        edge = self.edge_by_id
         out = list(ids)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(out) - 1):
-                ca = self.edge_by_id[out[t]].color
-                cb = self.edge_by_id[out[t + 1]].color
-                if ca > cb:
-                    out[t], out[t + 1] = self._swap_pair(out[t], out[t + 1])
-                    changed = True
-                    break
+        for i in range(1, len(out)):
+            t = i
+            while t and edge[out[t - 1]].color > edge[out[t]].color:
+                out[t - 1], out[t] = self._swap_pair(out[t - 1], out[t])
+                t -= 1
         return tuple(out)
 
     # -- composition and factorization ---------------------------------------
@@ -290,9 +294,19 @@ class KGraph:
         return [p for p in self.enumerate_paths(n) if self.s(p) == v]
 
     def lambda_min(self, p, q):
-        """Minimal common extensions: pairs (rho, xi) with p.rho = q.xi."""
+        """Minimal common extensions: pairs (rho, xi) with p.rho = q.xi.
+
+        Degree-comparable pairs take one factorization of the longer path;
+        incomparable pairs factorize every extension of p at d(q).
+        """
         if p.range != q.range:
             return []
+        if deg_le(p.degree, q.degree):
+            head, rho = self.factorize(q, p.degree)
+            return [(rho, self.vertex_path(self.s(q)))] if head == p else []
+        if deg_le(q.degree, p.degree):
+            head, xi = self.factorize(p, q.degree)
+            return [(self.vertex_path(self.s(p)), xi)] if head == q else []
         j = deg_join(p.degree, q.degree)
         out = []
         for rho in self.enumerate_paths(deg_sub(j, p.degree), self.s(p)):

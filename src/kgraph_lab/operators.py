@@ -18,6 +18,11 @@ labels: ``labels()``, ``forward_label(lam, label)``,
 ``adjoint_label(lam, label)`` and ``encoding_prefix(label, n)``.  A label
 action returns the image label, None when there is no image, or ESCAPE
 when the image leaves the truncation.
+
+``StandardRep`` (with ``KPRep``) and ``FaithfulRep`` build each block
+table once per rep, on its first request, and hand the same table to
+every later caller, so block tables are read-only.  ``ScaledRep`` and
+``DirectSumRep`` build fresh tables on top of their parts' tables.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ def _grid(k, depth):
 ESCAPE = object()
 
 
+def _built_once(tables, direction, lam, key, build):
+    """build(lam, key), remembered in tables; the shared result is read-only."""
+    memo = (direction, lam.range, lam.edges, key)
+    if memo not in tables:
+        tables[memo] = build(lam, key)
+    return tables[memo]
+
+
 # ---------------------------------------------------------------------------
 # standard representation on cylinder indicators
 
@@ -89,7 +102,7 @@ class StandardRep:
             m: {(p.range, p.edges): i for i, p in enumerate(paths)}
             for m, paths in self._blocks.items()
         }
-        self._const_cache = {}
+        self._tables = {}
         self._probe_usability()
 
     def _probe_usability(self):
@@ -125,28 +138,28 @@ class StandardRep:
     def _constant_quotient(self, lam, eta):
         """Phi_lam restricted to Z(eta) if constant, else None."""
         g = self.graph
-        key = (lam.range, lam.edges, eta.range, eta.edges)
-        if key in self._const_cache:
-            return self._const_cache[key]
         base = self.measure.value(g.compose(lam, eta)) / self.measure.value(eta)
-        result = base
         for ext in g.enumerate_paths(deg_diag(g.k, 1), g.s(eta)):
             deeper = g.compose(eta, ext)
             q = self.measure.value(g.compose(lam, deeper)) / self.measure.value(deeper)
             if self.measure.exact:
                 if q != base:
-                    result = None
-                    break
+                    return None
             elif abs(float(q - base)) > self.tol:
-                result = None
-                break
-        self._const_cache[key] = result
-        return result
+                return None
+        return base
 
     # -- operator actions ---------------------------------------------------------
 
     def apply_path(self, lam, m):
         """Forward action on block m; returns (table, dst_key) or None."""
+        return _built_once(self._tables, "forward", lam, m, self._forward_table)
+
+    def apply_adjoint(self, lam, m):
+        """Adjoint action on block m; returns (table, dst_key) or None."""
+        return _built_once(self._tables, "adjoint", lam, m, self._adjoint_table)
+
+    def _forward_table(self, lam, m):
         g = self.graph
         dst = deg_add(m, lam.degree)
         if m not in self._blocks or dst not in self._blocks:
@@ -161,7 +174,7 @@ class StandardRep:
             table[i] = {self.label_index(dst, out): 1}
         return table, dst
 
-    def apply_adjoint(self, lam, m):
+    def _adjoint_table(self, lam, m):
         """Adjoint action on block m via minimal common extensions.
 
         The coefficient of u_alpha in t_lam^* u_eta is
@@ -298,6 +311,7 @@ class FaithfulRep:
         self.depth = depth
         self.cap = cap if cap is not None else depth
         self._blocks = {}
+        self._tables = {}
         g = graph
         cap_deg = deg_diag(g.k, self.cap)
         all_paths = []
@@ -406,10 +420,16 @@ class FaithfulRep:
         return table, dst
 
     def apply_path(self, lam, delta):
+        return _built_once(self._tables, "forward", lam, delta, self._forward_table)
+
+    def apply_adjoint(self, lam, delta):
+        return _built_once(self._tables, "adjoint", lam, delta, self._adjoint_table)
+
+    def _forward_table(self, lam, delta):
         dst = deg_add(delta, lam.degree)
         return self._label_table(self.forward_label, lam, delta, dst)
 
-    def apply_adjoint(self, lam, delta):
+    def _adjoint_table(self, lam, delta):
         dst = deg_sub(delta, lam.degree)
         return self._label_table(self.adjoint_label, lam, delta, dst)
 

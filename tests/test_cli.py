@@ -26,6 +26,11 @@ def test_parse_defaults():
     assert job.param("format") == "tsv"
 
 
+def test_parse_accepts_zero_tol():
+    job = parse_job(["rep-verify", "--builtin", "ex3v8e", "--tol", "0"])
+    assert job.param("tol") == 0
+
+
 def test_parse_monic_with_builtin():
     job = parse_job(["monic", "--builtin", "exonevthreeed", "--depth", "5"])
     assert job.param("builtin") == "exonevthreeed"
@@ -137,9 +142,27 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         ["kakutani", "--product-a", "geometric:1/2", "--product-b", "const:1"],
         ["orbit", "--builtin", "ex3v8e", "--x-prefix", "nosuch", "--y-prefix", "nosuch"],
         ["rep-verify", "--builtin", "ex3v8e", "--depth", "-1"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "-1"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "nan"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "inf"],
+        ["rep-verify", "--builtin", "lambda2N:N=x"],
+        ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;x;3;4"],
+        ["rep-verify", "--builtin", "lambda2N:N=0"],
+        ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;1;2;3"],
+        ["monic", "--builtin", "kawamura:a=zz"],
+        ["monic", "--builtin", "kawamura:a=1/0"],
+        ["monic", "--builtin", "product-kawamura:a=2"],
+        # the text after --job is written to a job file
+        ["validate", "--job", "[1, 2]"],
+        ["validate", "--job", '{"builtin": "ex3v8e", "params": [1, 2]}'],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
+    if "--job" in argv:
+        at = argv.index("--job") + 1
+        job = tmp_path / "job.json"
+        job.write_text(argv[at])
+        argv = argv[:at] + [str(job)] + argv[at + 1:]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,9 +16,11 @@ from kgraph_lab.kgraph import (
     AperiodicWitness,
     Edge,
     PeriodCandidate,
+    Square,
     build_double,
     build_lambda2N,
     build_product,
+    deg_join,
     deg_le,
     deg_sub,
     graph_from_dict,
@@ -563,3 +566,141 @@ def test_triple_product_three_graph():
                 e_graph.enumerate_paths((n[1],), v2)
             )
             assert count == expected
+
+
+# -- randomized differential tests against the reference path algebra --------
+
+
+def reference_canonicalize(g, ids):
+    """Restart-bubble canonical form: swap the leftmost inversion, rescan."""
+    out = list(ids)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(out) - 1):
+            if g.edge_by_id[out[t]].color > g.edge_by_id[out[t + 1]].color:
+                out[t], out[t + 1] = g._swap_pair(out[t], out[t + 1])
+                changed = True
+                break
+    return tuple(out)
+
+
+def reference_lambda_min(g, p, q):
+    """Factorize every extension of p to degree d(p) v d(q) at d(q)."""
+    if p.range != q.range:
+        return []
+    j = deg_join(p.degree, q.degree)
+    out = []
+    for rho in g.enumerate_paths(deg_sub(j, p.degree), g.s(p)):
+        head, xi = g.factorize(g.compose(p, rho), q.degree)
+        if head == q:
+            out.append((rho, xi))
+    return out
+
+
+def random_one_graph(rng, vertices, tag):
+    """Random color-1 skeleton in which every vertex receives an edge."""
+    edges = []
+    for v in vertices:
+        for _ in range(rng.randint(1, 2)):
+            edges.append(Edge(f"{tag}{len(edges)}", 1, rng.choice(vertices), v))
+    return edges
+
+
+def random_two_graph(rng):
+    """Random valid 2-graph on 1-4 vertices.
+
+    Color 2 gets the vertex matrix a*I + b*A_1 of the random color-1
+    skeleton, so the matrices commute; the squares are a random
+    endpoint-preserving bijection from (color 1, color 2) pairs to
+    (color 2, color 1) pairs, and for k = 2 every such bijection is valid.
+    """
+    vertices = [f"v{i}" for i in range(rng.randint(1, 4))]
+    blue = random_one_graph(rng, vertices, "b")
+    a, b = rng.choice([(0, 1), (1, 1), (0, 2), (2, 0), (1, 0)])
+    ends = [(v, v) for v in vertices] * a + [(e.source, e.range) for e in blue] * b
+    rng.shuffle(ends)
+    red = [Edge(f"r{i}", 2, src, dst) for i, (src, dst) in enumerate(ends)]
+    blue_red, red_blue = {}, {}
+    for x in blue:
+        for y in red:
+            if x.source == y.range:
+                blue_red.setdefault((x.range, y.source), []).append((x.eid, y.eid))
+            if y.source == x.range:
+                red_blue.setdefault((y.range, x.source), []).append((y.eid, x.eid))
+    squares = []
+    for ends_key, lefts in blue_red.items():
+        rights = list(red_blue[ends_key])
+        rng.shuffle(rights)
+        squares += [Square(left, right) for left, right in zip(lefts, rights)]
+    edges = blue + red
+    rng.shuffle(edges)
+    return validate_kgraph(2, vertices, edges, squares, name="random")
+
+
+def random_graph(rng, k):
+    g = random_two_graph(rng)
+    if k == 3:
+        vertices = [f"w{i}" for i in range(rng.randint(1, 2))]
+        factor = validate_kgraph(1, vertices, random_one_graph(rng, vertices, "f"), [])
+        g = build_product(g, factor)
+    return g
+
+
+def random_walk(rng, g, length):
+    """Random composable edge-id sequence of the given length, any colors."""
+    into = {}
+    for e in g.edges:
+        into.setdefault(e.range, []).append(e)
+    cur = rng.choice(g.vertices)
+    ids = []
+    for _ in range(length):
+        e = rng.choice(into[cur])
+        ids.append(e.eid)
+        cur = e.source
+    return ids
+
+
+def random_degree_below(rng, n):
+    return tuple(rng.randint(0, c) for c in n)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_canonicalize_matches_bubble_reference(k, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, k)
+    for _ in range(200):
+        ids = random_walk(rng, g, rng.randint(1, 8))
+        assert g._canonicalize(ids) == reference_canonicalize(g, ids)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_factorize_compose_roundtrip_random(k, seed):
+    rng = random.Random(100 + seed)
+    g = random_graph(rng, k)
+    for _ in range(100):
+        p = g.path(random_walk(rng, g, rng.randint(1, 7)))
+        head, tail = g.factorize(p, random_degree_below(rng, p.degree))
+        assert g.compose(head, tail) == p
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_lambda_min_matches_enumeration_reference(k, seed):
+    rng = random.Random(200 + seed)
+    g = random_graph(rng, k)
+    hits = 0
+    for _ in range(100):
+        # two prefixes of one path have a common extension; random pairs mostly not
+        z = g.path(random_walk(rng, g, rng.randint(1, 6)))
+        p = g.factorize(z, random_degree_below(rng, z.degree))[0]
+        if rng.random() < 0.5:
+            q = g.factorize(z, random_degree_below(rng, z.degree))[0]
+        else:
+            q = g.path(random_walk(rng, g, rng.randint(1, 4)))
+        pairs = g.lambda_min(p, q)
+        assert pairs == reference_lambda_min(g, p, q)
+        hits += bool(pairs)
+    assert hits > 0

@@ -24,7 +24,9 @@ from kgraph_lab.operators import (
     orbit_restriction,
     DirectSumRep,
     EncodingTable,
+    FaithfulRep,
     ScaledRep,
+    StandardRep,
     atoms_report,
     corrupt_table,
     decompose_permutative,
@@ -127,6 +129,44 @@ def test_fault_injected_scaling_detected():
     report = verify_ck(rep, max_level=2)
     assert not report.ok
     assert any(c.relation == "CK3" and c.residual > 1 for c in report.checks)
+
+
+def test_scaled_rep_over_a_verified_rep_sees_the_fault():
+    # the base rep's remembered block tables must not hide the scaling
+    g = builtin_graph("exonevtwoe")
+    base = standard_rep(g, pf_measure(g), 3)
+    assert verify_ck(base, max_level=2).ok
+    warm = verify_ck(ScaledRep(base, "f1", 2.0), max_level=2)
+    fresh_base = standard_rep(g, pf_measure(g), 3)
+    fresh = verify_ck(ScaledRep(fresh_base, "f1", 2.0), max_level=2)
+    assert not warm.ok
+    assert warm.max_residual == fresh.max_residual == 15.0
+    assert warm.to_dict() == fresh.to_dict()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: standard_rep(g, pf_measure(g), 3),
+        lambda g: faithful_rep(g, depth=3),
+    ],
+    ids=["standard", "faithful"],
+)
+def test_verify_ck_twice_on_one_rep_is_identical(make):
+    g = builtin_graph("ex3v8e")
+    rep = make(g)
+    first = verify_ck(rep, max_level=2).to_dict()
+    assert verify_ck(rep, max_level=2).to_dict() == first
+    lam = g.edge_path(g.edges[0].eid)
+    key = next(k for k in rep.block_keys() if rep.apply_path(lam, k) is not None)
+    assert rep.apply_path(lam, key) is rep.apply_path(lam, key)
+
+
+def test_block_actions_are_defined_in_the_class_bodies():
+    # perfbench/tracing.py wraps these methods through vars(class)
+    for cls in (StandardRep, FaithfulRep):
+        assert "apply_path" in vars(cls)
+        assert "apply_adjoint" in vars(cls)
 
 
 def test_verify_ck_fails_when_a_relation_checks_no_block():
