@@ -53,6 +53,8 @@ DEFAULTS = {
     "measure": "pf",
     "rep": "standard",
 }
+FORMATS = ["tsv", "json"]
+REPS = ["standard", "faithful"]
 
 
 def build_parser():
@@ -66,9 +68,9 @@ def build_parser():
     p.add_argument("--resolution", help="rational like 1/32")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--format", choices=["tsv", "json"])
+    p.add_argument("--format", choices=FORMATS)
     p.add_argument("--measure", help="pf | product:<spec> | markov:x=p/q")
-    p.add_argument("--rep", choices=["standard", "faithful"])
+    p.add_argument("--rep", choices=REPS)
     p.add_argument("--product-a", help="product spec, e.g. geometric:1/2,1/2")
     p.add_argument("--product-b")
     p.add_argument("--markov-a", help="markov spec, e.g. x=1/3")
@@ -145,12 +147,19 @@ def _validate_job(job):
     )
     if needs_graph and not job.graph:
         raise UsageError(f"{job.command} needs --graph or --builtin")
+    # job files bypass argparse: check what its types and choices check
     depth = job.param("depth")
-    if not isinstance(depth, int) or depth < 0:
+    if not _is_int(depth) or depth < 0:
         raise UsageError(f"depth must be a non-negative integer, got {depth!r}")
     tol = job.param("tol")
-    if not isinstance(tol, (int, float)) or not 0 <= tol < math.inf:  # NaN fails too
+    is_number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    if not is_number or not 0 <= tol < math.inf:  # NaN fails too
         raise UsageError(f"tol must be a finite non-negative number, got {tol!r}")
+    if not _is_int(job.param("seed")):
+        raise UsageError(f"seed must be an integer, got {job.param('seed')!r}")
+    for key, choices in (("rep", REPS), ("format", FORMATS)):
+        if job.param(key) not in choices:
+            raise UsageError(f"{key} must be one of {choices}, got {job.param(key)!r}")
     if job.command == "kakutani":
         have_product = job.param("product_a") and job.param("product_b")
         have_markov = job.param("markov_a") and job.param("markov_b")
@@ -158,6 +167,10 @@ def _validate_job(job):
             raise UsageError("kakutani needs --product-a/-b or --markov-a/-b")
     if job.command == "orbit" and not (job.param("x_prefix") and job.param("y_prefix")):
         raise UsageError("orbit needs --x-prefix and --y-prefix")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _load_graph(job):

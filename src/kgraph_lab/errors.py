@@ -72,6 +72,13 @@ class InvalidPermutation(KGraphLabError):
 class NotStronglyConnected(KGraphLabError):
     """Operation requires a strongly connected graph."""
 
+    def __init__(self, name):
+        graph = f"graph {name}" if name else "the graph"
+        super().__init__(
+            f"{graph} is not strongly connected; "
+            "this command needs a strongly connected k-graph"
+        )
+
 
 class NoConvergence(KGraphLabError):
     def __init__(self, iterations):

@@ -229,20 +229,6 @@ class Region2:
     def __init__(self, strips=()):
         self.strips = tuple(s for s in strips if s.hi > s.lo)
 
-    @classmethod
-    def box(cls, xlo, xhi, ylo, yhi):
-        return cls(
-            [Strip(Fraction(xlo), Fraction(xhi), poly_const(ylo), poly_const(yhi))]
-        )
-
-    @classmethod
-    def from_box_product(cls, xint, yint):
-        strips = []
-        for xlo, xhi in xint.parts:
-            for ylo, yhi in yint.parts:
-                strips.append(Strip(xlo, xhi, poly_const(ylo), poly_const(yhi)))
-        return cls(strips)
-
     def __repr__(self):
         return f"Region2({len(self.strips)} strips)"
 

@@ -3,11 +3,13 @@
 A k-graph is stored as a colored directed multigraph together with one
 commuting square per composable bi-colored edge pair.  Paths are kept in a
 color-sorted canonical form (all color-1 edges first, then color-2, ...);
-two paths are equal iff their canonical edge lists agree.  A path is put
-in canonical form by insertion: each edge in turn moves left past the
-higher-colored edges before it, one square swap at a time.  By unique
-factorization every swap sequence that ends color-sorted ends at the same
-edge list.
+two paths are equal iff their canonical edge lists agree.  The path
+algebra is one tagged insertion pass: each edge in turn moves left past
+the higher-tagged edges before it, one square swap at a time, and the tags
+move with the colors.  Tag = color gives the canonical form; tag = (piece,
+color) splits a path at a chain of degrees, which is every factorization,
+segment p(m, n) and prefix test.  By unique factorization every swap
+sequence that ends sorted ends at the same edge list.
 
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
@@ -201,13 +203,23 @@ class KGraph:
         raise ValueError("cannot swap a same-color pair")
 
     def _canonicalize(self, ids):
-        """Color-sorted form by insertion: one left-to-right pass of swaps."""
+        """Color-sorted form: the tagged insertion pass with tag = color."""
         edge = self.edge_by_id
+        return self._sort_tagged(ids, [edge[eid].color for eid in ids])
+
+    def _sort_tagged(self, ids, tags):
+        """Sort an edge word by tag in one insertion pass of square swaps.
+
+        A swap a.b = c.d gives c the color of b and d that of a, so the tags
+        move with the colors; tags must not decrease along any one color.
+        The list tags is sorted in place.
+        """
         out = list(ids)
         for i in range(1, len(out)):
             t = i
-            while t and edge[out[t - 1]].color > edge[out[t]].color:
+            while t and tags[t - 1] > tags[t]:
                 out[t - 1], out[t] = self._swap_pair(out[t - 1], out[t])
+                tags[t - 1], tags[t] = tags[t], tags[t - 1]
                 t -= 1
         return tuple(out)
 
@@ -224,37 +236,47 @@ class KGraph:
         canon = self._canonicalize(p.edges + q.edges)
         return Path(p.range, canon, deg_add(p.degree, q.degree))
 
-    def _pop_color(self, ids, color):
-        """Bubble the first edge of the given color to the front and pop it."""
-        ids = list(ids)
-        t = next(i for i, eid in enumerate(ids) if self.edge_by_id[eid].color == color)
-        while t > 0:
-            ids[t - 1], ids[t] = self._swap_pair(ids[t - 1], ids[t])
-            t -= 1
-        return ids[0], ids[1:]
+    def split(self, p, degrees):
+        """Pieces p = p_0 p_1 ... p_r with d(p_0 ... p_i) = degrees[i].
+
+        degrees is an ascending chain inside d(p).  The j-th color-c edge of
+        p goes to the piece numbered by the cuts m with m_c <= j; after the
+        sort by (piece, color), unique factorization makes the pieces the
+        factors of p.
+        """
+        k = self.k
+        chain = [deg_zero(k), *degrees, p.degree]
+        sizes = [deg_sub(b, a) for a, b in zip(chain, chain[1:])]
+        if min(map(min, sizes)) < 0:
+            raise DegreeOutOfRange(f"cuts {degrees} not ascending within 0..{p.degree}")
+        # canonical p lists its edges color by color, each color in rank order
+        tags = []
+        for c in range(k):
+            for i, n in enumerate(sizes):
+                tags += [i * k + c + 1] * n[c]
+        ids = self._sort_tagged(p.edges, tags)
+        pieces = []
+        v, start = p.range, 0
+        for n in sizes:
+            end = start + deg_total(n)
+            pieces.append(Path(v, ids[start:end], n))
+            v, start = self.s(pieces[-1]), end
+        return pieces
 
     def factorize(self, p, m):
         """Unique (head, tail) with p = head.tail and d(head) = m."""
-        if not (deg_le(deg_zero(self.k), m) and deg_le(m, p.degree)):
-            raise DegreeOutOfRange(f"m = {m} not within 0..{p.degree}")
-        rest = list(p.edges)
-        head = []
-        for color in range(1, self.k + 1):
-            for _ in range(m[color - 1]):
-                ed, rest = self._pop_color(rest, color)
-                head.append(ed)
-        head_path = self.path(head) if head else self.vertex_path(p.range)
-        if rest:
-            tail_path = self.path(rest)
-        else:
-            tail_path = self.vertex_path(self.s(p))
-        return head_path, tail_path
+        return tuple(self.split(p, [m]))
 
     def segment(self, p, m, n):
         """p(m, n) = the factor of p between degrees m and n."""
-        _, tail = self.factorize(p, m)
-        head, _ = self.factorize(tail, deg_sub(n, m))
-        return head
+        return self.split(p, [m, n])[1]
+
+    def strip_prefix(self, p, lam):
+        """The tail t with p = lam.t, or None when lam is not a prefix of p."""
+        if p.range != lam.range or not deg_le(lam.degree, p.degree):
+            return None
+        head, tail = self.factorize(p, lam.degree)
+        return tail if head == lam else None
 
     # -- enumeration ----------------------------------------------------------
 
@@ -289,10 +311,6 @@ class KGraph:
         self._path_cache[key] = out
         return out
 
-    def paths_with_source(self, n, v):
-        """All paths of degree n and source v (cached filter)."""
-        return [p for p in self.enumerate_paths(n) if self.s(p) == v]
-
     def lambda_min(self, p, q):
         """Minimal common extensions: pairs (rho, xi) with p.rho = q.xi.
 
@@ -302,17 +320,16 @@ class KGraph:
         if p.range != q.range:
             return []
         if deg_le(p.degree, q.degree):
-            head, rho = self.factorize(q, p.degree)
-            return [(rho, self.vertex_path(self.s(q)))] if head == p else []
+            rho = self.strip_prefix(q, p)
+            return [] if rho is None else [(rho, self.vertex_path(self.s(q)))]
         if deg_le(q.degree, p.degree):
-            head, xi = self.factorize(p, q.degree)
-            return [(self.vertex_path(self.s(p)), xi)] if head == q else []
+            xi = self.strip_prefix(p, q)
+            return [] if xi is None else [(self.vertex_path(self.s(p)), xi)]
         j = deg_join(p.degree, q.degree)
         out = []
         for rho in self.enumerate_paths(deg_sub(j, p.degree), self.s(p)):
-            z = self.compose(p, rho)
-            head, xi = self.factorize(z, q.degree)
-            if head == q:
+            xi = self.strip_prefix(self.compose(p, rho), q)
+            if xi is not None:
                 out.append((rho, xi))
         return out
 

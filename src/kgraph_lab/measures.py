@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from .kgraph import deg_diag, deg_sub, deg_total, deg_unit
+from .kgraph import deg_add, deg_diag, deg_sub, deg_total, deg_unit
 
 MAX_POWER_ITERATIONS = 100_000
 
@@ -83,7 +83,7 @@ def pf_data(g, tol=1e-10):
     eigenvector is recomputed exactly over the rationals.
     """
     if not g.is_strongly_connected():
-        raise NotStronglyConnected(g.name or "graph")
+        raise NotStronglyConnected(g.name)
     mats = [np.array(m, dtype=float) for m in g.vertex_matrices()]
     nv = len(g.vertices)
     m_sum = np.eye(nv) + sum(mats)
@@ -309,30 +309,24 @@ def _rainbow_symbols(g, shape, path):
     if shape.kind == "single-vertex":
         silent = 1 if shape.symbol_color == 2 else 2
         symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
-        rest = path
-        out = []
-        for _ in range(n):
-            # pop the silent edge, then one symbol edge
-            _, rest = g.factorize(rest, deg_unit(2, silent))
-            head, rest = g.factorize(rest, deg_unit(2, shape.symbol_color))
-            out.append(symbol_edges.index(head.edges[0]))
-        return out
+        # silent edge, symbol edge, silent edge, ...: symbols at odd pieces
+        pieces = g.split(path, _rainbow_cuts(n, silent))
+        return [symbol_edges.index(p.edges[0]) for p in pieces[1::2]]
     # star: record peripheral vertices along the red-first rainbow
     idx = {p: i for i, p in enumerate(shape.peripherals)}
-    out = []
-    rest = path
+    pieces = g.split(path, _rainbow_cuts(n, 2))
     if path.range == shape.center:
-        for _ in range(n):
-            head, rest = g.factorize(rest, deg_unit(2, 2))
-            out.append(idx[g.s(head)])
-            _, rest = g.factorize(rest, deg_unit(2, 1))
-    else:
-        out.append(idx[path.range])
-        for _ in range(n):
-            _, rest = g.factorize(rest, deg_unit(2, 2))
-            head, rest = g.factorize(rest, deg_unit(2, 1))
-            out.append(idx[g.s(head)])
-    return out
+        return [idx[g.s(red)] for red in pieces[0:-1:2]]
+    return [idx[path.range]] + [idx[g.s(blue)] for blue in pieces[1::2]]
+
+
+def _rainbow_cuts(n, first):
+    """Cumulative degrees along a degree-(n, n) rainbow that starts with color first."""
+    step = deg_unit(2, first)
+    cuts = []
+    for i in range(n):
+        cuts += [deg_add((i, i), step), (i + 1, i + 1)]
+    return cuts
 
 
 def _square_extension_value(g, square_fn):

@@ -50,7 +50,6 @@ from .kgraph import (
     deg_le,
     deg_sub,
     deg_total,
-    deg_zero,
 )
 from .measures import CylinderMeasure, default_prefix_rule, pf_data
 
@@ -225,10 +224,8 @@ class StandardRep:
         g = self.graph
         mask = np.zeros(self.block_dim(m))
         for i, eta in enumerate(self._blocks[m]):
-            if deg_le(lam.degree, eta.degree):
-                head, _ = g.factorize(eta, lam.degree)
-                if head == lam:
-                    mask[i] = 1.0
+            if g.strip_prefix(eta, lam) is not None:
+                mask[i] = 1.0
         return mask
 
     def encoding_prefix(self, label, n):
@@ -274,10 +271,7 @@ class KPRep(StandardRep):
         return out if deg_le(out.degree, deg_diag(g.k, self.depth)) else ESCAPE
 
     def adjoint_label(self, lam, label):
-        if not deg_le(lam.degree, label.degree):
-            return None
-        head, tail = self.graph.factorize(label, lam.degree)
-        return tail if head == lam else None
+        return self.graph.strip_prefix(label, lam)
 
     def encoding_prefix(self, label, n):
         if not deg_le(n, label.degree):
@@ -322,7 +316,7 @@ class FaithfulRep:
         for i in range(1, depth + 1):
             v_i = rule.segment(i - 1).range
             for mu in all_paths:
-                if g.s(mu) != v_i or not self._in_g_stratum(i, mu):
+                if g.s(mu) != v_i or self._reduce(i, mu)[0] != i:
                     continue
                 delta = deg_sub(mu.degree, deg_diag(g.k, i))
                 self._blocks.setdefault(delta, []).append((i, mu))
@@ -335,16 +329,6 @@ class FaithfulRep:
     def _label_key(label):
         i, mu = label
         return (i, mu.range, mu.edges)
-
-    def _in_g_stratum(self, i, mu):
-        g = self.graph
-        if i == 1:
-            return True
-        diag = deg_diag(g.k, 1)
-        if not deg_le(diag, mu.degree):
-            return True
-        _, tail = g.factorize(mu, deg_sub(mu.degree, diag))
-        return tail != self.rule.segment(i - 2)
 
     def _reduce(self, i, mu):
         g = self.graph
@@ -400,8 +384,8 @@ class FaithfulRep:
                 return ESCAPE
             w = g.compose(w, self.rule.segment(j - 1))
             j += 1
-        head, tail = g.factorize(w, lam.degree)
-        if head != lam:
+        tail = g.strip_prefix(w, lam)
+        if tail is None:
             return None
         out = self._reduce(j, tail)
         return out if self.has_label(out) else ESCAPE
@@ -433,9 +417,6 @@ class FaithfulRep:
         dst = deg_sub(delta, lam.degree)
         return self._label_table(self.adjoint_label, lam, delta, dst)
 
-    def gauge_exponent(self, delta):
-        return delta
-
     def encoding_prefix(self, label, n):
         """Initial segment of the encoded infinite path mu x_i x_{i+1} ..."""
         g = self.graph
@@ -446,12 +427,6 @@ class FaithfulRep:
             w = g.compose(w, self.rule.segment(j - 1))
             j += 1
         return g.factorize(w, n)[0]
-
-    def delta_vector(self, vertex=None):
-        """The stratum-1 vertex label: the class of the base point itself."""
-        v1 = self.rule.segment(0).range
-        label = (1, self.graph.vertex_path(v1))
-        return deg_sub(deg_zero(self.graph.k), deg_diag(self.graph.k, 1)), label
 
 
 def faithful_rep(graph, rule=None, depth=4, cap=None, sum_over_vertices=False):
@@ -467,7 +442,7 @@ def faithful_rep(graph, rule=None, depth=4, cap=None, sum_over_vertices=False):
             parts.append(FaithfulRep(graph, default_prefix_rule(graph, v), depth, cap))
         return DirectSumRep(parts)
     if not graph.is_strongly_connected():
-        raise NotStronglyConnected(graph.name or "graph")
+        raise NotStronglyConnected(graph.name)
     if rule is None:
         rule = default_prefix_rule(graph)
     return FaithfulRep(graph, rule, depth, cap)
@@ -1006,9 +981,8 @@ def induced_measure(rep, xi=None, block=None):
                 raise DepthTooSmall(f"{path} deeper than the represented block")
             total = 0 if rep.measure is None or not rep.measure.exact else Fraction(0)
             for eta in rep.block(block):
-                if deg_le(path.degree, eta.degree):
-                    if g.factorize(eta, path.degree)[0] == path:
-                        total += rep.weight(eta)
+                if g.strip_prefix(eta, path) is not None:
+                    total += rep.weight(eta)
             return total
 
         return CylinderMeasure(
@@ -1410,34 +1384,18 @@ class Decomposition:
     spans: bool
 
 
-def decompose_permutative(rep, omega_prefix, depth=None, period_bound=2):
+def decompose_permutative(rep, omega_prefix, period_bound=2):
     """Split a discrete rep supported on one aperiodic orbit into summands."""
     g = rep.graph
     if prefix_has_period(g, omega_prefix, period_bound):
         raise PeriodicOrbit(f"{omega_prefix} shows a period at bound {period_bound}")
-    labels = rep.labels()
-    known = set(labels)
-    depth = depth if depth is not None else rep.depth
-    # atom fiber at omega: labels encoding to the omega prefix
-    probe = omega_prefix.degree
-    fiber = [lab for lab in labels if _try_prefix(rep, lab, probe) == omega_prefix]
+    fiber, known = _omega_fiber(rep, omega_prefix)
     if not fiber:
         raise PeriodicOrbit("no basis labels encode to the given prefix")
-    edges = [g.edge_path(e.eid) for e in g.edges]
     summands = []
     assigned = {}
     for ell, seed in enumerate(fiber):
-        seen = {seed}
-        frontier = [seed]
-        members = [seed]
-        while frontier:
-            cur = frontier.pop()
-            for lam in edges:
-                for nxt in _neighbors(rep, lam, cur, known):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-                        members.append(nxt)
+        members = _generator_orbit(rep, [seed], known)
         summands.append(members)
         for m in members:
             assigned.setdefault(m, set()).add(ell)
@@ -1454,10 +1412,30 @@ def _try_prefix(rep, label, n):
         return None
 
 
-def _neighbors(rep, lam, label, known):
-    """Known labels that t_lam or t_lam^* sends label to."""
-    images = (rep.forward_label(lam, label), rep.adjoint_label(lam, label))
-    return [out for out in images if out in known]
+def _omega_fiber(rep, omega_prefix):
+    """(labels encoding to the omega prefix, in label order; set of all labels)."""
+    labels = rep.labels()
+    probe = omega_prefix.degree
+    fiber = [lab for lab in labels if _try_prefix(rep, lab, probe) == omega_prefix]
+    return fiber, set(labels)
+
+
+def _generator_orbit(rep, seeds, known):
+    """Known labels reached from seeds by the t_e and t_e^*, in discovery order."""
+    g = rep.graph
+    edges = [g.edge_path(e.eid) for e in g.edges]
+    seen = set(seeds)
+    frontier = list(seeds)
+    members = list(seeds)
+    while frontier:
+        cur = frontier.pop()
+        for lam in edges:
+            for nxt in (rep.forward_label(lam, cur), rep.adjoint_label(lam, cur)):
+                if nxt in known and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+                    members.append(nxt)
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -1599,9 +1577,8 @@ def _find_matching_pair(g, m, n, depth):
                 continue
             ok = True
             for w in g.enumerate_paths(deep, g.s(mu)):
-                left = g.compose(mu, w)
-                right = g.compose(nu, w)
-                if g.factorize(left, common)[0] != g.factorize(right, common)[0]:
+                head = g.factorize(g.compose(mu, w), common)[0]
+                if g.strip_prefix(g.compose(nu, w), head) is None:
                     ok = False
                     break
             if ok:
@@ -1677,22 +1654,8 @@ class RestrictedRep:
 
 def orbit_restriction(rep, omega_prefix):
     """Restrict a discrete rep to the generator-orbit of the omega fiber."""
-    g = rep.graph
-    probe = omega_prefix.degree
-    labels = rep.labels()
-    known = set(labels)
-    fiber = [lab for lab in labels if _try_prefix(rep, lab, probe) == omega_prefix]
-    edges = [g.edge_path(e.eid) for e in g.edges]
-    seen = set(fiber)
-    frontier = list(fiber)
-    while frontier:
-        cur = frontier.pop()
-        for lam in edges:
-            for nxt in _neighbors(rep, lam, cur, known):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return RestrictedRep(rep, seen)
+    fiber, known = _omega_fiber(rep, omega_prefix)
+    return RestrictedRep(rep, set(_generator_orbit(rep, fiber, known)))
 
 
 def op_coordinate_text(op):

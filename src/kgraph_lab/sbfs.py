@@ -847,10 +847,7 @@ class PathspaceSBFS:
         return self.measure.value(g.compose(path, z)) / self.measure.value(z)
 
     def head_is(self, z, path):
-        g = self.graph
-        if not all(a >= b for a, b in zip(z.degree, path.degree)):
-            return False
-        return g.factorize(z, path.degree)[0] == path
+        return self.graph.strip_prefix(z, path) is not None
 
     def sample_points(self, v, count, depth=4):
         """Deep prefixes with range v (points of the cylinder Z(v))."""
@@ -914,9 +911,9 @@ class ProjectiveSystem:
         return self.sign_of(path) / math.sqrt(phi)
 
     def _f_pathspace(self, path, z):
-        if not self.base.head_is(z, path):
+        tail = self.graph.strip_prefix(z, path)
+        if tail is None:
             return 0.0
-        tail = self.graph.factorize(z, path.degree)[1]
         q = self.base.rn_quotient(path, tail)
         return self.sign_of(path) / math.sqrt(q)
 

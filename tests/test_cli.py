@@ -155,6 +155,12 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         # the text after --job is written to a job file
         ["validate", "--job", "[1, 2]"],
         ["validate", "--job", '{"builtin": "ex3v8e", "params": [1, 2]}'],
+        # job-file values get the checks argparse gives the flags
+        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"rep": "faithul"}}'],
+        ["measure", "--job", '{"builtin": "exonevtwoe", "params": {"format": "xml"}}'],
+        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"depth": true}}'],
+        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"tol": false}}'],
+        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"seed": true}}'],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -168,6 +174,15 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("rep", ["standard", "faithful"])
+def test_rep_verify_not_strongly_connected_says_so(rep, tmp_path, capsys):
+    argv = ["rep-verify", "--builtin", "exonevthreeed", "--rep", rep, "--depth", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: graph exonevthreeed is not strongly connected")
+    assert "needs a strongly connected k-graph" in err
 
 
 def test_kakutani_equivalent(tmp_path):

@@ -20,6 +20,7 @@ from kgraph_lab.kgraph import (
     build_double,
     build_lambda2N,
     build_product,
+    deg_add,
     deg_join,
     deg_le,
     deg_sub,
@@ -585,6 +586,37 @@ def reference_canonicalize(g, ids):
     return tuple(out)
 
 
+def reference_factorize(g, p, m):
+    """Bubble one edge of each color to the front at a time, then rebuild."""
+    if not (deg_le((0,) * g.k, m) and deg_le(m, p.degree)):
+        raise DegreeOutOfRange(f"m = {m} not within 0..{p.degree}")
+
+    def pop_color(ids, color):
+        ids = list(ids)
+        t = next(i for i, eid in enumerate(ids) if g.edge_by_id[eid].color == color)
+        while t > 0:
+            ids[t - 1], ids[t] = g._swap_pair(ids[t - 1], ids[t])
+            t -= 1
+        return ids[0], ids[1:]
+
+    rest = list(p.edges)
+    head = []
+    for color in range(1, g.k + 1):
+        for _ in range(m[color - 1]):
+            ed, rest = pop_color(rest, color)
+            head.append(ed)
+    head_path = g.path(head) if head else g.vertex_path(p.range)
+    tail_path = g.path(rest) if rest else g.vertex_path(g.s(p))
+    return head_path, tail_path
+
+
+def reference_strip_prefix(g, p, lam):
+    if not deg_le(lam.degree, p.degree):
+        return None
+    head, tail = reference_factorize(g, p, lam.degree)
+    return tail if head == lam else None
+
+
 def reference_lambda_min(g, p, q):
     """Factorize every extension of p to degree d(p) v d(q) at d(q)."""
     if p.range != q.range:
@@ -704,3 +736,62 @@ def test_lambda_min_matches_enumeration_reference(k, seed):
         assert pairs == reference_lambda_min(g, p, q)
         hits += bool(pairs)
     assert hits > 0
+
+
+def random_chain(rng, n, length):
+    """Random ascending chain of `length` cut degrees inside n."""
+    chain = [(0,) * len(n)]
+    for _ in range(length):
+        step = random_degree_below(rng, deg_sub(n, chain[-1]))
+        chain.append(deg_add(chain[-1], step))
+    return chain[1:]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_split_matches_pop_color_reference(k, seed):
+    rng = random.Random(300 + seed)
+    g = random_graph(rng, k)
+    for _ in range(100):
+        p = g.path(random_walk(rng, g, rng.randint(1, 8)))
+        cuts = random_chain(rng, p.degree, rng.randint(0, 3))
+        # peel the pieces off p one reference factorization at a time
+        rest, done = p, (0,) * k
+        for piece, m in zip(g.split(p, cuts), cuts + [p.degree]):
+            head, rest = reference_factorize(g, rest, deg_sub(m, done))
+            assert piece == head
+            done = m
+        assert rest == g.vertex_path(g.s(p))
+        m = random_degree_below(rng, p.degree)
+        assert g.factorize(p, m) == reference_factorize(g, p, m)
+        m, n = random_chain(rng, p.degree, 2)
+        tail = reference_factorize(g, p, m)[1]
+        assert g.segment(p, m, n) == reference_factorize(g, tail, deg_sub(n, m))[0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_strip_prefix_matches_pop_color_reference(k, seed):
+    rng = random.Random(400 + seed)
+    g = random_graph(rng, k)
+    hits = 0
+    for _ in range(100):
+        p = g.path(random_walk(rng, g, rng.randint(1, 7)))
+        if rng.random() < 0.5:
+            lam = reference_factorize(g, p, random_degree_below(rng, p.degree))[0]
+        else:
+            lam = g.path(random_walk(rng, g, rng.randint(1, 4)))
+        tail = g.strip_prefix(p, lam)
+        assert tail == reference_strip_prefix(g, p, lam)
+        if tail is not None:
+            assert g.compose(lam, tail) == p
+            hits += 1
+    assert hits > 0
+
+
+def test_split_rejects_cuts_outside_an_ascending_chain():
+    g = builtin_graph("exonevtwoe")
+    p = g.enumerate_paths((2, 2))[0]
+    for cuts in ([(1, 1), (1, 0)], [(3, 0)], [(-1, 0)], [(1, 1), (2, 3)]):
+        with pytest.raises(DegreeOutOfRange):
+            g.split(p, cuts)

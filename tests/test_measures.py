@@ -12,6 +12,7 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
+from kgraph_lab.kgraph import deg_unit
 from kgraph_lab.measures import (
     CylinderMeasure,
     Equivalent,
@@ -20,8 +21,10 @@ from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
     Undetermined,
+    _rainbow_symbols,
     check_consistency,
     default_prefix_rule,
+    detect_shape,
     format_value,
     kakutani_classify,
     markov_measure,
@@ -472,3 +475,43 @@ def test_rn_pf_composite_path():
     est = rn_estimate(m, lam, rule, 5)
     for q in est.quotients:
         assert abs(q - 0.5) < 1e-12  # rho^-(1,1) = 1/2
+
+
+def reference_rainbow_symbols(g, shape, path):
+    """Peel the rainbow off one unit factorization at a time (2n of them)."""
+    n = path.degree[0]
+    if shape.kind == "single-vertex":
+        silent = 1 if shape.symbol_color == 2 else 2
+        symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
+        rest = path
+        out = []
+        for _ in range(n):
+            _, rest = g.factorize(rest, deg_unit(2, silent))
+            head, rest = g.factorize(rest, deg_unit(2, shape.symbol_color))
+            out.append(symbol_edges.index(head.edges[0]))
+        return out
+    idx = {p: i for i, p in enumerate(shape.peripherals)}
+    out = []
+    rest = path
+    if path.range == shape.center:
+        for _ in range(n):
+            head, rest = g.factorize(rest, deg_unit(2, 2))
+            out.append(idx[g.s(head)])
+            _, rest = g.factorize(rest, deg_unit(2, 1))
+    else:
+        out.append(idx[path.range])
+        for _ in range(n):
+            _, rest = g.factorize(rest, deg_unit(2, 2))
+            head, rest = g.factorize(rest, deg_unit(2, 1))
+            out.append(idx[g.s(head)])
+    return out
+
+
+@pytest.mark.parametrize("name", ["exonevtwoe", "lambda2N:N=2"])
+def test_rainbow_symbols_match_unit_factorization_loop(name):
+    g = builtin_graph(name)
+    shape = detect_shape(g)
+    for n in range(5):
+        for path in g.enumerate_paths((n, n)):
+            expected = reference_rainbow_symbols(g, shape, path)
+            assert _rainbow_symbols(g, shape, path) == expected

@@ -1,4 +1,8 @@
+import importlib
+import importlib.util
+import inspect
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +28,7 @@ from kgraph_lab.operators import (
     orbit_restriction,
     DirectSumRep,
     EncodingTable,
-    FaithfulRep,
     ScaledRep,
-    StandardRep,
     atoms_report,
     corrupt_table,
     decompose_permutative,
@@ -163,10 +165,18 @@ def test_verify_ck_twice_on_one_rep_is_identical(make):
 
 
 def test_block_actions_are_defined_in_the_class_bodies():
-    # perfbench/tracing.py wraps these methods through vars(class)
-    for cls in (StandardRep, FaithfulRep):
-        assert "apply_path" in vars(cls)
-        assert "apply_adjoint" in vars(cls)
+    # the benchmark's tracer wraps every SPANS entry through vars(owner)
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS
+    for mod, attr, _ in tracing.SPANS:
+        owner = importlib.import_module(f"kgraph_lab.{mod}")
+        *outer, name = attr.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert inspect.isfunction(vars(owner).get(name)), attr
 
 
 def test_verify_ck_fails_when_a_relation_checks_no_block():
