@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import catalog, kgraph, measures, operators, sbfs
-from .errors import KGraphLabError, NotComposable, UsageError
+from .errors import (
+    DegreeCapExceeded,
+    KGraphLabError,
+    NotComposable,
+    SpecInvariantViolated,
+    UsageError,
+)
 
 COMMANDS = [
     "validate",
@@ -210,9 +216,9 @@ def _markov_spec(text):
         rows = tuple(
             tuple(Fraction(x) for x in row.split(",")) for row in text.split(";")
         )
-    except (ValueError, ZeroDivisionError) as exc:
+        return measures.MarkovMeasureSpec(rows).validated()
+    except (ValueError, ZeroDivisionError, SpecInvariantViolated) as exc:
         raise UsageError(f"bad markov spec {text!r}: {exc}") from exc
-    return measures.MarkovMeasureSpec(rows).validated()
 
 
 def _resolution(job):
@@ -406,7 +412,10 @@ def _run_monic(job):
         raise UsageError("monic runs on builtin systems (--builtin)")
     resolution = _resolution(job)
     sys_ = catalog.builtin_sbfs(name)
-    res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
+    try:
+        res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
+    except DegreeCapExceeded as exc:
+        raise UsageError(str(exc)) from exc
     payload = {"verdict": type(res).__name__}
     violations = []
     if isinstance(res, sbfs.NotMonic):

@@ -2,7 +2,9 @@
 
 Sets are compared up to Lebesgue-null differences, so intervals are kept
 as half-open-agnostic pairs (lo, hi) with lo < hi; touching intervals
-merge.  Two-dimensional regions are unions of "strips": an x-interval
+merge.  An IntervalUnion's parts are sorted, disjoint and separated by
+gaps of positive length; the merge-based operations rely on that.
+Two-dimensional regions are unions of "strips": an x-interval
 together with polynomial lower/upper boundary graphs.  Boxes are strips
 with constant boundaries, so product systems and the skew examples share
 one representation.
@@ -10,6 +12,7 @@ one representation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,6 +116,13 @@ class IntervalUnion:
     def interval(cls, lo, hi):
         return cls([(lo, hi)])
 
+    @classmethod
+    def _canonical(cls, parts):
+        """Wrap Fraction parts that are already sorted, disjoint and gapped."""
+        out = object.__new__(cls)
+        out.parts = tuple(parts)
+        return out
+
     def __eq__(self, other):
         return isinstance(other, IntervalUnion) and self.parts == other.parts
 
@@ -139,13 +149,20 @@ class IntervalUnion:
         return IntervalUnion(self.parts + other.parts)
 
     def intersect(self, other):
+        xs, ys = self.parts, other.parts
         out = []
-        for a, b in self.parts:
-            for c, d in other.parts:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(out)
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            a, b = xs[i]
+            c, d = ys[j]
+            lo, hi = max(a, c), min(b, d)
+            if lo < hi:
+                out.append((lo, hi))
+            if b < d:
+                i += 1
+            else:
+                j += 1
+        return IntervalUnion._canonical(out)
 
     def subtract(self, other):
         out = []
@@ -177,11 +194,13 @@ class IntervalUnion:
 
     def scaled(self, a, b):
         """Image under x -> a*x + b."""
-        out = []
-        for lo, hi in self.parts:
-            x, y = a * lo + b, a * hi + b
-            out.append((min(x, y), max(x, y)))
-        return IntervalUnion(out)
+        if a > 0:
+            out = [(a * lo + b, a * hi + b) for lo, hi in self.parts]
+        elif a < 0:
+            out = [(a * hi + b, a * lo + b) for lo, hi in reversed(self.parts)]
+        else:
+            out = []
+        return IntervalUnion._canonical(out)
 
 
 def partition_atoms(domain, sets):
@@ -196,6 +215,24 @@ def partition_atoms(domain, sets):
         if piece.measure > 0:
             atoms.append((lo, hi))
     return atoms
+
+
+def atoms_meeting(atoms, his, union):
+    """Indices of the atoms that meet `union` in positive measure.
+
+    `atoms` are sorted disjoint (lo, hi) pairs, as partition_atoms returns
+    them, and `his` their right endpoints; each part of `union` costs one
+    bisect plus one step per atom it meets.
+    """
+    out = []
+    for c, d in union.parts:
+        i = bisect_right(his, c)
+        if out and i <= out[-1]:
+            i = out[-1] + 1
+        while i < len(atoms) and atoms[i][0] < d:
+            out.append(i)
+            i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------

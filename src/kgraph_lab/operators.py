@@ -1060,6 +1060,7 @@ class IntervalDiagonalRep:
             )
         sets.extend(grid)
         self.atoms = partition_atoms(space, sets)
+        self._his = [hi for _, hi in self.atoms]
         self._ranges = {}
         for n in _grid(g.k, level):
             for lam in g.enumerate_paths(n):
@@ -1072,13 +1073,12 @@ class IntervalDiagonalRep:
         return np.array([float(hi - lo) ** 0.5 for lo, hi in self.atoms])
 
     def pvm_mask(self, lam, block):
-        from .intervals import IntervalUnion
+        from .intervals import atoms_meeting
 
+        # every range generated the atoms, so it holds exactly the atoms it meets
         rng = self._ranges[(lam.range, lam.edges)]
         mask = np.zeros(len(self.atoms))
-        for i, (lo, hi) in enumerate(self.atoms):
-            if IntervalUnion.interval(lo, hi).is_subset_of(rng):
-                mask[i] = 1.0
+        mask[atoms_meeting(self.atoms, self._his, rng)] = 1.0
         return mask
 
 

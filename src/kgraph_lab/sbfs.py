@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .errors import (
     CocycleViolation,
+    DegreeCapExceeded,
     DegenerateMap,
     DimensionUnsupported,
     NonpositiveDensity,
@@ -34,6 +35,7 @@ from .intervals import (
     IntervalUnion,
     Region2,
     Strip,
+    atoms_meeting,
     partition_atoms,
     poly_compose,
     poly_const,
@@ -1123,6 +1125,8 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     approximated by a union of range-algebra atoms within resolution/2.
     NotMonic: some atom wider than `resolution` is provably never cut at
     any depth (its edge preimages are single atoms, recursively).
+    Raises DegreeCapExceeded when depth * k exceeds the graph's enum_cap
+    (a product system checks each factor on its own).
     """
     if sys.dim == 2:
         if sys.product_factors is not None:
@@ -1136,6 +1140,11 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
             return InconclusiveMonic(Fraction(0))
         raise DimensionUnsupported("monic probe needs 1D or product structure")
     g = sys.graph
+    if depth * g.k > g.enum_cap:
+        raise DegreeCapExceeded(
+            f"monic depth {depth} needs paths of total degree {depth * g.k}, "
+            f"above the enumeration cap {g.enum_cap}"
+        )
     resolution = Fraction(resolution)
     space = IntervalUnion()
     for v in g.vertices:
@@ -1143,43 +1152,44 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
 
     ranges = [sys.domains[v] for v in g.vertices]
     for nd in itertools.product(range(depth + 1), repeat=g.k):
-        if deg_total(nd) == 0 or deg_total(nd) > g.enum_cap:
+        if deg_total(nd) == 0:
             continue
         for lam in g.enumerate_paths(nd):
             ranges.append(sys.path_range_1d(lam))
     atoms = partition_atoms(space, ranges)
+    his = [hi for _, hi in atoms]
 
-    # structural witness: atoms whose edge preimages stay single atoms
-    atom_set = set(atoms)
-    changed = True
-    while changed:
-        changed = False
-        for atom in list(atom_set):
-            a_int = IntervalUnion.interval(*atom)
-            ok = True
-            for e in g.edges:
-                m = sys.edge_maps[e.eid]
-                pre = m.image(sys.domain_of_edge(e.eid)).intersect(a_int)
-                pre = pre.scaled(Fraction(1) / m.a, -m.b / m.a)
-                pre = pre.intersect(sys.domain_of_edge(e.eid))
-                if pre.measure == 0:
-                    continue
-                hits = [
-                    b
-                    for b in atoms
-                    if IntervalUnion.interval(*b).intersect(pre).measure > 0
-                ]
-                if len(hits) != 1 or hits[0] not in atom_set:
-                    ok = False
-                    break
-                b_int = IntervalUnion.interval(*hits[0])
-                if pre != b_int.intersect(pre) or (b_int.subtract(pre)).measure != 0:
-                    ok = False
-                    break
-            if not ok:
-                atom_set.discard(atom)
-                changed = True
-    wide = sorted((a for a in atom_set if a[1] - a[0] > resolution),
+    # structural witness: atoms whose edge preimages stay single atoms.  An
+    # atom is cut when some edge preimage meets several atoms or does not
+    # fill its one atom; otherwise it survives iff every atom its preimages
+    # fill survives, so the cut spreads backwards along `preds`.
+    cut = set()
+    preds = [[] for _ in atoms]
+    for e in g.edges:
+        m = sys.edge_maps[e.eid]
+        dom = sys.domain_of_edge(e.eid)
+        rng = m.image(dom)
+        inv_a, inv_b = Fraction(1) / m.a, -m.b / m.a
+        for i in atoms_meeting(atoms, his, rng):
+            pre = rng.intersect(IntervalUnion.interval(*atoms[i]))
+            pre = pre.scaled(inv_a, inv_b).intersect(dom)
+            hits = atoms_meeting(atoms, his, pre)
+            if len(hits) != 1:
+                cut.add(i)
+                continue
+            b_int = IntervalUnion.interval(*atoms[hits[0]])
+            if pre != b_int.intersect(pre) or b_int.subtract(pre).measure != 0:
+                cut.add(i)
+                continue
+            preds[hits[0]].append(i)
+    alive = [i not in cut for i in range(len(atoms))]
+    stack = list(cut)
+    while stack:
+        for i in preds[stack.pop()]:
+            if alive[i]:
+                alive[i] = False
+                stack.append(i)
+    wide = sorted((a for a, ok in zip(atoms, alive) if ok and a[1] - a[0] > resolution),
                   key=lambda a: (a[0] - a[1], a[0]))
     if wide:
         return NotMonic(wide[0], tuple(wide))
@@ -1194,13 +1204,10 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
                 cell_hi = min(dhi, cell_lo + resolution)
                 cell = IntervalUnion.interval(cell_lo, cell_hi)
                 err = Fraction(0)
-                for lo, hi in atoms:
-                    a_int = IntervalUnion.interval(lo, hi)
-                    inside = a_int.intersect(cell).measure
-                    if inside == 0:
-                        continue
-                    outside = (hi - lo) - inside
-                    err += min(inside, outside)
+                for i in atoms_meeting(atoms, his, cell):
+                    lo, hi = atoms[i]
+                    inside = min(hi, cell_hi) - max(lo, cell_lo)
+                    err += min(inside, (hi - lo) - inside)
                 worst_err = max(worst_err, err)
     if worst_err <= resolution / 2:
         return Monic(depth, resolution)

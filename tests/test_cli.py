@@ -161,6 +161,13 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"depth": true}}'],
         ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"tol": false}}'],
         ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"seed": true}}'],
+        # depth * k above the enumeration cap
+        ["monic", "--builtin", "kawamura", "--depth", "40"],
+        # Markov matrices that fail MarkovMeasureSpec.validated
+        ["measure", "--builtin", "lambda2N:N=2", "--measure",
+         "markov:1/4,1/4,1/4,1/4;1/2,1/2,0,0;0,0,1/2,1/2;1/4,1/4,1/4,1/4"],
+        ["kakutani", "--markov-a", "1/2,1/2;1,0", "--markov-b", "x=1/3"],
+        ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=2"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -174,6 +181,14 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_monic_above_the_enumeration_cap_names_it(tmp_path, capsys):
+    argv = ["monic", "--builtin", "double-kawamura", "--depth", "13"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: monic depth 13 needs paths of total degree 26")
+    assert "enumeration cap 24" in err
 
 
 @pytest.mark.parametrize("rep", ["standard", "faithful"])

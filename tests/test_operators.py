@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import inspect
+import itertools
 import math
 import pathlib
 from fractions import Fraction
@@ -14,6 +15,7 @@ from kgraph_lab.errors import (
     PeriodicOrbit,
     UnsupportedMeasure,
 )
+from kgraph_lab.intervals import IntervalUnion
 from kgraph_lab.kgraph import deg_add, deg_sub
 from kgraph_lab.measures import (
     PrefixRule,
@@ -445,6 +447,23 @@ def test_monic_vector_probe_interval_cyclic_cross_check():
     rep = interval_diagonal_rep(sys, 4, Fraction(1, 16))
     res = monic_vector_probe(rep, 4)
     assert res.cyclic
+
+
+@pytest.mark.parametrize(
+    "name", ["exonevthreeed", "exonevtwoe", "ex3v8e", "kawamura:a=1/2", "double-kawamura"]
+)
+def test_interval_pvm_mask_matches_subset_loop(name):
+    # the per-atom subset loop that pvm_mask replaced
+    sys = builtin_sbfs(name)
+    for level in range(5):
+        rep = interval_diagonal_rep(sys, level, Fraction(1, 16))
+        g = sys.graph
+        for n in itertools.product(range(level + 1), repeat=g.k):
+            for lam in g.enumerate_paths(n):
+                rng = sys.path_range_1d(lam)
+                old = [float(IntervalUnion.interval(lo, hi).is_subset_of(rng))
+                       for lo, hi in rep.atoms]
+                assert rep.pvm_mask(lam, None).tolist() == old, (name, level, lam)
 
 
 def test_monic_vector_probe_single_vector():

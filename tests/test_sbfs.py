@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,14 +8,15 @@ import pytest
 from kgraph_lab.catalog import builtin_graph, builtin_sbfs
 from kgraph_lab.errors import (
     CocycleViolation,
+    DegreeCapExceeded,
     DegenerateMap,
     DimensionUnsupported,
     NonpositiveRN,
     ParameterOutOfRange,
     ZeroVertexMass,
 )
-from kgraph_lab.intervals import IntervalUnion
-from kgraph_lab.kgraph import KGraph, Edge
+from kgraph_lab.intervals import IntervalUnion, partition_atoms
+from kgraph_lab.kgraph import KGraph, Edge, deg_total, validate_kgraph
 from kgraph_lab.measures import (
     CylinderMeasure,
     ProductMeasureSpec,
@@ -441,6 +444,202 @@ def test_monic_product_reduces_to_factors():
 def test_monic_nonproduct_2d_unsupported():
     with pytest.raises(DimensionUnsupported):
         monic_probe(builtin_sbfs("noncstrn"))
+
+
+def test_monic_depth_above_the_enumeration_cap_raises():
+    # depth * k above enum_cap used to skip the long degrees and pass anyway
+    with pytest.raises(DegreeCapExceeded, match="cap 24"):
+        monic_probe(builtin_sbfs("kawamura:a=1/2"), depth=25)
+    with pytest.raises(DegreeCapExceeded):
+        monic_probe(builtin_sbfs("double-kawamura"), depth=13)
+    with pytest.raises(DegreeCapExceeded):
+        monic_probe(builtin_sbfs("product-kawamura"), depth=25)  # each factor on its own
+
+
+# -- monic probe against the quadratic fixpoint it replaced ---------------------------------------
+
+
+def reference_monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
+    """The rescanning fixpoint and all-atom grid pass, kept as the reference."""
+    if sys.dim == 2:
+        if sys.product_factors is not None:
+            a = reference_monic_probe(sys.product_factors[0], depth, resolution)
+            b = reference_monic_probe(sys.product_factors[1], depth, resolution)
+            if isinstance(a, Monic) and isinstance(b, Monic):
+                return Monic(depth, Fraction(resolution))
+            for r in (a, b):
+                if isinstance(r, NotMonic):
+                    return r
+            return InconclusiveMonic(Fraction(0))
+        raise DimensionUnsupported("monic probe needs 1D or product structure")
+    g = sys.graph
+    resolution = Fraction(resolution)
+    space = IntervalUnion()
+    for v in g.vertices:
+        space = space.union(sys.domains[v])
+    ranges = [sys.domains[v] for v in g.vertices]
+    for nd in itertools.product(range(depth + 1), repeat=g.k):
+        if deg_total(nd) == 0 or deg_total(nd) > g.enum_cap:
+            continue
+        for lam in g.enumerate_paths(nd):
+            ranges.append(sys.path_range_1d(lam))
+    atoms = partition_atoms(space, ranges)
+    atom_set = set(atoms)
+    changed = True
+    while changed:
+        changed = False
+        for atom in list(atom_set):
+            a_int = IntervalUnion.interval(*atom)
+            ok = True
+            for e in g.edges:
+                m = sys.edge_maps[e.eid]
+                pre = m.image(sys.domain_of_edge(e.eid)).intersect(a_int)
+                pre = pre.scaled(Fraction(1) / m.a, -m.b / m.a)
+                pre = pre.intersect(sys.domain_of_edge(e.eid))
+                if pre.measure == 0:
+                    continue
+                hits = [b for b in atoms
+                        if IntervalUnion.interval(*b).intersect(pre).measure > 0]
+                if len(hits) != 1 or hits[0] not in atom_set:
+                    ok = False
+                    break
+                b_int = IntervalUnion.interval(*hits[0])
+                if pre != b_int.intersect(pre) or b_int.subtract(pre).measure != 0:
+                    ok = False
+                    break
+            if not ok:
+                atom_set.discard(atom)
+                changed = True
+    wide = sorted((a for a in atom_set if a[1] - a[0] > resolution),
+                  key=lambda a: (a[0] - a[1], a[0]))
+    if wide:
+        return NotMonic(wide[0], tuple(wide))
+    worst_err = Fraction(0)
+    for v in g.vertices:
+        for dlo, dhi in sys.domains[v].parts:
+            steps = int(math.ceil((dhi - dlo) / resolution))
+            for t in range(steps):
+                cell_lo = dlo + t * resolution
+                cell_hi = min(dhi, cell_lo + resolution)
+                cell = IntervalUnion.interval(cell_lo, cell_hi)
+                err = Fraction(0)
+                for lo, hi in atoms:
+                    inside = IntervalUnion.interval(lo, hi).intersect(cell).measure
+                    if inside == 0:
+                        continue
+                    err += min(inside, (hi - lo) - inside)
+                worst_err = max(worst_err, err)
+    if worst_err <= resolution / 2:
+        return Monic(depth, resolution)
+    return InconclusiveMonic(max(hi - lo for lo, hi in atoms))
+
+
+def probe_outcome(probe, sys, depth, resolution):
+    try:
+        return probe(sys, depth, resolution)
+    except DimensionUnsupported as exc:
+        return type(exc)
+
+
+RESOLUTIONS = [Fraction(1, 8), Fraction(1, 32)]
+# depths 0-8, less where the quadratic reference would take more than about
+# a second per case (exonevtwoe: 2 s at depth 8; ex3v8e: 12 s at depth 8;
+# double-kawamura: 47 s at depth 7)
+REFERENCE_DEPTHS = {
+    "exonevthreeed": 8,
+    "exonevtwoe": 7,
+    "noncstrn": 8,
+    "ex3v8e": 6,
+    "kawamura:a=1/2": 8,
+    "double-kawamura": 5,
+    "product-kawamura": 8,
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+def test_monic_probe_matches_reference_on_builtins(name):
+    sys = builtin_sbfs(name)
+    for depth in range(REFERENCE_DEPTHS[name] + 1):
+        for res in RESOLUTIONS:
+            want = probe_outcome(reference_monic_probe, sys, depth, res)
+            assert probe_outcome(monic_probe, sys, depth, res) == want, (name, depth, res)
+
+
+def branching_cycle_system():
+    """Cycle a -> b -> c -> d -> a of quarter intervals; c -> d branches twice.
+
+    At depth 1 only a is cut directly (its preimage, all of d, meets two
+    atoms); the other atoms fall as the cut spreads back along b -> a,
+    c -> b and d -> c."""
+    q = [Fraction(j, 4) for j in range(5)]
+    g = validate_kgraph(1, list("abcd"), [
+        Edge("f", 1, "a", "b"), Edge("g", 1, "b", "c"), Edge("k1", 1, "c", "d"),
+        Edge("k2", 1, "c", "d"), Edge("m", 1, "d", "a"),
+    ], [], name="branching-cycle")
+    domains = {v: IntervalUnion.interval(q[i], q[i + 1]) for i, v in enumerate("abcd")}
+    maps = {
+        "f": Affine1D(Fraction(1), q[1]),
+        "g": Affine1D(Fraction(-1), q[4]),  # b -> c, reversed
+        "k1": Affine1D(Fraction(1, 2), Fraction(1, 2)),
+        "k2": Affine1D(Fraction(-1, 2), Fraction(5, 4)),
+        "m": Affine1D(Fraction(1), -q[3]),
+    }
+    return IntervalSBFS(g, 1, domains, maps)
+
+
+def test_monic_probe_cut_spreads_along_chains():
+    sys = branching_cycle_system()
+    assert validate_sbfs(sys).ok
+    for depth in range(7):
+        for res in RESOLUTIONS:
+            want = reference_monic_probe(sys, depth, res)
+            assert monic_probe(sys, depth, res) == want, (depth, res)
+    # at depth 1 no atom is cut directly except a, yet none survives
+    assert monic_probe(sys, 1, Fraction(1, 8)) == InconclusiveMonic(Fraction(1, 4))
+
+
+def random_loop_system(rng, tiling):
+    """One vertex and 2-4 loops, each an affine map of [0, 1], increasing or
+    decreasing.  With `tiling`, loop i maps onto the i-th piece of a random
+    rational partition of [0, 1].  Without, each loop maps onto a random
+    subinterval: ranges overlap and leave gaps, which is no SBFS, but there
+    edge preimages can sit strictly inside one atom and cuts spread."""
+    n = rng.randint(2, 4)
+    grid = [Fraction(j, 12) for j in range(13)]
+    if tiling:
+        points = [grid[0]] + sorted(rng.sample(grid[1:-1], n - 1)) + [grid[-1]]
+        pieces = list(zip(points, points[1:]))
+    else:
+        pieces = [tuple(sorted(rng.sample(grid, 2))) for _ in range(n)]
+    edges, maps = [], {}
+    for i, (lo, hi) in enumerate(pieces):
+        eid = f"e{i}"
+        edges.append(Edge(eid, 1, "v", "v"))
+        maps[eid] = Affine1D(hi - lo, lo) if rng.random() < 0.5 else Affine1D(lo - hi, hi)
+    g = validate_kgraph(1, ["v"], edges, [], name=f"random{n}")
+    return IntervalSBFS(g, 1, {"v": IntervalUnion.interval(0, 1)}, maps)
+
+
+@pytest.mark.parametrize("tiling", [True, False])
+def test_monic_probe_matches_reference_on_random_systems(tiling):
+    rng = random.Random(5)
+    verdicts = set()
+    systems = [random_loop_system(rng, tiling) for _ in range(12)]
+    for i, sys in enumerate(systems):
+        # the reference is quadratic in the atoms: about n**depth of them
+        # when ranges tile, up to twice as many when they overlap
+        max_depth = ({2: 6, 3: 3, 4: 3} if tiling else {2: 4, 3: 3, 4: 2})[len(sys.graph.edges)]
+        other = systems[i - 1]
+        product = lift_product_sbfs(sys, other)
+        for depth in range(max_depth + 1):
+            for res in RESOLUTIONS:
+                want = reference_monic_probe(sys, depth, res)
+                assert monic_probe(sys, depth, res) == want, (i, depth, res)
+                verdicts.add(type(want))
+                if len(other.graph.edges) ** depth <= 64:
+                    want = reference_monic_probe(product, depth, res)
+                    assert monic_probe(product, depth, res) == want, (i, depth, res)
+    assert verdicts == {Monic, NotMonic, InconclusiveMonic}
 
 
 # -- JSON round trip -----------------------------------------------------------------------------
