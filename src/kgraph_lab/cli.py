@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import catalog, kgraph, measures, operators, sbfs
 from .errors import (
     DegreeCapExceeded,
+    GammaOutOfRange,
     KGraphLabError,
     NotComposable,
     SpecInvariantViolated,
@@ -196,7 +197,14 @@ def _load_measure(job, g):
     if spec == "pf":
         return measures.pf_measure(g)
     if spec.startswith("product:"):
-        return measures.product_measure(g, _product_spec(spec.split(":", 1)[1]))
+        text = spec.split(":", 1)[1]
+        product = _product_spec(text)
+        m = measures.product_measure(g, product)
+        try:
+            measures.check_product_biases(g, product)
+        except GammaOutOfRange as exc:
+            raise UsageError(f"bad product spec {text!r}: {exc}") from exc
+        return m
     if spec.startswith("markov:"):
         return measures.markov_measure(g, _markov_spec(spec.split(":", 1)[1]))
     raise UsageError(f"unknown measure spec {spec!r}")
@@ -412,10 +420,7 @@ def _run_monic(job):
         raise UsageError("monic runs on builtin systems (--builtin)")
     resolution = _resolution(job)
     sys_ = catalog.builtin_sbfs(name)
-    try:
-        res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
-    except DegreeCapExceeded as exc:
-        raise UsageError(str(exc)) from exc
+    res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
     payload = {"verdict": type(res).__name__}
     violations = []
     if isinstance(res, sbfs.NotMonic):
@@ -455,7 +460,7 @@ def main(argv=None):
     try:
         job = parse_job(argv)
         return run(job)
-    except UsageError as exc:
+    except (UsageError, DegreeCapExceeded) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except KGraphLabError as exc:

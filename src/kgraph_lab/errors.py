@@ -159,14 +159,6 @@ class UnsupportedMeasure(KGraphLabError):
     """The measure has nonconstant Radon-Nikodym data on a needed cylinder class."""
 
 
-class RelationViolation(KGraphLabError):
-    def __init__(self, relation, witness, residual):
-        self.relation = relation
-        self.witness = witness
-        self.residual = residual
-        super().__init__(f"{relation} violated at {witness}: residual {residual}")
-
-
 class PrefixRuleInvalid(KGraphLabError):
     """An infinite-path prefix rule fails its composability requirements."""
 

@@ -280,6 +280,14 @@ class KGraph:
 
     # -- enumeration ----------------------------------------------------------
 
+    def check_cap(self, total, what):
+        """Raise DegreeCapExceeded, naming `what`, when total exceeds enum_cap."""
+        if total > self.enum_cap:
+            raise DegreeCapExceeded(
+                f"{what} needs paths of total degree {total}, "
+                f"above the enumeration cap {self.enum_cap}"
+            )
+
     def enumerate_paths(self, n, v=None):
         """All paths of degree n (with range v if given), lexicographic order.
 

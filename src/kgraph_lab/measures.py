@@ -213,23 +213,16 @@ class ConsistencyReport:
     worst_path: object
     exact: bool
 
-    def raise_on_failure(self):
-        if not self.ok:
-            raise AdditivityViolation(self.worst_path, self.worst_residual)
-        return self
-
 
 def check_consistency(measure, depth, tol=1e-12):
     """Square-cylinder additivity for all paths with degree <= depth*(1,..,1)."""
     g = measure.graph
+    g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
     diag = deg_diag(g.k, 1)
     worst = 0.0
     worst_path = None
     checked = 0
-    grid = itertools.product(range(depth + 1), repeat=g.k)
-    for n in grid:
-        if deg_total(n) + g.k > g.enum_cap:
-            continue
+    for n in itertools.product(range(depth + 1), repeat=g.k):
         for lam in g.enumerate_paths(n):
             total = sum(
                 measure.value(g.compose(lam, eta))
@@ -396,6 +389,29 @@ def parse_product_spec(text):
     if family in ("finite", "sampled"):
         return ProductMeasureSpec(family, values=tuple(vals))
     raise ValueError(f"unknown product spec {text!r}")
+
+
+def check_product_biases(g, spec):
+    """Raise GammaOutOfRange unless every bias term the shape of g reads is
+    inside (-1/2, 1/2), naming the first bad term.
+
+    Single-vertex shapes read gamma_j from j0 = 1, star shapes from j0 = 0.
+    A const or geometric sequence with |r| <= 1 is largest at j0; a
+    geometric one with c != 0 and |r| > 1 grows past 1/2.
+    """
+    j0 = 1 if detect_shape(g).kind == "single-vertex" else 0
+    if spec.family in ("finite", "sampled"):
+        terms = range(spec.start, spec.start + len(spec.values))
+    else:
+        terms = [j0]
+    for j in terms:
+        gamma = spec.gamma(j)
+        if not abs(gamma) < Fraction(1, 2):
+            raise GammaOutOfRange(f"gamma_{j} = {gamma} is outside (-1/2, 1/2)")
+    if spec.family == "geometric" and spec.c != 0 and abs(spec.r) > 1:
+        raise GammaOutOfRange(
+            f"gamma_j = {spec.c} * {spec.r}**j leaves (-1/2, 1/2) as j grows"
+        )
 
 
 def product_measure(g, spec):
@@ -759,10 +775,9 @@ def format_value(v):
 def measure_table(measure, depth):
     """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1)."""
     g = measure.graph
+    g.check_cap(depth * g.k, f"measure table depth {depth}")
     lines = ["depth\tpath\tvalue"]
     for n in sorted(itertools.product(range(depth + 1), repeat=g.k)):
-        if deg_total(n) > g.enum_cap:
-            continue
         for lam in g.enumerate_paths(n):
             label = ".".join(lam.edges) if lam.edges else lam.range
             lines.append(f"{deg_total(n)}\t{label}\t{format_value(measure.value(lam))}")

@@ -5,9 +5,14 @@ representation the blocks are degree levels of the path space; shallow
 blocks embed into deeper ones by cylinder refinement, so the deepest
 block carries the honest L^2 geometry.  For the inductive-limit faithful
 representation the blocks are gauge-weight classes of a discrete basis
-with counting measure.  Relations are asserted only on blocks where both
-sides are defined; residuals of defined relations are reported exactly
-(0/1 coefficients stay integers end to end).
+with counting measure.
+
+Each relation check in verify_ck and pvm_additivity is a stream of
+per-block residuals, counted in one place.  A block counts as checked
+when both sides of the relation are defined on it, and for CK4 and
+CK4-min also when both sides map the same blocks; any other block yields
+None and is skipped.  Residuals are reported exactly (0/1 coefficients
+stay integers end to end).
 
 Every representation exposes its basis through ``block_keys()`` and
 ``block(key)`` and acts by ``apply_path(lam, key)`` and
@@ -92,11 +97,8 @@ class StandardRep:
         self.measure = measure
         self.depth = depth
         self.tol = tol
-        self._blocks = {}
-        for m in _grid(graph.k, depth):
-            if deg_total(m) > graph.enum_cap:
-                continue
-            self._blocks[m] = graph.enumerate_paths(m)
+        graph.check_cap(depth * graph.k, f"{self.kind} rep depth {depth}")
+        self._blocks = {m: graph.enumerate_paths(m) for m in _grid(graph.k, depth)}
         self._index = {
             m: {(p.range, p.edges): i for i, p in enumerate(paths)}
             for m, paths in self._blocks.items()
@@ -307,11 +309,9 @@ class FaithfulRep:
         self._blocks = {}
         self._tables = {}
         g = graph
-        cap_deg = deg_diag(g.k, self.cap)
+        g.check_cap(self.cap * g.k, f"faithful rep cap {self.cap}")
         all_paths = []
         for m in _grid(g.k, self.cap):
-            if deg_total(m) > g.enum_cap:
-                continue
             all_paths.extend(g.enumerate_paths(m))
         for i in range(1, depth + 1):
             v_i = rule.segment(i - 1).range
@@ -578,14 +578,12 @@ class _Op:
         return _Op(self.rep, table, self.src_key, self.dst_key)
 
     def residual_vs(self, other):
-        if other is None:
-            return 0.0
-        diff = self.add(other, sign=-1)
-        worst = 0.0
-        for outs in diff.table.values():
-            for c in outs.values():
-                worst = max(worst, abs(float(c)))
-        return worst
+        return self.add(other, sign=-1).max_abs()
+
+    def max_abs(self):
+        """Largest absolute coefficient; 0.0 for the zero operator."""
+        coefs = (abs(float(c)) for outs in self.table.values() for c in outs.values())
+        return max(coefs, default=0.0)
 
     def matrix(self):
         rows = self.rep.block_dim(self.dst_key)
@@ -684,156 +682,152 @@ class ScaledRep:
 
 
 def verify_ck(rep, max_level=2, tol=1e-10):
-    """Check (CK1)-(CK4) and the minimal-extension identity blockwise."""
+    """Check (CK1)-(CK4) and the minimal-extension identity blockwise.
+
+    Each relation is a stream of per-block residuals, None for a block it
+    does not check; _tally counts the checked blocks.
+    """
     g = rep.graph
-    checks = []
     edges = [g.edge_path(e.eid) for e in g.edges]
     vertices = [g.vertex_path(v) for v in g.vertices]
 
-    def record(relation, witness, residual, blocks):
-        checks.append(RelationCheck(relation, witness, float(residual), blocks))
-
-    # CK1: vertex projections, mutually orthogonal, self-adjoint
-    worst, blocks = 0.0, 0
-    for key in rep.block_keys():
-        for v in vertices:
-            tv = op_forward(rep, v, key)
-            if tv is None:
-                continue
-            blocks += 1
-            worst = max(worst, tv.then(tv).residual_vs(tv))
-            adjv = op_adjoint(rep, v, key)
-            if adjv is not None:
-                worst = max(worst, tv.residual_vs(adjv))
-            for w in vertices:
-                if w == v:
-                    continue
-                tw = op_forward(rep, w, key)
-                if tw is not None and not tv.then(tw).is_zero():
-                    worst = max(worst, 1.0)
-    record("CK1", "vertex projections", worst, blocks)
-
-    # CK2: composing generator actions agrees with the composite path
-    worst, blocks = 0.0, 0
-    pool = edges + vertices
-    for lam in pool:
-        for eta in pool:
-            if g.s(lam) != eta.range:
-                continue
-            prod = g.compose(lam, eta)
-            for key in rep.block_keys():
-                t_eta = op_forward(rep, eta, key)
-                if t_eta is None:
-                    continue
-                t_lam = op_forward(rep, lam, t_eta.dst_key)
-                t_prod = op_forward(rep, prod, key)
-                if t_lam is None or t_prod is None:
-                    continue
-                blocks += 1
-                worst = max(worst, t_eta.then(t_lam).residual_vs(t_prod))
-    record("CK2", "edge pairs", worst, blocks)
-
-    # CK3: t_lam^* t_lam = t_{s(lam)}
-    worst, blocks = 0.0, 0
-    for lam in edges:
-        sv = g.vertex_path(g.s(lam))
+    def ck1():
+        # vertex projections, mutually orthogonal, self-adjoint
         for key in rep.block_keys():
-            t_lam = op_forward(rep, lam, key)
-            if t_lam is None:
-                continue
-            adj = op_adjoint(rep, lam, t_lam.dst_key)
-            t_s = op_forward(rep, sv, key)
-            if adj is None or t_s is None:
-                continue
-            blocks += 1
-            worst = max(worst, t_lam.then(adj).residual_vs(t_s))
-    record("CK3", "edges", worst, blocks)
+            for v in vertices:
+                tv = op_forward(rep, v, key)
+                if tv is None:
+                    yield None
+                    continue
+                idempotent = tv.then(tv).residual_vs(tv)
+                self_adjoint = _residual(tv, op_adjoint(rep, v, key)) or 0.0
+                others = [op_forward(rep, w, key) for w in vertices if w != v]
+                overlap = any(
+                    tw is not None and not tv.then(tw).is_zero() for tw in others
+                )
+                yield max(idempotent, self_adjoint, float(overlap))
 
-    # CK4: sum over v Lambda^n of t t^* equals t_v
-    worst, blocks = 0.0, 0
-    degrees = [tuple(1 if i == c else 0 for i in range(g.k)) for c in range(g.k)]
-    degrees.append(deg_diag(g.k, 1))
-    if max_level >= 2:
-        degrees.append(deg_diag(g.k, 2))
-    for n in degrees:
-        for v in g.vertices:
-            lams = g.enumerate_paths(n, v)
-            tv_path = g.vertex_path(v)
+    def ck2():
+        # composing generator actions agrees with the composite path
+        pool = edges + vertices
+        for lam in pool:
+            for eta in pool:
+                if g.s(lam) != eta.range:
+                    continue
+                prod = g.compose(lam, eta)
+                for key in rep.block_keys():
+                    t_eta = op_forward(rep, eta, key)
+                    if t_eta is None:
+                        yield None
+                        continue
+                    t_lam = op_forward(rep, lam, t_eta.dst_key)
+                    yield _residual(t_eta.then(t_lam), op_forward(rep, prod, key))
+
+    def ck3():
+        # t_lam^* t_lam = t_{s(lam)}
+        for lam in edges:
+            sv = g.vertex_path(g.s(lam))
             for key in rep.block_keys():
-                if not rep.discrete and not deg_le(n, key):
-                    continue  # both sides block-preserving only past level n
-                total = None
-                ok = True
-                for lam in lams:
-                    adj = op_adjoint(rep, lam, key)
+                t_lam = op_forward(rep, lam, key)
+                if t_lam is None:
+                    yield None
+                    continue
+                adj = op_adjoint(rep, lam, t_lam.dst_key)
+                yield _residual(t_lam.then(adj), op_forward(rep, sv, key))
+
+    def ck4():
+        # sum over v Lambda^n of t t^* equals t_v
+        degrees = [tuple(1 if i == c else 0 for i in range(g.k)) for c in range(g.k)]
+        degrees.append(deg_diag(g.k, 1))
+        if max_level >= 2:
+            degrees.append(deg_diag(g.k, 2))
+        for n in degrees:
+            for v in g.vertices:
+                lams = g.enumerate_paths(n, v)
+                tv_path = g.vertex_path(v)
+                for key in rep.block_keys():
+                    if not rep.discrete and not deg_le(n, key):
+                        yield None  # both sides block-preserving only past level n
+                        continue
+                    total = _sum(_outer(rep, lam, lam, key) for lam in lams)
+                    yield _same_blocks_residual(total, op_forward(rep, tv_path, key))
+
+    def ck4_min():
+        # minimal-extension identity: t_lam^* t_eta = sum t_alpha t_beta^*
+        for lam in edges:
+            for eta in edges:
+                if lam.range != eta.range:
+                    continue
+                pairs = g.lambda_min(lam, eta)
+                for key in rep.block_keys():
+                    t_eta = op_forward(rep, eta, key)
+                    adj = None if t_eta is None else op_adjoint(rep, lam, t_eta.dst_key)
                     if adj is None:
-                        ok = False
-                        break
-                    fwd = op_forward(rep, lam, adj.dst_key)
-                    if fwd is None:
-                        ok = False
-                        break
-                    term = adj.then(fwd)
-                    total = term if total is None else total.add(term)
-                tv = op_forward(rep, tv_path, key)
-                if not ok or total is None or tv is None:
-                    continue
-                if (total.src_key, total.dst_key) != (tv.src_key, tv.dst_key):
-                    continue
-                blocks += 1
-                worst = max(worst, total.residual_vs(tv))
-    record("CK4", "full levels", worst, blocks)
+                        yield None
+                        continue
+                    lhs = t_eta.then(adj)
+                    if pairs:
+                        rhs = _sum(_outer(rep, a, b, key) for a, b in pairs)
+                        yield _same_blocks_residual(lhs, rhs)
+                    else:
+                        yield lhs.max_abs()  # no common extension: lhs must vanish
 
-    # minimal-extension identity: t_lam^* t_eta = sum t_alpha t_beta^*
-    worst, blocks = 0.0, 0
-    for lam in edges:
-        for eta in edges:
-            if lam.range != eta.range:
-                continue
-            pairs = g.lambda_min(lam, eta)
-            for key in rep.block_keys():
-                t_eta = op_forward(rep, eta, key)
-                if t_eta is None:
-                    continue
-                adj_lam = op_adjoint(rep, lam, t_eta.dst_key)
-                if adj_lam is None:
-                    continue
-                lhs = t_eta.then(adj_lam)
-                rhs = None
-                ok = True
-                for alpha, beta in pairs:
-                    adj_b = op_adjoint(rep, beta, key)
-                    if adj_b is None:
-                        ok = False
-                        break
-                    fwd_a = op_forward(rep, alpha, adj_b.dst_key)
-                    if fwd_a is None:
-                        ok = False
-                        break
-                    term = adj_b.then(fwd_a)
-                    rhs = term if rhs is None else rhs.add(term)
-                if not ok:
-                    continue
-                if rhs is None:
-                    blocks += 1
-                    worst = max(
-                        worst,
-                        max(
-                            (abs(float(c)) for o in lhs.table.values() for c in o.values()),
-                            default=0.0,
-                        ),
-                    )
-                    continue
-                if (lhs.src_key, lhs.dst_key) != (rhs.src_key, rhs.dst_key):
-                    continue
-                blocks += 1
-                worst = max(worst, lhs.residual_vs(rhs))
-    record("CK4-min", "edge pairs", worst, blocks)
-
+    relations = [
+        ("CK1", "vertex projections", ck1()),
+        ("CK2", "edge pairs", ck2()),
+        ("CK3", "edges", ck3()),
+        ("CK4", "full levels", ck4()),
+        ("CK4-min", "edge pairs", ck4_min()),
+    ]
+    checks = [RelationCheck(rel, wit, *_tally(res)) for rel, wit, res in relations]
     max_res = max(c.residual for c in checks)
     # a relation checked on no block has not been verified
     checked = all(c.blocks_checked > 0 for c in checks)
     return CKReport(checked and max_res <= tol, max_res, checks)
+
+
+def _tally(residuals):
+    """(worst residual, blocks checked) of a stream; None marks a skipped block."""
+    worst, blocks = 0.0, 0
+    for residual in residuals:
+        if residual is not None:
+            worst = max(worst, residual)
+            blocks += 1
+    return worst, blocks
+
+
+def _sum(ops):
+    """Sum of the block operators; None once a term is undefined, or with no terms."""
+    total = None
+    for op in ops:
+        if op is None:
+            return None
+        total = op if total is None else total.add(op)
+    return total
+
+
+def _outer(rep, alpha, beta, key):
+    """t_alpha t_beta^* on block key, or None where an action is undefined."""
+    adj = op_adjoint(rep, beta, key)
+    return None if adj is None else adj.then(op_forward(rep, alpha, adj.dst_key))
+
+
+def _residual(lhs, rhs):
+    """Residual of lhs = rhs, or None when a side is undefined."""
+    return None if lhs is None or rhs is None else lhs.residual_vs(rhs)
+
+
+def _same_blocks_residual(lhs, rhs):
+    """_residual, and None also when the sides map different blocks.
+
+    Only CK4 and CK4-min skip such blocks: below d(lam) a counting
+    adjoint spreads a basis vector over its extensions (see KPRep).
+    """
+    if lhs is None or rhs is None:
+        return None
+    if (lhs.src_key, lhs.dst_key) != (rhs.src_key, rhs.dst_key):
+        return None
+    return lhs.residual_vs(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -842,13 +836,8 @@ def verify_ck(rep, max_level=2, tol=1e-10):
 
 def pvm(rep, lam, key):
     """P(Z(lam)) = t_lam t_lam^* on the given block, or None."""
-    adj = op_adjoint(rep, lam, key)
-    if adj is None:
-        return None
-    fwd = op_forward(rep, lam, adj.dst_key)
-    if fwd is None or fwd.dst_key != key:
-        return None
-    return adj.then(fwd)
+    p = _outer(rep, lam, lam, key)
+    return p if p is not None and p.dst_key == key else None
 
 
 @dataclass
@@ -859,98 +848,87 @@ class PVMReport:
 
 
 def pvm_additivity(rep, depth=1, tol=1e-10):
-    """Projection axioms, additivity, and the transport identities."""
+    """Projection axioms, additivity, and the transport identities.
+
+    Each identity is a stream of per-block residuals, counted as in
+    verify_ck.
+    """
     g = rep.graph
-    details = {}
-    worst = 0.0
-
-    # P(Z(lam)) idempotent and self-adjoint
-    res, count = 0.0, 0
-    for key in rep.block_keys():
-        for n in _grid(g.k, depth):
-            for lam in g.enumerate_paths(n):
-                p = pvm(rep, lam, key)
-                if p is None:
-                    continue
-                count += 1
-                res = max(res, p.then(p).residual_vs(p))
-                res = max(res, _self_adjoint_residual(p))
-    details["projection"] = {"residual": res, "checked": count}
-    worst = max(worst, res)
-
-    # additivity P(Z(lam)) = sum over extensions
-    res, count = 0.0, 0
     diag = deg_diag(g.k, 1)
-    for key in rep.block_keys():
-        for n in _grid(g.k, depth):
-            for lam in g.enumerate_paths(n):
-                p = pvm(rep, lam, key)
-                if p is None:
-                    continue
-                total, ok = None, True
-                for eta in g.enumerate_paths(diag, g.s(lam)):
-                    q = pvm(rep, g.compose(lam, eta), key)
-                    if q is None:
-                        ok = False
-                        break
-                    total = q if total is None else total.add(q)
-                if not ok or total is None:
-                    continue
-                count += 1
-                res = max(res, p.residual_vs(total))
-    details["additivity"] = {"residual": res, "checked": count}
-    worst = max(worst, res)
+    edges = [g.edge_path(e.eid) for e in g.edges]
 
-    # (a) t_lam P(Z(eta)) t_lam^* = P(Z(lam eta))
-    res, count = 0.0, 0
-    for key in rep.block_keys():
-        for lam in [g.edge_path(e.eid) for e in g.edges]:
-            for eta in g.enumerate_paths(diag, g.s(lam)):
-                p_eta = pvm(rep, eta, key)
-                if p_eta is None:
-                    continue
-                adj = op_adjoint(rep, lam, deg_add(key, lam.degree))
-                if adj is None or adj.dst_key != key:
-                    continue
-                fwd = op_forward(rep, lam, key)
-                if fwd is None:
-                    continue
-                lhs = adj.then(p_eta).then(fwd)
-                rhs = pvm(rep, g.compose(lam, eta), adj.src_key)
-                if rhs is None:
-                    continue
-                count += 1
-                res = max(res, lhs.residual_vs(rhs))
-    details["transport"] = {"residual": res, "checked": count}
-    worst = max(worst, res)
-
-    # (d) t_lam P(Z(eta)) = P((sigma^n)^{-1} Z(eta)) t_lam
-    res, count = 0.0, 0
-    for key in rep.block_keys():
-        for lam in [g.edge_path(e.eid) for e in g.edges]:
-            n = lam.degree
-            for eta in g.enumerate_paths(diag):
-                p_eta = pvm(rep, eta, key)
-                fwd = op_forward(rep, lam, key)
-                if p_eta is None or fwd is None:
-                    continue
-                lhs = p_eta.then(fwd)
-                rhs_total, ok = None, True
-                for zeta in g.enumerate_paths(n):
-                    if g.s(zeta) != eta.range:
+    def projection():
+        # P(Z(lam)) idempotent and self-adjoint
+        for key in rep.block_keys():
+            for n in _grid(g.k, depth):
+                for lam in g.enumerate_paths(n):
+                    p = pvm(rep, lam, key)
+                    if p is None:
+                        yield None
                         continue
-                    q = pvm(rep, g.compose(zeta, eta), fwd.dst_key)
-                    if q is None:
-                        ok = False
-                        break
-                    rhs_total = q if rhs_total is None else rhs_total.add(q)
-                if not ok or rhs_total is None:
-                    continue
-                count += 1
-                res = max(res, fwd.then(rhs_total).residual_vs(lhs))
-    details["shift_pullback"] = {"residual": res, "checked": count}
-    worst = max(worst, res)
+                    yield max(p.then(p).residual_vs(p), _self_adjoint_residual(p))
 
+    def additivity():
+        # P(Z(lam)) = sum over extensions
+        for key in rep.block_keys():
+            for n in _grid(g.k, depth):
+                for lam in g.enumerate_paths(n):
+                    p = pvm(rep, lam, key)
+                    if p is None:
+                        yield None
+                        continue
+                    exts = g.enumerate_paths(diag, g.s(lam))
+                    parts = (pvm(rep, g.compose(lam, eta), key) for eta in exts)
+                    yield _residual(p, _sum(parts))
+
+    def transport():
+        # (a) t_lam P(Z(eta)) t_lam^* = P(Z(lam eta))
+        for key in rep.block_keys():
+            for lam in edges:
+                for eta in g.enumerate_paths(diag, g.s(lam)):
+                    p_eta = pvm(rep, eta, key)
+                    if p_eta is None:
+                        yield None
+                        continue
+                    adj = op_adjoint(rep, lam, deg_add(key, lam.degree))
+                    if adj is None or adj.dst_key != key:
+                        yield None
+                        continue
+                    fwd = op_forward(rep, lam, key)
+                    if fwd is None:
+                        yield None
+                        continue
+                    lhs = adj.then(p_eta).then(fwd)
+                    yield _residual(lhs, pvm(rep, g.compose(lam, eta), adj.src_key))
+
+    def shift_pullback():
+        # (d) t_lam P(Z(eta)) = P((sigma^n)^{-1} Z(eta)) t_lam
+        for key in rep.block_keys():
+            for lam in edges:
+                for eta in g.enumerate_paths(diag):
+                    p_eta = pvm(rep, eta, key)
+                    fwd = op_forward(rep, lam, key)
+                    if p_eta is None or fwd is None:
+                        yield None
+                        continue
+                    zetas = g.enumerate_paths(lam.degree)
+                    parts = (
+                        pvm(rep, g.compose(zeta, eta), fwd.dst_key)
+                        for zeta in zetas
+                        if g.s(zeta) == eta.range
+                    )
+                    yield _residual(fwd.then(_sum(parts)), p_eta.then(fwd))
+
+    details = {}
+    for name, identity in (
+        ("projection", projection),
+        ("additivity", additivity),
+        ("transport", transport),
+        ("shift_pullback", shift_pullback),
+    ):
+        res, count = _tally(identity())
+        details[name] = {"residual": res, "checked": count}
+    worst = max(d["residual"] for d in details.values())
     return PVMReport(worst <= tol, worst, details)
 
 
@@ -1524,13 +1502,10 @@ def nonfaithful_witness(graph, measure, depth=4, probe_depth=3):
     base = deg_sub(deep, shift)
     if any(c < 0 for c in base):
         raise DepthTooSmall("depth too small for the witness element")
-    adj = op_adjoint(srep, mu, base)
-    t_mu = op_forward(srep, mu, adj.dst_key) if adj else None
-    t_nu = op_forward(srep, nu, adj.dst_key) if adj else None
-    if adj is None or t_mu is None or t_nu is None:
+    first = _outer(srep, mu, mu, base)
+    second = _outer(srep, nu, mu, base)
+    if first is None or second is None:
         raise DepthTooSmall("depth too small for the witness element")
-    first = adj.then(t_mu)
-    second = adj.then(t_nu)
 
     def embedded_matrix(op):
         mat = np.zeros((srep.block_dim(deep), srep.block_dim(base)))

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from .errors import (
     CocycleViolation,
-    DegreeCapExceeded,
     DegenerateMap,
     DimensionUnsupported,
     NonpositiveDensity,
@@ -200,10 +199,6 @@ class Map2:
         return Map2(xp, tuple(sorted(beta.items())))
 
 
-def identity_map2():
-    return Map2((Fraction(0), Fraction(1)), (((0, 1), Fraction(1)),))
-
-
 # ---------------------------------------------------------------------------
 # the interval system
 
@@ -222,9 +217,6 @@ class IntervalSBFS:
 
     # -- domains and ranges ---------------------------------------------------
 
-    def domain_of_vertex(self, v):
-        return self.domains[v]
-
     def domain_of_edge(self, eid):
         return self.domains[self.graph.edge_by_id[eid].source]
 
@@ -233,9 +225,6 @@ class IntervalSBFS:
         if self.dim == 1:
             return dom.measure
         return dom[0].measure * dom[1].measure
-
-    def space_measure(self):
-        return sum(self.domain_measure(v) for v in self.graph.vertices)
 
     def edge_range(self, eid):
         if eid not in self._edge_ranges:
@@ -316,18 +305,6 @@ class IntervalSBFS:
             val *= self.phi_edge(eid, cur)
             cur = self.apply_edge(eid, cur)
         return val
-
-    def path_map(self, path):
-        """Exact composed map of a path (Affine1D or Map2)."""
-        if self.dim == 1:
-            m = Affine1D(Fraction(1), Fraction(0))
-            for eid in path.edges:
-                m = m.after(self.edge_maps[eid])
-            return m
-        m = identity_map2()
-        for eid in path.edges:
-            m = m.after(Map2.from_edge(self.edge_maps[eid]))
-        return m
 
     # -- deterministic sample points -----------------------------------------------
 
@@ -1140,11 +1117,7 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
             return InconclusiveMonic(Fraction(0))
         raise DimensionUnsupported("monic probe needs 1D or product structure")
     g = sys.graph
-    if depth * g.k > g.enum_cap:
-        raise DegreeCapExceeded(
-            f"monic depth {depth} needs paths of total degree {depth * g.k}, "
-            f"above the enumeration cap {g.enum_cap}"
-        )
+    g.check_cap(depth * g.k, f"monic depth {depth}")
     resolution = Fraction(resolution)
     space = IntervalUnion()
     for v in g.vertices:

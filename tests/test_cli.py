@@ -168,6 +168,13 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
          "markov:1/4,1/4,1/4,1/4;1/2,1/2,0,0;0,0,1/2,1/2;1/4,1/4,1/4,1/4"],
         ["kakutani", "--markov-a", "1/2,1/2;1,0", "--markov-b", "x=1/3"],
         ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=2"],
+        # degrees above the enumeration cap
+        ["measure", "--builtin", "kawamura", "--depth", "30"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "13"],
+        ["rep-verify", "--builtin", "ex3v8e", "--depth", "13", "--rep", "faithful"],
+        # product bias terms outside (-1/2, 1/2)
+        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:geometric:1/2,1/2"],
+        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:const:1/2"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from kgraph_lab.catalog import builtin_graph
 from kgraph_lab.errors import (
+    DegreeCapExceeded,
     GammaOutOfRange,
     IncomparableSpecs,
     NotStronglyConnected,
@@ -12,7 +14,7 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import deg_unit
+from kgraph_lab.kgraph import Edge, deg_unit, validate_kgraph
 from kgraph_lab.measures import (
     CylinderMeasure,
     Equivalent,
@@ -23,6 +25,7 @@ from kgraph_lab.measures import (
     Undetermined,
     _rainbow_symbols,
     check_consistency,
+    check_product_biases,
     default_prefix_rule,
     detect_shape,
     format_value,
@@ -214,6 +217,37 @@ def test_product_gamma_out_of_range():
     m = product_measure(g, ProductMeasureSpec("const", c=Fraction(1, 2)))
     with pytest.raises(GammaOutOfRange):
         m.value(g.compose(g.edge_path("e"), g.edge_path("f1")))
+
+
+@pytest.mark.parametrize(
+    "name, text, first_bad",
+    [
+        ("lambda2N:N=2", "const:1/2", "gamma_0 = 1/2"),  # star shapes read gamma_0
+        ("lambda2N:N=2", "geometric:1/2,1/2", "gamma_0 = 1/2"),
+        ("exonevtwoe", "const:-1/2", "gamma_1 = -1/2"),
+        ("exonevtwoe", "geometric:1/4,2", "gamma_1 = 1/2"),
+        ("exonevtwoe", "geometric:1/8,2", "1/8 * 2**j leaves (-1/2, 1/2)"),
+        ("exonevtwoe", "finite:1/4,0,1/2", "gamma_3 = 1/2"),
+        ("ex3v8e", "sampled:1/4,-3/4", "gamma_2 = -3/4"),
+    ],
+)
+def test_product_biases_out_of_range(name, text, first_bad):
+    with pytest.raises(GammaOutOfRange, match=re.escape(first_bad)):
+        check_product_biases(builtin_graph(name), parse_product_spec(text))
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("exonevtwoe", "geometric:1/2,1/2"),  # single-vertex shapes start at gamma_1
+        ("exonevtwoe", "geometric:-1/2,-1/2"),
+        ("exonevtwoe", "geometric:0,3"),
+        ("lambda2N:N=2", "geometric:1/4,-1"),
+        ("ex3v8e", "sampled:1/4"),  # a missing term fails only when it is read
+    ],
+)
+def test_product_biases_in_range(name, text):
+    check_product_biases(builtin_graph(name), parse_product_spec(text))
 
 
 def test_product_needs_supported_shape():
@@ -414,6 +448,27 @@ def test_measure_table_layout():
         ln.split("\t")[1] == "v" for ln in lines[1:]
     )
     assert all(len(ln.split("\t")) == 3 for ln in lines)
+
+
+def loop_graph(enum_cap):
+    """One vertex, one loop, and a small enumeration cap."""
+    return validate_kgraph(1, ["v"], [Edge("e", 1, "v", "v")], [], enum_cap=enum_cap)
+
+
+def test_consistency_above_the_enumeration_cap_raises():
+    # the degrees above enum_cap used to be skipped and the check passed
+    m = pf_measure(loop_graph(4))
+    assert check_consistency(m, 3).checked == 4
+    with pytest.raises(DegreeCapExceeded, match="consistency depth 4 .* enumeration cap 4"):
+        check_consistency(m, 4)
+
+
+def test_measure_table_above_the_enumeration_cap_raises():
+    # the rows above enum_cap used to be left out of the table
+    m = pf_measure(loop_graph(4))
+    assert len(measure_table(m, 4).splitlines()) == 1 + 5
+    with pytest.raises(DegreeCapExceeded, match="measure table depth 5 .* enumeration cap 4"):
+        measure_table(m, 5)
 
 
 def test_rn_estimate_not_composable():

@@ -1,16 +1,20 @@
+import collections
 import importlib
 import importlib.util
 import inspect
 import itertools
 import math
 import pathlib
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kgraph_lab import operators
 from kgraph_lab.catalog import builtin_graph, builtin_sbfs
 from kgraph_lab.errors import (
+    DegreeCapExceeded,
     NoPeriodFound,
     PeriodicOrbit,
     UnsupportedMeasure,
@@ -52,6 +56,8 @@ from kgraph_lab.operators import (
     tail_equivalence_map,
     verify_ck,
 )
+from test_kgraph import random_graph
+from test_measures import loop_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -133,6 +139,105 @@ def test_fault_injected_scaling_detected():
     report = verify_ck(rep, max_level=2)
     assert not report.ok
     assert any(c.relation == "CK3" and c.residual > 1 for c in report.checks)
+    assert [c.blocks_checked for c in report.checks] == [16, 164, 36, 37, 108]
+    assert [c.residual for c in report.checks] == [0.0, 1.0, 3.0, 15.0, 3.0]
+
+
+CK_PINS = {
+    "lambda2N-standard": (
+        "lambda2N:N=2", lambda g: standard_rep(g, pf_measure(g), 2), 1, [45, 517, 96, 80, 480]
+    ),
+    "ex3v8e-faithful": (
+        "ex3v8e", lambda g: faithful_rep(g, depth=4), 2, [156, 1460, 304, 379, 828]
+    ),
+    "exonevtwoe-kp": ("exonevtwoe", lambda g: kp_style_rep(g, 3), 2, [16, 164, 36, 37, 108]),
+}
+
+
+@pytest.mark.parametrize("name, make, max_level, blocks", CK_PINS.values(), ids=CK_PINS)
+def test_verify_ck_checks_the_pinned_blocks(name, make, max_level, blocks):
+    # blocks checked per relation: CK1, CK2, CK3, CK4, CK4-min
+    report = verify_ck(make(builtin_graph(name)), max_level=max_level)
+    assert report.ok
+    assert [c.relation for c in report.checks] == ["CK1", "CK2", "CK3", "CK4", "CK4-min"]
+    assert [c.blocks_checked for c in report.checks] == blocks
+    assert [c.residual for c in report.checks] == [0.0] * 5
+
+
+def test_relation_checks_call_block_actions_through_the_module(monkeypatch):
+    # the benchmark's tracer patches op_forward and op_adjoint on the module:
+    # every call must reach the patched names, and no skipped block is built
+    calls = collections.Counter()
+
+    def counted(name):
+        action = getattr(operators, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return action(*args)
+
+        return wrapper
+
+    for name in ("op_forward", "op_adjoint"):
+        monkeypatch.setattr(operators, name, counted(name))
+    g = builtin_graph("exonevtwoe")
+    rep = standard_rep(g, pf_measure(g), 3)
+    verify_ck(rep, max_level=2)
+    assert calls == {"op_forward": 1107, "op_adjoint": 314}
+    calls.clear()
+    pvm_additivity(rep, depth=1)
+    assert calls == {"op_forward": 717, "op_adjoint": 639}
+
+
+def strongly_connected_draws(k, count, seed=500):
+    """The first `count` strongly connected random k-graphs from the seed on."""
+    while count:
+        g = random_graph(random.Random(seed), k)
+        if g.is_strongly_connected():
+            count -= 1
+            yield g
+        seed += 1
+
+
+def assert_exact_and_fault_seen(rep):
+    report = verify_ck(rep, max_level=2)
+    assert report.ok
+    assert report.max_residual == 0.0
+    assert all(c.blocks_checked > 0 for c in report.checks)
+    # negative control: doubling one edge generator breaks some relation
+    assert not verify_ck(ScaledRep(rep, rep.graph.edges[0].eid, 2.0), max_level=2).ok
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(500, 508))
+def test_verify_ck_exact_on_random_kp_reps(k, seed):
+    g = random_graph(random.Random(seed), k)
+    assert_exact_and_fault_seen(kp_style_rep(g, 2 if k == 2 else 1))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_ck_exact_on_random_faithful_reps(k):
+    for g in strongly_connected_draws(k, 6):
+        assert_exact_and_fault_seen(faithful_rep(g, depth=2 if k == 2 else 1))
+
+
+def test_standard_rep_above_the_enumeration_cap_raises():
+    # the blocks above enum_cap used to be dropped and the rep built anyway
+    g = loop_graph(4)
+    assert standard_rep(g, pf_measure(g), 4).block_keys() == [(0,), (1,), (2,), (3,), (4,)]
+    with pytest.raises(DegreeCapExceeded, match="standard rep depth 5 .* enumeration cap 4"):
+        standard_rep(g, pf_measure(g), 5)
+    with pytest.raises(DegreeCapExceeded, match="kp rep depth 5"):
+        kp_style_rep(g, 5)
+
+
+def test_faithful_rep_above_the_enumeration_cap_raises():
+    g = loop_graph(4)
+    assert verify_ck(faithful_rep(g, depth=4)).ok
+    with pytest.raises(DegreeCapExceeded, match="faithful rep cap 5 .* enumeration cap 4"):
+        faithful_rep(g, depth=5)
+    with pytest.raises(DegreeCapExceeded, match="faithful rep cap 5"):
+        faithful_rep(g, depth=2, cap=5)
 
 
 def test_scaled_rep_over_a_verified_rep_sees_the_fault():
@@ -374,6 +479,9 @@ def test_pvm_additivity_and_transport():
     report = pvm_additivity(rep, depth=1)
     assert report.ok, report.details
     assert report.max_residual < 1e-12
+    # checked per identity: projection, additivity, transport, shift_pullback
+    assert [d["checked"] for d in report.details.values()] == [198, 99, 96, 288]
+    assert all(d["residual"] == 0.0 for d in report.details.values())
 
 
 def test_pvm_discrete_exact():
@@ -382,6 +490,8 @@ def test_pvm_discrete_exact():
     report = pvm_additivity(rep, depth=1)
     assert report.ok
     assert report.max_residual == 0.0
+    assert [d["checked"] for d in report.details.values()] == [183, 70, 78, 78]
+    assert all(d["residual"] == 0.0 for d in report.details.values())
 
 
 # -- induced measures --------------------------------------------------------------------
