@@ -360,7 +360,7 @@ def _run_sbfs_check(job):
         proj = sbfs.canonical_projective(sys_)
         payload["cocycle_residual"] = proj.cocycle_report.worst_residual
         g = sys_.graph
-        degrees = [tuple(1 if i == c else 0 for i in range(g.k)) for c in range(g.k)]
+        degrees = [kgraph.deg_unit(g.k, c) for c in range(1, g.k + 1)]
         degrees.append((1,) * g.k)
         kirchhoff = {}
         for n in degrees:
@@ -410,7 +410,10 @@ def _run_kakutani(job):
     else:
         a = _markov_spec(job.param("markov_a"))
         b = _markov_spec(job.param("markov_b"))
-    verdict = measures.kakutani_classify(a, b)
+    try:
+        verdict = measures.kakutani_classify(a, b)
+    except GammaOutOfRange as exc:
+        raise UsageError(f"bad product spec: {exc}") from exc
     return {"verdict": type(verdict).__name__, "detail": repr(verdict)}, []
 
 

@@ -83,6 +83,11 @@ def deg_diag(k, n):
     return (n,) * k
 
 
+def deg_grid(k, depth):
+    """Every degree <= depth*(1,..,1), in lexicographic order."""
+    return list(itertools.product(range(depth + 1), repeat=k))
+
+
 # ---------------------------------------------------------------------------
 # skeleton data
 
@@ -383,7 +388,7 @@ class KGraph:
         that coincide on every prefix), or Inconclusive.
         """
         dd = deg_diag(self.k, depth)
-        grid = list(itertools.product(range(depth + 1), repeat=self.k))
+        grid = deg_grid(self.k, depth)
         pairs = []
         for m in grid:
             for n in grid:

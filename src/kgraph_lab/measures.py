@@ -10,7 +10,6 @@ values only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from .kgraph import deg_add, deg_diag, deg_sub, deg_total, deg_unit
+from .kgraph import deg_add, deg_diag, deg_grid, deg_sub, deg_total, deg_unit
 
 MAX_POWER_ITERATIONS = 100_000
 
@@ -222,7 +221,7 @@ def check_consistency(measure, depth, tol=1e-12):
     worst = 0.0
     worst_path = None
     checked = 0
-    for n in itertools.product(range(depth + 1), repeat=g.k):
+    for n in deg_grid(g.k, depth):
         for lam in g.enumerate_paths(n):
             total = sum(
                 measure.value(g.compose(lam, eta))
@@ -392,14 +391,19 @@ def parse_product_spec(text):
 
 
 def check_product_biases(g, spec):
-    """Raise GammaOutOfRange unless every bias term the shape of g reads is
-    inside (-1/2, 1/2), naming the first bad term.
+    """check_bias_terms from the first index the shape of g reads: j0 = 1 on
+    single-vertex shapes, j0 = 0 on star shapes."""
+    check_bias_terms(spec, 1 if detect_shape(g).kind == "single-vertex" else 0)
 
-    Single-vertex shapes read gamma_j from j0 = 1, star shapes from j0 = 0.
+
+def check_bias_terms(spec, j0):
+    """Raise GammaOutOfRange unless every term gamma_j with j >= j0 is inside
+    (-1/2, 1/2), naming the first bad term.
+
     A const or geometric sequence with |r| <= 1 is largest at j0; a
-    geometric one with c != 0 and |r| > 1 grows past 1/2.
+    geometric one with c != 0 and |r| > 1 grows past 1/2.  Finite and
+    sampled specs are checked on every listed value.
     """
-    j0 = 1 if detect_shape(g).kind == "single-vertex" else 0
     if spec.family in ("finite", "sampled"):
         terms = range(spec.start, spec.start + len(spec.values))
     else:
@@ -626,10 +630,11 @@ def _hellinger_term(ga, gb):
 def kakutani_classify(spec_a, spec_b, probe_terms=64):
     """Equivalence/singularity of two product or two Markov specs.
 
-    Product specs: the Hellinger-type series converges iff the bias
-    difference is square-summable; for the closed-form families this is
-    decided by the tails.  Markov specs: distinct positive transition
-    matrices on the same shape give mutually singular measures.
+    Product specs: each bias term from gamma_1 on must lie in (-1/2, 1/2).
+    The Hellinger-type series converges iff the bias difference is
+    square-summable; for the closed-form families the 2-periodic tails
+    decide it.  Markov specs: distinct positive transition matrices on
+    the same shape give mutually singular measures.
     """
     if isinstance(spec_a, MarkovMeasureSpec) and isinstance(spec_b, MarkovMeasureSpec):
         if len(spec_a.matrix) != len(spec_b.matrix):
@@ -644,6 +649,8 @@ def kakutani_classify(spec_a, spec_b, probe_terms=64):
         raise IncomparableSpecs("specs must both be product or both Markov")
     if spec_a.symbol_count != spec_b.symbol_count:
         raise IncomparableSpecs("different symbol counts")
+    for spec in (spec_a, spec_b):
+        check_bias_terms(spec, 1)
 
     partial = sum(
         _hellinger_term(spec_a.gamma(j), spec_b.gamma(j))
@@ -653,15 +660,17 @@ def kakutani_classify(spec_a, spec_b, probe_terms=64):
     if spec_a.family == "sampled" or spec_b.family == "sampled":
         return Undetermined(partial, probe_terms)
 
-    def tail_constant(spec):
-        if spec.family == "const":
-            return spec.c
-        return Fraction(0)  # geometric and finite tails are square-summable
+    def tail_pair(spec):  # (gamma_j at even j, at odd j), up to a square-summable part
+        if spec.family == "const" or (spec.family == "geometric" and spec.r == 1):
+            return (spec.c, spec.c)
+        if spec.family == "geometric" and spec.r == -1:
+            return (spec.c, -spec.c)
+        return (Fraction(0), Fraction(0))  # |r| < 1 and finite tails
 
-    ca, cb = tail_constant(spec_a), tail_constant(spec_b)
+    ca, cb = tail_pair(spec_a), tail_pair(spec_b)
     if ca == cb:
         return Equivalent(partial)
-    return MutuallySingular(f"bias tails differ: {ca} vs {cb}")
+    return MutuallySingular(f"bias tails differ: ({ca[0]}, {ca[1]}) vs ({cb[0]}, {cb[1]})")
 
 
 def _safe_gamma(spec, j):
@@ -777,7 +786,7 @@ def measure_table(measure, depth):
     g = measure.graph
     g.check_cap(depth * g.k, f"measure table depth {depth}")
     lines = ["depth\tpath\tvalue"]
-    for n in sorted(itertools.product(range(depth + 1), repeat=g.k)):
+    for n in deg_grid(g.k, depth):
         for lam in g.enumerate_paths(n):
             label = ".".join(lam.edges) if lam.edges else lam.range
             lines.append(f"{deg_total(n)}\t{label}\t{format_value(measure.value(lam))}")

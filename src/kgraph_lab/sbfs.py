@@ -16,7 +16,6 @@ rule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .intervals import (
     poly_eval,
     poly_trim,
 )
-from .kgraph import deg_diag, deg_total
+from .kgraph import deg_diag, deg_grid, deg_total
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +900,7 @@ class ProjectiveSystem:
 
     # -- cocycle check --------------------------------------------------------------
 
-    def cocycle_check(self, tol=1e-12, sample_count=256, max_total_degree=2):
+    def cocycle_check(self, tol=1e-12, sample_count=256):
         """Residuals of f_lam * (f_nu o tau^{d(lam)}) = f_{lam nu} at samples."""
         g = self.graph
         worst = 0.0
@@ -912,23 +911,19 @@ class ProjectiveSystem:
             for nu in pool:
                 if g.s(lam) != nu.range:
                     continue
-                if deg_total(lam.degree) + deg_total(nu.degree) > max_total_degree:
-                    continue
                 prod = g.compose(lam, nu)
-                for v in [prod.range]:
-                    pts = self.sample_points(v, max(8, sample_count // 4))
-                    for pt in pts:
-                        lhs2 = self.f_eval(prod, pt)
-                        f1 = self.f_eval(lam, pt)
-                        if f1 == 0:
-                            rhs = 0.0
-                        else:
-                            rhs = f1 * self.f_eval(nu, self._code(lam, pt))
-                        res = abs(lhs2 - rhs)
-                        checked += 1
-                        if res > worst:
-                            worst = res
-                            witness = (lam, nu, pt)
+                for pt in self.sample_points(prod.range, max(8, sample_count // 4)):
+                    lhs2 = self.f_eval(prod, pt)
+                    f1 = self.f_eval(lam, pt)
+                    if f1 == 0:
+                        rhs = 0.0
+                    else:
+                        rhs = f1 * self.f_eval(nu, self._code(lam, pt))
+                    res = abs(lhs2 - rhs)
+                    checked += 1
+                    if res > worst:
+                        worst = res
+                        witness = (lam, nu, pt)
         return CocycleReport(worst <= tol, worst, witness, checked)
 
 
@@ -1124,7 +1119,7 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
         space = space.union(sys.domains[v])
 
     ranges = [sys.domains[v] for v in g.vertices]
-    for nd in itertools.product(range(depth + 1), repeat=g.k):
+    for nd in deg_grid(g.k, depth):
         if deg_total(nd) == 0:
             continue
         for lam in g.enumerate_paths(nd):
@@ -1194,6 +1189,9 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
 def sbfs_to_dict(sys):
     from .kgraph import graph_to_dict
 
+    if sys.product_factors is not None:
+        return {"product_factors": [sbfs_to_dict(f) for f in sys.product_factors]}
+
     def frac(x):
         x = Fraction(x)
         return f"{x.numerator}/{x.denominator}"
@@ -1231,6 +1229,9 @@ def sbfs_to_dict(sys):
 
 def sbfs_from_dict(data):
     from .kgraph import graph_from_dict
+
+    if "product_factors" in data:
+        return lift_product_sbfs(*(sbfs_from_dict(f) for f in data["product_factors"]))
 
     g = graph_from_dict(data["graph"], name=data.get("name", ""))
     dim = int(data["dim"])

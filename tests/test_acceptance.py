@@ -229,7 +229,7 @@ def test_criterion_8_faithful_certificates():
                 and not t.is_zero()
                 for key in rep.block_keys()
             ), (name, v)
-        gauge = gauge_covariance(rep, samples=20)
+        gauge = gauge_covariance(rep)
         assert gauge.structural_ok
         assert gauge.max_residual == 0.0
     done(8, "T_v nonzero for every vertex; gauge covariance residual exactly 0")

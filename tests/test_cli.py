@@ -175,6 +175,8 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         # product bias terms outside (-1/2, 1/2)
         ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:geometric:1/2,1/2"],
         ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:const:1/2"],
+        ["kakutani", "--product-a", "const:3/4", "--product-b", "const:3/4"],
+        ["kakutani", "--product-a", "geometric:1/4,3", "--product-b", "const:0"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

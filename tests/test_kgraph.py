@@ -479,6 +479,17 @@ def test_json_roundtrip(name):
     assert graph_to_dict(g2) == data
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(500, 504))
+def test_json_roundtrip_random_graphs(k, seed):
+    g = random_graph(random.Random(seed), k)
+    data = graph_to_dict(g)
+    g2 = graph_from_dict(data)
+    assert graph_to_dict(g2) == data
+    for n in degrees_up_to(k, 2 if k == 2 else 1):
+        assert g2.enumerate_paths(n) == g.enumerate_paths(n), n
+
+
 def test_dot_export_mentions_edges():
     g = builtin_graph("ex3v8e")
     dot = to_dot(g)

@@ -357,6 +357,37 @@ def test_kakutani_sampled_undetermined():
     assert res.partial_sum > 0
 
 
+@pytest.mark.parametrize(
+    "text_a, text_b, verdict",
+    [
+        # geometric:c,1 is the sequence const:c, and geometric:c,-1 alternates
+        ("geometric:1/4,1", "const:1/4", Equivalent),
+        ("geometric:1/4,1", "const:0", MutuallySingular),
+        ("geometric:1/4,-1", "const:1/4", MutuallySingular),
+        ("geometric:1/4,-1", "const:0", MutuallySingular),
+        ("geometric:1/4,-1", "geometric:1/4,-1", Equivalent),
+        ("geometric:-1/4,-1", "geometric:1/4,-1", MutuallySingular),
+        ("geometric:0,-1", "finite:1/4,1/8", Equivalent),
+    ],
+)
+def test_kakutani_unit_ratio_tails(text_a, text_b, verdict):
+    a, b = parse_product_spec(text_a), parse_product_spec(text_b)
+    assert isinstance(kakutani_classify(a, b), verdict)
+    assert isinstance(kakutani_classify(b, a), verdict)
+
+
+@pytest.mark.parametrize(
+    "text, first_bad",
+    [("const:3/4", "gamma_1 = 3/4"), ("geometric:1/4,3", "gamma_1 = 3/4"),
+     ("geometric:1/8,3", "1/8 * 3**j"), ("finite:1/4,-1/2", "gamma_2 = -1/2")],
+)
+def test_kakutani_rejects_out_of_range_biases(text, first_bad):
+    zero = parse_product_spec("const:0")
+    for a, b in ((parse_product_spec(text), zero), (zero, parse_product_spec(text))):
+        with pytest.raises(GammaOutOfRange, match=re.escape(first_bad)):
+            kakutani_classify(a, b)
+
+
 def test_kakutani_incomparable():
     with pytest.raises(IncomparableSpecs):
         kakutani_classify(parse_product_spec("const:0"), t_x_matrix(Fraction(1, 2)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kgraph_lab import operators
-from kgraph_lab.catalog import builtin_graph, builtin_sbfs
+from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph, builtin_sbfs
 from kgraph_lab.errors import (
     DegreeCapExceeded,
     NoPeriodFound,
@@ -20,7 +20,7 @@ from kgraph_lab.errors import (
     UnsupportedMeasure,
 )
 from kgraph_lab.intervals import IntervalUnion
-from kgraph_lab.kgraph import deg_add, deg_sub
+from kgraph_lab.kgraph import deg_add, deg_diag, deg_grid, deg_sub
 from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
@@ -342,7 +342,7 @@ def test_label_actions_follow_block_tables(make):
                 res = apply(lam, key)
                 if res is None:
                     continue
-                table, dst = res
+                table, dst = res.table, res.dst_key
                 if dst != point_dst:
                     # a counting adjoint below d(lam) spreads u_eta over the
                     # extensions of eta; a label that short has no image
@@ -385,9 +385,34 @@ def test_faithful_vertex_projections_nonzero():
 def test_faithful_gauge_covariance_exact():
     g = builtin_graph("ex3v8e")
     rep = faithful_rep(g, depth=4)
-    report = gauge_covariance(rep, samples=20)
+    report = gauge_covariance(rep)
     assert report.structural_ok
     assert report.max_residual == 0.0
+
+
+class OffByOneBlock:
+    """Negative control: forward maps land one block past key + d(lam)."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.graph = rep.graph
+
+    def block_keys(self):
+        return self.rep.block_keys()
+
+    def apply_path(self, lam, key):
+        op = self.rep.apply_path(lam, key)
+        if op is None:
+            return None
+        dst = deg_add(op.dst_key, (1,) + (0,) * (self.graph.k - 1))
+        return operators._Op(op.rep, op.table, op.src_key, dst)
+
+
+def test_gauge_covariance_fails_on_a_shifted_block_map():
+    g = builtin_graph("ex3v8e")
+    report = gauge_covariance(OffByOneBlock(faithful_rep(g, depth=4)))
+    assert not report.structural_ok
+    assert report.max_residual == 2.0
 
 
 def test_faithful_sum_over_vertices():
@@ -454,6 +479,65 @@ def test_nonfaithful_witness_ehfg():
     assert report.omega_twist_gap == 0.0  # rho = (1,1) so the twist branch applies
 
 
+def reference_embed(srep, vec, m, target):
+    """Refine a block-m coefficient vector into block target >= m: the
+    vector form of StandardRep.refinement, which replaced it."""
+    g = srep.graph
+    if m == target:
+        return vec
+    out = np.zeros(srep.block_dim(target))
+    for i, eta in enumerate(srep.block(m)):
+        if vec[i] == 0:
+            continue
+        w_eta = float(srep.weight(eta))
+        for ext in g.enumerate_paths(deg_sub(target, m), g.s(eta)):
+            deeper = g.compose(eta, ext)
+            coef = (float(srep.weight(deeper)) / w_eta) ** 0.5
+            out[srep.label_index(target, deeper)] += vec[i] * coef
+    return out
+
+
+@pytest.mark.parametrize("name, spec", [("ex3v8e", None), ("exonevtwoe", "1/3")])
+def test_refinement_matches_embedding_reference(name, spec):
+    g = builtin_graph(name)
+    measure = pf_measure(g) if spec is None else markov_measure(g, t_x_matrix(Fraction(spec)))
+    srep = standard_rep(g, measure, 2)
+    for m in srep.block_keys():
+        for target in srep.block_keys():
+            if not all(a <= b for a, b in zip(m, target)):
+                continue
+            mat = srep.refinement(m, target).matrix()
+            for i in range(srep.block_dim(m)):
+                unit = np.zeros(srep.block_dim(m))
+                unit[i] = 1.0
+                assert mat[:, i].tolist() == reference_embed(srep, unit, m, target).tolist()
+
+
+@pytest.mark.parametrize("name", ["ehfg", "ex3v8e"])
+@pytest.mark.parametrize("depth", [3, 4])
+def test_nonfaithful_witness_norm_matches_embedding_reference(name, depth):
+    g = builtin_graph(name)
+    report = nonfaithful_witness(g, pf_measure(g), depth=depth)
+    mu, nu = report.mu, report.nu
+    srep = standard_rep(g, pf_measure(g), depth)
+    deep = deg_diag(g.k, depth)
+    base = deg_sub(deep, tuple(max(b - a, 0) for a, b in zip(mu.degree, nu.degree)))
+
+    def embedded_matrix(op):
+        mat = np.zeros((srep.block_dim(deep), srep.block_dim(base)))
+        for src, outs in op.table.items():
+            for dst, coef in outs.items():
+                vec = np.zeros(srep.block_dim(op.dst_key))
+                vec[dst] = float(coef)
+                mat[:, src] += reference_embed(srep, vec, op.dst_key, deep)
+        return mat
+
+    first = operators._outer(srep, mu, mu, base)
+    second = operators._outer(srep, nu, mu, base)
+    diff = embedded_matrix(first) - report.scale * embedded_matrix(second)
+    assert report.norm_standard == float(np.linalg.norm(diff, 2))
+
+
 def test_nonfaithful_witness_needs_period():
     g = builtin_graph("kawamura")
     with pytest.raises(NoPeriodFound):
@@ -471,6 +555,113 @@ def test_pvm_is_indicator_diagonal():
     mat = p.matrix()
     mask = rep.pvm_mask(lam, (2, 2))
     assert np.allclose(mat, np.diag(mask), atol=1e-12)
+
+
+def reference_self_adjoint_residual(p):
+    """max |P - P^T| through a dense matrix, the check the transpose replaced."""
+    mat = p.matrix()
+    return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+
+
+def reps_of(name):
+    """The standard (pf), KP and faithful reps a builtin graph has."""
+    g = builtin_graph(name)
+    reps = [kp_style_rep(g, 2)]
+    if g.is_strongly_connected():
+        reps += [standard_rep(g, pf_measure(g), 2), faithful_rep(g, depth=3)]
+    return reps
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRAPH_NAMES)
+def test_projection_residual_matches_dense_reference(name):
+    for rep in reps_of(name):
+        g = rep.graph
+        worst, checked = 0.0, 0
+        for key in rep.block_keys():
+            for n in deg_grid(g.k, 1):
+                for lam in g.enumerate_paths(n):
+                    p = pvm(rep, lam, key)
+                    if p is None:
+                        continue
+                    self_adjoint = reference_self_adjoint_residual(p)
+                    assert p.residual_vs(p.transpose()) == self_adjoint
+                    worst = max(worst, p.then(p).residual_vs(p), self_adjoint)
+                    checked += 1
+        assert checked, rep.kind
+        projection = pvm_additivity(rep, depth=1).details["projection"]
+        assert projection == {"residual": worst, "checked": checked}, rep.kind
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(500, 504))
+def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
+    rep = kp_style_rep(random_graph(random.Random(seed), k), 2 if k == 2 else 1)
+    g = rep.graph
+    compared = 0
+    for e in g.edges:
+        lam = g.edge_path(e.eid)
+        for key in rep.block_keys():
+            for op in (op_forward(rep, lam, key), op_adjoint(rep, lam, key)):
+                if op is not None:
+                    assert np.array_equal(op.transpose().matrix(), op.matrix().T)
+                    compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda g: standard_rep(g, pf_measure(g), 2),
+        lambda g: kp_style_rep(g, 2),
+        lambda g: faithful_rep(g, depth=3),
+    ],
+    ids=["standard", "kp", "faithful"],
+)
+def test_op_forward_returns_the_reps_own_operator(make):
+    rep = make(builtin_graph("ex3v8e"))
+    g = rep.graph
+    for e in g.edges:
+        lam = g.edge_path(e.eid)
+        for key in rep.block_keys():
+            assert op_forward(rep, lam, key) is rep.apply_path(lam, key)
+            assert op_adjoint(rep, lam, key) is rep.apply_adjoint(lam, key)
+
+
+class Conjugated:
+    """Negative control: each block operator conjugated by S = I + E_10 on
+    its blocks, so every P(Z(lam)) stays idempotent but is not self-adjoint."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.graph = rep.graph
+
+    def block_keys(self):
+        return self.rep.block_keys()
+
+    def _s(self, key, sign):
+        table = {i: {i: 1} for i in range(self.rep.block_dim(key))}
+        if len(table) > 1:
+            table[0][1] = sign
+        return operators._Op(self.rep, table, key, key)
+
+    def _conjugated(self, op):
+        if op is None:
+            return None
+        return self._s(op.src_key, -1).then(op).then(self._s(op.dst_key, 1))
+
+    def apply_path(self, lam, key):
+        return self._conjugated(self.rep.apply_path(lam, key))
+
+    def apply_adjoint(self, lam, key):
+        return self._conjugated(self.rep.apply_adjoint(lam, key))
+
+
+def test_pvm_projection_fails_when_not_self_adjoint():
+    report = pvm_additivity(Conjugated(kp_style_rep(builtin_graph("exonevtwoe"), 2)))
+    assert not report.ok
+    assert {name: d["residual"] for name, d in report.details.items()} == {
+        "projection": 1.0, "additivity": 0.0, "transport": 0.0, "shift_pullback": 0.0
+    }
 
 
 def test_pvm_additivity_and_transport():

@@ -654,6 +654,16 @@ def test_sbfs_json_roundtrip(name):
     assert validate_sbfs(sys2).ok
 
 
+def test_sbfs_json_roundtrip_keeps_product_structure():
+    # a reloaded product system used to lose its factors, and with them
+    # the monic probe (DimensionUnsupported)
+    sys = builtin_sbfs("product-kawamura")
+    sys2 = sbfs_from_dict(sbfs_to_dict(sys))
+    assert sys2.product_factors is not None
+    for depth in range(5):
+        assert monic_probe(sys2, depth) == monic_probe(sys, depth), depth
+
+
 def test_builtin_examples_catalog():
     from kgraph_lab.sbfs import builtin_examples
 
