@@ -55,17 +55,40 @@ DEFAULTS = {
     "depth": 4,
     "tol": 1e-10,
     "resolution": "1/32",
-    "seed": 0,
     "format": "tsv",
     "measure": "pf",
     "rep": "standard",
 }
 FORMATS = ["tsv", "json"]
 REPS = ["standard", "faithful"]
+# job-file params keys: the flag names, with - as _
+PARAMS = (
+    "graph",
+    "builtin",
+    "depth",
+    "tol",
+    "resolution",
+    "out",
+    "format",
+    "measure",
+    "rep",
+    "product_a",
+    "product_b",
+    "markov_a",
+    "markov_b",
+    "x_prefix",
+    "y_prefix",
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Bad flags are a usage error like any other bad input."""
+        raise UsageError(message)
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="kgraph-lab", description=__doc__)
+    p = _Parser(prog="kgraph-lab", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--job", help="JSON job file; flags override its fields")
     p.add_argument("--graph", help="path to a skeleton JSON file")
@@ -73,7 +96,6 @@ def build_parser():
     p.add_argument("--depth", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--resolution", help="rational like 1/32")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="output directory (default: current)")
     p.add_argument("--format", choices=FORMATS)
     p.add_argument("--measure", help="pf | product:<spec> | markov:x=p/q")
@@ -92,7 +114,7 @@ def parse_job(argv):
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports its own message
+    except SystemExit as exc:  # --help prints the usage and exits
         raise UsageError("invalid arguments") from exc
     params = {}
     if ns.job:
@@ -107,29 +129,15 @@ def parse_job(argv):
             raise UsageError("job file params must be a JSON object")
         if "command" in data and data["command"] != ns.command:
             raise UsageError("job file command disagrees with the CLI command")
+        for key in data.get("params", {}):
+            if key not in PARAMS:
+                raise UsageError(f"unknown job-file param {key!r}")
         params.update(data.get("params", {}))
         if data.get("graph"):
             params["graph"] = data["graph"]
         if data.get("builtin"):
             params["builtin"] = data["builtin"]
-    for key in (
-        "graph",
-        "builtin",
-        "depth",
-        "tol",
-        "resolution",
-        "seed",
-        "out",
-        "format",
-        "measure",
-        "rep",
-        "product_a",
-        "product_b",
-        "markov_a",
-        "markov_b",
-        "x_prefix",
-        "y_prefix",
-    ):
+    for key in PARAMS:
         val = getattr(ns, key, None)
         if val is not None:
             params[key] = val
@@ -162,8 +170,6 @@ def _validate_job(job):
     is_number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
     if not is_number or not 0 <= tol < math.inf:  # NaN fails too
         raise UsageError(f"tol must be a finite non-negative number, got {tol!r}")
-    if not _is_int(job.param("seed")):
-        raise UsageError(f"seed must be an integer, got {job.param('seed')!r}")
     for key, choices in (("rep", REPS), ("format", FORMATS)):
         if job.param(key) not in choices:
             raise UsageError(f"{key} must be one of {choices}, got {job.param(key)!r}")

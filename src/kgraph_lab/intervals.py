@@ -4,10 +4,15 @@ Sets are compared up to Lebesgue-null differences, so intervals are kept
 as half-open-agnostic pairs (lo, hi) with lo < hi; touching intervals
 merge.  An IntervalUnion's parts are sorted, disjoint and separated by
 gaps of positive length; the merge-based operations rely on that.
-Two-dimensional regions are unions of "strips": an x-interval
-together with polynomial lower/upper boundary graphs.  Boxes are strips
-with constant boundaries, so product systems and the skew examples share
-one representation.
+
+The domains of interval systems are IntervalUnions (``dim`` 1) and
+Boxes, products of two IntervalUnions (``dim`` 2).  Both answer the same
+questions: ``measure``, ``contains_point(pt)``, ``intersect``,
+``sample_points(count)`` and ``uncovered(ranges)``, the measure the
+ranges leave uncovered.  Ranges of 2D maps are Region2s, unions of
+"strips": an x-interval together with polynomial lower/upper boundary
+graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
+``is_subset_of(domain)`` and ``disjoint_from(other)``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,22 @@ def poly_range_on(p, lo, hi):
 
 
 # ---------------------------------------------------------------------------
+# deterministic sample points
+
+_SAMPLE_PRIME = 10007  # coprime to the smooth denominators of rational data
+
+
+def _kronecker(t, salt=0):
+    """Low-discrepancy rational in (0, 1) with denominator _SAMPLE_PRIME.
+
+    Points never coincide with interval breakpoints whose denominators
+    avoid the prime, so coding-map lookups stay off the branch cuts.
+    """
+    num = (t * 6180 + salt * 997) % _SAMPLE_PRIME
+    return Fraction(num or 1, _SAMPLE_PRIME)
+
+
+# ---------------------------------------------------------------------------
 # one-dimensional interval unions
 
 
@@ -100,6 +122,7 @@ class IntervalUnion:
     """Finite union of rational intervals, canonicalized up to null sets."""
 
     __slots__ = ("parts",)
+    dim = 1
 
     def __init__(self, parts=()):
         merged = []
@@ -185,6 +208,22 @@ class IntervalUnion:
     def is_subset_of(self, other):
         return self.subtract(other).measure == 0
 
+    def disjoint_from(self, other):
+        return self.intersect(other).measure == 0
+
+    def uncovered(self, ranges):
+        """measure(self minus the union of `ranges`)."""
+        return self.subtract(IntervalUnion([p for r in ranges for p in r.parts])).measure
+
+    def sample_points(self, count, salt=0):
+        """count // len(parts) Kronecker points per part (at least one), at most count."""
+        if not self.parts:
+            return []
+        per = max(1, count // len(self.parts))
+        out = [lo + (hi - lo) * _kronecker(t, salt)
+               for lo, hi in self.parts for t in range(1, per + 1)]
+        return out[:count]
+
     def breakpoints(self):
         out = set()
         for lo, hi in self.parts:
@@ -236,6 +275,38 @@ def atoms_meeting(atoms, his, union):
 
 
 # ---------------------------------------------------------------------------
+# box domains
+
+
+class Box(NamedTuple):
+    """The product x * y of two interval unions: a domain of a 2D system."""
+
+    x: IntervalUnion
+    y: IntervalUnion
+    dim = 2
+
+    @property
+    def measure(self):
+        return self.x.measure * self.y.measure
+
+    def contains_point(self, pt):
+        return self.x.contains_point(pt[0]) and self.y.contains_point(pt[1])
+
+    def intersect(self, other):
+        return Box(self.x.intersect(other.x), self.y.intersect(other.y))
+
+    def sample_points(self, count):
+        return list(zip(self.x.sample_points(count), self.y.sample_points(count, salt=3)))
+
+    def uncovered(self, ranges):
+        """measure(self minus the union of the Region2 `ranges`); None when the
+        ranges are not provably disjoint, so their measures cannot be summed."""
+        if not Region2([s for r in ranges for s in r.strips]).pairwise_overlap_is_null():
+            return None
+        return self.measure - sum((r.measure for r in ranges), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
 # two-dimensional regions as strip unions
 
 
@@ -273,8 +344,12 @@ class Region2:
     def measure(self):
         return sum((s.measure for s in self.strips), Fraction(0))
 
-    def contains_point(self, x, y):
-        return any(s.contains_point(x, y) for s in self.strips)
+    def contains_point(self, pt):
+        return any(s.contains_point(*pt) for s in self.strips)
+
+    def disjoint_from(self, other):
+        """True when the strips of both regions are provably pairwise disjoint."""
+        return bool(Region2(self.strips + other.strips).pairwise_overlap_is_null())
 
     def pairwise_overlap_is_null(self):
         """True if all strips are pairwise disjoint up to null sets.
@@ -304,8 +379,9 @@ class Region2:
                     return False
         return True
 
-    def is_subset_of_box(self, xint, yint):
-        """Containment in a box-product region, up to null sets."""
+    def is_subset_of(self, box):
+        """Containment in a Box, up to null sets; None when undecided."""
+        xint, yint = box
         for s in self.strips:
             if not IntervalUnion.interval(s.lo, s.hi).is_subset_of(xint):
                 return False

@@ -26,16 +26,18 @@ basis labels: ``labels()``, ``forward_label(lam, label)``,
 action returns the image label, None when there is no image, or ESCAPE
 when the image leaves the truncation.
 
-``StandardRep`` (with ``KPRep``) and ``FaithfulRep`` build each block
-operator once per rep, on its first request, and hand the same ``_Op``
-to every later caller.  ``ScaledRep`` and ``DirectSumRep`` build fresh
-operators from their parts' operators through ``_Op`` methods.
+``StandardRep`` (with ``KPRep``), ``FaithfulRep`` and ``DirectSumRep``
+build each block operator once per rep, on its first request, and hand
+the same ``_Op`` to every later caller; a ``DirectSumRep`` stacks its
+parts' operators through ``_Op`` methods.  ``ScaledRep`` builds fresh
+operators from its part's operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -448,17 +450,16 @@ class DirectSumRep:
         self.parts = list(parts)
         self.graph = parts[0].graph
         self.depth = min(p.depth for p in parts)
+        self._keys = [set(p.block_keys()) for p in self.parts]
+        self._tables = {}
 
     def block_keys(self):
-        keys = set()
-        for p in self.parts:
-            keys |= set(p.block_keys())
-        return sorted(keys)
+        return sorted(set().union(*self._keys))
 
     def block(self, key):
         out = []
         for c, p in enumerate(self.parts):
-            if key in p.block_keys():
+            if key in self._keys[c]:
                 out.extend((c, lab) for lab in p.block(key))
         return out
 
@@ -471,26 +472,29 @@ class DirectSumRep:
     def _offsets(self, key):
         offs = []
         total = 0
-        for p in self.parts:
+        for c, p in enumerate(self.parts):
             offs.append(total)
-            if key in p.block_keys():
+            if key in self._keys[c]:
                 total += p.block_dim(key)
         return offs
 
-    def _stacked(self, action, key):
-        """The parts' operators action(part, key), moved to their offsets and summed."""
+    def _stacked(self, action, lam, key):
+        """The parts' operators p.action(lam, key), moved to their offsets and summed."""
         offs = self._offsets(key)
-        ops = ((c, action(p, key)) for c, p in enumerate(self.parts) if key in p.block_keys())
+        ops = ((c, getattr(p, action)(lam, key))
+               for c, p in enumerate(self.parts) if key in self._keys[c])
         return _sum(
             None if op is None else op.moved(self, offs[c], self._offsets(op.dst_key)[c])
             for c, op in ops
         )
 
     def apply_path(self, lam, key):
-        return self._stacked(lambda p, k: p.apply_path(lam, k), key)
+        return _built_once(self._tables, "forward", lam, key, partial(self._stacked, "apply_path"))
 
     def apply_adjoint(self, lam, key):
-        return self._stacked(lambda p, k: p.apply_adjoint(lam, k), key)
+        return _built_once(
+            self._tables, "adjoint", lam, key, partial(self._stacked, "apply_adjoint")
+        )
 
     def labels(self):
         return [(c, lab) for c, p in enumerate(self.parts) for lab in p.labels()]
@@ -1014,12 +1018,8 @@ class IntervalDiagonalRep:
         space = IntervalUnion()
         for v in g.vertices:
             space = space.union(sys.domains[v])
-        sets = [sys.domains[v] for v in g.vertices]
-        for n in deg_grid(g.k, level):
-            if deg_total(n) == 0:
-                continue
-            for lam in g.enumerate_paths(n):
-                sets.append(sys.path_range_1d(lam))
+        self._ranges = sys.path_ranges(level)
+        sets = list(self._ranges.values())
         grid = []
         for lo, hi in space.parts:
             steps = int((hi - lo) / resolution) + 1
@@ -1034,10 +1034,6 @@ class IntervalDiagonalRep:
         sets.extend(grid)
         self.atoms = partition_atoms(space, sets)
         self._his = [hi for _, hi in self.atoms]
-        self._ranges = {}
-        for n in deg_grid(g.k, level):
-            for lam in g.enumerate_paths(n):
-                self._ranges[(lam.range, lam.edges)] = sys.path_range_1d(lam)
 
     def block_dim(self, block):
         return len(self.atoms)
@@ -1049,7 +1045,7 @@ class IntervalDiagonalRep:
         from .intervals import atoms_meeting
 
         # every range generated the atoms, so it holds exactly the atoms it meets
-        rng = self._ranges[(lam.range, lam.edges)]
+        rng = self._ranges[lam]
         mask = np.zeros(len(self.atoms))
         mask[atoms_meeting(self.atoms, self._his, rng)] = 1.0
         return mask

@@ -1,17 +1,23 @@
 """Semibranching function systems on interval/box spaces and path spaces.
 
-An interval system assigns each vertex a rational-endpoint domain and
-each edge an injective prefixing map (affine on intervals, or a skew map
-(x, y) -> (alpha(x), beta(x, y)) with beta affine in y).  Compositions,
-images, and Jacobians stay exact; the validator checks the edge-level
-axioms: per-color range partitions, disjoint vertex domains, square
-compatibility of the maps, commuting coding maps, and positive
-Radon-Nikodym derivatives.
+An interval system assigns each vertex a rational-endpoint domain, an
+IntervalUnion or a Box (see ``intervals``), and each edge an injective
+prefixing map: ``Affine1D`` x -> a x + b on interval unions, or
+``Skew2D`` (x, y) -> (a x + b, p0(x) + p1(x) y) on boxes, with p0 and
+p1 polynomials in x.  Both map kinds answer ``apply``,
+``inverse_point``, ``image(domain)``, ``jacobian(pt)`` and
+``after(other)``, and domains and ranges answer the same set questions
+in both dimensions, so the system and its validator ask each geometric
+question once.  Compositions, images and Jacobians stay exact; the
+validator checks the edge-level axioms: per-color range partitions,
+disjoint vertex domains, square compatibility of the maps, commuting
+coding maps, and positive Radon-Nikodym derivatives.
 
 Projective systems decorate a validated system with signed functions
 f_path = sign * (Phi_path o coding)^(-1/2) * indicator(range) and are
 checked for the multiplicative cocycle and the parallel-sum (Kirchhoff)
-rule.
+rule.  Interval and path-space systems both answer ``code(n, pt)`` and
+``rn_at(path, pt)``, so a projective system evaluates either the same way.
 """
 
 from __future__ import annotations
@@ -30,73 +36,20 @@ from .errors import (
     ZeroVertexMass,
 )
 from .intervals import (
+    Box,
     IntervalUnion,
     Region2,
     Strip,
     atoms_meeting,
     partition_atoms,
+    poly_add,
     poly_compose,
     poly_const,
     poly_eval,
+    poly_mul,
     poly_trim,
 )
-from .kgraph import deg_diag, deg_grid, deg_total
-
-
-# ---------------------------------------------------------------------------
-# two-variable polynomials: dict {(i, j): coeff} meaning sum c x^i y^j
-
-
-def p2_normalize(d):
-    return {k: Fraction(v) for k, v in d.items() if v != 0}
-
-
-def p2_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
-    return p2_normalize(out)
-
-
-def p2_mul(a, b):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
-    return p2_normalize(out)
-
-
-def p2_scale(a, c):
-    return p2_normalize({k: v * c for k, v in a.items()})
-
-
-def p2_eval(a, x, y):
-    total = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-    for (i, j), c in a.items():
-        total += c * x**i * y**j
-    return total
-
-
-def p2_from_xpoly(p):
-    return p2_normalize({(i, 0): c for i, c in enumerate(p)})
-
-
-def p2_pow(a, n):
-    out = {(0, 0): Fraction(1)}
-    for _ in range(n):
-        out = p2_mul(out, a)
-    return out
-
-
-def p2_compose(beta, xpoly, ypoly2):
-    """beta(xpoly(x), ypoly2(x, y)) as a two-variable polynomial."""
-    xp2 = p2_from_xpoly(xpoly)
-    out = {}
-    for (i, j), c in beta.items():
-        term = p2_scale(p2_mul(p2_pow(xp2, i), p2_pow(ypoly2, j)), c)
-        out = p2_add(out, term)
-    return out
+from .kgraph import Path, deg_diag, deg_grid, deg_sub, deg_unit
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +58,8 @@ def p2_compose(beta, xpoly, ypoly2):
 
 @dataclass(frozen=True)
 class Affine1D:
+    """x -> a x + b."""
+
     a: Fraction
     b: Fraction
 
@@ -114,6 +69,9 @@ class Affine1D:
     def inverse_point(self, y):
         return (y - self.b) / self.a
 
+    def jacobian(self, x):
+        return self.a
+
     def after(self, other):
         """self o other."""
         return Affine1D(self.a * other.a, self.a * other.b + self.b)
@@ -122,80 +80,85 @@ class Affine1D:
         return union.scaled(self.a, self.b)
 
 
+def _xpoly(coeffs):
+    """{i: c} as a trimmed polynomial in x with Fraction coefficients."""
+    return poly_trim(tuple(Fraction(coeffs.get(i, 0)) for i in range(max(coeffs, default=0) + 1)))
+
+
 @dataclass(frozen=True)
 class Skew2D:
-    """(x, y) -> (a x + b, beta(x, y)) with beta affine in y."""
+    """(x, y) -> (a x + b, p0(x) + p1(x) y), with p0 and p1 trimmed x-polynomials.
+
+    Skew maps are closed under composition and the form is canonical, so
+    == between composed maps is exact polynomial identity.
+    """
 
     a: Fraction
     b: Fraction
-    beta: tuple  # frozen items of the coefficient dict
+    p0: tuple
+    p1: tuple
 
     @classmethod
     def make(cls, a, b, beta):
-        beta = p2_normalize(beta)
-        if any(j > 1 for (_, j) in beta):
+        """The map with second coordinate beta = {(i, j): c}, sum c x^i y^j."""
+        if any(j > 1 for (_, j), c in beta.items() if c != 0):
             raise ValueError("beta must be affine in y")
-        return cls(Fraction(a), Fraction(b), tuple(sorted(beta.items())))
-
-    @property
-    def beta_dict(self):
-        return dict(self.beta)
-
-    def dbeta_dy_poly(self):
-        """d(beta)/dy as a polynomial in x."""
-        out = {}
-        for (i, j), c in self.beta:
-            if j == 1:
-                out[i] = out.get(i, Fraction(0)) + c
-        deg = max(out, default=0)
-        return poly_trim(tuple(out.get(i, Fraction(0)) for i in range(deg + 1)))
-
-    def beta_at_y(self, y):
-        """beta(x, y0) as a polynomial in x."""
-        out = {}
-        for (i, j), c in self.beta:
-            out[i] = out.get(i, Fraction(0)) + c * y**j
-        deg = max(out, default=0)
-        return poly_trim(tuple(out.get(i, Fraction(0)) for i in range(deg + 1)))
+        p0, p1 = ({i: c for (i, j), c in beta.items() if j == deg} for deg in (0, 1))
+        return cls(Fraction(a), Fraction(b), _xpoly(p0), _xpoly(p1))
 
     def apply(self, pt):
         x, y = pt
-        return (self.a * x + self.b, p2_eval(self.beta_dict, x, y))
+        return (self.a * x + self.b, poly_eval(self.p0, x) + poly_eval(self.p1, x) * y)
 
     def inverse_point(self, pt):
         u, w = pt
         x = (u - self.b) / self.a
-        dy = poly_eval(self.dbeta_dy_poly(), x)
+        dy = poly_eval(self.p1, x)
         if dy == 0:
             raise DegenerateMap(f"dbeta/dy vanishes at x = {x}")
-        return (x, (w - poly_eval(self.beta_at_y(Fraction(0)), x)) / dy)
+        return (x, (w - poly_eval(self.p0, x)) / dy)
 
-
-@dataclass(frozen=True)
-class Map2:
-    """General exact 2D map (xpoly(x), beta(x, y)); closed under composition."""
-
-    xpoly: tuple
-    beta: tuple
-
-    @classmethod
-    def from_edge(cls, m):
-        if isinstance(m, Skew2D):
-            return cls((m.b, m.a), tuple(sorted(p2_normalize(m.beta_dict).items())))
-        raise TypeError(m)
-
-    @property
-    def beta_dict(self):
-        return dict(self.beta)
-
-    def apply(self, pt):
-        x, y = pt
-        return (poly_eval(self.xpoly, x), p2_eval(self.beta_dict, x, y))
+    def jacobian(self, pt):
+        return self.a * poly_eval(self.p1, pt[0])
 
     def after(self, other):
-        xp = poly_compose(self.xpoly, other.xpoly)
-        beta = p2_compose(self.beta_dict, other.xpoly, other.beta_dict)
-        return Map2(xp, tuple(sorted(beta.items())))
+        """self o other: p0(L) + p1(L) (q0 + q1 y) with L the x-map of other."""
+        lin = (other.b, other.a)
+        p1 = poly_compose(self.p1, lin)
+        return Skew2D(
+            self.a * other.a,
+            self.a * other.b + self.b,
+            poly_add(poly_compose(self.p0, lin), poly_mul(p1, other.p0)),
+            poly_mul(p1, other.p1),
+        )
+
+    def image(self, box):
+        """Image of a Box, as a strip union; cut where p1 changes sign."""
+        xint, yint = box
+        dy = self.p1
+        inv = (-self.b / self.a, Fraction(1) / self.a)
+        strips = []
+        for xlo, xhi in xint.parts:
+            cut = []
+            if len(dy) == 2 and dy[1] != 0:
+                root = -dy[0] / dy[1]
+                if xlo < root < xhi:
+                    cut = [root]
+            xs = [xlo, *cut, xhi]
+            for alo, ahi in zip(xs, xs[1:]):
+                u_lo, u_hi = sorted((self.a * alo + self.b, self.a * ahi + self.b))
+                for ylo, yhi in yint.parts:
+                    p_at_lo = poly_add(self.p0, tuple(c * ylo for c in dy))
+                    p_at_hi = poly_add(self.p0, tuple(c * yhi for c in dy))
+                    mid = (alo + ahi) / 2
+                    if poly_eval(p_at_lo, mid) <= poly_eval(p_at_hi, mid):
+                        lower, upper = p_at_lo, p_at_hi
+                    else:
+                        lower, upper = p_at_hi, p_at_lo
+                    strips.append(
+                        Strip(u_lo, u_hi, poly_compose(lower, inv), poly_compose(upper, inv))
+                    )
+        return Region2(strips)
 
 
 # ---------------------------------------------------------------------------
@@ -203,37 +166,37 @@ class Map2:
 
 
 class IntervalSBFS:
-    """Vertex domains plus one prefixing map per edge of a k-graph."""
+    """Vertex domains plus one prefixing map per edge of a k-graph.
 
-    def __init__(self, graph, dim, domains, edge_maps, name=""):
+    Domains are all IntervalUnions with Affine1D maps, or all Boxes with
+    Skew2D maps; ``dim`` is the domain type's.
+    """
+
+    def __init__(self, graph, domains, edge_maps, name=""):
         self.graph = graph
-        self.dim = dim
-        self.domains = domains  # vertex -> IntervalUnion or (xint, yint)
+        self.domains = domains  # vertex -> IntervalUnion | Box
         self.edge_maps = edge_maps  # edge id -> Affine1D | Skew2D
         self.name = name or graph.name
         self.product_factors = None  # set by lift_product_sbfs
         self._edge_ranges = {}
+
+    @property
+    def dim(self):
+        return next(iter(self.domains.values())).dim
 
     # -- domains and ranges ---------------------------------------------------
 
     def domain_of_edge(self, eid):
         return self.domains[self.graph.edge_by_id[eid].source]
 
-    def domain_measure(self, v):
-        dom = self.domains[v]
-        if self.dim == 1:
-            return dom.measure
-        return dom[0].measure * dom[1].measure
-
     def edge_range(self, eid):
         if eid not in self._edge_ranges:
-            m = self.edge_maps[eid]
-            dom = self.domain_of_edge(eid)
-            if self.dim == 1:
-                self._edge_ranges[eid] = m.image(dom)
-            else:
-                self._edge_ranges[eid] = _skew_image(m, dom)
+            self._edge_ranges[eid] = self.edge_maps[eid].image(self.domain_of_edge(eid))
         return self._edge_ranges[eid]
+
+    def range_in_domain(self, eid, v):
+        """R_eid subset of D_v up to null sets (False when undecided)."""
+        return bool(self.edge_range(eid).is_subset_of(self.domains[v]))
 
     def path_range_1d(self, path):
         """Exact interval union R_path (1D systems)."""
@@ -241,6 +204,26 @@ class IntervalSBFS:
         for eid in reversed(path.edges):
             cur = self.edge_maps[eid].image(cur.intersect(self.domain_of_edge(eid)))
         return cur
+
+    def path_ranges(self, depth):
+        """{path: R_path} for every degree <= depth*(1,..,1) (1D systems).
+
+        A canonical path minus its first edge is its canonical tail, of
+        lexicographically smaller degree, so in deg_grid order each range
+        is one step from its tail's: R(e.t) = m_e(R(t) & D_e).
+        """
+        g = self.graph
+        out = {}
+        for n in deg_grid(g.k, depth):
+            for lam in g.enumerate_paths(n):
+                if lam.is_vertex:
+                    out[lam] = self.domains[lam.range]
+                    continue
+                e = g.edge_by_id[lam.edges[0]]
+                tail = Path(e.source, lam.edges[1:], deg_sub(n, deg_unit(g.k, e.color)))
+                dom = self.domains[e.source]
+                out[lam] = self.edge_maps[e.eid].image(out[tail].intersect(dom))
+        return out
 
     # -- pointwise machinery -----------------------------------------------------
 
@@ -253,16 +236,7 @@ class IntervalSBFS:
         return pt
 
     def point_in_edge_range(self, eid, pt):
-        rng = self.edge_range(eid)
-        if self.dim == 1:
-            return rng.contains_point(pt)
-        return rng.contains_point(*pt)
-
-    def point_in_domain(self, v, pt):
-        dom = self.domains[v]
-        if self.dim == 1:
-            return dom.contains_point(pt)
-        return dom[0].contains_point(pt[0]) and dom[1].contains_point(pt[1])
+        return self.edge_range(eid).contains_point(pt)
 
     def point_in_path_range(self, path, pt):
         """Membership in R_path by peeling edges through the coding branches."""
@@ -270,7 +244,7 @@ class IntervalSBFS:
             if not self.point_in_edge_range(eid, pt):
                 return False
             pt = self.edge_maps[eid].inverse_point(pt)
-        return self.point_in_domain(self.graph.s(path), pt)
+        return self.domains[self.graph.s(path)].contains_point(pt)
 
     def coding_color(self, color, pt):
         """Apply tau^{e_color}; returns (point, branch edge id)."""
@@ -289,12 +263,13 @@ class IntervalSBFS:
                 branch.append(eid)
         return pt, tuple(branch)
 
+    def code(self, n, pt):
+        """tau^n(pt)."""
+        return self.coding_n(n, pt)[0]
+
     def phi_edge(self, eid, pt):
         """Radon-Nikodym derivative of the edge map at a domain point."""
-        m = self.edge_maps[eid]
-        if self.dim == 1:
-            return abs(m.a)
-        return abs(m.a) * abs(poly_eval(m.dbeta_dy_poly(), pt[0]))
+        return abs(self.edge_maps[eid].jacobian(pt))
 
     def phi_path(self, path, pt):
         """Chain-rule product Phi_path(pt) for pt in D_path."""
@@ -305,79 +280,18 @@ class IntervalSBFS:
             cur = self.apply_edge(eid, cur)
         return val
 
-    # -- deterministic sample points -----------------------------------------------
+    def rn_at(self, path, pt):
+        """Phi_path at tau^{d(path)}(pt), or None when pt is off R_path."""
+        if not self.point_in_path_range(path, pt):
+            return None
+        return self.phi_path(path, self.code(path.degree, pt))
 
     def sample_points(self, v, count):
-        dom = self.domains[v]
-        if self.dim == 1:
-            return _sample_union(dom, count)
-        xs = _sample_union(dom[0], count)
-        ys = _sample_union(dom[1], count, salt=3)
-        return list(zip(xs, ys))
+        return self.domains[v].sample_points(count)
 
 
 class CodingUndefined(Exception):
     pass
-
-
-_SAMPLE_PRIME = 10007  # coprime to the smooth denominators of rational data
-
-
-def _kronecker(t, salt=0):
-    """Low-discrepancy rational in (0, 1) with denominator _SAMPLE_PRIME.
-
-    Points never coincide with interval breakpoints whose denominators
-    avoid the prime, so coding-map lookups stay off the branch cuts.
-    """
-    num = (t * 6180 + salt * 997) % _SAMPLE_PRIME
-    return Fraction(num or 1, _SAMPLE_PRIME)
-
-
-def _sample_union(union, count, salt=0):
-    parts = union.parts
-    if not parts:
-        return []
-    per = max(1, count // len(parts))
-    out = []
-    for lo, hi in parts:
-        for t in range(1, per + 1):
-            out.append(lo + (hi - lo) * _kronecker(t, salt))
-    return out[:count] if count < len(out) else out
-
-
-def _skew_image(m, dom):
-    """Image of a box-product domain under a skew map, as a strip union."""
-    xint, yint = dom
-    dy = m.dbeta_dy_poly()
-    strips = []
-    for xlo, xhi in xint.parts:
-        # split where dbeta/dy changes sign (affine in x)
-        cut = []
-        if len(dy) == 2 and dy[1] != 0:
-            root = -dy[0] / dy[1]
-            if xlo < root < xhi:
-                cut = [root]
-        xs = [xlo, *cut, xhi]
-        for alo, ahi in zip(xs, xs[1:]):
-            for ylo, yhi in yint.parts:
-                p_at_lo = m.beta_at_y(ylo)
-                p_at_hi = m.beta_at_y(yhi)
-                mid = (alo + ahi) / 2
-                if poly_eval(p_at_lo, mid) <= poly_eval(p_at_hi, mid):
-                    lower, upper = p_at_lo, p_at_hi
-                else:
-                    lower, upper = p_at_hi, p_at_lo
-                inv = Affine1D(Fraction(1) / m.a, -m.b / m.a)
-                u_lo, u_hi = sorted((m.a * alo + m.b, m.a * ahi + m.b))
-                strips.append(
-                    Strip(
-                        u_lo,
-                        u_hi,
-                        poly_compose(lower, (inv.b, inv.a)),
-                        poly_compose(upper, (inv.b, inv.a)),
-                    )
-                )
-    return Region2(strips)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +326,7 @@ def rn_derivative(m, domain):
         return RNDerivative([(lo, hi, poly_const(abs(m.a)))])
     if m.a == 0:
         raise DegenerateMap("skew map with constant first coordinate")
-    dy = m.dbeta_dy_poly()
+    dy = m.p1
     if all(c == 0 for c in dy):
         raise DegenerateMap("skew map with beta independent of y")
     xint = domain[0]
@@ -476,14 +390,14 @@ def validate_sbfs(sys, tol=1e-12, sample_count=256):
     conds = []
 
     # (i) vertex domains have positive measure (edge domains share them)
-    bad = [v for v in g.vertices if sys.domain_measure(v) <= 0]
+    bad = [v for v in g.vertices if sys.domains[v].measure <= 0]
     conds.append(ConditionReport("i_domains_positive", not bad, "exact", bad))
 
     # (ii) vertex domains pairwise null-overlapping
     bad = []
     for i, v in enumerate(g.vertices):
         for w in g.vertices[i + 1 :]:
-            if _domain_overlap(sys, v, w) != 0:
+            if sys.domains[v].intersect(sys.domains[w]).measure != 0:
                 bad.append((v, w))
     conds.append(ConditionReport("ii_domains_disjoint", not bad, "exact", bad))
 
@@ -494,18 +408,17 @@ def validate_sbfs(sys, tol=1e-12, sample_count=256):
         # no squares; the containment contract is per composable edge pair
         for f in g.edges:
             for e2 in g.edges:
-                if f.source == e2.range and not _range_in_domain(sys, e2.eid, f.eid):
+                if f.source == e2.range and not sys.range_in_domain(e2.eid, f.source):
                     bad.append((f.eid, e2.eid))
+    maps = sys.edge_maps
     for sq in squares:
         a, b = sq.left
         c, d = sq.right
-        if not _range_in_domain(sys, b, a):
+        if not sys.range_in_domain(b, g.edge_by_id[a].source):
             bad.append((sq, "R_b not in D_a"))
-        if not _range_in_domain(sys, d, c):
+        if not sys.range_in_domain(d, g.edge_by_id[c].source):
             bad.append((sq, "R_d not in D_c"))
-        left = _pair_map(sys, a, b)
-        right = _pair_map(sys, c, d)
-        if left != right:
+        if maps[a].after(maps[b]) != maps[c].after(maps[d]):
             bad.append((sq, "maps differ"))
     conds.append(ConditionReport("iii_squares", not bad, "exact", bad))
 
@@ -536,9 +449,9 @@ def validate_sbfs(sys, tol=1e-12, sample_count=256):
         for v in g.vertices:
             ids = [e.eid for e in g.edges if e.color == color and e.range == v]
             for eid in ids:
-                if not _range_in_domain_of_vertex(sys, eid, v):
+                if not sys.range_in_domain(eid, v):
                     bad.append((v, color, eid, "range leaks out of D_v"))
-            deficit = _cover_deficit(sys, v, ids)
+            deficit = sys.domains[v].uncovered([sys.edge_range(eid) for eid in ids])
             if deficit is None:
                 bad.append((v, color, "undecided"))
             elif deficit != 0:
@@ -551,7 +464,7 @@ def validate_sbfs(sys, tol=1e-12, sample_count=256):
         ids = [e.eid for e in g.edges if e.color == color]
         for i, e1 in enumerate(ids):
             for e2 in ids[i + 1 :]:
-                if not _ranges_disjoint(sys, e1, e2):
+                if not sys.edge_range(e1).disjoint_from(sys.edge_range(e2)):
                     bad.append((e1, e2))
     conds.append(ConditionReport("ranges_disjoint", not bad, "exact", bad))
 
@@ -577,69 +490,11 @@ def _point_distance(p, q):
     return abs(float(p - q))
 
 
-def _domain_overlap(sys, v, w):
-    if sys.dim == 1:
-        return sys.domains[v].intersect(sys.domains[w]).measure
-    dv, dw = sys.domains[v], sys.domains[w]
-    return (
-        dv[0].intersect(dw[0]).measure * dv[1].intersect(dw[1]).measure
-    )
-
-
-def _range_in_domain(sys, range_eid, domain_eid):
-    """R_{range_eid} subset of D_{domain_eid} up to null sets."""
-    target = sys.graph.edge_by_id[domain_eid].source
-    return _range_in_domain_of_vertex(sys, range_eid, target)
-
-
-def _range_in_domain_of_vertex(sys, eid, v):
-    rng = sys.edge_range(eid)
-    if sys.dim == 1:
-        return rng.is_subset_of(sys.domains[v])
-    res = rng.is_subset_of_box(*sys.domains[v])
-    return bool(res)
-
-
-def _pair_map(sys, first, second):
-    """Exact composed map of the length-2 path first.second."""
-    if sys.dim == 1:
-        return sys.edge_maps[first].after(sys.edge_maps[second])
-    return Map2.from_edge(sys.edge_maps[first]).after(
-        Map2.from_edge(sys.edge_maps[second])
-    )
-
-
-def _ranges_disjoint(sys, e1, e2):
-    if sys.dim == 1:
-        return sys.edge_range(e1).intersect(sys.edge_range(e2)).measure == 0
-    combined = Region2(sys.edge_range(e1).strips + sys.edge_range(e2).strips)
-    res = combined.pairwise_overlap_is_null()
-    return bool(res)
-
-
-def _cover_deficit(sys, v, eids):
-    """measure(D_v minus the union of the listed edge ranges)."""
-    if sys.dim == 1:
-        union = IntervalUnion()
-        for eid in eids:
-            union = union.union(sys.edge_range(eid))
-        return sys.domains[v].subtract(union).measure
-    combined = Region2([s for eid in eids for s in sys.edge_range(eid).strips])
-    disjoint = combined.pairwise_overlap_is_null()
-    if disjoint is None:
-        return None
-    if not disjoint:
-        return None
-    total = sum((sys.edge_range(eid).measure for eid in eids), Fraction(0))
-    return sys.domain_measure(v) - total
-
-
 def with_edge_map(sys, eid, new_map):
     """Copy of the system with one prefixing map replaced (fault injection)."""
     maps = dict(sys.edge_maps)
     maps[eid] = new_map
-    out = IntervalSBFS(sys.graph, sys.dim, sys.domains, maps, sys.name + "*")
-    return out
+    return IntervalSBFS(sys.graph, sys.domains, maps, sys.name + "*")
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +515,7 @@ def system_two_vertex_three_edge():
         "f2": Affine1D(-half, half),
         "f3": Affine1D(1, 0),
     }
-    return IntervalSBFS(g, 1, domains, edge_maps, "exonevthreeed")
+    return IntervalSBFS(g, domains, edge_maps, "exonevthreeed")
 
 
 def system_one_vertex_two_blue():
@@ -673,7 +528,7 @@ def system_one_vertex_two_blue():
         "f2": Affine1D(Fraction(-1, 2), Fraction(1)),
         "e": Affine1D(Fraction(-1), Fraction(1)),
     }
-    return IntervalSBFS(g, 1, domains, edge_maps, "exonevtwoe")
+    return IntervalSBFS(g, domains, edge_maps, "exonevtwoe")
 
 
 def system_nonconstant_rn():
@@ -681,7 +536,7 @@ def system_nonconstant_rn():
 
     g = builtin_graph("noncstrn")
     unit = IntervalUnion.interval(0, 1)
-    domains = {"v": (unit, unit)}
+    domains = {"v": Box(unit, unit)}
     one = Fraction(1)
     edge_maps = {
         # (x, y) -> (x, x + y - x y)
@@ -691,7 +546,7 @@ def system_nonconstant_rn():
         # (x, y) -> (1 - x, 1 - y)
         "e": Skew2D.make(-1, 1, {(0, 0): one, (0, 1): -one}),
     }
-    return IntervalSBFS(g, 2, domains, edge_maps, "noncstrn")
+    return IntervalSBFS(g, domains, edge_maps, "noncstrn")
 
 
 def system_three_vertex_eight_edge():
@@ -714,7 +569,7 @@ def system_three_vertex_eight_edge():
         "b0": Affine1D(Fraction(-1, 2), Fraction(1, 2)),
         "b1": Affine1D(Fraction(-1, 2), Fraction(1)),
     }
-    return IntervalSBFS(g, 1, domains, edge_maps, "ex3v8e")
+    return IntervalSBFS(g, domains, edge_maps, "ex3v8e")
 
 
 def system_kawamura(a):
@@ -733,7 +588,7 @@ def system_kawamura(a):
         "f": Affine1D((1 - a) / a, a),
         "g": Affine1D(-a / (2 * (a - 1)), a * (2 * a - 1) / (2 * (a - 1))),
     }
-    return IntervalSBFS(g, 1, domains, edge_maps, f"kawamura(a={a})")
+    return IntervalSBFS(g, domains, edge_maps, f"kawamura(a={a})")
 
 
 def builtin_examples(a=Fraction(1, 2)):
@@ -762,7 +617,7 @@ def lift_double_sbfs(esys):
     for e in esys.graph.edges:
         for copy in (1, 2):
             maps[f"{e.eid}^{copy}"] = esys.edge_maps[e.eid]
-    return IntervalSBFS(g2, esys.dim, dict(esys.domains), maps, f"double({esys.name})")
+    return IntervalSBFS(g2, dict(esys.domains), maps, f"double({esys.name})")
 
 
 def lift_product_sbfs(s1, s2):
@@ -775,7 +630,7 @@ def lift_product_sbfs(s1, s2):
     domains = {}
     for v in s1.graph.vertices:
         for w in s2.graph.vertices:
-            domains[f"({v},{w})"] = (s1.domains[v], s2.domains[w])
+            domains[f"({v},{w})"] = Box(s1.domains[v], s2.domains[w])
     maps = {}
     one = Fraction(1)
     for e in s1.graph.edges:
@@ -788,7 +643,7 @@ def lift_product_sbfs(s1, s2):
             maps[f"{f.eid}@2[{v}]"] = Skew2D.make(
                 1, 0, {(0, 0): m.b, (0, 1): m.a}
             )
-    out = IntervalSBFS(gp, 2, domains, maps, f"product({s1.name},{s2.name})")
+    out = IntervalSBFS(gp, domains, maps, f"product({s1.name},{s2.name})")
     out.product_factors = (s1, s2)
     return out
 
@@ -824,6 +679,15 @@ class PathspaceSBFS:
         g = self.graph
         return self.measure.value(g.compose(path, z)) / self.measure.value(z)
 
+    def code(self, n, z):
+        """tau^n(z): the tail of z past degree n."""
+        return self.graph.factorize(z, n)[1]
+
+    def rn_at(self, path, z):
+        """The quotient at the tail of z past path, or None when path is no prefix of z."""
+        tail = self.graph.strip_prefix(z, path)
+        return None if tail is None else self.rn_quotient(path, tail)
+
     def head_is(self, z, path):
         return self.graph.strip_prefix(z, path) is not None
 
@@ -852,7 +716,6 @@ class ProjectiveSystem:
             self.signs.setdefault(e.eid, 1)
         # density g1 = d(mu')/d(mu) for transported systems (see transport)
         self.density = density
-        self._interval = isinstance(base, IntervalSBFS)
 
     def sign_of(self, path):
         s = 1
@@ -863,37 +726,17 @@ class ProjectiveSystem:
     # -- evaluation --------------------------------------------------------------
 
     def f_eval(self, path, pt):
-        if self._interval:
-            base = self._f_interval(path, pt)
-        else:
-            base = self._f_pathspace(path, pt)
-        if base == 0 or self.density is None:
-            return base
-        num = self.density(self._code(path, pt))
+        phi = self.base.rn_at(path, pt)
+        if phi is None:
+            return 0.0
+        f = self.sign_of(path) / math.sqrt(phi)
+        if self.density is None:
+            return f
+        num = self.density(self.base.code(path.degree, pt))
         den = self.density(pt)
         if num <= 0 or den <= 0:
             raise NonpositiveDensity(f"density nonpositive near {pt}")
-        return base * math.sqrt(num / den)
-
-    def _code(self, path, pt):
-        if self._interval:
-            out, _ = self.base.coding_n(path.degree, pt)
-            return out
-        return self.graph.factorize(pt, path.degree)[1]
-
-    def _f_interval(self, path, pt):
-        if not self.base.point_in_path_range(path, pt):
-            return 0.0
-        y, _ = self.base.coding_n(path.degree, pt)
-        phi = self.base.phi_path(path, y)
-        return self.sign_of(path) / math.sqrt(phi)
-
-    def _f_pathspace(self, path, z):
-        tail = self.graph.strip_prefix(z, path)
-        if tail is None:
-            return 0.0
-        q = self.base.rn_quotient(path, tail)
-        return self.sign_of(path) / math.sqrt(q)
+        return f * math.sqrt(num / den)
 
     def sample_points(self, v, count):
         return self.base.sample_points(v, count)
@@ -918,7 +761,7 @@ class ProjectiveSystem:
                     if f1 == 0:
                         rhs = 0.0
                     else:
-                        rhs = f1 * self.f_eval(nu, self._code(lam, pt))
+                        rhs = f1 * self.f_eval(nu, self.base.code(lam.degree, pt))
                     res = abs(lhs2 - rhs)
                     checked += 1
                     if res > worst:
@@ -972,7 +815,7 @@ def transport_projective(sys, density, tol=1e-10, sample_count=64):
             f_old = sys.f_eval(lam, pt)
             if f_old == 0:
                 continue
-            coded = sys._code(lam, pt)
+            coded = sys.base.code(lam.degree, pt)
             lhs = f_old / math.sqrt(density(pt))
             rhs = out.f_eval(lam, pt) / math.sqrt(density(coded))
             worst = max(worst, abs(lhs - rhs))
@@ -1117,14 +960,7 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     space = IntervalUnion()
     for v in g.vertices:
         space = space.union(sys.domains[v])
-
-    ranges = [sys.domains[v] for v in g.vertices]
-    for nd in deg_grid(g.k, depth):
-        if deg_total(nd) == 0:
-            continue
-        for lam in g.enumerate_paths(nd):
-            ranges.append(sys.path_range_1d(lam))
-    atoms = partition_atoms(space, ranges)
+    atoms = partition_atoms(space, sys.path_ranges(depth).values())
     his = [hi for _, hi in atoms]
 
     # structural witness: atoms whose edge preimages stay single atoms.  An
@@ -1136,7 +972,7 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     for e in g.edges:
         m = sys.edge_maps[e.eid]
         dom = sys.domain_of_edge(e.eid)
-        rng = m.image(dom)
+        rng = sys.edge_range(e.eid)
         inv_a, inv_b = Fraction(1) / m.a, -m.b / m.a
         for i in atoms_meeting(atoms, his, rng):
             pre = rng.intersect(IntervalUnion.interval(*atoms[i]))
@@ -1212,7 +1048,9 @@ def sbfs_to_dict(sys):
             maps[eid] = {"kind": "affine1d", "a": frac(m.a), "b": frac(m.b)}
         else:
             keys = {(0, 0): "1", (1, 0): "x", (0, 1): "y", (1, 1): "xy", (2, 0): "x2"}
-            beta = {keys[k]: frac(c) for k, c in m.beta}
+            terms = sorted(((i, j), c) for j, p in enumerate((m.p0, m.p1))
+                           for i, c in enumerate(p) if c != 0)
+            beta = {keys[k]: frac(c) for k, c in terms}
             maps[eid] = {
                 "kind": "skew2d",
                 "alpha": [frac(m.a), frac(m.b)],
@@ -1243,7 +1081,7 @@ def sbfs_from_dict(data):
         domains = {v: union_from_list(d) for v, d in data["domains"].items()}
     else:
         domains = {
-            v: (union_from_list(d["x"]), union_from_list(d["y"]))
+            v: Box(union_from_list(d["x"]), union_from_list(d["y"]))
             for v, d in data["domains"].items()
         }
     keys = {"1": (0, 0), "x": (1, 0), "y": (0, 1), "xy": (1, 1), "x2": (2, 0)}
@@ -1254,4 +1092,4 @@ def sbfs_from_dict(data):
         else:
             beta = {keys[k]: Fraction(c) for k, c in m["beta"].items()}
             maps[eid] = Skew2D.make(Fraction(m["alpha"][0]), Fraction(m["alpha"][1]), beta)
-    return IntervalSBFS(g, dim, domains, maps, data.get("name", ""))
+    return IntervalSBFS(g, domains, maps, data.get("name", ""))

@@ -177,6 +177,9 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:const:1/2"],
         ["kakutani", "--product-a", "const:3/4", "--product-b", "const:3/4"],
         ["kakutani", "--product-a", "geometric:1/4,3", "--product-b", "const:0"],
+        # flags and job-file params outside the flag names
+        ["rep-verify", "--builtin", "ex3v8e", "--seed", "7"],
+        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"dpeth": 3}}'],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -190,6 +193,13 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_unknown_job_file_param_is_named(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text('{"builtin": "ex3v8e", "params": {"seed": 0}}')
+    assert main(["rep-verify", "--job", str(job), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: unknown job-file param 'seed'")
 
 
 def test_monic_above_the_enumeration_cap_names_it(tmp_path, capsys):
@@ -279,8 +289,7 @@ def test_job_file_round(tmp_path):
 def test_reports_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    args = ["rep-verify", "--builtin", "exonevtwoe", "--measure", "pf", "--depth", "3",
-            "--seed", "7"]
+    args = ["rep-verify", "--builtin", "exonevtwoe", "--measure", "pf", "--depth", "3"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()

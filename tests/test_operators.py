@@ -258,8 +258,10 @@ def test_scaled_rep_over_a_verified_rep_sees_the_fault():
     [
         lambda g: standard_rep(g, pf_measure(g), 3),
         lambda g: faithful_rep(g, depth=3),
+        lambda g: DirectSumRep([kp_style_rep(g, 2), kp_style_rep(g, 2)]),
+        lambda g: faithful_rep(g, depth=3, sum_over_vertices=True),
     ],
-    ids=["standard", "faithful"],
+    ids=["standard", "faithful", "kp-sum", "faithful-sum"],
 )
 def test_verify_ck_twice_on_one_rep_is_identical(make):
     g = builtin_graph("ex3v8e")
@@ -614,8 +616,10 @@ def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
         lambda g: standard_rep(g, pf_measure(g), 2),
         lambda g: kp_style_rep(g, 2),
         lambda g: faithful_rep(g, depth=3),
+        lambda g: DirectSumRep([kp_style_rep(g, 2), kp_style_rep(g, 2)]),
+        lambda g: faithful_rep(g, depth=3, sum_over_vertices=True),
     ],
-    ids=["standard", "kp", "faithful"],
+    ids=["standard", "kp", "faithful", "kp-sum", "faithful-sum"],
 )
 def test_op_forward_returns_the_reps_own_operator(make):
     rep = make(builtin_graph("ex3v8e"))

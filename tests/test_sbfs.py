@@ -16,7 +16,7 @@ from kgraph_lab.errors import (
     ZeroVertexMass,
 )
 from kgraph_lab.intervals import IntervalUnion, partition_atoms
-from kgraph_lab.kgraph import KGraph, Edge, deg_total, validate_kgraph
+from kgraph_lab.kgraph import KGraph, Edge, Square, deg_total, validate_kgraph
 from kgraph_lab.measures import (
     CylinderMeasure,
     ProductMeasureSpec,
@@ -95,6 +95,58 @@ def test_rn_derivative_degenerate():
         )
 
 
+# -- prefixing maps ---------------------------------------------------------------------
+
+
+def random_affine(rng):
+    return Affine1D(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5)),
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+
+
+def random_skew(rng):
+    def coef():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    beta = {(i, 0): coef() for i in range(3)}  # p0 of degree <= 2
+    beta.update({(i, 1): coef() for i in range(2)})  # p1 of degree <= 1
+    beta[(0, 1)] = beta[(0, 1)] or Fraction(1)
+    a = random_affine(rng)
+    return Skew2D.make(a.a, a.b, beta)
+
+
+def random_point(rng, dim):
+    def x():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+
+    return x() if dim == 1 else (x(), x())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_map_composition_and_inverse_are_exact(dim):
+    rng = random.Random(40 + dim)
+    make = random_affine if dim == 1 else random_skew
+    for _ in range(200):
+        m, n = make(rng), make(rng)
+        mn = m.after(n)
+        pt = random_point(rng, dim)
+        assert mn.apply(pt) == m.apply(n.apply(pt))
+        try:
+            assert m.inverse_point(m.apply(pt)) == pt
+        except DegenerateMap:  # p1 vanishes at x; the skew map is not injective there
+            assert dim == 2 and m.jacobian(pt) == 0
+        if dim == 2:
+            for p in (mn.p0, mn.p1):
+                assert all(isinstance(c, Fraction) for c in p)
+                assert len(p) == 1 or p[-1] != 0  # trimmed: == is polynomial identity
+
+
+def test_skew_map_dict_form_is_stored_as_two_x_polynomials():
+    m = Skew2D.make(-1, 1, {(0, 0): 1, (0, 1): -1, (2, 0): 0, (1, 1): Fraction(1, 3)})
+    assert (m.p0, m.p1) == ((Fraction(1),), (Fraction(-1), Fraction(1, 3)))
+    with pytest.raises(ValueError):
+        Skew2D.make(1, 0, {(0, 2): 1})
+
+
 # -- built-in systems -----------------------------------------------------------------
 
 
@@ -127,9 +179,9 @@ def test_noncstrn_ranges_are_triangles():
     sys = builtin_sbfs("noncstrn")
     r1 = sys.edge_range("f1")  # region above the diagonal
     r2 = sys.edge_range("f2")  # region below
-    assert r1.contains_point(Fraction(1, 4), Fraction(1, 2))
-    assert not r1.contains_point(Fraction(1, 2), Fraction(1, 4))
-    assert r2.contains_point(Fraction(1, 2), Fraction(1, 4))
+    assert r1.contains_point((Fraction(1, 4), Fraction(1, 2)))
+    assert not r1.contains_point((Fraction(1, 2), Fraction(1, 4)))
+    assert r2.contains_point((Fraction(1, 2), Fraction(1, 4)))
     assert r1.measure + r2.measure == 1
 
 
@@ -153,13 +205,73 @@ def test_perturbed_coding_edge_fails_squares():
     assert not report.condition("iii_squares").ok
 
 
+# (system, edge, replacement map, {failing condition: witnesses it must report})
+SKEW_FAULTS = [
+    (
+        "noncstrn", "e",
+        Skew2D.make(-1, 1, {(0, 0): 1, (0, 1): -1, (1, 1): Fraction(1, 3)}),
+        {
+            "iii_squares": [str((Square(left=("f2", "e"), right=("e", "f1")), "maps differ"))],
+            "iv_coding_commute": [],
+            "v_ranges_cover": [str(("v", 2, "deficit 1/6"))],
+        },
+    ),
+    (
+        "noncstrn", "f2",
+        Skew2D.make(Fraction(1, 2), 0, {(1, 1): 1}),
+        {
+            "iii_squares": [
+                str((Square(left=("f1", "e"), right=("e", "f2")), "maps differ")),
+                str((Square(left=("f2", "e"), right=("e", "f1")), "maps differ")),
+            ],
+            "iv_coding_commute": [],
+            "v_ranges_cover": [str(("v", 1, "undecided"))],
+            "ranges_disjoint": [str(("f1", "f2"))],
+        },
+    ),
+    (
+        "product-kawamura", "f@2[w]",
+        Skew2D.make(1, 0, {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 2),
+                           (1, 1): Fraction(1, 7)}),
+        {
+            "iii_squares": [
+                str((Square(left=("f@1[w]", "f@2[v]"), right=("f@2[w]", "f@1[v]")),
+                     "maps differ")),
+                str((Square(left=("g@1[w]", "f@2[w]"), right=("f@2[v]", "g@1[v]")),
+                     "R_b not in D_a")),
+                str((Square(left=("g@1[w]", "f@2[w]"), right=("f@2[v]", "g@1[v]")),
+                     "maps differ")),
+            ],
+            "iv_coding_commute": [],
+            "v_ranges_cover": [
+                str(("(w,w)", 2, "f@2[w]", "range leaks out of D_v")),
+                str(("(w,w)", 2, "deficit 11/112")),
+            ],
+            "ranges_disjoint": [str(("f@2[w]", "g@2[w]"))],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("name, eid, new_map, failing", SKEW_FAULTS,
+                         ids=[f"{n}-{e}" for n, e, _, _ in SKEW_FAULTS])
+def test_perturbed_skew_map_fails_exactly_the_pinned_conditions(name, eid, new_map, failing):
+    report = validate_sbfs(with_edge_map(builtin_sbfs(name), eid, new_map)).to_dict()
+    assert not report["ok"]
+    got = {c["name"]: c["witnesses"] for c in report["conditions"] if not c["ok"]}
+    assert set(got) == set(failing)
+    for cond, witnesses in failing.items():
+        assert got[cond], cond
+        for w in witnesses:
+            assert w in got[cond], (cond, w)
+
+
 def test_missing_color_fails_cover():
     # a raw skeleton lacking red edges entirely (not a valid 2-graph, so
     # built without validation): condition (v) must flag every vertex
     g = KGraph(2, ["v"], [Edge("b", 1, "v", "v")], [])
     sys = IntervalSBFS(
         g,
-        1,
         {"v": interval(0, 1)},
         {"b": Affine1D(Fraction(1), Fraction(0))},
         "broken",
@@ -220,7 +332,7 @@ def test_product_lift_domains_and_ranges():
     assert rng.measure == s.edge_range("f").measure * s.domains["w"].measure
     for x, y in [(Fraction(3, 4), Fraction(5, 8)), (Fraction(9, 16), Fraction(7, 8))]:
         expected = s.edge_range("f").contains_point(x) and s.domains["w"].contains_point(y)
-        assert rng.contains_point(x, y) == expected
+        assert rng.contains_point((x, y)) == expected
 
 
 def test_product_with_identity_loop_keeps_factor():
@@ -229,7 +341,7 @@ def test_product_with_identity_loop_keeps_factor():
     s = builtin_sbfs("kawamura:a=1/2")
     loop = validate_kgraph(1, ["*"], [Edge("z", 1, "*", "*")], [])
     triv = IntervalSBFS(
-        loop, 1, {"*": interval(0, 1)}, {"z": Affine1D(Fraction(1), Fraction(0))}
+        loop, {"*": interval(0, 1)}, {"z": Affine1D(Fraction(1), Fraction(0))}
     )
     assert validate_sbfs(triv).ok
     prod = lift_product_sbfs(s, triv)
@@ -387,7 +499,7 @@ def test_kirchhoff_identity_loop():
 
     loop = validate_kgraph(1, ["*"], [Edge("z", 1, "*", "*")], [])
     triv = IntervalSBFS(
-        loop, 1, {"*": interval(0, 1)}, {"z": Affine1D(Fraction(1), Fraction(0))}
+        loop, {"*": interval(0, 1)}, {"z": Affine1D(Fraction(1), Fraction(0))}
     )
     proj = canonical_projective(triv)
     rep = kirchhoff_check(proj, (1,))
@@ -584,7 +696,7 @@ def branching_cycle_system():
         "k2": Affine1D(Fraction(-1, 2), Fraction(5, 4)),
         "m": Affine1D(Fraction(1), -q[3]),
     }
-    return IntervalSBFS(g, 1, domains, maps)
+    return IntervalSBFS(g, domains, maps)
 
 
 def test_monic_probe_cut_spreads_along_chains():
@@ -617,7 +729,34 @@ def random_loop_system(rng, tiling):
         edges.append(Edge(eid, 1, "v", "v"))
         maps[eid] = Affine1D(hi - lo, lo) if rng.random() < 0.5 else Affine1D(lo - hi, hi)
     g = validate_kgraph(1, ["v"], edges, [], name=f"random{n}")
-    return IntervalSBFS(g, 1, {"v": IntervalUnion.interval(0, 1)}, maps)
+    return IntervalSBFS(g, {"v": IntervalUnion.interval(0, 1)}, maps)
+
+
+def test_path_ranges_match_the_per_path_reference():
+    rng = random.Random(5)
+    systems = [builtin_sbfs(n) for n in BUILTIN_SYSTEMS if builtin_sbfs(n).dim == 1]
+    systems += [random_loop_system(rng, tiling) for tiling in (True, False) for _ in range(6)]
+    systems.append(branching_cycle_system())
+    # R_c0 leaks out of D_v, so each step must cut the tail's range to D_e
+    leaky = Affine1D(Fraction(1), Fraction(1, 4))
+    systems.append(with_edge_map(builtin_sbfs("ex3v8e"), "c0", leaky))
+    for sys in systems:
+        g = sys.graph
+        depth = 3 if len(g.edges) > 4 else 4
+        ranges = sys.path_ranges(depth)
+        want = {lam: sys.path_range_1d(lam)
+                for n in itertools.product(range(depth + 1), repeat=g.k)
+                for lam in g.enumerate_paths(n)}
+        assert ranges == want, sys.name
+
+
+def test_products_of_random_tiling_systems_validate():
+    rng = random.Random(9)
+    systems = [random_loop_system(rng, tiling=True) for _ in range(6)]
+    for a, b in zip(systems, systems[1:]):
+        assert validate_sbfs(a).ok
+        report = validate_sbfs(lift_product_sbfs(a, b))
+        assert report.ok, [c.to_dict() for c in report.conditions if not c.ok]
 
 
 @pytest.mark.parametrize("tiling", [True, False])

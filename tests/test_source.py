@@ -1,0 +1,39 @@
+"""Source rules for the package, checked on the syntax trees of its modules."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "kgraph_lab"
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(source):
+    """Line numbers of bare `except:` clauses and of handlers naming a broad class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {getattr(t, "id", getattr(t, "attr", None)) for t in types if t is not None}
+        if node.type is None or names & BROAD:
+            out.append(node.lineno)
+    return out
+
+
+@pytest.mark.parametrize(
+    "clause",
+    ["except:", "except Exception:", "except BaseException as exc:",
+     "except (ValueError, Exception):", "except builtins.Exception:"],
+)
+def test_broad_handler_rule_sees_each_form(clause):
+    assert broad_handlers(f"try:\n    pass\n{clause}\n    pass\n") == [3]
+    assert broad_handlers("try:\n    pass\nexcept (KeyError, ValueError):\n    pass\n") == []
+
+
+def test_no_broad_exception_handlers_in_the_package():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {m.name: broad_handlers(m.read_text()) for m in modules}
+    assert not {name: lines for name, lines in found.items() if lines}
