@@ -24,6 +24,7 @@ from .errors import (
     KGraphLabError,
     NotComposable,
     SpecInvariantViolated,
+    UnsupportedGraphShape,
     UsageError,
 )
 
@@ -469,7 +470,7 @@ def main(argv=None):
     try:
         job = parse_job(argv)
         return run(job)
-    except (UsageError, DegreeCapExceeded) as exc:
+    except (UsageError, DegreeCapExceeded, UnsupportedGraphShape) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except KGraphLabError as exc:

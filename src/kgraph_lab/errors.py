@@ -113,6 +113,10 @@ class ZeroDenominator(KGraphLabError):
     """A Radon-Nikodym quotient hit a zero-mass cylinder."""
 
 
+class RangesOverlap(KGraphLabError):
+    """Ranges that should tile a domain overlap, so their measures do not add."""
+
+
 class DegenerateMap(KGraphLabError):
     """A prefixing map has a vanishing Jacobian on a positive-measure set."""
 
@@ -153,6 +157,10 @@ class CocycleViolation(KGraphLabError):
         super().__init__(
             f"cocycle fails for ({lam}, {nu}) at {point}: residual {residual}"
         )
+
+
+class NoPathBasis(KGraphLabError):
+    """The representation's basis is not a block of paths."""
 
 
 class UnsupportedMeasure(KGraphLabError):

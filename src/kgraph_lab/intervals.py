@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import RangesOverlap
+
 
 # ---------------------------------------------------------------------------
 # univariate polynomials (tuple of coefficients, low degree first)
@@ -299,9 +301,13 @@ class Box(NamedTuple):
         return list(zip(self.x.sample_points(count), self.y.sample_points(count, salt=3)))
 
     def uncovered(self, ranges):
-        """measure(self minus the union of the Region2 `ranges`); None when the
-        ranges are not provably disjoint, so their measures cannot be summed."""
-        if not Region2([s for r in ranges for s in r.strips]).pairwise_overlap_is_null():
+        """measure(self minus the union of the Region2 `ranges`), summing their
+        measures.  Raises RangesOverlap when two strips provably overlap;
+        None when disjointness is undecided."""
+        disjoint = Region2([s for r in ranges for s in r.strips]).pairwise_overlap_is_null()
+        if disjoint is False:
+            raise RangesOverlap("two ranges overlap on a set of positive measure")
+        if disjoint is None:
             return None
         return self.measure - sum((r.measure for r in ranges), Fraction(0))
 

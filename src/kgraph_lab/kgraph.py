@@ -88,6 +88,17 @@ def deg_grid(k, depth):
     return list(itertools.product(range(depth + 1), repeat=k))
 
 
+def shift_windows(dx, dy, bound):
+    """Shift pairs (m, n, w) with m, n <= bound*(1,..,1), in deg_grid order,
+    whose common window w = min(dx - m, dy - n) is >= (1,..,1)."""
+    grid = deg_grid(len(dx), bound)
+    for m in grid:
+        for n in grid:
+            w = tuple(min(a - i, b - j) for a, i, b, j in zip(dx, m, dy, n))
+            if min(w) >= 1:
+                yield m, n, w
+
+
 # ---------------------------------------------------------------------------
 # skeleton data
 
@@ -388,15 +399,7 @@ class KGraph:
         that coincide on every prefix), or Inconclusive.
         """
         dd = deg_diag(self.k, depth)
-        grid = deg_grid(self.k, depth)
-        pairs = []
-        for m in grid:
-            for n in grid:
-                if m == n or m < n:
-                    continue
-                w = deg_sub(dd, deg_join(m, n))
-                if all(c >= 1 for c in w):
-                    pairs.append((m, n, w))
+        pairs = [(m, n, w) for m, n, w in shift_windows(dd, dd, depth) if m > n]
         if not pairs:
             raise DepthTooSmall(f"depth {depth} separates no shift pair")
         prefixes = self.enumerate_paths(dd, v)

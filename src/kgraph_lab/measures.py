@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from .kgraph import deg_add, deg_diag, deg_grid, deg_sub, deg_total, deg_unit
+from .kgraph import deg_add, deg_diag, deg_grid, deg_total, deg_unit
 
 MAX_POWER_ITERATIONS = 100_000
 
@@ -157,35 +157,60 @@ def _try_exact_pf(g, rho_estimates):
 
 
 class CylinderMeasure:
-    """Lazily evaluated assignment path -> measure of its cylinder set."""
+    """Lazily evaluated assignment path -> measure of its cylinder set.
 
-    def __init__(self, graph, fn, tag, exact):
+    ``fn`` gives the value of a base cylinder.  ``base(degree)`` names the
+    base degree at or above a degree; without it every cylinder is a base
+    cylinder.  Any shallower cylinder is the sum of its one-edge extensions
+    in the first color short of the base, read through ``value``
+    (additivity), so each value is computed once per measure.
+    """
+
+    def __init__(self, graph, fn, tag, exact, base=None):
         self.graph = graph
         self.tag = tag
         self.exact = exact
         self._fn = fn
+        self._base = base
+        self._bumps = {}
         self._cache = {}
 
     def value(self, path):
         key = (path.range, path.edges)
         if key not in self._cache:
-            val = self._fn(path)
+            val = self._derive(path)
+            if key in self._bumps:
+                val += self._bumps[key]
             if val < 0:
                 raise AdditivityViolation(path, float(val))
             self._cache[key] = val
         return self._cache[key]
 
+    def _derive(self, path):
+        if self._base is not None:
+            base = self._base(path.degree)
+            for color, (have, want) in enumerate(zip(path.degree, base), start=1):
+                if have < want:
+                    g = self.graph
+                    return sum(
+                        self.value(g.compose(path, g.edge_path(e.eid)))
+                        for e in g.edges_from(g.s(path), color)
+                    )
+        return self._fn(path)
+
+    def quotient(self, lam, eta):
+        """The Radon-Nikodym quotient value(Z(lam eta)) / value(Z(eta))."""
+        denom = self.value(eta)
+        if denom == 0:
+            raise ZeroDenominator(f"Z({eta}) has measure 0")
+        return self.value(self.graph.compose(lam, eta)) / denom
+
     def perturbed(self, path, delta):
-        """Copy with the value at one canonical path bumped (fault injection)."""
-        target = (path.range, path.edges)
-
-        def fn(p):
-            val = self._fn(p)
-            if (p.range, p.edges) == target:
-                return val + delta
-            return val
-
-        return CylinderMeasure(self.graph, fn, self.tag + "+perturbed", self.exact)
+        """Copy with the value at one canonical path bumped (fault injection);
+        the values derived from it by additivity carry the bump."""
+        out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact, self._base)
+        out._bumps = {**self._bumps, (path.range, path.edges): delta}
+        return out
 
 
 def pf_measure(g, pf=None, tol=1e-10):
@@ -321,17 +346,9 @@ def _rainbow_cuts(n, first):
     return cuts
 
 
-def _square_extension_value(g, square_fn):
-    """Wrap a square-cylinder formula into a total cylinder-value function."""
-
-    def fn(path):
-        n = max(path.degree)
-        if path.degree == (n, n):
-            return square_fn(path)
-        gap = deg_sub((n, n), path.degree)
-        return sum(square_fn(g.compose(path, eta)) for eta in g.enumerate_paths(gap, g.s(path)))
-
-    return fn
+def _square(degree):
+    """The base degree (n, n), n = max(degree), of product and Markov measures."""
+    return deg_diag(len(degree), max(degree))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +471,7 @@ def product_measure(g, spec):
                 val *= (1 + gm if s < half else 1 - gm) / Fraction(two_n)
             return val
 
-    return CylinderMeasure(
-        g, _square_extension_value(g, square_fn), f"product({spec.family})", spec.exact
-    )
+    return CylinderMeasure(g, square_fn, f"product({spec.family})", spec.exact, _square)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +611,7 @@ def markov_measure(g, spec):
             val *= spec.matrix[a][b]
         return val
 
-    return CylinderMeasure(
-        g, _square_extension_value(g, square_fn), "markov", spec.exact
-    )
+    return CylinderMeasure(g, square_fn, "markov", spec.exact, _square)
 
 
 # ---------------------------------------------------------------------------
@@ -758,13 +771,7 @@ def rn_estimate(measure, lam, rule, depth, tol=1e-12):
     g = measure.graph
     if g.s(lam) != rule.range:
         raise NotComposable(f"s({lam}) != r(x) = {rule.range}")
-    quotients = []
-    for n in range(1, depth + 1):
-        z = rule.prefix(n)
-        denom = measure.value(z)
-        if denom == 0:
-            raise ZeroDenominator(f"Z({z}) has measure 0")
-        quotients.append(measure.value(g.compose(lam, z)) / denom)
+    quotients = [measure.quotient(lam, rule.prefix(n)) for n in range(1, depth + 1)]
     converged = len(quotients) >= 2 and abs(
         float(quotients[-1] - quotients[-2])
     ) <= tol

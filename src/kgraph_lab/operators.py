@@ -45,11 +45,13 @@ from .errors import (
     CoverViolation,
     DepthTooSmall,
     EncodingConflict,
+    NoPathBasis,
     NoPeriodFound,
     NotStronglyConnected,
     PeriodicOrbit,
     UnsupportedMeasure,
 )
+from .intervals import IntervalUnion, atoms_meeting, partition_atoms
 from .kgraph import (
     PeriodCandidate,
     deg_add,
@@ -60,6 +62,7 @@ from .kgraph import (
     deg_sub,
     deg_total,
     deg_unit,
+    shift_windows,
 )
 from .measures import CylinderMeasure, default_prefix_rule, pf_data
 
@@ -92,6 +95,7 @@ class StandardRep:
 
     kind = "standard"
     discrete = False
+    path_basis = True  # block m holds the paths of degree m
 
     def __init__(self, graph, measure, depth, tol=1e-10):
         self.graph = graph
@@ -139,10 +143,9 @@ class StandardRep:
     def _constant_quotient(self, lam, eta):
         """Phi_lam restricted to Z(eta) if constant, else None."""
         g = self.graph
-        base = self.measure.value(g.compose(lam, eta)) / self.measure.value(eta)
+        base = self.measure.quotient(lam, eta)
         for ext in g.enumerate_paths(deg_diag(g.k, 1), g.s(eta)):
-            deeper = g.compose(eta, ext)
-            q = self.measure.value(g.compose(lam, deeper)) / self.measure.value(deeper)
+            q = self.measure.quotient(lam, g.compose(eta, ext))
             if self.measure.exact:
                 if q != base:
                     return None
@@ -943,28 +946,26 @@ def pvm_additivity(rep, depth=1, tol=1e-10):
 def induced_measure(rep, xi=None, block=None):
     """Cylinder measure value(lam) = <xi, P(Z(lam)) xi> on represented depths.
 
-    xi defaults to the constant function 1 (standard reps).  The result
-    is exact for exact measures since the diagonal projection masks pair
-    the square roots back into plain weights.
+    xi defaults to the constant function 1 on a rep whose basis is a block
+    of paths (standard and KP reps): the paths of the block are the base
+    cylinders with their weights, and CylinderMeasure sums shallower
+    cylinders from them, exactly for exact measures.
     """
     g = rep.graph
     if block is None:
         block = deg_diag(g.k, rep.depth)
 
-    if xi is None and not rep.discrete:
+    if xi is None:
+        if not getattr(rep, "path_basis", False):
+            raise NoPathBasis(f"a {rep.kind} rep needs an explicit vector xi")
 
         def fn(path):
-            if not deg_le(path.degree, block):
+            if path.degree != block:
                 raise DepthTooSmall(f"{path} deeper than the represented block")
-            total = 0 if rep.measure is None or not rep.measure.exact else Fraction(0)
-            for eta in rep.block(block):
-                if g.strip_prefix(eta, path) is not None:
-                    total += rep.weight(eta)
-            return total
+            return rep.weight(path)
 
-        return CylinderMeasure(
-            g, fn, f"induced({rep.kind})", rep.measure.exact if rep.measure else True
-        )
+        tag, exact = f"induced({rep.kind})", rep.measure.exact if rep.measure else True
+        return CylinderMeasure(g, fn, tag, exact, lambda d: block if deg_le(d, block) else d)
 
     xi_vec = np.asarray(xi, dtype=float)
 
@@ -1009,8 +1010,6 @@ class IntervalDiagonalRep:
     kind = "interval-diagonal"
 
     def __init__(self, sys, level, resolution=Fraction(1, 16)):
-        from .intervals import IntervalUnion, partition_atoms
-
         self.sys = sys
         self.graph = sys.graph
         self.depth = level
@@ -1042,8 +1041,6 @@ class IntervalDiagonalRep:
         return np.array([float(hi - lo) ** 0.5 for lo, hi in self.atoms])
 
     def pvm_mask(self, lam, block):
-        from .intervals import atoms_meeting
-
         # every range generated the atoms, so it holds exactly the atoms it meets
         rng = self._ranges[lam]
         mask = np.zeros(len(self.atoms))
@@ -1063,23 +1060,10 @@ def orbit_equal(graph, x_prefix, y_prefix, depth):
     """Depth-limited orbit test: some shifted windows of x and y agree."""
     g = graph
     found_comparable = False
-    grid = deg_grid(g.k, depth)
-    for m in grid:
-        if not deg_le(m, x_prefix.degree):
-            continue
-        for n in grid:
-            if not deg_le(n, y_prefix.degree):
-                continue
-            wx = deg_sub(x_prefix.degree, m)
-            wy = deg_sub(y_prefix.degree, n)
-            w = tuple(min(a, b) for a, b in zip(wx, wy))
-            if not all(c >= 1 for c in w):
-                continue
-            found_comparable = True
-            seg_x = g.segment(x_prefix, m, deg_add(m, w))
-            seg_y = g.segment(y_prefix, n, deg_add(n, w))
-            if seg_x == seg_y:
-                return True
+    for m, n, w in shift_windows(x_prefix.degree, y_prefix.degree, depth):
+        found_comparable = True
+        if g.segment(x_prefix, m, deg_add(m, w)) == g.segment(y_prefix, n, deg_add(n, w)):
+            return True
     if not found_comparable:
         raise DepthTooSmall("no comparable shift windows at this depth")
     return False
@@ -1088,19 +1072,11 @@ def orbit_equal(graph, x_prefix, y_prefix, depth):
 def prefix_has_period(graph, prefix, bound=3):
     """True if some pair of shifts <= bound agrees on the prefix windows."""
     g = graph
-    grid = deg_grid(g.k, bound)
-    for m in grid:
-        for n in grid:
-            if m <= n:
-                continue
-            w = deg_sub(prefix.degree, deg_join(m, n))
-            if not all(c >= 1 for c in w):
-                continue
-            if g.segment(prefix, m, deg_add(m, w)) == g.segment(
-                prefix, n, deg_add(n, w)
-            ):
-                return True
-    return False
+    return any(
+        g.segment(prefix, m, deg_add(m, w)) == g.segment(prefix, n, deg_add(n, w))
+        for m, n, w in shift_windows(prefix.degree, prefix.degree, bound)
+        if m > n
+    )
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .errors import (
     NonpositiveDensity,
     NonpositiveRN,
     ParameterOutOfRange,
+    RangesOverlap,
     ZeroVertexMass,
 )
 from .intervals import (
@@ -49,7 +50,18 @@ from .intervals import (
     poly_mul,
     poly_trim,
 )
-from .kgraph import Path, deg_diag, deg_grid, deg_sub, deg_unit
+from .catalog import builtin_graph
+from .kgraph import (
+    Path,
+    build_double,
+    build_product,
+    deg_diag,
+    deg_grid,
+    deg_sub,
+    deg_unit,
+    graph_from_dict,
+    graph_to_dict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +463,11 @@ def validate_sbfs(sys, tol=1e-12, sample_count=256):
             for eid in ids:
                 if not sys.range_in_domain(eid, v):
                     bad.append((v, color, eid, "range leaks out of D_v"))
-            deficit = sys.domains[v].uncovered([sys.edge_range(eid) for eid in ids])
+            try:
+                deficit = sys.domains[v].uncovered([sys.edge_range(eid) for eid in ids])
+            except RangesOverlap:
+                bad.append((v, color, "overlap"))
+                continue
             if deficit is None:
                 bad.append((v, color, "undecided"))
             elif deficit != 0:
@@ -502,8 +518,6 @@ def with_edge_map(sys, eid, new_map):
 
 
 def system_two_vertex_three_edge():
-    from .catalog import builtin_graph
-
     g = builtin_graph("exonevthreeed")
     half = Fraction(1, 2)
     domains = {
@@ -519,8 +533,6 @@ def system_two_vertex_three_edge():
 
 
 def system_one_vertex_two_blue():
-    from .catalog import builtin_graph
-
     g = builtin_graph("exonevtwoe")
     domains = {"v": IntervalUnion.interval(0, 1)}
     edge_maps = {
@@ -532,8 +544,6 @@ def system_one_vertex_two_blue():
 
 
 def system_nonconstant_rn():
-    from .catalog import builtin_graph
-
     g = builtin_graph("noncstrn")
     unit = IntervalUnion.interval(0, 1)
     domains = {"v": Box(unit, unit)}
@@ -550,8 +560,6 @@ def system_nonconstant_rn():
 
 
 def system_three_vertex_eight_edge():
-    from .catalog import builtin_graph
-
     g = builtin_graph("ex3v8e")
     third = Fraction(1, 3)
     domains = {
@@ -573,8 +581,6 @@ def system_three_vertex_eight_edge():
 
 
 def system_kawamura(a):
-    from .catalog import builtin_graph
-
     a = Fraction(a)
     if not 0 < a < 1:
         raise ParameterOutOfRange(f"a = {a} outside (0, 1)")
@@ -608,8 +614,6 @@ def builtin_examples(a=Fraction(1, 2)):
 
 def lift_double_sbfs(esys):
     """System on the double 2-graph: both copies of an edge share its map."""
-    from .kgraph import build_double
-
     if esys.graph.k != 1:
         raise DimensionUnsupported("double lift starts from a 1-graph system")
     g2 = build_double(esys.graph)
@@ -622,8 +626,6 @@ def lift_double_sbfs(esys):
 
 def lift_product_sbfs(s1, s2):
     """Product system on box domains; factor maps act per coordinate."""
-    from .kgraph import build_product
-
     if s1.dim != 1 or s2.dim != 1:
         raise DimensionUnsupported("product lift needs two 1D systems")
     gp = build_product(s1.graph, s2.graph)
@@ -670,14 +672,8 @@ class PathspaceSBFS:
         for e in graph.edges:
             lam = graph.edge_path(e.eid)
             for w in graph.enumerate_paths(diag, graph.s(lam)):
-                denom = measure.value(w)
-                if denom <= 0 or measure.value(graph.compose(lam, w)) <= 0:
+                if measure.value(w) <= 0 or measure.quotient(lam, w) <= 0:
                     raise NonpositiveRN(e.eid, w)
-
-    def rn_quotient(self, path, z):
-        """value(Z(path.z)) / value(Z(z)) for a deep prefix z."""
-        g = self.graph
-        return self.measure.value(g.compose(path, z)) / self.measure.value(z)
 
     def code(self, n, z):
         """tau^n(z): the tail of z past degree n."""
@@ -686,7 +682,7 @@ class PathspaceSBFS:
     def rn_at(self, path, z):
         """The quotient at the tail of z past path, or None when path is no prefix of z."""
         tail = self.graph.strip_prefix(z, path)
-        return None if tail is None else self.rn_quotient(path, tail)
+        return None if tail is None else self.measure.quotient(path, tail)
 
     def head_is(self, z, path):
         return self.graph.strip_prefix(z, path) is not None
@@ -1023,8 +1019,6 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
 
 
 def sbfs_to_dict(sys):
-    from .kgraph import graph_to_dict
-
     if sys.product_factors is not None:
         return {"product_factors": [sbfs_to_dict(f) for f in sys.product_factors]}
 
@@ -1066,8 +1060,6 @@ def sbfs_to_dict(sys):
 
 
 def sbfs_from_dict(data):
-    from .kgraph import graph_from_dict
-
     if "product_factors" in data:
         return lift_product_sbfs(*(sbfs_from_dict(f) for f in data["product_factors"]))
 

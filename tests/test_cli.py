@@ -180,6 +180,10 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
         # flags and job-file params outside the flag names
         ["rep-verify", "--builtin", "ex3v8e", "--seed", "7"],
         ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"dpeth": 3}}'],
+        # measure specs whose shape does not fit the graph
+        ["measure", "--builtin", "ehfg", "--measure", "product:const:0"],
+        ["measure", "--builtin", "lambda2N:N=2", "--measure", "markov:x=1/3"],
+        ["rep-verify", "--builtin", "kawamura", "--measure", "product:const:0"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from kgraph_lab.intervals import IntervalUnion, atoms_meeting, partition_atoms
+from kgraph_lab.errors import RangesOverlap
+from kgraph_lab.intervals import (
+    Box,
+    IntervalUnion,
+    Region2,
+    Strip,
+    atoms_meeting,
+    partition_atoms,
+)
 
 
 # -- references: the sort-and-merge versions the merges replaced --------------------------------
@@ -132,3 +140,20 @@ def test_atoms_meeting_matches_linear_scan(seed):
                    for lo, _ in atoms]
         for union in probes:
             assert atoms_meeting(atoms, his, union) == reference_atoms_meeting(atoms, union)
+
+
+def test_box_uncovered_tells_overlap_from_undecided():
+    unit = IntervalUnion.interval(0, 1)
+    box = Box(unit, unit)
+    half = Fraction(1, 2)
+
+    def strip(lower, upper):
+        return Region2([Strip(Fraction(0), Fraction(1), lower, upper)])
+
+    # y < 1/2 and y > 1/2 tile the square; y < 1/2 and y > 1/4 provably overlap
+    assert box.uncovered([strip((0,), (half,)), strip((half,), (1,))]) == 0
+    with pytest.raises(RangesOverlap):
+        box.uncovered([strip((0,), (half,)), strip((Fraction(1, 4),), (1,))])
+    # y < x^3 and y > x^3 / 2: a cubic gap, which the exact test cannot decide
+    cube = (0, 0, 0, Fraction(1))
+    assert box.uncovered([strip((0,), cube), strip((0, 0, 0, half), (1,))]) is None

@@ -26,6 +26,7 @@ from kgraph_lab.kgraph import (
     deg_sub,
     graph_from_dict,
     graph_to_dict,
+    shift_windows,
     to_dot,
     validate_kgraph,
 )
@@ -806,3 +807,84 @@ def test_split_rejects_cuts_outside_an_ascending_chain():
     for cuts in ([(1, 1), (1, 0)], [(3, 0)], [(-1, 0)], [(1, 1), (2, 3)]):
         with pytest.raises(DegreeOutOfRange):
             g.split(p, cuts)
+
+
+# -- shift windows -------------------------------------------------------------------
+
+
+def reference_orbit_windows(k, dx, dy, depth):
+    """The shift loop of orbit_equal before shift_windows."""
+    out = []
+    grid = degrees_up_to(k, depth)
+    for m in grid:
+        if not deg_le(m, dx):
+            continue
+        for n in grid:
+            if not deg_le(n, dy):
+                continue
+            wx = deg_sub(dx, m)
+            wy = deg_sub(dy, n)
+            w = tuple(min(a, b) for a, b in zip(wx, wy))
+            if not all(c >= 1 for c in w):
+                continue
+            out.append((m, n, w))
+    return out
+
+
+def reference_period_windows(k, d, bound):
+    """The shift loop of prefix_has_period before shift_windows."""
+    out = []
+    grid = degrees_up_to(k, bound)
+    for m in grid:
+        for n in grid:
+            if m <= n:
+                continue
+            w = deg_sub(d, deg_join(m, n))
+            if not all(c >= 1 for c in w):
+                continue
+            out.append((m, n, w))
+    return out
+
+
+def reference_probe_windows(k, depth):
+    """The pair loop of KGraph.periodicity_probe before shift_windows."""
+    dd = (depth,) * k
+    grid = degrees_up_to(k, depth)
+    pairs = []
+    for m in grid:
+        for n in grid:
+            if m == n or m < n:
+                continue
+            w = deg_sub(dd, deg_join(m, n))
+            if all(c >= 1 for c in w):
+                pairs.append((m, n, w))
+    return pairs
+
+
+def shift_window_graphs():
+    graphs = [builtin_graph(name) for name in ALL_BUILTINS]
+    for seed in range(4):
+        for k in (2, 3):
+            graphs.append(random_graph(random.Random(500 + seed), k))
+    return graphs
+
+
+def test_shift_windows_match_the_three_old_loops():
+    rng = random.Random(7)
+    windows = 0
+    for g in shift_window_graphs():
+        k = g.k
+        for depth in range(4):
+            dd = (depth,) * k
+            later = [t for t in shift_windows(dd, dd, depth) if t[0] > t[1]]
+            assert later == reference_probe_windows(k, depth)
+        for _ in range(12):
+            x = g.path(random_walk(rng, g, rng.randint(1, 7)))
+            y = g.path(random_walk(rng, g, rng.randint(1, 7)))
+            bound = rng.randint(0, 3)
+            got = list(shift_windows(x.degree, y.degree, bound))
+            assert got == reference_orbit_windows(k, x.degree, y.degree, bound)
+            windows += len(got)
+            later = [t for t in shift_windows(x.degree, x.degree, bound) if t[0] > t[1]]
+            assert later == reference_period_windows(k, x.degree, bound)
+    assert windows > 0

@@ -14,7 +14,8 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import Edge, deg_unit, validate_kgraph
+from kgraph_lab.kgraph import Edge, deg_sub, deg_unit, validate_kgraph
+from kgraph_lab import measures
 from kgraph_lab.measures import (
     CylinderMeasure,
     Equivalent,
@@ -601,3 +602,120 @@ def test_rainbow_symbols_match_unit_factorization_loop(name):
         for path in g.enumerate_paths((n, n)):
             expected = reference_rainbow_symbols(g, shape, path)
             assert _rainbow_symbols(g, shape, path) == expected
+
+
+# -- derived cylinder values ----------------------------------------------------------------
+
+
+def reference_square_extension_value(g, square_fn):
+    """Every cylinder summed from square_fn over all its extensions to the
+    square degree: how product and Markov values were computed before
+    CylinderMeasure derived them by one-edge additivity."""
+
+    def fn(path):
+        n = max(path.degree)
+        if path.degree == (n, n):
+            return square_fn(path)
+        gap = deg_sub((n, n), path.degree)
+        return sum(square_fn(g.compose(path, eta)) for eta in g.enumerate_paths(gap, g.s(path)))
+
+    return fn
+
+
+def four_state_chain():
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+    rows = (
+        (quarter, quarter, quarter, quarter),
+        (Fraction(1, 2), sixth, sixth, sixth),
+        (eighth, 3 * eighth, quarter, quarter),
+        (third, third, sixth, sixth),
+    )
+    return MarkovMeasureSpec(rows).validated()
+
+
+def square_measure_cases():
+    cases = []
+    for name, bound in [("exonevtwoe", 4), ("ex3v8e", 4), ("lambda2N:N=1", 4), ("lambda2N:N=2", 3)]:
+        g = builtin_graph(name)
+        for text in ["const:0", "const:1/4", "geometric:1/2,1/2", "finite:1/4,0,-1/8"]:
+            spec = parse_product_spec(text)
+            cases.append((name, bound, f"product:{text}", lambda g=g, spec=spec: product_measure(g, spec)))
+        chain = four_state_chain() if name == "lambda2N:N=2" else t_x_matrix(Fraction(1, 3))
+        cases.append((name, bound, "markov", lambda g=g, chain=chain: markov_measure(g, chain)))
+    return cases
+
+
+def outcome(fn, path):
+    try:
+        return fn(path)
+    except GammaOutOfRange:
+        return GammaOutOfRange  # geometric:1/2,1/2 reads gamma_0 = 1/2 on star shapes
+
+
+SQUARE_CASES = square_measure_cases()
+
+
+@pytest.mark.parametrize(
+    "name, bound, tag, make", SQUARE_CASES, ids=[f"{n}-{t}" for n, _, t, _ in SQUARE_CASES]
+)
+def test_derived_values_equal_square_extension_reference(name, bound, tag, make):
+    m = make()
+    g = m.graph
+    reference = reference_square_extension_value(g, make()._fn)
+    compared = 0
+    for a in range(bound + 1):
+        for b in range(bound + 1):
+            for lam in g.enumerate_paths((a, b)):
+                want = outcome(reference, lam)
+                got = outcome(m.value, lam)
+                assert got == want and type(got) is type(want), (lam, got, want)
+                compared += 1
+    assert compared > (bound + 1) ** 2
+
+
+def test_consistency_computes_each_square_value_once(monkeypatch):
+    calls = []
+    rainbow = measures._rainbow_symbols
+    monkeypatch.setattr(
+        measures, "_rainbow_symbols", lambda *args: calls.append(args[2]) or rainbow(*args)
+    )
+    g = builtin_graph("exonevtwoe")
+    m = product_measure(g, parse_product_spec("geometric:1/2,1/2"))
+    assert check_consistency(m, 4).ok
+    # once per square path of degree (n, n), n <= 5: 1 + 2 + 4 + 8 + 16 + 32
+    assert len(calls) == 63
+    assert len(set(calls)) == 63
+
+
+@pytest.mark.parametrize(
+    "edges", [["f1", "e"], ["f1"], ["f2", "f1"], ["f1", "e", "f2"]]
+)
+def test_perturbed_product_fails_at_the_bumped_path_or_its_parent(edges):
+    g = builtin_graph("exonevtwoe")
+    m = product_measure(g, parse_product_spec("const:1/4"))
+    bad_at = g.path(edges)
+    bad = m.perturbed(bad_at, Fraction(1, 64))
+    assert bad.value(bad_at) == m.value(bad_at) + Fraction(1, 64)
+    rep = check_consistency(bad, 2)
+    assert not rep.ok
+    assert rep.worst_residual == 1 / 64
+    parents = [bad_at]
+    if min(bad_at.degree) >= 1:
+        parents.append(g.factorize(bad_at, deg_sub(bad_at.degree, (1, 1)))[0])
+    assert rep.worst_path in parents
+    # values derived by additivity carry the bump: Z(f1) sums Z(f1.e)
+    if edges == ["f1", "e"]:
+        assert bad.value(g.edge_path("f1")) == m.value(g.edge_path("f1")) + Fraction(1, 64)
+    assert check_consistency(m, 2).ok
+
+
+def test_quotient_is_the_cylinder_value_ratio():
+    g = builtin_graph("exonevtwoe")
+    m = markov_measure(g, t_x_matrix(Fraction(1, 3)))
+    lam = g.edge_path("f1")
+    for eta in g.enumerate_paths((2, 2)):
+        assert m.quotient(lam, eta) == m.value(g.compose(lam, eta)) / m.value(eta)
+    zero = CylinderMeasure(g, lambda p: Fraction(0), "zero", True)
+    with pytest.raises(ZeroDenominator):
+        zero.quotient(lam, g.vertex_path("v"))

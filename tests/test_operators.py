@@ -15,6 +15,8 @@ from kgraph_lab import operators
 from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph, builtin_sbfs
 from kgraph_lab.errors import (
     DegreeCapExceeded,
+    DepthTooSmall,
+    NoPathBasis,
     NoPeriodFound,
     PeriodicOrbit,
     UnsupportedMeasure,
@@ -50,13 +52,20 @@ from kgraph_lab.operators import (
     op_forward,
     orbit_equal,
     permutative_validate,
+    prefix_has_period,
     pvm,
     pvm_additivity,
     standard_rep,
     tail_equivalence_map,
     verify_ck,
 )
-from test_kgraph import random_graph
+from test_kgraph import (
+    random_graph,
+    random_walk,
+    reference_orbit_windows,
+    reference_period_windows,
+    shift_window_graphs,
+)
 from test_measures import loop_graph
 
 SQRT2 = math.sqrt(2.0)
@@ -728,6 +737,61 @@ def test_induced_measure_point_mass_and_zero():
     assert zero.value(g.vertex_path("v")) == 0.0
 
 
+def reference_block_scan(rep, block):
+    """induced_measure before CylinderMeasure summed it: scan the whole block
+    for the paths with prefix lam and add up their weights."""
+    g = rep.graph
+
+    def fn(path):
+        total = 0 if rep.measure is None or not rep.measure.exact else Fraction(0)
+        for eta in rep.block(block):
+            if g.strip_prefix(eta, path) is not None:
+                total += rep.weight(eta)
+        return total
+
+    return fn
+
+
+@pytest.mark.parametrize("name", ["exonevtwoe", "ex3v8e", "lambda2N:N=1"])
+def test_induced_measure_matches_block_scan(name):
+    g, cases = measures_for(name)
+    for tag, m in cases:
+        rep = standard_rep(g, m, 2)
+        ind = induced_measure(rep)
+        scan = reference_block_scan(rep, (2, 2))
+        for n in deg_grid(g.k, 2):
+            for lam in g.enumerate_paths(n):
+                if m.exact:
+                    assert ind.value(lam) == scan(lam), (tag, lam)
+                    assert type(ind.value(lam)) is type(scan(lam))
+                else:
+                    assert abs(ind.value(lam) - scan(lam)) <= 1e-12, (tag, lam)
+
+
+@pytest.mark.parametrize("name", ["exonevtwoe", "ex3v8e", "ehfg"])
+def test_induced_measure_of_a_kp_rep_counts_block_paths(name):
+    g = builtin_graph(name)
+    rep = kp_style_rep(g, 2)
+    ind = induced_measure(rep)
+    scan = reference_block_scan(rep, (2, 2))
+    for n in deg_grid(g.k, 2):
+        for lam in g.enumerate_paths(n):
+            count = sum(g.strip_prefix(eta, lam) is not None for eta in rep.block((2, 2)))
+            assert ind.value(lam) == scan(lam) == count
+    assert sum(ind.value(g.vertex_path(v)) for v in g.vertices) == rep.block_dim((2, 2))
+    with pytest.raises(DepthTooSmall):
+        ind.value(g.enumerate_paths((3, 0))[0])
+
+
+def test_induced_measure_needs_a_path_basis_or_a_vector():
+    g = builtin_graph("ex3v8e")
+    rep = faithful_rep(g, depth=2)
+    with pytest.raises(NoPathBasis):
+        induced_measure(rep)
+    scaled = ScaledRep(standard_rep(g, pf_measure(g), 2), "a0", 2.0)
+    assert induced_measure(scaled).value(g.vertex_path("v")) > 0
+
+
 # -- monic vector probe ---------------------------------------------------------------------
 
 
@@ -809,6 +873,50 @@ def test_orbit_depth_too_small():
     z = g.edge_path("f1")  # no degree-(1,1) window inside a (1,0) prefix
     with pytest.raises(DepthTooSmall):
         orbit_equal(g, z, z, 4)
+
+
+def reference_orbit_equal(g, x, y, depth):
+    """orbit_equal on the old shift loop."""
+    windows = reference_orbit_windows(g.k, x.degree, y.degree, depth)
+    if not windows:
+        raise DepthTooSmall("no comparable shift windows at this depth")
+    return any(
+        g.segment(x, m, deg_add(m, w)) == g.segment(y, n, deg_add(n, w)) for m, n, w in windows
+    )
+
+
+def reference_prefix_has_period(g, prefix, bound):
+    """prefix_has_period on the old shift loop."""
+    return any(
+        g.segment(prefix, m, deg_add(m, w)) == g.segment(prefix, n, deg_add(n, w))
+        for m, n, w in reference_period_windows(g.k, prefix.degree, bound)
+    )
+
+
+def test_orbit_and_period_tests_match_the_old_loops():
+    rng = random.Random(11)
+    seen = collections.Counter()
+    for g in shift_window_graphs():
+        for _ in range(10):
+            y = g.path(random_walk(rng, g, rng.randint(2, 7)))
+            # a shifted copy of y, or an unrelated path
+            head = g.path(random_walk(rng, g, 1)) if rng.random() < 0.5 else None
+            if head is not None and g.s(head) == y.range:
+                x = g.compose(head, y)
+            else:
+                x = g.path(random_walk(rng, g, rng.randint(2, 7)))
+            depth = rng.randint(1, 3)
+            try:
+                want = reference_orbit_equal(g, x, y, depth)
+            except DepthTooSmall:
+                with pytest.raises(DepthTooSmall):
+                    orbit_equal(g, x, y, depth)
+                seen["too small"] += 1
+            else:
+                assert orbit_equal(g, x, y, depth) == want
+                seen[want] += 1
+            assert prefix_has_period(g, x, depth) == reference_prefix_has_period(g, x, depth)
+    assert seen[True] and seen[False] and seen["too small"]
 
 
 def test_atoms_kp_rank_one():

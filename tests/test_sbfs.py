@@ -225,7 +225,7 @@ SKEW_FAULTS = [
                 str((Square(left=("f2", "e"), right=("e", "f1")), "maps differ")),
             ],
             "iv_coding_commute": [],
-            "v_ranges_cover": [str(("v", 1, "undecided"))],
+            "v_ranges_cover": [str(("v", 1, "overlap"))],
             "ranges_disjoint": [str(("f1", "f2"))],
         },
     ),
@@ -359,7 +359,7 @@ def test_pathspace_pf_constructs():
     ps = pathspace_sbfs(g, pf_measure(g))
     lam = g.edge_path("a0")
     z = ps.sample_points(g.s(lam), 1)[0]
-    assert abs(ps.rn_quotient(lam, z) - 1 / math.sqrt(2)) < 1e-12
+    assert abs(ps.measure.quotient(lam, z) - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_pathspace_markov_constructs():
