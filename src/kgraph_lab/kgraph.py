@@ -11,6 +11,12 @@ color) splits a path at a chain of degrees, which is every factorization,
 segment p(m, n) and prefix test.  By unique factorization every swap
 sequence that ends sorted ends at the same edge list.
 
+Paths of one degree m form a block, Lambda^m, numbered in enumeration
+order and built once per graph: Lambda^m is Lambda^{m - e_c} (c the highest
+color of m) with each color-c edge at the source appended, since a
+canonical path less its last edge is canonical.  One-edge extensions are
+index tables between blocks, one square lookup per entry.
+
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
 then (rho, s(q)) is the only one; the mirror case is the same.  Only
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -122,7 +129,7 @@ class Square:
     right: tuple  # (c_id, d_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A morphism in color-sorted canonical form.
 
@@ -167,7 +174,13 @@ class KGraph:
         for sq in self.squares:
             self._left_to_right[sq.left] = sq.right
             self._right_to_left[sq.right] = sq.left
-        self._path_cache = {}
+        # position of each edge among edges_from(range, color)
+        self._pos = {e.eid: i for run in self._by_range.values() for i, e in enumerate(run)}
+        self._source = {e.eid: e.source for e in self.edges}
+        self._blocks = {}
+        self._fans = {}
+        self._extends = {}
+        self._runs = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -305,34 +318,137 @@ class KGraph:
             )
 
     def enumerate_paths(self, n, v=None):
-        """All paths of degree n (with range v if given), lexicographic order.
-
-        Order follows edge declaration order within each color block.
-        """
-        if deg_total(n) > self.enum_cap:
-            raise DegreeCapExceeded(f"|{n}| exceeds cap {self.enum_cap}")
+        """All paths of degree n (with range v if given): block(n), or the
+        run of it with range v."""
+        blk = self.block(n)
+        if v is None:
+            return blk
         key = (n, v)
-        if key in self._path_cache:
-            return self._path_cache[key]
-        roots = [v] if v is not None else list(self.vertices)
-        colors = []
-        for color in range(1, self.k + 1):
-            colors.extend([color] * n[color - 1])
+        if key not in self._runs:
+            lo, hi = self._run(n, v)
+            self._runs[key] = blk[lo:hi]
+        return self._runs[key]
+
+    # -- path blocks ------------------------------------------------------------
+
+    def _top(self, m):
+        """The highest color c with m_c > 0, or 0 for m = 0."""
+        return max((c for c, n in enumerate(m, start=1) if n), default=0)
+
+    def block(self, m):
+        """The canonical paths of degree m, numbered 0..n-1.
+
+        Grouped by range in vertex order, then lexicographic in the
+        declaration order of edges_from at each step.  Built from
+        block(m - e_c), c the highest color of m, by appending each
+        color-c edge at the source.
+        """
+        blk = self._blocks.get(m)
+        if blk is None:
+            if deg_total(m) > self.enum_cap:
+                raise DegreeCapExceeded(f"|{m}| exceeds cap {self.enum_cap}")
+            c = self._top(m)
+            if not c:
+                blk = [Path(v, (), m) for v in self.vertices]
+            else:
+                prev = deg_sub(m, deg_unit(self.k, c))
+                by_range = self._by_range
+                blk = [
+                    Path(lam.range, lam.edges + (e.eid,), m)
+                    for lam, v in zip(self.block(prev), self._ends(prev))
+                    for e in by_range.get((v, c), ())
+                ]
+            self._blocks[m] = blk
+        return blk
+
+    def _ends(self, m):
+        """The sources of the paths of block(m), in order."""
+        if not any(m):
+            return self.vertices
+        source = self._source
+        return [source[lam.edges[-1]] for lam in self.block(m)]
+
+    def fan(self, m, c):
+        """Cumulative color-c out-degrees over block(m): the one-edge
+        extensions in color c of path i are entries fan[i]..fan[i+1]-1."""
+        key = (m, c)
+        out = self._fans.get(key)
+        if out is None:
+            count = {v: len(self.edges_from(v, c)) for v in self.vertices}
+            out = array("l", [0])
+            total = 0
+            for v in self._ends(m):
+                total += count[v]
+                out.append(total)
+            self._fans[key] = out
+        return out
+
+    def _run(self, m, v):
+        """(lo, hi): the paths of block(m) with range v are block(m)[lo:hi]."""
+        c = self._top(m)
+        if not c:
+            i = self._vertex_index[v]
+            return i, i + 1
+        prev = deg_sub(m, deg_unit(self.k, c))
+        lo, hi = self._run(prev, v)
+        fan = self.fan(prev, c)
+        return fan[lo], fan[hi]
+
+    def extend(self, m, c):
+        """Indices in block(m + e_c) of the one-edge extensions lam.e.
+
+        Entries fan(m, c)[i]..fan(m, c)[i+1]-1 belong to lam = block(m)[i],
+        one per e in edges_from(s(lam), c) in declaration order.  When c is
+        at least the highest color of m, lam.e is appended and the table is
+        the identity.  Otherwise lam = lam'.f with color(f) > c, and
+        lam'f.e = (lam'.e').f' through the square f.e = e'.f': one lookup
+        in extend(m - e_color(f), c) per entry.
+        """
+        key = (m, c)
+        out = self._extends.get(key)
+        if out is not None:
+            return out
+        k = self.k
+        up = deg_add(m, deg_unit(k, c))
+        h = self._top(m)
+        if h <= c:
+            out = range(len(self.block(up)))
+        else:
+            prev = deg_sub(m, deg_unit(k, h))
+            inner = self.extend(prev, c)  # lam' -> lam'.e' in block(prev + e_c)
+            inner_fan = self.fan(prev, c)
+            outer_fan = self.fan(deg_add(prev, deg_unit(k, c)), h)
+            own_fan = self.fan(prev, h)  # lam' -> lam'.f in block(m)
+            blk = self.block(m)
+            pos, source, swap, by_range = self._pos, self._source, self._right_to_left, self._by_range
+            out = array("l")
+            for i in range(len(own_fan) - 1):
+                base = inner_fan[i]
+                for lam in blk[own_fan[i]:own_fan[i + 1]]:
+                    f = lam.edges[-1]
+                    for e in by_range.get((source[f], c), ()):
+                        e2, f2 = swap[(f, e.eid)]
+                        out.append(outer_fan[inner[base + pos[e2]]] + pos[f2])
+        self._extends[key] = out
+        return out
+
+    def extensions(self, p, c):
+        """The canonical paths p.e for e in edges_from(s(p), c), in that order.
+
+        e moves left past the edges of p above color c, one square lookup
+        per edge: lam'f.e = (lam'.e').f'.
+        """
+        cut = len(p.edges) - sum(p.degree[c:])
+        head, tail = p.edges[:cut], p.edges[cut:][::-1]
+        deg = deg_add(p.degree, deg_unit(self.k, c))
+        swap = self._right_to_left
         out = []
-        for root in roots:
-            if not colors:
-                out.append(self.vertex_path(root))
-                continue
-            stack = [(root, [])]
-            while stack:
-                cur, acc = stack.pop()
-                depth = len(acc)
-                if depth == len(colors):
-                    out.append(Path(root, tuple(acc), n))
-                    continue
-                for e in reversed(self.edges_from(cur, colors[depth])):
-                    stack.append((e.source, acc + [e.eid]))
-        self._path_cache[key] = out
+        for e in self.edges_from(self.s(p), c):
+            cur, moved = e.eid, []
+            for f in tail:
+                cur, f2 = swap[(f, cur)]
+                moved.append(f2)
+            out.append(Path(p.range, head + (cur, *moved[::-1]), deg))
         return out
 
     def lambda_min(self, p, q):

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     AdditivityViolation,
     NotComposable,
@@ -83,6 +81,8 @@ def pf_data(g, tol=1e-10):
     """
     if not g.is_strongly_connected():
         raise NotStronglyConnected(g.name)
+    import numpy as np
+
     mats = [np.array(m, dtype=float) for m in g.vertex_matrices()]
     nv = len(g.vertices)
     m_sum = np.eye(nv) + sum(mats)
@@ -191,11 +191,7 @@ class CylinderMeasure:
             base = self._base(path.degree)
             for color, (have, want) in enumerate(zip(path.degree, base), start=1):
                 if have < want:
-                    g = self.graph
-                    return sum(
-                        self.value(g.compose(path, g.edge_path(e.eid)))
-                        for e in g.edges_from(g.s(path), color)
-                    )
+                    return sum(map(self.value, self.graph.extensions(path, color)))
         return self._fn(path)
 
     def quotient(self, lam, eta):
@@ -239,20 +235,31 @@ class ConsistencyReport:
 
 
 def check_consistency(measure, depth, tol=1e-12):
-    """Square-cylinder additivity for all paths with degree <= depth*(1,..,1)."""
+    """Square-cylinder additivity for all paths with degree <= depth*(1,..,1).
+
+    The extensions lam.eta, eta of degree (1,..,1), are read off the chain
+    of tables extend(n, 1), extend(n + e_1, 2), ..., which lists them in
+    the enumeration order of eta.
+    """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
-    diag = deg_diag(g.k, 1)
+    value = measure.value
     worst = 0.0
     worst_path = None
     checked = 0
     for n in deg_grid(g.k, depth):
-        for lam in g.enumerate_paths(n):
-            total = sum(
-                measure.value(g.compose(lam, eta))
-                for eta in g.enumerate_paths(diag, g.s(lam))
-            )
-            residual = abs(measure.value(lam) - total)
+        chain = []
+        m = n
+        for c in range(1, g.k + 1):
+            chain.append((g.fan(m, c), g.extend(m, c)))
+            m = deg_add(m, deg_unit(g.k, c))
+        top = g.block(m)
+        for i, lam in enumerate(g.block(n)):
+            group = [i]
+            for fan, ext in chain:
+                group = [ext[t] for x in group for t in range(fan[x], fan[x + 1])]
+            total = sum(value(top[j]) for j in group)
+            residual = abs(value(lam) - total)
             checked += 1
             if float(residual) > worst:
                 worst = float(residual)
@@ -318,30 +325,34 @@ def detect_shape(g):
     raise UnsupportedGraphShape("graph is neither single-vertex nor star shaped")
 
 
-def _rainbow_symbols(g, shape, path):
-    """Symbol string of a square-degree path (range-first for star shapes)."""
+def _rainbow_symbols(g, shape, path, first=0):
+    """Symbol string of a square-degree path (range-first for star shapes),
+    from symbol number first on; the path is split only from there."""
     n = path.degree[0]
     if path.degree != (n, n):
         raise ValueError("rainbow extraction needs a square degree")
     if shape.kind == "single-vertex":
         silent = 1 if shape.symbol_color == 2 else 2
         symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
-        # silent edge, symbol edge, silent edge, ...: symbols at odd pieces
-        pieces = g.split(path, _rainbow_cuts(n, silent))
-        return [symbol_edges.index(p.edges[0]) for p in pieces[1::2]]
+        # prefix, then silent edge, symbol edge, silent edge, ...
+        pieces = g.split(path, _rainbow_cuts(first, n, silent))
+        return [symbol_edges.index(p.edges[0]) for p in pieces[2::2]]
     # star: record peripheral vertices along the red-first rainbow
     idx = {p: i for i, p in enumerate(shape.peripherals)}
-    pieces = g.split(path, _rainbow_cuts(n, 2))
     if path.range == shape.center:
-        return [idx[g.s(red)] for red in pieces[0:-1:2]]
-    return [idx[path.range]] + [idx[g.s(blue)] for blue in pieces[1::2]]
+        pieces = g.split(path, _rainbow_cuts(first, n, 2))
+        return [idx[g.s(red)] for red in pieces[1:-1:2]]
+    # after the range, symbol j is the source of the blue edge of segment j - 1
+    pieces = g.split(path, _rainbow_cuts(max(first - 1, 0), n, 2))
+    return [idx[path.range]] * (first == 0) + [idx[g.s(blue)] for blue in pieces[2::2]]
 
 
-def _rainbow_cuts(n, first):
-    """Cumulative degrees along a degree-(n, n) rainbow that starts with color first."""
+def _rainbow_cuts(start, n, first):
+    """Cumulative degrees: (start, start), then along the rainbow of a
+    degree-(n, n) path from there, each segment starting with color first."""
     step = deg_unit(2, first)
-    cuts = []
-    for i in range(n):
+    cuts = [(start, start)]
+    for i in range(start, n):
         cuts += [deg_add((i, i), step), (i + 1, i + 1)]
     return cuts
 
@@ -436,40 +447,49 @@ def check_bias_terms(spec, j0):
 
 
 def product_measure(g, spec):
-    """Infinite-product measure on a single-vertex or star shaped 2-graph."""
+    """Infinite-product measure on a single-vertex or star shaped 2-graph.
+
+    A square path of degree (n, n) is valued as its degree-(n-1, n-1)
+    prefix times the factors of the symbols its last rainbow segment adds.
+    """
     shape = detect_shape(g)
+
+    def bias(j):
+        gm = spec.gamma(j)
+        if not abs(gm) < Fraction(1, 2):
+            raise GammaOutOfRange(f"gamma_{j} = {gm}")
+        return gm
+
     if shape.kind == "single-vertex":
         if shape.symbol_count != 2:
             raise UnsupportedGraphShape("product measure needs exactly 2 symbols")
 
-        def square_fn(path):
-            syms = _rainbow_symbols(g, shape, path)
-            val = Fraction(1) if spec.exact else 1.0
-            for i, s in enumerate(syms, start=1):
-                gm = spec.gamma(i)
-                if not abs(gm) < Fraction(1, 2):
-                    raise GammaOutOfRange(f"gamma_{i} = {gm}")
-                val *= Fraction(1, 2) + gm if s == 0 else Fraction(1, 2) - gm
-            return val
+        def factor(path, j, s):  # symbol j reads gamma_{j+1}
+            gm = bias(j + 1)
+            return Fraction(1, 2) + gm if s == 0 else Fraction(1, 2) - gm
 
     else:
         two_n = shape.symbol_count
         half = two_n // 2
 
-        def square_fn(path):
-            syms = _rainbow_symbols(g, shape, path)
-            positions = (
-                range(1, 2 * len(syms), 2)
-                if path.range == shape.center
-                else range(0, 2 * len(syms), 2)
-            )
-            val = Fraction(1) if spec.exact else 1.0
-            for pos, s in zip(positions, syms):
-                gm = spec.gamma(pos)
-                if not abs(gm) < Fraction(1, 2):
-                    raise GammaOutOfRange(f"gamma_{pos} = {gm}")
-                val *= (1 + gm if s < half else 1 - gm) / Fraction(two_n)
-            return val
+        def factor(path, j, s):  # symbol j sits at position 2j, or 2j + 1 from the center
+            gm = bias(2 * j + (path.range == shape.center))
+            return (1 + gm if s < half else 1 - gm) / Fraction(two_n)
+
+    one = Fraction(1) if spec.exact else 1.0
+    values = {}
+
+    def square_fn(path):
+        key = (path.range, path.edges)
+        if key not in values:
+            n = path.degree[0]
+            val = square_fn(g.factorize(path, (n - 1, n - 1))[0]) if n else one
+            # the prefix's symbols: one per segment, and the range of a peripheral path
+            first = n if shape.kind == "star" and path.range != shape.center else max(n - 1, 0)
+            for j, s in enumerate(_rainbow_symbols(g, shape, path, first), start=first):
+                val *= factor(path, j, s)
+            values[key] = val
+        return values[key]
 
     return CylinderMeasure(g, square_fn, f"product({spec.family})", spec.exact, _square)
 
@@ -530,6 +550,8 @@ class MarkovMeasureSpec:
                 raise SpecInvariantViolated("stationary row is not positive")
             scale = Fraction(n) / sum(vec)
             return tuple(x * scale for x in vec)
+        import numpy as np
+
         mat = np.array([[float(x) for x in row] for row in self.matrix])
         vec = np.ones(n)
         for _ in range(MAX_POWER_ITERATIONS):

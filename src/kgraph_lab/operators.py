@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from .errors import (
     CoverViolation,
     DepthTooSmall,
@@ -219,10 +217,14 @@ class StandardRep:
 
     def unit_vector(self, m):
         """Coordinates of the constant function 1 in block m."""
+        import numpy as np
+
         return np.array([float(self.weight(p)) ** 0.5 for p in self._blocks[m]])
 
     def pvm_mask(self, lam, m):
         """Diagonal 0/1 mask of P(Z(lam)) on block m (m >= d(lam))."""
+        import numpy as np
+
         g = self.graph
         mask = np.zeros(self.block_dim(m))
         for i, eta in enumerate(self._blocks[m]):
@@ -598,6 +600,8 @@ class _Op:
         return max(coefs, default=0.0)
 
     def matrix(self):
+        import numpy as np
+
         rows = self.rep.block_dim(self.dst_key)
         cols = self.rep.block_dim(self.src_key)
         mat = np.zeros((rows, cols))
@@ -967,6 +971,8 @@ def induced_measure(rep, xi=None, block=None):
         tag, exact = f"induced({rep.kind})", rep.measure.exact if rep.measure else True
         return CylinderMeasure(g, fn, tag, exact, lambda d: block if deg_le(d, block) else d)
 
+    import numpy as np
+
     xi_vec = np.asarray(xi, dtype=float)
 
     def fn(path):
@@ -985,6 +991,8 @@ class MonicVectorReport:
 
 def monic_vector_probe(rep, level, xi=None, tol=1e-9):
     """Rank of {P(Z(lam)) xi : d(lam) <= level} inside the level block."""
+    import numpy as np
+
     g = rep.graph
     block = deg_diag(g.k, level)
     dim = rep.block_dim(block)
@@ -1038,10 +1046,14 @@ class IntervalDiagonalRep:
         return len(self.atoms)
 
     def unit_vector(self, block):
+        import numpy as np
+
         return np.array([float(hi - lo) ** 0.5 for lo, hi in self.atoms])
 
     def pvm_mask(self, lam, block):
         # every range generated the atoms, so it holds exactly the atoms it meets
+        import numpy as np
+
         rng = self._ranges[lam]
         mask = np.zeros(len(self.atoms))
         mask[atoms_meeting(self.atoms, self._his, rng)] = 1.0
@@ -1465,6 +1477,8 @@ def nonfaithful_witness(graph, measure, depth=4, probe_depth=3):
 
     def embedded(op):
         return op.then(srep.refinement(op.dst_key, deep)).matrix()
+
+    import numpy as np
 
     diff = embedded(first) - scale * embedded(second)
     worst = float(np.linalg.norm(diff, 2)) if diff.size else 0.0

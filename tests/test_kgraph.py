@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kgraph_lab.catalog import builtin_graph
+from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph
 from kgraph_lab.errors import (
     DegreeOutOfRange,
     DepthTooSmall,
@@ -15,15 +15,18 @@ from kgraph_lab.errors import (
 from kgraph_lab.kgraph import (
     AperiodicWitness,
     Edge,
+    Path,
     PeriodCandidate,
     Square,
     build_double,
     build_lambda2N,
     build_product,
     deg_add,
+    deg_grid,
     deg_join,
     deg_le,
     deg_sub,
+    deg_unit,
     graph_from_dict,
     graph_to_dict,
     shift_windows,
@@ -888,3 +891,85 @@ def test_shift_windows_match_the_three_old_loops():
             later = [t for t in shift_windows(x.degree, x.degree, bound) if t[0] > t[1]]
             assert later == reference_period_windows(k, x.degree, bound)
     assert windows > 0
+
+
+# -- path blocks against the depth-first enumeration ---------------------------
+
+
+def reference_enumerate_paths(g, n, v=None):
+    """Depth-first enumeration: roots in vertex order, then the edges at each
+    step in declaration order (how enumerate_paths worked before blocks)."""
+    roots = [v] if v is not None else list(g.vertices)
+    colors = []
+    for color in range(1, g.k + 1):
+        colors.extend([color] * n[color - 1])
+    out = []
+    for root in roots:
+        if not colors:
+            out.append(g.vertex_path(root))
+            continue
+        stack = [(root, [])]
+        while stack:
+            cur, acc = stack.pop()
+            depth = len(acc)
+            if depth == len(colors):
+                out.append(Path(root, tuple(acc), n))
+                continue
+            for e in reversed(g.edges_from(cur, colors[depth])):
+                stack.append((e.source, acc + [e.eid]))
+    return out
+
+
+def random_double(rng, tag):
+    vertices = [f"{tag}{i}" for i in range(rng.randint(1, 3))]
+    return build_double(validate_kgraph(1, vertices, random_one_graph(rng, vertices, tag), []))
+
+
+def block_graphs():
+    """(label, graph, bound): every builtin, seeded random 2- and 3-graphs,
+    and 4-graphs built as products of two 2-graphs."""
+    out = [(name, builtin_graph(name), 3) for name in BUILTIN_GRAPH_NAMES]
+    for seed in range(6):
+        for k in (2, 3):
+            out.append((f"random{k}-{seed}", random_graph(random.Random(seed), k), 3))
+    for seed in range(3):
+        rng = random.Random(900 + seed)
+        out.append((f"random2xrandom2-{seed}", build_product(random_two_graph(rng), random_two_graph(rng)), 1))
+        rng = random.Random(950 + seed)
+        out.append((f"doublexdouble-{seed}", build_product(random_double(rng, "a"), random_double(rng, "c")), 1))
+    kawamura, loop = (build_double(builtin_graph(n)) for n in ("kawamura", "exonevthreeed"))
+    out.append(("double-kawamura x double-exonevthreeed", build_product(kawamura, loop), 1))
+    return out
+
+
+BLOCK_GRAPHS = block_graphs()
+BLOCK_IDS = [label for label, _, _ in BLOCK_GRAPHS]
+
+
+@pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
+def test_blocks_match_depth_first_reference(label, g, bound):
+    for m in deg_grid(g.k, bound):
+        assert g.block(m) == reference_enumerate_paths(g, m)
+        for v in g.vertices:
+            assert g.enumerate_paths(m, v) == reference_enumerate_paths(g, m, v)
+    assert g.enumerate_paths((1,) * g.k) is g.block((1,) * g.k)
+
+
+@pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
+def test_extend_tables_match_compose(label, g, bound):
+    entries = swapped = 0
+    for m in deg_grid(g.k, bound):
+        blk = g.block(m)
+        for c in range(1, g.k + 1):
+            up = g.block(deg_add(m, deg_unit(g.k, c)))
+            fan, ext = g.fan(m, c), g.extend(m, c)
+            assert len(fan) == len(blk) + 1 and len(ext) == fan[-1] == len(up)
+            for i, lam in enumerate(blk):
+                want = [g.compose(lam, g.edge_path(e.eid)) for e in g.edges_from(g.s(lam), c)]
+                assert [up[ext[t]] for t in range(fan[i], fan[i + 1])] == want
+                assert g.extensions(lam, c) == want
+                entries += len(want)
+                swapped += sum(p.edges[:-1] != lam.edges for p in want)
+    assert entries > 0
+    if g.k > 1:
+        assert swapped > 0  # some extension moved its edge through a square

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import Edge, deg_sub, deg_unit, validate_kgraph
+from kgraph_lab.kgraph import Edge, deg_grid, deg_sub, deg_unit, validate_kgraph
 from kgraph_lab import measures
 from kgraph_lab.measures import (
     CylinderMeasure,
@@ -41,6 +42,8 @@ from kgraph_lab.measures import (
     star_markov_matrix,
     t_x_matrix,
 )
+
+from test_kgraph import random_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -602,6 +605,10 @@ def test_rainbow_symbols_match_unit_factorization_loop(name):
         for path in g.enumerate_paths((n, n)):
             expected = reference_rainbow_symbols(g, shape, path)
             assert _rainbow_symbols(g, shape, path) == expected
+        for path in g.enumerate_paths((n, n)):
+            expected = reference_rainbow_symbols(g, shape, path)
+            for first in range(len(expected) + 1):
+                assert _rainbow_symbols(g, shape, path, first) == expected[first:]
 
 
 # -- derived cylinder values ----------------------------------------------------------------
@@ -719,3 +726,85 @@ def test_quotient_is_the_cylinder_value_ratio():
     zero = CylinderMeasure(g, lambda p: Fraction(0), "zero", True)
     with pytest.raises(ZeroDenominator):
         zero.quotient(lam, g.vertex_path("v"))
+
+
+def reference_product_square_fn(g, spec):
+    """A product measure's square values from the whole symbol string, one
+    factor per symbol (how product_measure computed each square before it
+    reused the value of the degree-(n-1, n-1) prefix)."""
+    shape = detect_shape(g)
+
+    def fn(path):
+        syms = reference_rainbow_symbols(g, shape, path)
+        val = Fraction(1) if spec.exact else 1.0
+        if shape.kind == "single-vertex":
+            for i, s in enumerate(syms, start=1):
+                gm = spec.gamma(i)
+                if not abs(gm) < Fraction(1, 2):
+                    raise GammaOutOfRange(f"gamma_{i} = {gm}")
+                val *= Fraction(1, 2) + gm if s == 0 else Fraction(1, 2) - gm
+            return val
+        start = 1 if path.range == shape.center else 0
+        for pos, s in zip(range(start, 2 * len(syms), 2), syms):
+            gm = spec.gamma(pos)
+            if not abs(gm) < Fraction(1, 2):
+                raise GammaOutOfRange(f"gamma_{pos} = {gm}")
+            val *= (1 + gm if s < shape.symbol_count // 2 else 1 - gm) / Fraction(shape.symbol_count)
+        return val
+
+    return fn
+
+
+def outcome_or_message(fn, path):
+    try:
+        return fn(path)
+    except GammaOutOfRange as exc:
+        return ("GammaOutOfRange", str(exc))
+
+
+PRODUCT_SPECS = [
+    ProductMeasureSpec("const", c=Fraction(1, 4)),
+    ProductMeasureSpec("geometric", c=Fraction(1, 2), r=Fraction(1, 2)),
+    ProductMeasureSpec("geometric", c=Fraction(-1, 3), r=Fraction(-1, 2)),
+    ProductMeasureSpec("finite", values=(Fraction(1, 4), Fraction(0), Fraction(-1, 8))),
+    ProductMeasureSpec("finite", values=(Fraction(1, 4), Fraction(3, 4))),  # gamma_2 out of range
+    ProductMeasureSpec("sampled", values=(Fraction(1, 8), Fraction(1, 16))),  # runs out of terms
+    ProductMeasureSpec("const", c=0.125),  # float values
+]
+
+
+@pytest.mark.parametrize("name, bound", [("exonevtwoe", 6), ("lambda2N:N=1", 4), ("lambda2N:N=2", 3)])
+@pytest.mark.parametrize("spec", PRODUCT_SPECS, ids=lambda s: f"{s.family}-{s.c}-{s.values}")
+def test_product_squares_equal_the_whole_string_formula(name, bound, spec):
+    g = builtin_graph(name)
+    reference = reference_product_square_fn(g, spec)
+    # deepest squares first, so prefixes are reached only through the recursion
+    for n in reversed(range(bound + 1)):
+        fn = product_measure(g, spec)._fn
+        for path in g.enumerate_paths((n, n)):
+            want = outcome_or_message(reference, path)
+            got = outcome_or_message(fn, path)
+            assert got == want and type(got) is type(want), (path, got, want)
+
+
+def exact_pf_graphs():
+    out = []
+    for k, depth in ((2, 3), (3, 2)):
+        for seed in range(12):
+            g = random_graph(random.Random(seed), k)
+            try:
+                pf = pf_data(g)
+            except NotStronglyConnected:
+                continue
+            if pf.exact:
+                out.append((g, pf, depth))
+    return out
+
+
+def test_exact_pf_measures_of_random_graphs_are_exactly_additive():
+    cases = exact_pf_graphs()
+    assert len(cases) >= 2 and any(len(g.vertices) > 1 for g, _, _ in cases)
+    for g, pf, depth in cases:
+        rep = check_consistency(pf_measure(g, pf), depth)
+        assert rep.exact and rep.ok and rep.worst_residual == 0
+        assert rep.checked == sum(len(g.block(n)) for n in deg_grid(g.k, depth))

@@ -74,3 +74,44 @@ def test_function_level_imports_only_close_cycles():
         for fn, mod in function_level_relative_imports(m.read_text())
     }
     assert found == CYCLE_IMPORTS
+
+
+def eager_numpy_imports(source):
+    """Line numbers of numpy imports that run when the module is imported:
+    every one outside a function body."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                out.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import numpy", "import numpy as np", "import numpy.linalg", "from numpy import linalg",
+     "import json, numpy", "if True:\n    import numpy", "class C:\n    import numpy as np"],
+)
+def test_eager_numpy_rule_sees_each_form(statement):
+    assert eager_numpy_imports(f"import json\n{statement}\n") == [1 + statement.count("\n") + 1]
+    assert eager_numpy_imports("def f():\n    import numpy as np\n    return np\n") == []
+    assert eager_numpy_imports("import numpyish\nfrom .numpy import x\n") == []
+
+
+def test_numpy_is_imported_only_where_float_algebra_runs():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {m.name: eager_numpy_imports(m.read_text()) for m in modules}
+    assert not {name: lines for name, lines in found.items() if lines}
