@@ -15,7 +15,9 @@ Paths of one degree m form a block, Lambda^m, numbered in enumeration
 order and built once per graph: Lambda^m is Lambda^{m - e_c} (c the highest
 color of m) with each color-c edge at the source appended, since a
 canonical path less its last edge is canonical.  One-edge extensions are
-index tables between blocks, one square lookup per entry.
+index tables between blocks, one square lookup per entry, and so is
+cut(m, n), which names the head and tail of every path of Lambda^m by
+their indices in Lambda^n and Lambda^{m - n}.
 
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
@@ -38,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -180,7 +183,7 @@ class KGraph:
         self._blocks = {}
         self._fans = {}
         self._extends = {}
-        self._runs = {}
+        self._cuts = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -206,9 +209,6 @@ class KGraph:
         for eid in canon:
             deg[self.edge_by_id[eid].color - 1] += 1
         return Path(self.edge_by_id[canon[0]].range, canon, tuple(deg))
-
-    def r(self, p):
-        return p.range
 
     def s(self, p):
         if p.is_vertex:
@@ -318,16 +318,12 @@ class KGraph:
             )
 
     def enumerate_paths(self, n, v=None):
-        """All paths of degree n (with range v if given): block(n), or the
-        run of it with range v."""
+        """block(n), or its run of paths whose head in block(0) is the vertex v."""
         blk = self.block(n)
         if v is None:
             return blk
-        key = (n, v)
-        if key not in self._runs:
-            lo, hi = self._run(n, v)
-            self._runs[key] = blk[lo:hi]
-        return self._runs[key]
+        heads, i = self.cut(n, deg_zero(self.k))[0], self._vertex_index[v]
+        return blk[bisect_left(heads, i):bisect_right(heads, i)]
 
     # -- path blocks ------------------------------------------------------------
 
@@ -383,17 +379,6 @@ class KGraph:
             self._fans[key] = out
         return out
 
-    def _run(self, m, v):
-        """(lo, hi): the paths of block(m) with range v are block(m)[lo:hi]."""
-        c = self._top(m)
-        if not c:
-            i = self._vertex_index[v]
-            return i, i + 1
-        prev = deg_sub(m, deg_unit(self.k, c))
-        lo, hi = self._run(prev, v)
-        fan = self.fan(prev, c)
-        return fan[lo], fan[hi]
-
     def extend(self, m, c):
         """Indices in block(m + e_c) of the one-edge extensions lam.e.
 
@@ -431,6 +416,46 @@ class KGraph:
                         out.append(outer_fan[inner[base + pos[e2]]] + pos[f2])
         self._extends[key] = out
         return out
+
+    def cut(self, m, n):
+        """(heads, tails) with block(m)[j] = block(n)[heads[j]] . block(m - n)[tails[j]].
+
+        cut(n, n) pairs each path with its source vertex.  Otherwise c is
+        the highest color with m_c > n_c, block(m) lists the lam.e of
+        extend(m - e_c, c), and lam = head.tail gives lam.e = head.(tail.e),
+        the same edge's entry in tail's run of extend(m - e_c - n, c).
+        """
+        key = (m, n)
+        if key not in self._cuts:
+            gap = deg_sub(m, n)
+            if min(gap, default=0) < 0:
+                raise DegreeOutOfRange(f"cut {n} not within 0..{m}")
+            c = self._top(gap)
+            if not c:
+                heads = array("l", range(len(self.block(m))))
+                tails = array("l", [self._vertex_index[v] for v in self._ends(m)])
+            else:
+                prev = deg_sub(m, deg_unit(self.k, c))
+                fan, ext = self.fan(prev, c), self.extend(prev, c)
+                rest = deg_sub(prev, n)
+                tail_fan, tail_ext = self.fan(rest, c), self.extend(rest, c)
+                heads, tails = array("l", [0]) * fan[-1], array("l", [0]) * fan[-1]
+                for i, (head, tail) in enumerate(zip(*self.cut(prev, n))):
+                    shift = tail_fan[tail] - fan[i]
+                    for t in range(fan[i], fan[i + 1]):
+                        heads[ext[t]], tails[ext[t]] = head, tail_ext[shift + t]
+            self._cuts[key] = heads, tails
+        return self._cuts[key]
+
+    def index(self, p):
+        """The position of p in block(d(p)): canonical p is its vertex with
+        each edge appended in turn, at the edge's offset in the fan."""
+        i, m = self._vertex_index[p.range], deg_zero(self.k)
+        for eid in p.edges:
+            c = self.edge_by_id[eid].color
+            i = self.fan(m, c)[i] + self._pos[eid]
+            m = deg_add(m, deg_unit(self.k, c))
+        return i
 
     def extensions(self, p, c):
         """The canonical paths p.e for e in edges_from(s(p), c), in that order.

@@ -194,12 +194,16 @@ class CylinderMeasure:
                     return sum(map(self.value, self.graph.extensions(path, color)))
         return self._fn(path)
 
+    def ratio(self, path, base):
+        """value(Z(path)) / value(Z(base)); raises ZeroDenominator on a null base."""
+        denom = self.value(base)
+        if denom == 0:
+            raise ZeroDenominator(f"Z({base}) has measure 0")
+        return self.value(path) / denom
+
     def quotient(self, lam, eta):
         """The Radon-Nikodym quotient value(Z(lam eta)) / value(Z(eta))."""
-        denom = self.value(eta)
-        if denom == 0:
-            raise ZeroDenominator(f"Z({eta}) has measure 0")
-        return self.value(self.graph.compose(lam, eta)) / denom
+        return self.ratio(self.graph.compose(lam, eta), eta)
 
     def perturbed(self, path, delta):
         """Copy with the value at one canonical path bumped (fault injection);

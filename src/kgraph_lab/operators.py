@@ -31,10 +31,19 @@ build each block operator once per rep, on its first request, and hand
 the same ``_Op`` to every later caller; a ``DirectSumRep`` stacks its
 parts' operators through ``_Op`` methods.  ``ScaledRep`` builds fresh
 operators from its part's operators.
+
+Every standard table reads the rows of a ``KGraph.cut`` table with head
+``KGraph.index(lam)``: t_lam on block m those of cut(m + d(lam), d(lam)),
+t_lam^* those of cut(m v d(lam), d(lam)) grouped by their heads under
+cut(m v d(lam), m), refinement cut(target, m), P(Z(lam)) cut(m, d(lam)).
+verify_ck and pvm_additivity compose paths themselves, so each relation
+checks the tables against the path algebra.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -94,18 +103,16 @@ class StandardRep:
     kind = "standard"
     discrete = False
     path_basis = True  # block m holds the paths of degree m
+    reach = 1  # the Radon-Nikodym test reads block depth + 1
 
     def __init__(self, graph, measure, depth, tol=1e-10):
         self.graph = graph
         self.measure = measure
         self.depth = depth
         self.tol = tol
-        graph.check_cap(depth * graph.k, f"{self.kind} rep depth {depth}")
+        graph.check_cap((depth + self.reach) * graph.k, f"{self.kind} rep depth {depth}")
         self._blocks = {m: graph.enumerate_paths(m) for m in deg_grid(graph.k, depth)}
-        self._index = {
-            m: {p: i for i, p in enumerate(paths)} for m, paths in self._blocks.items()
-        }
-        self._tables = {}
+        self._orders, self._tables = {}, {}  # sorted cut rows, built operators
         self._probe_usability()
 
     def _probe_usability(self):
@@ -133,23 +140,31 @@ class StandardRep:
     def weight(self, path):
         return self.measure.value(path)
 
-    def label_index(self, m, path):
-        return self._index[m][path]
+    def _rows(self, m, n, a):
+        """(tail, j) for the paths j of block(m) with head a under cut(m, n), in tail order."""
+        heads, tails = self.graph.cut(m, n)
+        if (m, n) not in self._orders:
+            width = len(self.graph.block(deg_sub(m, n)))
+            order = sorted(range(len(heads)), key=lambda j: heads[j] * width + tails[j])
+            self._orders[(m, n)] = array("l", order)
+        order, head = self._orders[(m, n)], heads.__getitem__
+        lo = bisect_left(order, a, key=head)
+        return [(tails[j], j) for j in order[lo:bisect_right(order, a, lo, key=head)]]
 
-    # -- Radon-Nikodym constancy ---------------------------------------------------
-
-    def _constant_quotient(self, lam, eta):
-        """Phi_lam restricted to Z(eta) if constant, else None."""
-        g = self.graph
-        base = self.measure.quotient(lam, eta)
-        for ext in g.enumerate_paths(deg_diag(g.k, 1), g.s(eta)):
-            q = self.measure.quotient(lam, g.compose(eta, ext))
-            if self.measure.exact:
-                if q != base:
-                    return None
-            elif abs(float(q - base)) > self.tol:
-                return None
-        return base
+    def _rn_constant(self, lam, m, rows):
+        """Whether Phi_lam is constant on Z(eta), eta = block(m)[i], for each row (i, j):
+        its quotient against those on the rows of cut(m + (1,..,1), m) with head i."""
+        g, ratio, up = self.graph, self.measure.ratio, deg_add(m, deg_diag(self.graph.k, 1))
+        blk, deep = g.block(m), g.block(up)
+        image, deep_image = g.block(deg_add(m, lam.degree)), g.block(deg_add(up, lam.degree))
+        forward = dict(self._rows(deg_add(up, lam.degree), lam.degree, g.index(lam)))
+        for i, j in rows:
+            base = ratio(image[j], blk[i])
+            for _, t in self._rows(up, m, i):
+                q = ratio(deep_image[forward[t]], deep[t])
+                if q != base if self.measure.exact else abs(float(q - base)) > self.tol:
+                    return False
+        return True
 
     # -- operator actions ---------------------------------------------------------
 
@@ -162,57 +177,37 @@ class StandardRep:
         return _built_once(self._tables, "adjoint", lam, m, self._adjoint_table)
 
     def _forward_table(self, lam, m):
-        g = self.graph
+        """u_eta -> u_{lam.eta}: the rows of cut(m + d(lam), d(lam)) with head lam."""
         dst = deg_add(m, lam.degree)
         if m not in self._blocks or dst not in self._blocks:
             return None
-        table = {}
-        for i, eta in enumerate(self._blocks[m]):
-            if g.s(lam) != eta.range:
-                continue
-            if self._constant_quotient(lam, eta) is None:
-                return None  # nonconstant RN data: block not represented
-            out = g.compose(lam, eta)
-            table[i] = {self.label_index(dst, out): 1}
-        return _Op(self, table, m, dst)
+        rows = self._rows(dst, lam.degree, self.graph.index(lam))
+        if not self._rn_constant(lam, m, rows):
+            return None  # nonconstant RN data: block not represented
+        return _Op(self, {i: {j: 1} for i, j in rows}, m, dst)
 
     def _adjoint_table(self, lam, m):
-        """Adjoint action on block m via minimal common extensions.
-
-        The coefficient of u_alpha in t_lam^* u_eta is
-        sqrt(w(lam.alpha) / w(eta)).
-        """
+        """Adjoint action on block m via minimal common extensions lam.alpha =
+        eta.beta: the coefficient of u_alpha in t_lam^* u_eta is sqrt(w(lam.alpha) / w(eta))."""
         g = self.graph
-        dst = deg_sub(deg_join(m, lam.degree), lam.degree)
-        if (
-            m not in self._blocks
-            or dst not in self._blocks
-            or deg_join(m, lam.degree) not in self._blocks
-        ):
+        join = deg_join(m, lam.degree)
+        if m not in self._blocks or join not in self._blocks:
             return None
+        heads, top, blk = g.cut(join, m)[0], g.block(join), g.block(m)
         table = {}
-        for i, eta in enumerate(self._blocks[m]):
-            outs = {}
-            for alpha, _beta in g.lambda_min(lam, eta):
-                ratio = self.weight(g.compose(lam, alpha)) / self.weight(eta)
-                coef = 1 if ratio == 1 else float(ratio) ** 0.5
-                outs[self.label_index(dst, alpha)] = coef
-            if outs:
-                table[i] = outs
-        return _Op(self, table, m, dst)
+        rows = self._rows(join, lam.degree, g.index(lam))
+        for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
+            ratio = self.weight(top[j]) / self.weight(blk[i])
+            table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
+        return _Op(self, table, m, deg_sub(join, lam.degree))
 
     def refinement(self, m, target):
         """Cylinder refinement: the isometry from block m into block target >= m."""
-        g = self.graph
-        gap = deg_sub(target, m)
+        deep = self.graph.block(target)
         table = {}
         for i, eta in enumerate(self._blocks[m]):
-            w_eta = float(self.weight(eta))
-            outs = table[i] = {}
-            for ext in g.enumerate_paths(gap, g.s(eta)):
-                deeper = g.compose(eta, ext)
-                coef = (float(self.weight(deeper)) / w_eta) ** 0.5
-                outs[self.label_index(target, deeper)] = coef
+            w_eta, rows = float(self.weight(eta)), self._rows(target, m, i)
+            table[i] = {j: (float(self.weight(deep[j])) / w_eta) ** 0.5 for _, j in rows}
         return _Op(self, table, m, target)
 
     def unit_vector(self, m):
@@ -222,14 +217,12 @@ class StandardRep:
         return np.array([float(self.weight(p)) ** 0.5 for p in self._blocks[m]])
 
     def pvm_mask(self, lam, m):
-        """Diagonal 0/1 mask of P(Z(lam)) on block m (m >= d(lam))."""
+        """Diagonal 0/1 mask of P(Z(lam)) on block m (zero unless m >= d(lam))."""
         import numpy as np
 
-        g = self.graph
         mask = np.zeros(self.block_dim(m))
-        for i, eta in enumerate(self._blocks[m]):
-            if g.strip_prefix(eta, lam) is not None:
-                mask[i] = 1.0
+        if deg_le(lam.degree, m):
+            mask[[j for _, j in self._rows(m, lam.degree, self.graph.index(lam))]] = 1.0
         return mask
 
     def encoding_prefix(self, label, n):
@@ -251,6 +244,7 @@ class KPRep(StandardRep):
 
     kind = "kp"
     discrete = True
+    reach = 0  # no Radon-Nikodym test
 
     def __init__(self, graph, depth):
         super().__init__(graph, None, depth)
@@ -261,8 +255,8 @@ class KPRep(StandardRep):
     def weight(self, path):
         return 1
 
-    def _constant_quotient(self, lam, eta):
-        return 1
+    def _rn_constant(self, lam, m, rows):
+        return True
 
     def labels(self):
         return [lab for m in self._blocks for lab in self._blocks[m]]
@@ -281,11 +275,6 @@ class KPRep(StandardRep):
         if not deg_le(n, label.degree):
             raise DepthTooSmall(f"label {label} too shallow for prefix {n}")
         return self.graph.factorize(label, n)[0]
-
-
-def kp_style_rep(graph, depth):
-    """Counting-measure truncation of the infinite-path representation."""
-    return KPRep(graph, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,10 +1049,6 @@ class IntervalDiagonalRep:
         return mask
 
 
-def interval_diagonal_rep(sys, level, resolution=Fraction(1, 16)):
-    return IntervalDiagonalRep(sys, level, resolution)
-
-
 # ---------------------------------------------------------------------------
 # orbits, atoms, and permutative structure
 
@@ -1315,19 +1300,6 @@ def encoding_map(table, label, n):
     if len(hits) > 1:
         raise EncodingConflict(f"{label} in {len(hits)} K sets at degree {n}")
     return hits[0][0]
-
-
-def corrupt_table(table, n):
-    """Fault injection: alias two images so K sets of equal degree collide."""
-    keys = [k for k, lam in table.paths.items() if lam.degree == n]
-    if len(keys) < 2:
-        raise ValueError("need two paths of the chosen degree")
-    t0 = table.sigma[keys[0]]
-    t1 = table.sigma[keys[1]]
-    src = next(iter(t0))
-    dst = next(iter(t1.values()))
-    t0[src] = dst
-    return table
 
 
 # ---------------------------------------------------------------------------

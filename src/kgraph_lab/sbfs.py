@@ -693,10 +693,6 @@ class PathspaceSBFS:
         return pts[: max(1, count)]
 
 
-def pathspace_sbfs(graph, measure, probe_depth=2):
-    return PathspaceSBFS(graph, measure, probe_depth)
-
-
 # ---------------------------------------------------------------------------
 # projective systems
 

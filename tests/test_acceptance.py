@@ -28,11 +28,11 @@ from kgraph_lab.measures import (
 from kgraph_lab.operators import (
     DirectSumRep,
     EncodingTable,
+    KPRep,
     ScaledRep,
     atoms_report,
     faithful_rep,
     gauge_covariance,
-    kp_style_rep,
     monic_vector_probe,
     nonfaithful_witness,
     op_forward,
@@ -273,10 +273,10 @@ def test_criterion_10_monic_verdicts():
 
 def test_criterion_11_atomic_permutative():
     g = builtin_graph("exonevtwoe")
-    kp = kp_style_rep(g, 3)
+    kp = KPRep(g, 3)
     single = atoms_report(kp, depth=3)
     assert single.all_rank_one and single.monic_consistent
-    doubled = atoms_report(DirectSumRep([kp_style_rep(g, 3), kp_style_rep(g, 3)]), 3)
+    doubled = atoms_report(DirectSumRep([KPRep(g, 3), KPRep(g, 3)]), 3)
     assert all(a.rank == 2 for a in doubled.atoms)
     assert not doubled.monic_consistent
 

@@ -973,3 +973,28 @@ def test_extend_tables_match_compose(label, g, bound):
     assert entries > 0
     if g.k > 1:
         assert swapped > 0  # some extension moved its edge through a square
+
+
+@pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
+def test_cut_and_index_match_split(label, g, bound):
+    bound = min(bound, 2) if g.k == 3 else bound
+    pairs = swapped = 0
+    for m in deg_grid(g.k, bound):
+        blk = g.block(m)
+        assert [g.index(p) for p in blk] == list(range(len(blk)))
+        for n in deg_grid(g.k, bound):
+            if not deg_le(n, m):
+                with pytest.raises(DegreeOutOfRange):
+                    g.cut(m, n)
+                continue
+            heads, tails = g.cut(m, n)
+            assert len(heads) == len(tails) == len(blk)
+            first, rest = g.block(n), g.block(deg_sub(m, n))
+            for j, p in enumerate(blk):
+                head, tail = first[heads[j]], rest[tails[j]]
+                assert [head, tail] == g.split(p, [n])
+                pairs += 1
+                swapped += head.edges != p.edges[: len(head.edges)]
+    assert pairs > 0
+    if g.k > 1:
+        assert swapped > 0  # some head is not a prefix of the canonical edge list

@@ -31,13 +31,13 @@ from kgraph_lab.sbfs import (
     IntervalSBFS,
     Monic,
     NotMonic,
+    PathspaceSBFS,
     Skew2D,
     canonical_projective,
     kirchhoff_check,
     lift_double_sbfs,
     lift_product_sbfs,
     monic_probe,
-    pathspace_sbfs,
     rn_derivative,
     sbfs_from_dict,
     sbfs_to_dict,
@@ -356,7 +356,7 @@ def test_product_with_identity_loop_keeps_factor():
 
 def test_pathspace_pf_constructs():
     g = builtin_graph("ex3v8e")
-    ps = pathspace_sbfs(g, pf_measure(g))
+    ps = PathspaceSBFS(g, pf_measure(g))
     lam = g.edge_path("a0")
     z = ps.sample_points(g.s(lam), 1)[0]
     assert abs(ps.measure.quotient(lam, z) - 1 / math.sqrt(2)) < 1e-12
@@ -364,7 +364,7 @@ def test_pathspace_pf_constructs():
 
 def test_pathspace_markov_constructs():
     g = builtin_graph("exonevtwoe")
-    ps = pathspace_sbfs(g, markov_measure(g, t_x_matrix(Fraction(1, 3))))
+    ps = PathspaceSBFS(g, markov_measure(g, t_x_matrix(Fraction(1, 3))))
     assert ps.name.startswith("pathspace")
 
 
@@ -372,7 +372,7 @@ def test_pathspace_zero_vertex_mass():
     g = builtin_graph("exonevtwoe")
     dead = CylinderMeasure(g, lambda p: Fraction(0), "dead", True)
     with pytest.raises(ZeroVertexMass):
-        pathspace_sbfs(g, dead)
+        PathspaceSBFS(g, dead)
 
 
 def test_pathspace_nonpositive_rn():
@@ -385,7 +385,7 @@ def test_pathspace_nonpositive_rn():
         return Fraction(1, 2 ** p.degree[0])
 
     with pytest.raises(NonpositiveRN):
-        pathspace_sbfs(g, CylinderMeasure(g, fn, "bad", True))
+        PathspaceSBFS(g, CylinderMeasure(g, fn, "bad", True))
 
 
 # -- projective systems ----------------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_canonical_projective_cocycle(name):
 
 def test_standard_pathspace_f_values():
     g = builtin_graph("ex3v8e")
-    ps = pathspace_sbfs(g, pf_measure(g))
+    ps = PathspaceSBFS(g, pf_measure(g))
     proj = canonical_projective(ps, sample_count=32)
     lam = g.edge_path("a0")
     inside = [z for z in g.enumerate_paths((3, 3), "u") if ps.head_is(z, lam)]
@@ -454,7 +454,7 @@ def test_transport_pathspace_matches_direct_construction():
     m_pf = pf_measure(g)
     spec = ProductMeasureSpec("geometric", c=Fraction(1, 2), r=Fraction(1, 2))
     m_prod = product_measure(g, spec)
-    base = pathspace_sbfs(g, m_pf)
+    base = PathspaceSBFS(g, m_pf)
     proj_pf = canonical_projective(base, sample_count=16)
 
     def density(z):
@@ -462,7 +462,7 @@ def test_transport_pathspace_matches_direct_construction():
 
     moved = transport_projective(proj_pf, density, tol=1e-8, sample_count=16)
     direct = canonical_projective(
-        pathspace_sbfs(g, m_prod), tol=1e-6, sample_count=16
+        PathspaceSBFS(g, m_prod), tol=1e-6, sample_count=16
     )
     worst = 0.0
     for eid in ("f1", "f2", "e"):

@@ -115,3 +115,42 @@ def test_numpy_is_imported_only_where_float_algebra_runs():
     assert len(modules) >= 8
     found = {m.name: eager_numpy_imports(m.read_text()) for m in modules}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+PATH_ALGEBRA = {"compose", "lambda_min", "strip_prefix", "split", "factorize"}
+
+
+def path_algebra_calls(source, cls):
+    """(method, called name) for each path-algebra method call in the body of class cls."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in PATH_ALGEBRA):
+                    out.add((fn.name, call.func.attr))
+    return out
+
+
+def test_path_algebra_rule_sees_each_form():
+    source = (
+        "class StandardRep:\n"
+        "    def f(self, g, p, q):\n        return g.compose(p, q)\n"
+        "    def h(self, p, q):\n        return [a for a, _ in self.graph.lambda_min(p, q)]\n"
+        "    def ok(self, g, p):\n        return g.cut(p.degree, p.degree), g.index(p)\n"
+        "class KPRep(StandardRep):\n"
+        "    def label(self, p, q):\n        return self.graph.strip_prefix(p, q)\n"
+    )
+    assert path_algebra_calls(source, "StandardRep") == {("f", "compose"), ("h", "lambda_min")}
+    assert path_algebra_calls(source, "KPRep") == {("label", "strip_prefix")}
+
+
+def test_standard_rep_tables_use_no_path_algebra():
+    # every StandardRep table is a read of KGraph.cut rows
+    source = (PACKAGE / "operators.py").read_text()
+    assert "class StandardRep" in source
+    assert path_algebra_calls(source, "StandardRep") == set()
