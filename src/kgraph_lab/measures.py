@@ -162,8 +162,14 @@ class CylinderMeasure:
     ``fn`` gives the value of a base cylinder.  ``base(degree)`` names the
     base degree at or above a degree; without it every cylinder is a base
     cylinder.  Any shallower cylinder is the sum of its one-edge extensions
-    in the first color short of the base, read through ``value``
-    (additivity), so each value is computed once per measure.
+    in the first color short of the base (additivity).
+
+    ``values(m)`` lists the values of block(m) in block order, kept once
+    per degree: a base degree maps ``value`` over the block, a shallower
+    one sums the runs fan(m, c)[i]..fan(m, c)[i+1] of values(m + e_c)
+    through extend(m, c), in the order of ``KGraph.extensions``.
+    ``value(path)`` is the same definition for one path, computed afresh
+    and building no block, so it reaches degrees above the enumeration cap.
     """
 
     def __init__(self, graph, fn, tag, exact, base=None):
@@ -172,44 +178,66 @@ class CylinderMeasure:
         self.exact = exact
         self._fn = fn
         self._base = base
-        self._bumps = {}
-        self._cache = {}
+        self._bumps = {}  # path -> delta
+        self._values = {}  # degree -> values of block(degree)
 
     def value(self, path):
-        key = (path.range, path.edges)
-        if key not in self._cache:
-            val = self._derive(path)
-            if key in self._bumps:
-                val += self._bumps[key]
-            if val < 0:
-                raise AdditivityViolation(path, float(val))
-            self._cache[key] = val
-        return self._cache[key]
+        color = self._short(path.degree)
+        if color:
+            val = sum(map(self.value, self.graph.extensions(path, color)))
+        else:
+            val = self._fn(path)
+        if self._bumps and path in self._bumps:
+            val += self._bumps[path]
+        if val < 0:
+            raise AdditivityViolation(path, float(val))
+        return val
 
-    def _derive(self, path):
+    def values(self, m):
+        """The values of block(m), in block order."""
+        vals = self._values.get(m)
+        if vals is None:
+            g = self.graph
+            color = self._short(m)
+            if not color:
+                vals = list(map(self.value, g.block(m)))
+            else:
+                fan, ext = g.fan(m, color), g.extend(m, color)
+                up = self.values(deg_add(m, deg_unit(g.k, color)))
+                vals = [sum(map(up.__getitem__, ext[fan[i]:fan[i + 1]]))
+                        for i in range(len(fan) - 1)]
+                # a sum of checked values is nonnegative; only a bump can go below 0
+                for path, delta in self._bumps.items():
+                    if path.degree == m:
+                        i = g.index(path)
+                        vals[i] += delta
+                        if vals[i] < 0:
+                            raise AdditivityViolation(path, float(vals[i]))
+            self._values[m] = vals
+        return vals
+
+    def _short(self, degree):
+        """The first color in which degree falls short of its base, or 0."""
         if self._base is not None:
-            base = self._base(path.degree)
-            for color, (have, want) in enumerate(zip(path.degree, base), start=1):
+            for color, (have, want) in enumerate(zip(degree, self._base(degree)), start=1):
                 if have < want:
-                    return sum(map(self.value, self.graph.extensions(path, color)))
-        return self._fn(path)
-
-    def ratio(self, path, base):
-        """value(Z(path)) / value(Z(base)); raises ZeroDenominator on a null base."""
-        denom = self.value(base)
-        if denom == 0:
-            raise ZeroDenominator(f"Z({base}) has measure 0")
-        return self.value(path) / denom
+                    return color
+        return 0
 
     def quotient(self, lam, eta):
-        """The Radon-Nikodym quotient value(Z(lam eta)) / value(Z(eta))."""
-        return self.ratio(self.graph.compose(lam, eta), eta)
+        """The Radon-Nikodym quotient value(Z(lam eta)) / value(Z(eta));
+        raises ZeroDenominator on a null Z(eta)."""
+        path = self.graph.compose(lam, eta)
+        denom = self.value(eta)
+        if denom == 0:
+            raise ZeroDenominator(f"Z({eta}) has measure 0")
+        return self.value(path) / denom
 
     def perturbed(self, path, delta):
         """Copy with the value at one canonical path bumped (fault injection);
         the values derived from it by additivity carry the bump."""
         out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact, self._base)
-        out._bumps = {**self._bumps, (path.range, path.edges): delta}
+        out._bumps = {**self._bumps, path: delta}
         return out
 
 
@@ -247,7 +275,6 @@ def check_consistency(measure, depth, tol=1e-12):
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
-    value = measure.value
     worst = 0.0
     worst_path = None
     checked = 0
@@ -257,17 +284,17 @@ def check_consistency(measure, depth, tol=1e-12):
         for c in range(1, g.k + 1):
             chain.append((g.fan(m, c), g.extend(m, c)))
             m = deg_add(m, deg_unit(g.k, c))
-        top = g.block(m)
-        for i, lam in enumerate(g.block(n)):
+        top = measure.values(m)
+        for i, val in enumerate(measure.values(n)):
             group = [i]
             for fan, ext in chain:
-                group = [ext[t] for x in group for t in range(fan[x], fan[x + 1])]
-            total = sum(value(top[j]) for j in group)
-            residual = abs(value(lam) - total)
+                group = [j for x in group for j in ext[fan[x]:fan[x + 1]]]
+            total = sum(map(top.__getitem__, group))
+            residual = abs(val - total)
             checked += 1
             if float(residual) > worst:
                 worst = float(residual)
-                worst_path = lam
+                worst_path = g.block(n)[i]
     ok = worst == 0.0 if measure.exact else worst <= tol
     return ConsistencyReport(ok, checked, worst, worst_path, measure.exact)
 
@@ -820,7 +847,7 @@ def measure_table(measure, depth):
     g.check_cap(depth * g.k, f"measure table depth {depth}")
     lines = ["depth\tpath\tvalue"]
     for n in deg_grid(g.k, depth):
-        for lam in g.enumerate_paths(n):
+        for lam, val in zip(g.block(n), measure.values(n)):
             label = ".".join(lam.edges) if lam.edges else lam.range
-            lines.append(f"{deg_total(n)}\t{label}\t{format_value(measure.value(lam))}")
+            lines.append(f"{deg_total(n)}\t{label}\t{format_value(val)}")
     return "\n".join(lines) + "\n"

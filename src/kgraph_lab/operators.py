@@ -36,6 +36,7 @@ Every standard table reads the rows of a ``KGraph.cut`` table with head
 ``KGraph.index(lam)``: t_lam on block m those of cut(m + d(lam), d(lam)),
 t_lam^* those of cut(m v d(lam), d(lam)) grouped by their heads under
 cut(m v d(lam), m), refinement cut(target, m), P(Z(lam)) cut(m, d(lam)).
+Weights are read at the same indices from ``CylinderMeasure.values``.
 verify_ck and pvm_additivity compose paths themselves, so each relation
 checks the tables against the path algebra.
 """
@@ -57,6 +58,7 @@ from .errors import (
     NotStronglyConnected,
     PeriodicOrbit,
     UnsupportedMeasure,
+    ZeroDenominator,
 )
 from .intervals import IntervalUnion, atoms_meeting, partition_atoms
 from .kgraph import (
@@ -116,11 +118,13 @@ class StandardRep:
         self._probe_usability()
 
     def _probe_usability(self):
-        """Every edge action must be defined on at least one block."""
+        """Every edge action must be defined on at least one block whose
+        image is represented (a depth-0 truncation has none)."""
         g = self.graph
         for e in g.edges:
             lam = g.edge_path(e.eid)
-            if not any(self.apply_path(lam, m) is not None for m in self._blocks):
+            blocks = [m for m in self._blocks if deg_add(m, lam.degree) in self._blocks]
+            if blocks and all(self.apply_path(lam, m) is None for m in blocks):
                 raise UnsupportedMeasure(
                     f"Radon-Nikodym data of edge {e.eid!r} is nonconstant on "
                     "every represented cylinder class"
@@ -140,6 +144,16 @@ class StandardRep:
     def weight(self, path):
         return self.measure.value(path)
 
+    def _values(self, m):
+        """The weights of block(m), in block order."""
+        return self.measure.values(m)
+
+    def _nonnull(self, vals, m, i):
+        """vals[i], the weight of block(m)[i]; raises ZeroDenominator when it is 0."""
+        if vals[i] == 0:
+            raise ZeroDenominator(f"Z({self.graph.block(m)[i]}) has measure 0")
+        return vals[i]
+
     def _rows(self, m, n, a):
         """(tail, j) for the paths j of block(m) with head a under cut(m, n), in tail order."""
         heads, tails = self.graph.cut(m, n)
@@ -154,14 +168,14 @@ class StandardRep:
     def _rn_constant(self, lam, m, rows):
         """Whether Phi_lam is constant on Z(eta), eta = block(m)[i], for each row (i, j):
         its quotient against those on the rows of cut(m + (1,..,1), m) with head i."""
-        g, ratio, up = self.graph, self.measure.ratio, deg_add(m, deg_diag(self.graph.k, 1))
-        blk, deep = g.block(m), g.block(up)
-        image, deep_image = g.block(deg_add(m, lam.degree)), g.block(deg_add(up, lam.degree))
+        g, nonnull, up = self.graph, self._nonnull, deg_add(m, deg_diag(self.graph.k, 1))
+        blk, deep = self._values(m), self._values(up)
+        image, deep_image = self._values(deg_add(m, lam.degree)), self._values(deg_add(up, lam.degree))
         forward = dict(self._rows(deg_add(up, lam.degree), lam.degree, g.index(lam)))
         for i, j in rows:
-            base = ratio(image[j], blk[i])
+            base = image[j] / nonnull(blk, m, i)
             for _, t in self._rows(up, m, i):
-                q = ratio(deep_image[forward[t]], deep[t])
+                q = deep_image[forward[t]] / nonnull(deep, up, t)
                 if q != base if self.measure.exact else abs(float(q - base)) > self.tol:
                     return False
         return True
@@ -193,28 +207,28 @@ class StandardRep:
         join = deg_join(m, lam.degree)
         if m not in self._blocks or join not in self._blocks:
             return None
-        heads, top, blk = g.cut(join, m)[0], g.block(join), g.block(m)
+        heads, top, blk = g.cut(join, m)[0], self._values(join), self._values(m)
         table = {}
         rows = self._rows(join, lam.degree, g.index(lam))
         for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
-            ratio = self.weight(top[j]) / self.weight(blk[i])
+            ratio = top[j] / self._nonnull(blk, m, i)
             table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
         return _Op(self, table, m, deg_sub(join, lam.degree))
 
     def refinement(self, m, target):
         """Cylinder refinement: the isometry from block m into block target >= m."""
-        deep = self.graph.block(target)
+        deep, blk = self._values(target), self._values(m)
         table = {}
-        for i, eta in enumerate(self._blocks[m]):
-            w_eta, rows = float(self.weight(eta)), self._rows(target, m, i)
-            table[i] = {j: (float(self.weight(deep[j])) / w_eta) ** 0.5 for _, j in rows}
+        for i in range(len(blk)):
+            w_eta, rows = float(self._nonnull(blk, m, i)), self._rows(target, m, i)
+            table[i] = {j: (float(deep[j]) / w_eta) ** 0.5 for _, j in rows}
         return _Op(self, table, m, target)
 
     def unit_vector(self, m):
         """Coordinates of the constant function 1 in block m."""
         import numpy as np
 
-        return np.array([float(self.weight(p)) ** 0.5 for p in self._blocks[m]])
+        return np.array([float(w) ** 0.5 for w in self._values(m)])
 
     def pvm_mask(self, lam, m):
         """Diagonal 0/1 mask of P(Z(lam)) on block m (zero unless m >= d(lam))."""
@@ -254,6 +268,9 @@ class KPRep(StandardRep):
 
     def weight(self, path):
         return 1
+
+    def _values(self, m):
+        return [1] * len(self.graph.block(m))
 
     def _rn_constant(self, lam, m, rows):
         return True

@@ -131,6 +131,19 @@ def test_rep_verify_zero_blocks_exit_1(tmp_path):
     assert report["violations"][0]["blocks_checked"] == 0
 
 
+def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
+    # at depth 0 no edge has an image in the truncation: the rep is built and
+    # the CK report shows the relations that checked nothing
+    code = main(["rep-verify", "--builtin", "ex3v8e", "--depth", "0", "--out", str(tmp_path)])
+    assert code == 1
+    report = read_report(tmp_path)
+    assert report["results"]["ok"] is False
+    empty = [c["relation"] for c in report["results"]["checks"] if c["blocks_checked"] == 0]
+    assert empty == ["CK3", "CK4", "CK4-min"]
+    assert report["violations"][0]["check"] == "CK3"
+    assert report["violations"][0]["blocks_checked"] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from kgraph_lab.catalog import builtin_graph
+from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph
 from kgraph_lab.errors import (
+    AdditivityViolation,
     DegreeCapExceeded,
     GammaOutOfRange,
     IncomparableSpecs,
@@ -15,7 +16,7 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import Edge, deg_grid, deg_sub, deg_unit, validate_kgraph
+from kgraph_lab.kgraph import Edge, deg_diag, deg_grid, deg_sub, deg_unit, validate_kgraph
 from kgraph_lab import measures
 from kgraph_lab.measures import (
     CylinderMeasure,
@@ -42,6 +43,7 @@ from kgraph_lab.measures import (
     star_markov_matrix,
     t_x_matrix,
 )
+from kgraph_lab.operators import KPRep, induced_measure, standard_rep
 
 from test_kgraph import random_graph
 
@@ -808,3 +810,87 @@ def test_exact_pf_measures_of_random_graphs_are_exactly_additive():
         rep = check_consistency(pf_measure(g, pf), depth)
         assert rep.exact and rep.ok and rep.worst_residual == 0
         assert rep.checked == sum(len(g.block(n)) for n in deg_grid(g.k, depth))
+
+
+# -- per-block values -----------------------------------------------------------------------
+
+
+def bump_for(measure):
+    return Fraction(1, 1000) if measure.exact else 1e-3
+
+
+def block_value_measures(g):
+    """(tag, measure, bound) on g: pf, product and Markov measures where they
+    fit, the vector-free induced measures of a standard and a KP rep, and
+    bumped copies at base and at derived degrees.  bound caps the degrees
+    compared; an induced measure is defined up to its rep's block."""
+    depth = 2 if g.k <= 2 else 1
+    full = depth + 1
+    kp = induced_measure(KPRep(g, depth))
+    out = [("kp", kp, depth), ("kp+bump", kp.perturbed(g.vertex_path(g.vertices[-1]), 1), depth)]
+    try:
+        pf = pf_measure(g)
+    except NotStronglyConnected:
+        return out
+    square = g.block(deg_diag(g.k, 1))[-1]
+    out += [("pf", pf, full), ("pf+bump", pf.perturbed(square, bump_for(pf)), full)]
+    out.append(("standard", induced_measure(standard_rep(g, pf, depth)), depth))
+    if g.k != 2:
+        return out
+    try:
+        shape = detect_shape(g)
+    except UnsupportedGraphShape:
+        return out
+    chain = t_x_matrix(Fraction(1, 3)) if shape.symbol_count == 2 else four_state_chain()
+    floats = MarkovMeasureSpec(tuple(tuple(map(float, row)) for row in chain.matrix))
+    out += [("markov", markov_measure(g, chain), full), ("markov-float", markov_measure(g, floats), full)]
+    if shape.kind == "star" or shape.symbol_count == 2:
+        for tag, spec in (("product", "const:1/4"), ("product-float", None)):
+            spec = parse_product_spec(spec) if spec else ProductMeasureSpec("const", c=0.125)
+            m = product_measure(g, spec)
+            derived = g.block((1, 2))[0]  # base degree (2, 2)
+            out += [(tag, m, full), (tag + "+bump", m.perturbed(square, bump_for(m)), full),
+                    (tag + "+derived-bump", m.perturbed(derived, bump_for(m)), full)]
+    return out
+
+
+BLOCK_VALUE_GRAPHS = [(name, lambda name=name: builtin_graph(name)) for name in BUILTIN_GRAPH_NAMES]
+BLOCK_VALUE_GRAPHS += [
+    (f"random{k}-{seed}", lambda k=k, seed=seed: random_graph(random.Random(seed), k))
+    for k in (2, 3) for seed in range(12)
+]
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@pytest.mark.parametrize("label, make", BLOCK_VALUE_GRAPHS, ids=[label for label, _ in BLOCK_VALUE_GRAPHS])
+def test_block_values_equal_path_values(label, make):
+    # == on floats: sums over the extend runs must add in the order of extensions
+    g = make()
+    cases = block_value_measures(g)
+    for tag, m, bound in cases:
+        for n in deg_grid(g.k, bound):
+            want = typed([m.value(p) for p in g.block(n)])
+            assert typed(m.values(n)) == want, (tag, n)
+            assert m.values(n) is m.values(n)
+    if label == "exonevtwoe":
+        assert {tag for tag, _, _ in cases} == {
+            "kp", "kp+bump", "pf", "pf+bump", "standard", "markov", "markov-float",
+            "product", "product+bump", "product+derived-bump",
+            "product-float", "product-float+bump", "product-float+derived-bump"}
+
+
+@pytest.mark.parametrize("edges", [["f1"], ["f1", "e"]], ids=["derived", "base"])
+def test_a_bump_below_zero_raises_at_its_path(edges):
+    g = builtin_graph("exonevtwoe")
+    m = product_measure(g, parse_product_spec("const:1/4"))
+    at = g.path(edges)
+    bad = m.perturbed(at, -2 * m.value(at))
+    reads = [lambda: bad.values(at.degree), lambda: bad.value(at),
+             lambda: check_consistency(bad, 1), lambda: measure_table(bad, 1)]
+    for read in reads:
+        with pytest.raises(AdditivityViolation) as err:
+            read()
+        assert err.value.path == at and err.value.residual == -float(m.value(at))

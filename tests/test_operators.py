@@ -1,4 +1,5 @@
 import collections
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -6,6 +7,7 @@ import itertools
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +24,7 @@ from kgraph_lab.errors import (
     PeriodicOrbit,
     UnsupportedGraphShape,
     UnsupportedMeasure,
+    ZeroDenominator,
 )
 from kgraph_lab.intervals import IntervalUnion
 from kgraph_lab.kgraph import KGraph, deg_add, deg_diag, deg_grid, deg_join, deg_sub
@@ -420,15 +423,27 @@ def test_nonconstant_product_measure_unsupported():
         standard_rep(g, product_measure(g, spec), 3)
 
 
+@pytest.mark.parametrize("at", [(), ("f1", "e")], ids=["vertex", "square"])
+def test_standard_rep_on_a_null_cylinder_raises_zero_denominator(at):
+    # the null cylinder is a base of the Radon-Nikodym test at block 0 (the
+    # vertex) or one of its refinements a level deeper (the square)
+    g = builtin_graph("exonevtwoe")
+    m = pf_measure(g)
+    null = g.path(at) if at else g.vertex_path("v")
+    with pytest.raises(ZeroDenominator, match=re.escape(f"Z({null}) has measure 0")):
+        standard_rep(g, m.perturbed(null, -m.value(null)), 1)
+
+
 # -- standard tables against the builders that cut replaced ---------------------------
 
 
-def reference_constant_quotient(rep, lam, eta):
+def reference_constant_quotient(rep, weight, lam, eta):
     """Phi_lam restricted to Z(eta) if constant, else None (per-eta compose loop)."""
     g = rep.graph
-    base = rep.measure.quotient(lam, eta)
+    base = weight(g.compose(lam, eta)) / weight(eta)
     for ext in g.enumerate_paths(deg_diag(g.k, 1), g.s(eta)):
-        q = rep.measure.quotient(lam, g.compose(eta, ext))
+        deeper = g.compose(eta, ext)
+        q = weight(g.compose(lam, deeper)) / weight(deeper)
         if rep.measure.exact:
             if q != base:
                 return None
@@ -437,7 +452,7 @@ def reference_constant_quotient(rep, lam, eta):
     return base
 
 
-def reference_forward_table(rep, index, lam, m):
+def reference_forward_table(rep, weight, index, lam, m):
     g = rep.graph
     dst = deg_add(m, lam.degree)
     if m not in index or dst not in index:
@@ -446,13 +461,13 @@ def reference_forward_table(rep, index, lam, m):
     for i, eta in enumerate(rep.block(m)):
         if g.s(lam) != eta.range:
             continue
-        if rep.kind == "standard" and reference_constant_quotient(rep, lam, eta) is None:
+        if rep.kind == "standard" and reference_constant_quotient(rep, weight, lam, eta) is None:
             return None
         table[i] = {index[dst][g.compose(lam, eta)]: 1}
     return table
 
 
-def reference_adjoint_table(rep, index, lam, m):
+def reference_adjoint_table(rep, weight, index, lam, m):
     """Minimal common extensions by lambda_min, one eta at a time."""
     g = rep.graph
     dst = deg_sub(deg_join(m, lam.degree), lam.degree)
@@ -462,22 +477,22 @@ def reference_adjoint_table(rep, index, lam, m):
     for i, eta in enumerate(rep.block(m)):
         outs = {}
         for alpha, _beta in g.lambda_min(lam, eta):
-            ratio = rep.weight(g.compose(lam, alpha)) / rep.weight(eta)
+            ratio = weight(g.compose(lam, alpha)) / weight(eta)
             outs[index[dst][alpha]] = 1 if ratio == 1 else float(ratio) ** 0.5
         if outs:
             table[i] = outs
     return table
 
 
-def reference_refinement(rep, index, m, target):
+def reference_refinement(rep, weight, index, m, target):
     g = rep.graph
     table = {}
     for i, eta in enumerate(rep.block(m)):
-        w_eta = float(rep.weight(eta))
+        w_eta = float(weight(eta))
         outs = table[i] = {}
         for ext in g.enumerate_paths(deg_sub(target, m), g.s(eta)):
             deeper = g.compose(eta, ext)
-            outs[index[target][deeper]] = (float(rep.weight(deeper)) / w_eta) ** 0.5
+            outs[index[target][deeper]] = (float(weight(deeper)) / w_eta) ** 0.5
     return table
 
 
@@ -496,19 +511,22 @@ def assert_tables_match_references(rep, lam_bound):
     g = rep.graph
     keys = rep.block_keys()
     index = {m: {p: i for i, p in enumerate(rep.block(m))} for m in keys}
+    # the references read each cylinder many times, and CylinderMeasure.value
+    # computes a path's value afresh on every call: read it once per path
+    weight = functools.cache(rep.weight)
     lams = [lam for n in deg_grid(g.k, lam_bound) for lam in g.enumerate_paths(n)]
     undefined = 0
     for m in keys:
         for lam in lams:
             fwd, adj = rep.apply_path(lam, m), rep.apply_adjoint(lam, m)
-            assert rows_of(fwd and fwd.table) == rows_of(reference_forward_table(rep, index, lam, m))
-            assert rows_of(adj and adj.table) == rows_of(reference_adjoint_table(rep, index, lam, m))
+            assert rows_of(fwd and fwd.table) == rows_of(reference_forward_table(rep, weight, index, lam, m))
+            assert rows_of(adj and adj.table) == rows_of(reference_adjoint_table(rep, weight, index, lam, m))
             undefined += fwd is None and deg_add(m, lam.degree) in index
             assert rep.pvm_mask(lam, m).tolist() == reference_pvm_mask(rep, lam, m)
         for target in keys:
             if all(a <= b for a, b in zip(m, target)):
                 got = rows_of(rep.refinement(m, target).table)
-                assert got == rows_of(reference_refinement(rep, index, m, target))
+                assert got == rows_of(reference_refinement(rep, weight, index, m, target))
     return undefined
 
 

@@ -118,22 +118,33 @@ def test_numpy_is_imported_only_where_float_algebra_runs():
 
 
 PATH_ALGEBRA = {"compose", "lambda_min", "strip_prefix", "split", "factorize"}
+VALUE_READS = {"value", "ratio", "quotient"}
 
 
-def path_algebra_calls(source, cls):
-    """(method, called name) for each path-algebra method call in the body of class cls."""
+def attribute_calls(source, owner, names):
+    """(function, called name) for each call of a method in names inside owner:
+    the methods of the class named owner, or the function named owner."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            fns = node.body
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == owner:
+            fns = [node]
+        else:
             continue
-        for fn in node.body:
+        for fn in fns:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for call in ast.walk(fn):
                 if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                        and call.func.attr in PATH_ALGEBRA):
+                        and call.func.attr in names):
                     out.add((fn.name, call.func.attr))
     return out
+
+
+def path_algebra_calls(source, cls):
+    """(method, called name) for each path-algebra method call in the body of class cls."""
+    return attribute_calls(source, cls, PATH_ALGEBRA)
 
 
 def test_path_algebra_rule_sees_each_form():
@@ -154,3 +165,26 @@ def test_standard_rep_tables_use_no_path_algebra():
     source = (PACKAGE / "operators.py").read_text()
     assert "class StandardRep" in source
     assert path_algebra_calls(source, "StandardRep") == set()
+
+
+def test_value_read_rule_sees_each_form():
+    source = (
+        "def check_consistency(m, p):\n    return m.value(p) + m.values(p.degree)[0]\n"
+        "class StandardRep:\n"
+        "    def weight(self, p):\n        return self.measure.value(p)\n"
+        "    def t(self, p, q):\n        return self.measure.ratio(p, q), self.measure.quotient(p, q)\n"
+    )
+    assert attribute_calls(source, "check_consistency", VALUE_READS) == {("check_consistency", "value")}
+    assert attribute_calls(source, "StandardRep", VALUE_READS) == {
+        ("weight", "value"), ("t", "ratio"), ("t", "quotient")}
+
+
+def test_block_readers_take_values_by_index():
+    # per-path reads are for single paths; block readers index values(m)
+    measures = (PACKAGE / "measures.py").read_text()
+    for fn in ("check_consistency", "measure_table"):
+        assert "def " + fn in measures
+        assert attribute_calls(measures, fn, VALUE_READS) == set()
+    operators = (PACKAGE / "operators.py").read_text()
+    assert attribute_calls(operators, "StandardRep", VALUE_READS) == {("weight", "value")}
+    assert attribute_calls(operators, "KPRep", VALUE_READS) == set()
