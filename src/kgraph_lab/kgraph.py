@@ -17,7 +17,8 @@ color of m) with each color-c edge at the source appended, since a
 canonical path less its last edge is canonical.  One-edge extensions are
 index tables between blocks, one square lookup per entry, and so is
 cut(m, n), which names the head and tail of every path of Lambda^m by
-their indices in Lambda^n and Lambda^{m - n}.
+their indices in Lambda^n and Lambda^{m - n}; rows(m, n, a) lists the
+paths with head a, by their tails.
 
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
@@ -184,6 +185,7 @@ class KGraph:
         self._fans = {}
         self._extends = {}
         self._cuts = {}
+        self._orders = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -446,6 +448,22 @@ class KGraph:
                         heads[ext[t]], tails[ext[t]] = head, tail_ext[shift + t]
             self._cuts[key] = heads, tails
         return self._cuts[key]
+
+    def rows(self, m, n, a):
+        """(tail, j) for the paths j of block(m) with head a under cut(m, n), in tail order.
+
+        The rows of cut(m, n) are sorted by (head, tail) once per (m, n);
+        each call bisects the sorted order for its head.
+        """
+        heads, tails = self.cut(m, n)
+        order = self._orders.get((m, n))
+        if order is None:
+            width = len(self.block(deg_sub(m, n)))
+            order = array("l", sorted(range(len(heads)), key=lambda j: heads[j] * width + tails[j]))
+            self._orders[(m, n)] = order
+        head = heads.__getitem__
+        lo = bisect_left(order, a, key=head)
+        return [(tails[j], j) for j in order[lo:bisect_right(order, a, lo, key=head)]]
 
     def index(self, p):
         """The position of p in block(d(p)): canonical p is its vertex with

@@ -75,12 +75,15 @@ def _exact_nullspace(mat):
 def pf_data(g, tol=1e-10):
     """Spectral radii and the common unimodular Perron eigenvector.
 
-    Power iteration (all-ones seed) on I + sum(A_i); the shift handles
-    periodic vertex matrices.  When every spectral radius is rational the
-    eigenvector is recomputed exactly over the rationals.
+    Exact data is settled first, over the rationals and without numpy
+    (_exact_pf).  Otherwise: power iteration (all-ones seed) on
+    I + sum(A_i); the shift handles periodic vertex matrices.
     """
     if not g.is_strongly_connected():
         raise NotStronglyConnected(g.name)
+    exact = _exact_pf(g)
+    if exact is not None:
+        return exact
     import numpy as np
 
     mats = [np.array(m, dtype=float) for m in g.vertex_matrices()]
@@ -98,10 +101,6 @@ def pf_data(g, tol=1e-10):
         raise NoConvergence(MAX_POWER_ITERATIONS)
     rho_f = [float(np.dot(vec, m @ vec) / np.dot(vec, vec)) for m in mats]
 
-    exact = _try_exact_pf(g, rho_f)
-    if exact is not None:
-        return exact
-
     kappa = {v: float(vec[i]) for i, v in enumerate(g.vertices)}
     residual = 0.0
     for rho_i, m in zip(rho_f, mats):
@@ -111,45 +110,53 @@ def pf_data(g, tol=1e-10):
     return PFData(tuple(rho_f), kappa, exact=False, residual=residual)
 
 
-def _try_exact_pf(g, rho_estimates):
+def _exact_pf(g):
+    """PFData over the rationals, or None when some spectral radius is
+    irrational or the colors share no Perron vector.
+
+    A rational root of the characteristic polynomial of an integer matrix
+    is an integer, and the Perron root of a nonnegative matrix lies between
+    its least and greatest row sums; only it has a positive eigenvector.
+    So each color scans those integers for a one-dimensional rational
+    nullspace of A_i - rho*I with a positive vector.
+    """
     mats = g.vertex_matrices()
-    nv = len(g.vertices)
-    rhos = []
-    for est in rho_estimates:
-        cand = Fraction(est).limit_denominator(1000)
-        if abs(float(cand) - est) > 1e-8:
+    rhos, kappa = [], None
+    for mat in mats:
+        sums = [sum(row) for row in mat]
+        for rho in range(min(sums), max(sums) + 1):
+            vec = _perron_vector(mat, rho)
+            if vec is not None:
+                break
+        else:
             return None
-        rhos.append(cand)
-    kappa = None
-    for rho_i, mat in zip(rhos, mats):
-        shifted = [
-            [Fraction(mat[i][j]) - (rho_i if i == j else 0) for j in range(nv)]
-            for i in range(nv)
-        ]
-        vec = _exact_nullspace(shifted)
-        if vec is None:
-            return None
-        if all(x < 0 for x in vec):
-            vec = [-x for x in vec]
-        if not all(x > 0 for x in vec):
-            return None
-        total = sum(vec)
-        vec = [x / total for x in vec]
         if kappa is None:
             kappa = vec
         elif kappa != vec:
             return None
-    # exact verification of the eigen equations
-    for rho_i, mat in zip(rhos, mats):
-        for i in range(nv):
-            if sum(Fraction(mat[i][j]) * kappa[j] for j in range(nv)) != rho_i * kappa[i]:
-                return None
+        rhos.append(Fraction(rho))
     return PFData(
         tuple(rhos),
         {v: kappa[i] for i, v in enumerate(g.vertices)},
         exact=True,
         residual=0.0,
     )
+
+
+def _perron_vector(mat, rho):
+    """The positive vector, summing to 1, spanning the nullspace of mat - rho*I,
+    or None when that nullspace is not one-dimensional and positive."""
+    nv = len(mat)
+    shifted = [[mat[i][j] - (rho if i == j else 0) for j in range(nv)] for i in range(nv)]
+    vec = _exact_nullspace(shifted)
+    if vec is None:
+        return None
+    if all(x < 0 for x in vec):
+        vec = [-x for x in vec]
+    if not all(x > 0 for x in vec):
+        return None
+    total = sum(vec)
+    return [x / total for x in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +253,16 @@ def pf_measure(g, pf=None, tol=1e-10):
     if pf is None:
         pf = pf_data(g, tol=tol)
 
+    values = {}  # (source vertex, degree) -> value
+
     def fn(path):
-        val = pf.kappa[g.s(path)]
-        for rho_i, n_i in zip(pf.rho, path.degree):
-            val = val / rho_i**n_i
+        key = (g.s(path), path.degree)
+        val = values.get(key)
+        if val is None:
+            val = pf.kappa[key[0]]
+            for rho_i, n_i in zip(pf.rho, path.degree):
+                val = val / rho_i**n_i
+            values[key] = val
         return val
 
     m = CylinderMeasure(g, fn, "pf", exact=pf.exact)

@@ -36,15 +36,21 @@ Every standard table reads the rows of a ``KGraph.cut`` table with head
 ``KGraph.index(lam)``: t_lam on block m those of cut(m + d(lam), d(lam)),
 t_lam^* those of cut(m v d(lam), d(lam)) grouped by their heads under
 cut(m v d(lam), m), refinement cut(target, m), P(Z(lam)) cut(m, d(lam)).
-Weights are read at the same indices from ``CylinderMeasure.values``.
-verify_ck and pvm_additivity compose paths themselves, so each relation
-checks the tables against the path algebra.
+Weights are read at the same indices from ``CylinderMeasure.values``;
+on exact weights the Radon-Nikodym test compares integer cross-products.
+
+The faithful tables read ``KGraph.cut`` rows too, naming a label (i, mu)
+by (i, index(mu)): lam.mu is the row of cut(d(lam) + d(mu), d(lam)) with
+head index(lam) and tail index(mu), a trailing rule segment is the tail
+under cut(m, m - (1,..,1)), and lam is a prefix of w when the row of w
+under cut(d(w), d(lam)) has head index(lam).  Their label actions, which
+compose and factorize paths, are the reference the tables are tested
+against.  verify_ck and pvm_additivity compose paths themselves, so each
+relation checks the tables against the path algebra.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -78,14 +84,16 @@ from .measures import CylinderMeasure, default_prefix_rule, pf_data
 
 # Label-action result for an image outside the truncation; None is "no image".
 ESCAPE = object()
+_UNBUILT = object()
 
 
 def _built_once(tables, direction, lam, key, build):
     """build(lam, key), remembered in tables; the shared _Op is read-only."""
     memo = (direction, lam, key)
-    if memo not in tables:
-        tables[memo] = build(lam, key)
-    return tables[memo]
+    op = tables.get(memo, _UNBUILT)
+    if op is _UNBUILT:
+        op = tables[memo] = build(lam, key)
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +122,7 @@ class StandardRep:
         self.tol = tol
         graph.check_cap((depth + self.reach) * graph.k, f"{self.kind} rep depth {depth}")
         self._blocks = {m: graph.enumerate_paths(m) for m in deg_grid(graph.k, depth)}
-        self._orders, self._tables = {}, {}  # sorted cut rows, built operators
+        self._tables, self._integers = {}, {}  # built operators, exact weights as integers
         self._probe_usability()
 
     def _probe_usability(self):
@@ -154,29 +162,36 @@ class StandardRep:
             raise ZeroDenominator(f"Z({self.graph.block(m)[i]}) has measure 0")
         return vals[i]
 
-    def _rows(self, m, n, a):
-        """(tail, j) for the paths j of block(m) with head a under cut(m, n), in tail order."""
-        heads, tails = self.graph.cut(m, n)
-        if (m, n) not in self._orders:
-            width = len(self.graph.block(deg_sub(m, n)))
-            order = sorted(range(len(heads)), key=lambda j: heads[j] * width + tails[j])
-            self._orders[(m, n)] = array("l", order)
-        order, head = self._orders[(m, n)], heads.__getitem__
-        lo = bisect_left(order, a, key=head)
-        return [(tails[j], j) for j in order[lo:bisect_right(order, a, lo, key=head)]]
+    def _integer_values(self, m):
+        """(numerators, denominators) of the exact weights of block(m)."""
+        pair = self._integers.get(m)
+        if pair is None:
+            ratios = [v.as_integer_ratio() for v in self._values(m)]
+            pair = self._integers[m] = [n for n, _ in ratios], [d for _, d in ratios]
+        return pair
 
     def _rn_constant(self, lam, m, rows):
         """Whether Phi_lam is constant on Z(eta), eta = block(m)[i], for each row (i, j):
         its quotient against those on the rows of cut(m + (1,..,1), m) with head i."""
         g, nonnull, up = self.graph, self._nonnull, deg_add(m, deg_diag(self.graph.k, 1))
-        blk, deep = self._values(m), self._values(up)
-        image, deep_image = self._values(deg_add(m, lam.degree)), self._values(deg_add(up, lam.degree))
-        forward = dict(self._rows(deg_add(up, lam.degree), lam.degree, g.index(lam)))
+        forward = dict(g.rows(deg_add(up, lam.degree), lam.degree, g.index(lam)))
+        degrees = (m, up, deg_add(m, lam.degree), deg_add(up, lam.degree))
+        if not self.measure.exact:
+            blk, deep, image, deep_image = map(self._values, degrees)
+            for i, j in rows:
+                base = image[j] / nonnull(blk, m, i)
+                for _, t in g.rows(up, m, i):
+                    q = deep_image[forward[t]] / nonnull(deep, up, t)
+                    if abs(float(q - base)) > self.tol:
+                        return False
+            return True
+        # exact weights: a/b = c/d compared as a*d = c*b, numerators and denominators apart
+        (bn, bd), (dn, dd), (imn, imd), (jn, jd) = map(self._integer_values, degrees)
         for i, j in rows:
-            base = image[j] / nonnull(blk, m, i)
-            for _, t in self._rows(up, m, i):
-                q = deep_image[forward[t]] / nonnull(deep, up, t)
-                if q != base if self.measure.exact else abs(float(q - base)) > self.tol:
+            num, den = imn[j] * bd[i], imd[j] * nonnull(bn, m, i)
+            for _, t in g.rows(up, m, i):
+                f = forward[t]
+                if jn[f] * dd[t] * den != num * jd[f] * nonnull(dn, up, t):
                     return False
         return True
 
@@ -195,7 +210,7 @@ class StandardRep:
         dst = deg_add(m, lam.degree)
         if m not in self._blocks or dst not in self._blocks:
             return None
-        rows = self._rows(dst, lam.degree, self.graph.index(lam))
+        rows = self.graph.rows(dst, lam.degree, self.graph.index(lam))
         if not self._rn_constant(lam, m, rows):
             return None  # nonconstant RN data: block not represented
         return _Op(self, {i: {j: 1} for i, j in rows}, m, dst)
@@ -209,7 +224,7 @@ class StandardRep:
             return None
         heads, top, blk = g.cut(join, m)[0], self._values(join), self._values(m)
         table = {}
-        rows = self._rows(join, lam.degree, g.index(lam))
+        rows = g.rows(join, lam.degree, g.index(lam))
         for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
             ratio = top[j] / self._nonnull(blk, m, i)
             table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
@@ -220,7 +235,7 @@ class StandardRep:
         deep, blk = self._values(target), self._values(m)
         table = {}
         for i in range(len(blk)):
-            w_eta, rows = float(self._nonnull(blk, m, i)), self._rows(target, m, i)
+            w_eta, rows = float(self._nonnull(blk, m, i)), self.graph.rows(target, m, i)
             table[i] = {j: (float(deep[j]) / w_eta) ** 0.5 for _, j in rows}
         return _Op(self, table, m, target)
 
@@ -236,7 +251,7 @@ class StandardRep:
 
         mask = np.zeros(self.block_dim(m))
         if deg_le(lam.degree, m):
-            mask[[j for _, j in self._rows(m, lam.degree, self.graph.index(lam))]] = 1.0
+            mask[[j for _, j in self.graph.rows(m, lam.degree, self.graph.index(lam))]] = 1.0
         return mask
 
     def encoding_prefix(self, label, n):
@@ -303,7 +318,14 @@ class FaithfulRep:
 
     Blocks are gauge-weight classes delta = d(path) - i*(1,..,1); the
     gauge unitary acts on block delta as the scalar z^delta, so gauge
-    covariance is structural.
+    covariance is structural.  A label (i, mu) is reduced: for i >= 2, mu
+    does not end in the rule segment x_{i-1}.
+
+    The tables name a label (i, mu) by (i, index(mu)) and read lam.mu, the
+    last segment of a path and the prefix test off ``KGraph.cut`` rows.
+    The label actions compose and factorize paths; they are the reference
+    the tables are tested against, and build the tables whose paths pass
+    the graph's enumeration cap.
     """
 
     kind = "faithful"
@@ -314,24 +336,20 @@ class FaithfulRep:
         self.rule = rule
         self.depth = depth
         self.cap = cap if cap is not None else depth
-        self._blocks = {}
-        self._tables = {}
         g = graph
         g.check_cap(self.cap * g.k, f"faithful rep cap {self.cap}")
-        all_paths = []
-        for m in deg_grid(g.k, self.cap):
-            all_paths.extend(g.enumerate_paths(m))
+        self._diag = deg_diag(g.k, 1)
+        self._segments = [g.index(seg) for seg in rule.segments]  # positions in block(diag)
+        self._blocks, self._slots, self._tables = {}, {}, {}
         for i in range(1, depth + 1):
-            v_i = rule.segment(i - 1).range
-            for mu in all_paths:
-                if g.s(mu) != v_i or self._reduce(i, mu)[0] != i:
-                    continue
-                delta = deg_sub(mu.degree, deg_diag(g.k, i))
-                self._blocks.setdefault(delta, []).append((i, mu))
-        self._index = {
-            delta: {lab: t for t, lab in enumerate(labels)}
-            for delta, labels in self._blocks.items()
-        }
+            v_i = g.index(g.vertex_path(rule.segment(i - 1).range))
+            for m in deg_grid(g.k, self.cap):
+                sources, delta = g.cut(m, m)[1], deg_sub(m, deg_diag(g.k, i))
+                for j, mu in enumerate(g.block(m)):
+                    if sources[j] == v_i and self._strip(i, m, j) is None:
+                        labels = self._blocks.setdefault(delta, [])
+                        self._slots.setdefault(delta, {})[(i, j)] = len(labels)
+                        labels.append((i, mu))
 
     def _reduce(self, i, mu):
         g = self.graph
@@ -342,6 +360,29 @@ class FaithfulRep:
                 break
             i, mu = i - 1, head
         return (i, mu)
+
+    def _strip(self, i, m, j):
+        """For mu = block(m)[j] at stratum i >= 2 ending in the rule segment
+        x_{i-1}: the index of mu less that segment.  Otherwise None."""
+        if i < 2 or not deg_le(self._diag, m):
+            return None
+        heads, tails = self.graph.cut(m, deg_sub(m, self._diag))
+        return heads[j] if tails[j] == self._segments[(i - 2) % len(self._segments)] else None
+
+    def _reduced(self, i, m, j):
+        """_reduce on indices: (stratum, index) of block(m)[j] at stratum i,
+        stripped of its trailing rule segments."""
+        while (head := self._strip(i, m, j)) is not None:
+            i, m, j = i - 1, deg_sub(m, self._diag), head
+        return i, j
+
+    def _escapes(self, i, m, top):
+        """Whether lam.mu of degree top leaves the truncation for every mu of
+        degree m at stratum i.  Each strip lowers top by (1,..,1) and i by 1;
+        a reduced mu of degree >= (1,..,1) is the tail of lam.mu at its last
+        segment, so lam.mu keeps that segment and is never stripped."""
+        strips = 0 if deg_le(self._diag, m) else min(i - 1, min(top))
+        return max(top) - self.cap > strips
 
     # -- basis ----------------------------------------------------------------------
 
@@ -358,13 +399,15 @@ class FaithfulRep:
         return 1
 
     def label_index(self, delta, label):
-        return self._index[delta][label]
+        i, mu = label
+        return self._slots[delta][(i, self.graph.index(mu))]
 
     def has_label(self, label):
         """True when label is a basis label (looked up in its own gauge block)."""
         i, mu = label
-        delta = tuple(d - i for d in mu.degree)
-        return delta in self._index and label in self._index[delta]
+        slots = self._slots.get(tuple(d - i for d in mu.degree))
+        return slots is not None and max(mu.degree) <= self.cap and (
+            (i, self.graph.index(mu)) in slots)
 
     def labels(self):
         return [lab for delta in self._blocks for lab in self._blocks[delta]]
@@ -393,19 +436,6 @@ class FaithfulRep:
         out = self._reduce(j, tail)
         return out if self.has_label(out) else ESCAPE
 
-    def _label_table(self, action, lam, delta, dst):
-        # a label action keeps the gauge shift, so every image lies in block dst
-        if delta not in self._blocks or dst not in self._blocks:
-            return None
-        table = {}
-        for t, label in enumerate(self._blocks[delta]):
-            out = action(lam, label)
-            if out is ESCAPE:
-                return None  # escapes the truncation: whole block undefined
-            if out is not None:
-                table[t] = {self.label_index(dst, out): 1}
-        return _Op(self, table, delta, dst)
-
     def apply_path(self, lam, delta):
         return _built_once(self._tables, "forward", lam, delta, self._forward_table)
 
@@ -413,12 +443,92 @@ class FaithfulRep:
         return _built_once(self._tables, "adjoint", lam, delta, self._adjoint_table)
 
     def _forward_table(self, lam, delta):
+        """t_lam on block delta: (i, mu) goes to (i, lam.mu) reduced, where lam.mu
+        is the row of cut(d(mu) + d(lam), d(lam)) with head index(lam) and
+        tail index(mu).  An image outside the truncation leaves the block
+        undefined.  A table whose paths pass the enumeration cap is read
+        off the label actions."""
         dst = deg_add(delta, lam.degree)
-        return self._label_table(self.forward_label, lam, delta, dst)
+        if delta not in self._blocks or dst not in self._blocks:
+            return None
+        g, n = self.graph, lam.degree
+        a = g.index(lam)
+        s_lam = g.cut(n, n)[1][a]  # the index of s(lam) in block(0)
+        slots, strata, table = self._slots[dst], {}, {}
+        for (i, j), t in self._slots[delta].items():
+            if i not in strata:
+                m = deg_add(delta, deg_diag(g.k, i))
+                top = deg_add(m, n)
+                if self._escapes(i, m, top):
+                    rows = None
+                elif deg_total(top) > g.enum_cap:
+                    return self._label_table(self.forward_label, lam, delta, dst)
+                else:
+                    rows = dict(g.rows(top, n, a))
+                strata[i] = g.cut(m, deg_diag(g.k, 0))[0], top, rows
+            ranges, top, rows = strata[i]
+            if ranges[j] != s_lam:
+                continue  # r(mu) != s(lam): no image
+            out = None if rows is None else slots.get(self._reduced(i, top, rows[j]))
+            if out is None:
+                return None
+            table[t] = {out: 1}
+        return _Op(self, table, delta, dst)
 
     def _adjoint_table(self, lam, delta):
+        """t_lam^* on block delta: (j, w) is extended by rule segments until
+        d(lam) <= d(w), then goes to (j, tail) reduced when the row of w under
+        cut(d(w), d(lam)) has head index(lam) and that tail.
+
+        Once block dst exists, neither step leaves the truncation: after
+        s > 0 segments some coordinate of dst is -(j + s), so block dst holds
+        labels only at strata >= j + s.  Hence j + s <= depth, and the tail,
+        of degree dst + (j + s)*(1,..,1), is within the cap, as is every
+        reduction of it.  A table whose paths pass the enumeration cap is
+        read off the label actions.
+        """
         dst = deg_sub(delta, lam.degree)
-        return self._label_table(self.adjoint_label, lam, delta, dst)
+        if delta not in self._blocks or dst not in self._blocks:
+            return None
+        g, n = self.graph, lam.degree
+        a, slots, strata, table = g.index(lam), self._slots[dst], {}, {}
+        for (j, w), t in self._slots[delta].items():
+            if j not in strata:
+                steps, i, top = self._extension(j, deg_add(delta, deg_diag(g.k, j)), n)
+                if deg_total(top) > g.enum_cap:
+                    return self._label_table(self.adjoint_label, lam, delta, dst)
+                strata[j] = steps, i, deg_sub(top, n), g.cut(top, n)
+            steps, i, rest, (heads, tails) = strata[j]
+            for up, low, segment in steps:
+                w = dict(g.rows(up, low, w))[segment]
+            if heads[w] != a:
+                continue  # lam is no prefix of w: no image
+            table[t] = {slots[self._reduced(i, rest, tails[w])]: 1}
+        return _Op(self, table, delta, dst)
+
+    def _label_table(self, action, lam, delta, dst):
+        """The table read off a label action, one label at a time: the route
+        for a table whose paths pass the enumeration cap, where the graph
+        builds no block to index them."""
+        table = {}
+        for t, label in enumerate(self._blocks[delta]):
+            out = action(lam, label)
+            if out is ESCAPE:
+                return None
+            if out is not None:
+                table[t] = {self.label_index(dst, out): 1}
+        return _Op(self, table, delta, dst)
+
+    def _extension(self, j, top, n):
+        """The rule segments that extend a label (j, w) with d(w) = top until
+        n <= d(w): steps (degree after, degree before, segment index), then
+        the final stratum and degree."""
+        steps = []
+        while not deg_le(n, top):
+            up = deg_add(top, self._diag)
+            steps.append((up, top, self._segments[(j - 1) % len(self._segments)]))
+            top, j = up, j + 1
+        return steps, j, top
 
     def encoding_prefix(self, label, n):
         """Initial segment of the encoded infinite path mu x_i x_{i+1} ..."""

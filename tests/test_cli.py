@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -86,6 +89,36 @@ def test_spectral_artifacts(tmp_path):
     assert report["results"]["exact"] is True
     assert report["results"]["kappa"]["v"] == "1/3"
     assert (tmp_path / "spectral.tsv").exists()
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def loads_numpy(argv, out):
+    """Run one CLI job in a fresh interpreter; whether it imported numpy."""
+    script = (
+        "import sys\n"
+        "from kgraph_lab.cli import main\n"
+        f"code = main({[*argv, '--out', str(out)]!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    code, loaded = done.stdout.split()
+    assert code == "0", done.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    (["rep-verify", "--builtin", "lambda2N:N=2", "--measure", "pf", "--depth", "2"], False),
+    (["spectral", "--builtin", "exonevtwoe"], False),
+    (["measure", "--builtin", "ex3v8e", "--measure", "pf", "--depth", "2"], True),
+], ids=["exact-rep-verify", "exact-spectral", "float-measure"])
+def test_exact_perron_data_never_loads_numpy(argv, numpy_loaded, tmp_path):
+    # exact Perron data comes from the integer scan; irrational radii still
+    # take numpy's power iteration
+    assert loads_numpy(argv, tmp_path) is numpy_loaded
 
 
 def test_measure_table(tmp_path):

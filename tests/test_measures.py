@@ -94,7 +94,84 @@ def test_pf_data_requires_strong_connectivity():
         pf_data(g)
 
 
+def reference_pf_data(g, tol=1e-10):
+    """pf_data with numpy first: power iteration on I + sum(A_i), then
+    rational radii guessed from the float estimates and checked exactly."""
+    import numpy as np
+
+    mats = [np.array(m, dtype=float) for m in g.vertex_matrices()]
+    vec = np.ones(len(g.vertices))
+    m_sum = np.eye(len(vec)) + sum(mats)
+    for _ in range(measures.MAX_POWER_ITERATIONS):
+        nxt = m_sum @ vec
+        nxt /= nxt.sum()
+        done = np.max(np.abs(nxt - vec)) < min(tol, 1e-13)
+        vec = nxt
+        if done:
+            break
+    rho_f = [float(np.dot(vec, m @ vec) / np.dot(vec, vec)) for m in mats]
+    rhos = [Fraction(est).limit_denominator(1000) for est in rho_f]
+    kappas = []
+    if all(abs(float(r) - est) <= 1e-8 for r, est in zip(rhos, rho_f)):
+        for rho, mat in zip(rhos, g.vertex_matrices()):
+            n = len(mat)
+            vec_q = measures._exact_nullspace(
+                [[mat[i][j] - (rho if i == j else 0) for j in range(n)] for i in range(n)])
+            if vec_q is not None and all(x < 0 for x in vec_q):
+                vec_q = [-x for x in vec_q]
+            if vec_q is None or not all(x > 0 for x in vec_q):
+                break
+            kappas.append([x / sum(vec_q) for x in vec_q])
+    if len(kappas) == len(rhos) and all(k == kappas[0] for k in kappas):
+        return measures.PFData(tuple(rhos), dict(zip(g.vertices, kappas[0])), True, 0.0)
+    residual = max(float(np.max(np.abs(m @ vec - r * vec))) for r, m in zip(rho_f, mats))
+    kappa = {v: float(vec[i]) for i, v in enumerate(g.vertices)}
+    return measures.PFData(tuple(rho_f), kappa, exact=False, residual=residual)
+
+
+PERMS = ["2;1;4;3", "3;4;1;2", "4;3;2;1", "2;3;4;1", "1;2;3;4"]
+
+
+def pf_graphs():
+    """The strongly connected builtins, the star graph's benchmark perms and
+    strongly connected random 2- and 3-graphs."""
+    names = BUILTIN_GRAPH_NAMES + [f"lambda2N:N=2,perm={p}" for p in PERMS]
+    out = [(name, builtin_graph(name)) for name in names]
+    out += [(f"random{k}-{seed}", random_graph(random.Random(seed), k))
+            for k in (2, 3) for seed in range(24)]
+    return [pytest.param(g, id=name) for name, g in out if g.is_strongly_connected()]
+
+
+@pytest.mark.parametrize("g", pf_graphs())
+def test_pf_data_matches_the_power_iteration_reference(g):
+    # exact data comes from the integer scan, the rest from the same power iteration
+    assert pf_data(g) == reference_pf_data(g)
+
+
+def test_pf_data_references_see_both_kinds():
+    kinds = {pf_data(p.values[0]).exact for p in pf_graphs()}
+    assert kinds == {True, False}
+
+
 # -- pf measure ----------------------------------------------------------------
+
+
+def reference_pf_value(pf, g, path):
+    """rho^{-d(path)} kappa_{s(path)}, dividing by rho_i**n_i color by color."""
+    val = pf.kappa[g.s(path)]
+    for rho_i, n_i in zip(pf.rho, path.degree):
+        val = val / rho_i**n_i
+    return val
+
+
+@pytest.mark.parametrize("g", [p for p in pf_graphs() if not p.id.startswith("random")])
+def test_pf_base_values_match_the_formula_bit_for_bit(g):
+    m = pf_measure(g)
+    for _ in range(2):  # the second pass reads the remembered values
+        for n in deg_grid(g.k, 2):
+            for path in g.block(n):
+                got, want = m._fn(path), reference_pf_value(m.pf, g, path)
+                assert (type(got), got) == (type(want), want)
 
 
 def test_pf_measure_values_ex3v8e():

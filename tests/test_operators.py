@@ -296,6 +296,19 @@ def test_faithful_rep_above_the_enumeration_cap_raises():
         faithful_rep(g, depth=2, cap=5)
 
 
+@pytest.mark.parametrize("name", ["exonevtwoe", "ex3v8e"])
+@pytest.mark.parametrize("depth, cap", [(3, 3), (4, 2)])
+def test_faithful_rep_at_its_enumeration_cap_never_raises_later(name, depth, cap):
+    # tables whose paths pass the enumeration cap are read off the label actions
+    base = builtin_graph(name)
+    g = KGraph(base.k, base.vertices, base.edges, base.squares, enum_cap=cap * base.k)
+    rep = faithful_rep(g, depth=depth, cap=cap)
+    assert verify_ck(rep, max_level=2).ok
+    assert gauge_covariance(rep).structural_ok
+    defined, undefined = assert_faithful_tables_match_label_actions(rep)
+    assert defined and undefined
+
+
 def test_scaled_rep_over_a_verified_rep_sees_the_fault():
     # the base rep's remembered block tables must not hide the scaling
     g = builtin_graph("exonevtwoe")
@@ -581,6 +594,56 @@ def test_kp_tables_match_the_replaced_builders_on_random_graphs(k, seed):
     assert assert_tables_match_references(rep, depth) == 0
 
 
+def rn_cases():
+    """Exact measures for the integer Radon-Nikodym test, and one per graph
+    with a bump a level past the truncation that some classes see."""
+    out = []
+    for name in ("exonevtwoe", "lambda2N:N=2", "lambda2N:N=1"):
+        g, tagged = measures_for(name)
+        measures = [m for _, m in tagged if m.exact]
+        if name == "exonevtwoe":
+            measures += [product_measure(g, parse_product_spec(spec))
+                         for spec in ("const:1/4", "finite:1/4,0,-1/8")]
+        deep = g.block(deg_diag(g.k, 3))[-1]
+        measures.append(measures[0].perturbed(deep, Fraction(1, 1000)))
+        out += [pytest.param(m, id=f"{name}-{m.tag}") for m in measures]
+    return out
+
+
+@pytest.mark.parametrize("measure", rn_cases())
+def test_integer_rn_test_matches_the_quotient_reference(measure):
+    # cross-multiplied integers against Fraction quotients, class by class
+    assert measure.exact
+    rep = UnprobedRep(measure.graph, measure, 2)
+    g, weight, seen = rep.graph, functools.cache(rep.weight), collections.Counter()
+    keys = rep.block_keys()
+    for m in keys:
+        for lam in (lam for n in deg_grid(g.k, 1) for lam in g.enumerate_paths(n)):
+            dst = deg_add(m, lam.degree)
+            if dst not in keys:
+                continue
+            for i, j in g.rows(dst, lam.degree, g.index(lam)):
+                got = rep._rn_constant(lam, m, [(i, j)])
+                want = reference_constant_quotient(rep, weight, lam, rep.block(m)[i])
+                assert got == (want is not None), (lam, m, i)
+                seen[got] += 1
+    assert seen[True]
+    if measure.tag.endswith("+perturbed") or "finite" in measure.tag:
+        assert seen[False]  # the reference says not constant somewhere
+
+
+@pytest.mark.parametrize("at", [(), ("f1", "e")], ids=["vertex", "square"])
+def test_integer_rn_test_on_a_null_cylinder_raises_zero_denominator(at):
+    g = builtin_graph("exonevtwoe")
+    m = pf_measure(g)
+    null = g.path(at) if at else g.vertex_path("v")
+    rep = UnprobedRep(g, m.perturbed(null, -m.value(null)), 1)
+    lam = g.edge_path(g.edges[0].eid)
+    rows = g.rows(lam.degree, lam.degree, g.index(lam))
+    with pytest.raises(ZeroDenominator, match=re.escape(f"Z({null}) has measure 0")):
+        rep._rn_constant(lam, (0, 0), rows)
+
+
 def test_standard_tables_need_no_path_algebra(monkeypatch):
     calls = collections.Counter()
     for name in ("compose", "lambda_min", "strip_prefix"):
@@ -632,6 +695,86 @@ def test_faithful_gauge_covariance_exact():
     report = gauge_covariance(rep)
     assert report.structural_ok
     assert report.max_residual == 0.0
+
+
+# -- faithful tables against the label actions -----------------------------------------
+
+
+def ck_paths(g):
+    """Every path verify_ck(max_level=2) acts by: vertices, edges, the CK2
+    composites and the paths of degree (1,..,1) and (2,..,2) of CK4."""
+    pool = [g.edge_path(e.eid) for e in g.edges] + [g.vertex_path(v) for v in g.vertices]
+    composites = [g.compose(lam, eta) for lam in pool for eta in pool if g.s(lam) == eta.range]
+    levels = [lam for n in (deg_diag(g.k, 1), deg_diag(g.k, 2)) for lam in g.enumerate_paths(n)]
+    return list(dict.fromkeys(pool + composites + levels))
+
+
+def reference_label_table(rep, action, lam, key, dst):
+    """A block table read off a label action, one label at a time."""
+    keys = rep.block_keys()
+    if key not in keys or dst not in keys:
+        return None
+    index = {label: t for t, label in enumerate(rep.block(dst))}
+    table = {}
+    for t, label in enumerate(rep.block(key)):
+        out = action(lam, label)
+        if out is operators.ESCAPE:
+            return None  # escapes the truncation: whole block undefined
+        if out is not None:
+            table[t] = {index[out]: 1}
+    return table
+
+
+def assert_faithful_tables_match_label_actions(rep):
+    """Forward and adjoint tables of every CK path on every block; returns
+    the number of defined and of undefined tables compared."""
+    seen = collections.Counter()
+    for lam in ck_paths(rep.graph):
+        for key in rep.block_keys():
+            for apply, action, dst in (
+                (rep.apply_path, rep.forward_label, deg_add(key, lam.degree)),
+                (rep.apply_adjoint, rep.adjoint_label, deg_sub(key, lam.degree)),
+            ):
+                op = apply(lam, key)
+                want = reference_label_table(rep, action, lam, key, dst)
+                assert rows_of(op and op.table) == rows_of(want), (lam, key, action.__name__)
+                assert op is None or (op.src_key, op.dst_key) == (key, dst)
+                seen[op is not None] += 1
+    return seen[True], seen[False]
+
+
+FAITHFUL_CASES = {
+    "ex3v8e": ("ex3v8e", 4, None),
+    "exonevtwoe": ("exonevtwoe", 4, None),
+    "lambda2N:N=2": ("lambda2N:N=2", 2, None),
+    "kawamura": ("kawamura", 4, None),
+    "ehfg": ("ehfg", 3, None),
+    "ex3v8e-cap2": ("ex3v8e", 4, 2),
+    "kawamura-cap1": ("kawamura", 3, 1),
+}
+
+
+@pytest.mark.parametrize("name, depth, cap", FAITHFUL_CASES.values(), ids=FAITHFUL_CASES)
+def test_faithful_tables_match_the_label_actions(name, depth, cap):
+    rep = faithful_rep(builtin_graph(name), depth=depth, cap=cap)
+    defined, undefined = assert_faithful_tables_match_label_actions(rep)
+    assert defined and undefined
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_faithful_tables_match_the_label_actions_on_random_graphs(k):
+    for g in strongly_connected_draws(k, 6):
+        rep = faithful_rep(g, depth=2)
+        defined, undefined = assert_faithful_tables_match_label_actions(rep)
+        assert defined and undefined
+
+
+def test_faithful_tables_match_the_label_actions_summed_over_vertices():
+    g = builtin_graph("exonevthreeed")  # not strongly connected
+    rep = faithful_rep(g, depth=3, sum_over_vertices=True)
+    for part in rep.parts:
+        defined, undefined = assert_faithful_tables_match_label_actions(part)
+        assert defined and undefined
 
 
 class OffByOneBlock:

@@ -167,6 +167,18 @@ def test_standard_rep_tables_use_no_path_algebra():
     assert path_algebra_calls(source, "StandardRep") == set()
 
 
+# the per-label actions of FaithfulRep: the reference its tables are tested against
+FAITHFUL_LABEL_ACTIONS = {"forward_label", "adjoint_label", "_reduce", "encoding_prefix"}
+
+
+def test_faithful_rep_tables_use_no_path_algebra():
+    # the constructor's reducedness test and both tables read KGraph.cut rows
+    source = (PACKAGE / "operators.py").read_text()
+    assert "class FaithfulRep" in source
+    calls = path_algebra_calls(source, "FaithfulRep")
+    assert {fn for fn, _ in calls} == FAITHFUL_LABEL_ACTIONS
+
+
 def test_value_read_rule_sees_each_form():
     source = (
         "def check_consistency(m, p):\n    return m.value(p) + m.values(p.degree)[0]\n"
