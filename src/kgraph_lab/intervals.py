@@ -17,6 +17,7 @@ graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,6 +257,14 @@ def partition_atoms(domain, sets):
         if piece.measure > 0:
             atoms.append((lo, hi))
     return atoms
+
+
+def grid_cells(parts, resolution):
+    """The width-`resolution` cells (lo, hi) that cut each part (lo, hi) from
+    its left end, the last cell of a part clipped to it."""
+    for lo, hi in parts:
+        for t in range(math.ceil((hi - lo) / resolution)):
+            yield lo + t * resolution, min(hi, lo + (t + 1) * resolution)
 
 
 def atoms_meeting(atoms, his, union):

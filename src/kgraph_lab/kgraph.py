@@ -14,11 +14,12 @@ sequence that ends sorted ends at the same edge list.
 Paths of one degree m form a block, Lambda^m, numbered in enumeration
 order and built once per graph: Lambda^m is Lambda^{m - e_c} (c the highest
 color of m) with each color-c edge at the source appended, since a
-canonical path less its last edge is canonical.  One-edge extensions are
-index tables between blocks, one square lookup per entry, and so is
-cut(m, n), which names the head and tail of every path of Lambda^m by
-their indices in Lambda^n and Lambda^{m - n}; rows(m, n, a) lists the
-paths with head a, by their tails.
+canonical path less its last edge is canonical.  Unique factorization on
+blocks is one table per pair of degrees: glue(n, r) lists, head by head
+of Lambda^n, the indices in Lambda^{n + r} of the head times each tail of
+Lambda^r, built by square lookups and run expansion alone.  Its inverse
+cut(m, n) names the head and tail of every path of Lambda^m, and is built
+only where a path's head or tail is read.
 
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
@@ -41,7 +42,6 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -182,10 +182,8 @@ class KGraph:
         self._pos = {e.eid: i for run in self._by_range.values() for i, e in enumerate(run)}
         self._source = {e.eid: e.source for e in self.edges}
         self._blocks = {}
-        self._fans = {}
-        self._extends = {}
+        self._glues = {}
         self._cuts = {}
-        self._orders = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -320,12 +318,12 @@ class KGraph:
             )
 
     def enumerate_paths(self, n, v=None):
-        """block(n), or its run of paths whose head in block(0) is the vertex v."""
+        """block(n), or its run of paths with range the vertex v."""
         blk = self.block(n)
         if v is None:
             return blk
-        heads, i = self.cut(n, deg_zero(self.k))[0], self._vertex_index[v]
-        return blk[bisect_left(heads, i):bisect_right(heads, i)]
+        run = self.run(n, v)
+        return blk[run.start:run.stop]
 
     # -- path blocks ------------------------------------------------------------
 
@@ -366,113 +364,100 @@ class KGraph:
         source = self._source
         return [source[lam.edges[-1]] for lam in self.block(m)]
 
-    def fan(self, m, c):
-        """Cumulative color-c out-degrees over block(m): the one-edge
-        extensions in color c of path i are entries fan[i]..fan[i+1]-1."""
-        key = (m, c)
-        out = self._fans.get(key)
-        if out is None:
-            count = {v: len(self.edges_from(v, c)) for v in self.vertices}
-            out = array("l", [0])
-            total = 0
-            for v in self._ends(m):
-                total += count[v]
-                out.append(total)
-            self._fans[key] = out
-        return out
+    def glue(self, n, r):
+        """(off, out): out[off[a]:off[a+1]] are the indices in block(n + r) of
+        block(n)[a] . t, for each t of block(r) with range s(a), in block(r) order.
 
-    def extend(self, m, c):
-        """Indices in block(m + e_c) of the one-edge extensions lam.e.
-
-        Entries fan(m, c)[i]..fan(m, c)[i+1]-1 belong to lam = block(m)[i],
-        one per e in edges_from(s(lam), c) in declaration order.  When c is
-        at least the highest color of m, lam.e is appended and the table is
-        the identity.  Otherwise lam = lam'.f with color(f) > c, and
-        lam'f.e = (lam'.e').f' through the square f.e = e'.f': one lookup
-        in extend(m - e_color(f), c) per entry.
+        By unique factorization every path of degree n + r is one such
+        product.  The tails of a run are run(r, s(a)), so one entry is
+        out[off[a] + t - run(r, s(a)).start].  r = 0 is the identity.
+        r = e_c lists the one-edge extensions: lam.e is appended when c is
+        at least the highest color h of n, otherwise lam = lam'.f with
+        color(f) = h and lam'f.e = (lam'.e').f' through the square
+        f.e = e'.f', one lookup in glue(n - e_h, e_c) per entry.  Any other
+        r, c its highest color, expands each entry of glue(n, r - e_c)
+        into its run of glue(n + r - e_c, e_c).  The identity tables of
+        r = 0 and of appends are ranges.
         """
-        key = (m, c)
-        out = self._extends.get(key)
-        if out is not None:
-            return out
-        k = self.k
-        up = deg_add(m, deg_unit(k, c))
-        h = self._top(m)
-        if h <= c:
-            out = range(len(self.block(up)))
+        key = (n, r)
+        table = self._glues.get(key)
+        if table is not None:
+            return table
+        k, c = self.k, self._top(r)
+        if not c:
+            size = len(self.block(n))
+            table = range(size + 1), range(size)
+        elif deg_total(r) > 1:
+            prev = deg_sub(r, deg_unit(k, c))
+            off, out = self.glue(n, prev)
+            step_off, step_out = self.glue(deg_add(n, prev), deg_unit(k, c))
+            runs, flat = array("l", [0]), array("l")
+            for x in out:
+                flat.extend(step_out[step_off[x]:step_off[x + 1]])
+                runs.append(len(flat))
+            table = array("l", [runs[x] for x in off]), flat
         else:
-            prev = deg_sub(m, deg_unit(k, h))
-            inner = self.extend(prev, c)  # lam' -> lam'.e' in block(prev + e_c)
-            inner_fan = self.fan(prev, c)
-            outer_fan = self.fan(deg_add(prev, deg_unit(k, c)), h)
-            own_fan = self.fan(prev, h)  # lam' -> lam'.f in block(m)
-            blk = self.block(m)
-            pos, source, swap, by_range = self._pos, self._source, self._right_to_left, self._by_range
-            out = array("l")
-            for i in range(len(own_fan) - 1):
-                base = inner_fan[i]
-                for lam in blk[own_fan[i]:own_fan[i + 1]]:
-                    f = lam.edges[-1]
-                    for e in by_range.get((source[f], c), ()):
-                        e2, f2 = swap[(f, e.eid)]
-                        out.append(outer_fan[inner[base + pos[e2]]] + pos[f2])
-        self._extends[key] = out
-        return out
+            count = {v: len(self.edges_from(v, c)) for v in self.vertices}
+            off = array("l", [0])
+            for v in self._ends(n):
+                off.append(off[-1] + count[v])
+            h = self._top(n)
+            if h <= c:
+                out = range(off[-1])
+            else:
+                prev = deg_sub(n, deg_unit(k, h))
+                inner_off, inner = self.glue(prev, r)  # lam' -> lam'.e' in block(prev + e_c)
+                outer_off = self.glue(deg_add(prev, r), deg_unit(k, h))[0]
+                own_off = self.glue(prev, deg_unit(k, h))[0]  # lam' -> lam'.f in block(n)
+                blk = self.block(n)
+                pos, source, swap, by_range = self._pos, self._source, self._right_to_left, self._by_range
+                out = array("l")
+                for i in range(len(own_off) - 1):
+                    base = inner_off[i]
+                    for lam in blk[own_off[i]:own_off[i + 1]]:
+                        f = lam.edges[-1]
+                        for e in by_range.get((source[f], c), ()):
+                            e2, f2 = swap[(f, e.eid)]
+                            out.append(outer_off[inner[base + pos[e2]]] + pos[f2])
+            table = off, out
+        self._glues[key] = table
+        return table
+
+    def run(self, r, v):
+        """The indices in block(r) of the paths with range v: glue(0, r) at v."""
+        first, i = self.glue(deg_zero(self.k), r)[0], self._vertex_index[v]
+        return range(first[i], first[i + 1])
 
     def cut(self, m, n):
         """(heads, tails) with block(m)[j] = block(n)[heads[j]] . block(m - n)[tails[j]].
 
-        cut(n, n) pairs each path with its source vertex.  Otherwise c is
-        the highest color with m_c > n_c, block(m) lists the lam.e of
-        extend(m - e_c, c), and lam = head.tail gives lam.e = head.(tail.e),
-        the same edge's entry in tail's run of extend(m - e_c - n, c).
+        One scatter pass inverts glue(n, m - n), kept once per (m, n).
         """
         key = (m, n)
-        if key not in self._cuts:
-            gap = deg_sub(m, n)
-            if min(gap, default=0) < 0:
+        pair = self._cuts.get(key)
+        if pair is None:
+            r = deg_sub(m, n)
+            if min(r, default=0) < 0:
                 raise DegreeOutOfRange(f"cut {n} not within 0..{m}")
-            c = self._top(gap)
-            if not c:
-                heads = array("l", range(len(self.block(m))))
-                tails = array("l", [self._vertex_index[v] for v in self._ends(m)])
-            else:
-                prev = deg_sub(m, deg_unit(self.k, c))
-                fan, ext = self.fan(prev, c), self.extend(prev, c)
-                rest = deg_sub(prev, n)
-                tail_fan, tail_ext = self.fan(rest, c), self.extend(rest, c)
-                heads, tails = array("l", [0]) * fan[-1], array("l", [0]) * fan[-1]
-                for i, (head, tail) in enumerate(zip(*self.cut(prev, n))):
-                    shift = tail_fan[tail] - fan[i]
-                    for t in range(fan[i], fan[i + 1]):
-                        heads[ext[t]], tails[ext[t]] = head, tail_ext[shift + t]
-            self._cuts[key] = heads, tails
-        return self._cuts[key]
-
-    def rows(self, m, n, a):
-        """(tail, j) for the paths j of block(m) with head a under cut(m, n), in tail order.
-
-        The rows of cut(m, n) are sorted by (head, tail) once per (m, n);
-        each call bisects the sorted order for its head.
-        """
-        heads, tails = self.cut(m, n)
-        order = self._orders.get((m, n))
-        if order is None:
-            width = len(self.block(deg_sub(m, n)))
-            order = array("l", sorted(range(len(heads)), key=lambda j: heads[j] * width + tails[j]))
-            self._orders[(m, n)] = order
-        head = heads.__getitem__
-        lo = bisect_left(order, a, key=head)
-        return [(tails[j], j) for j in order[lo:bisect_right(order, a, lo, key=head)]]
+            off, out = self.glue(n, r)
+            first, vertex = self.glue(deg_zero(self.k), r)[0], self._vertex_index
+            heads, tails = array("l", [0]) * len(out), array("l", [0]) * len(out)
+            for a, v in enumerate(self._ends(n)):
+                shift = first[vertex[v]] - off[a]
+                for x in range(off[a], off[a + 1]):
+                    heads[out[x]], tails[out[x]] = a, shift + x
+            pair = self._cuts[key] = heads, tails
+        return pair
 
     def index(self, p):
         """The position of p in block(d(p)): canonical p is its vertex with
-        each edge appended in turn, at the edge's offset in the fan."""
+        each edge appended in turn, at the edge's offset in its run of
+        glue(m, e_c)."""
         i, m = self._vertex_index[p.range], deg_zero(self.k)
         for eid in p.edges:
-            c = self.edge_by_id[eid].color
-            i = self.fan(m, c)[i] + self._pos[eid]
-            m = deg_add(m, deg_unit(self.k, c))
+            unit = deg_unit(self.k, self.edge_by_id[eid].color)
+            i = self.glue(m, unit)[0][i] + self._pos[eid]
+            m = deg_add(m, unit)
         return i
 
     def extensions(self, p, c):

@@ -173,8 +173,8 @@ class CylinderMeasure:
 
     ``values(m)`` lists the values of block(m) in block order, kept once
     per degree: a base degree maps ``value`` over the block, a shallower
-    one sums the runs fan(m, c)[i]..fan(m, c)[i+1] of values(m + e_c)
-    through extend(m, c), in the order of ``KGraph.extensions``.
+    one sums the values(m + e_c) at the runs of glue(m, e_c), in the
+    order of ``KGraph.extensions``.
     ``value(path)`` is the same definition for one path, computed afresh
     and building no block, so it reaches degrees above the enumeration cap.
     """
@@ -209,10 +209,11 @@ class CylinderMeasure:
             if not color:
                 vals = list(map(self.value, g.block(m)))
             else:
-                fan, ext = g.fan(m, color), g.extend(m, color)
-                up = self.values(deg_add(m, deg_unit(g.k, color)))
-                vals = [sum(map(up.__getitem__, ext[fan[i]:fan[i + 1]]))
-                        for i in range(len(fan) - 1)]
+                unit = deg_unit(g.k, color)
+                off, out = g.glue(m, unit)
+                up = self.values(deg_add(m, unit))
+                vals = [sum(map(up.__getitem__, out[off[i]:off[i + 1]]))
+                        for i in range(len(off) - 1)]
                 # a sum of checked values is nonnegative; only a bump can go below 0
                 for path, delta in self._bumps.items():
                     if path.degree == m:
@@ -282,27 +283,20 @@ class ConsistencyReport:
 def check_consistency(measure, depth, tol=1e-12):
     """Square-cylinder additivity for all paths with degree <= depth*(1,..,1).
 
-    The extensions lam.eta, eta of degree (1,..,1), are read off the chain
-    of tables extend(n, 1), extend(n + e_1, 2), ..., which lists them in
-    the enumeration order of eta.
+    The extensions lam.eta, eta of degree (1,..,1), are the runs of
+    glue(n, (1,..,1)), which lists them in the enumeration order of eta.
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
     worst = 0.0
     worst_path = None
     checked = 0
+    diag = deg_diag(g.k, 1)
     for n in deg_grid(g.k, depth):
-        chain = []
-        m = n
-        for c in range(1, g.k + 1):
-            chain.append((g.fan(m, c), g.extend(m, c)))
-            m = deg_add(m, deg_unit(g.k, c))
-        top = measure.values(m)
+        off, out = g.glue(n, diag)
+        top = measure.values(deg_add(n, diag))
         for i, val in enumerate(measure.values(n)):
-            group = [i]
-            for fan, ext in chain:
-                group = [j for x in group for j in ext[fan[x]:fan[x + 1]]]
-            total = sum(map(top.__getitem__, group))
+            total = sum(map(top.__getitem__, out[off[i]:off[i + 1]]))
             residual = abs(val - total)
             checked += 1
             if float(residual) > worst:

@@ -32,18 +32,19 @@ the same ``_Op`` to every later caller; a ``DirectSumRep`` stacks its
 parts' operators through ``_Op`` methods.  ``ScaledRep`` builds fresh
 operators from its part's operators.
 
-Every standard table reads the rows of a ``KGraph.cut`` table with head
-``KGraph.index(lam)``: t_lam on block m those of cut(m + d(lam), d(lam)),
-t_lam^* those of cut(m v d(lam), d(lam)) grouped by their heads under
-cut(m v d(lam), m), refinement cut(target, m), P(Z(lam)) cut(m, d(lam)).
-Weights are read at the same indices from ``CylinderMeasure.values``;
+Every standard table reads the run of ``KGraph.index(lam)`` in a
+``KGraph.glue`` table, the products lam.eta in the order of eta: t_lam on
+block m that of glue(d(lam), m), t_lam^* that of glue(d(lam), (m v d(lam))
+- d(lam)) grouped by the heads under cut(m v d(lam), m), P(Z(lam)) that of
+glue(d(lam), m - d(lam)); refinement reads every run of glue(m, target -
+m).  Weights are read at the same indices from ``CylinderMeasure.values``;
 on exact weights the Radon-Nikodym test compares integer cross-products.
 
-The faithful tables read ``KGraph.cut`` rows too, naming a label (i, mu)
-by (i, index(mu)): lam.mu is the row of cut(d(lam) + d(mu), d(lam)) with
-head index(lam) and tail index(mu), a trailing rule segment is the tail
-under cut(m, m - (1,..,1)), and lam is a prefix of w when the row of w
-under cut(d(w), d(lam)) has head index(lam).  Their label actions, which
+The faithful tables name a label (i, mu) by (i, index(mu)): lam.mu is the
+entry of mu in the run of lam in glue(d(lam), d(mu)), a rule segment
+appended to w one entry of glue(d(w), (1,..,1)), a trailing rule segment
+the tail under cut(m, m - (1,..,1)), and lam is a prefix of w when w has
+head index(lam) under cut(d(w), d(lam)).  Their label actions, which
 compose and factorize paths, are the reference the tables are tested
 against.  verify_ck and pvm_additivity compose paths themselves, so each
 relation checks the tables against the path algebra.
@@ -66,7 +67,7 @@ from .errors import (
     UnsupportedMeasure,
     ZeroDenominator,
 )
-from .intervals import IntervalUnion, atoms_meeting, partition_atoms
+from .intervals import IntervalUnion, atoms_meeting, grid_cells, partition_atoms
 from .kgraph import (
     PeriodCandidate,
     deg_add,
@@ -172,16 +173,21 @@ class StandardRep:
 
     def _rn_constant(self, lam, m, rows):
         """Whether Phi_lam is constant on Z(eta), eta = block(m)[i], for each row (i, j):
-        its quotient against those on the rows of cut(m + (1,..,1), m) with head i."""
-        g, nonnull, up = self.graph, self._nonnull, deg_add(m, deg_diag(self.graph.k, 1))
-        forward = dict(g.rows(deg_add(up, lam.degree), lam.degree, g.index(lam)))
+        its quotient against those on the extensions eta.xi of degree up =
+        m + (1,..,1), the run of i in glue(m, (1,..,1))."""
+        g, nonnull, diag = self.graph, self._nonnull, deg_diag(self.graph.k, 1)
+        up = deg_add(m, diag)
+        off, out = g.glue(m, diag)
+        # t -> lam.t is forward[shift + t]: every t here has range s(lam)
+        lam_off, forward = g.glue(lam.degree, up)
+        shift = lam_off[g.index(lam)] - g.run(up, g.s(lam)).start
         degrees = (m, up, deg_add(m, lam.degree), deg_add(up, lam.degree))
         if not self.measure.exact:
             blk, deep, image, deep_image = map(self._values, degrees)
             for i, j in rows:
                 base = image[j] / nonnull(blk, m, i)
-                for _, t in g.rows(up, m, i):
-                    q = deep_image[forward[t]] / nonnull(deep, up, t)
+                for t in out[off[i]:off[i + 1]]:
+                    q = deep_image[forward[shift + t]] / nonnull(deep, up, t)
                     if abs(float(q - base)) > self.tol:
                         return False
             return True
@@ -189,8 +195,8 @@ class StandardRep:
         (bn, bd), (dn, dd), (imn, imd), (jn, jd) = map(self._integer_values, degrees)
         for i, j in rows:
             num, den = imn[j] * bd[i], imd[j] * nonnull(bn, m, i)
-            for _, t in g.rows(up, m, i):
-                f = forward[t]
+            for t in out[off[i]:off[i + 1]]:
+                f = forward[shift + t]
                 if jn[f] * dd[t] * den != num * jd[f] * nonnull(dn, up, t):
                     return False
         return True
@@ -205,12 +211,20 @@ class StandardRep:
         """Adjoint action on block m; returns an _Op or None."""
         return _built_once(self._tables, "adjoint", lam, m, self._adjoint_table)
 
+    def _rows(self, lam, m):
+        """(i, j) with block(m)[i] = eta and block(m + d(lam))[j] = lam.eta, for
+        each eta with range s(lam): the run of lam in glue(d(lam), m)."""
+        g = self.graph
+        off, out = g.glue(lam.degree, m)
+        a = g.index(lam)
+        return list(zip(g.run(m, g.s(lam)), out[off[a]:off[a + 1]]))
+
     def _forward_table(self, lam, m):
-        """u_eta -> u_{lam.eta}: the rows of cut(m + d(lam), d(lam)) with head lam."""
+        """u_eta -> u_{lam.eta}: the run of lam in glue(d(lam), m)."""
         dst = deg_add(m, lam.degree)
         if m not in self._blocks or dst not in self._blocks:
             return None
-        rows = self.graph.rows(dst, lam.degree, self.graph.index(lam))
+        rows = self._rows(lam, m)
         if not self._rn_constant(lam, m, rows):
             return None  # nonconstant RN data: block not represented
         return _Op(self, {i: {j: 1} for i, j in rows}, m, dst)
@@ -224,7 +238,7 @@ class StandardRep:
             return None
         heads, top, blk = g.cut(join, m)[0], self._values(join), self._values(m)
         table = {}
-        rows = g.rows(join, lam.degree, g.index(lam))
+        rows = self._rows(lam, deg_sub(join, lam.degree))
         for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
             ratio = top[j] / self._nonnull(blk, m, i)
             table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
@@ -233,10 +247,11 @@ class StandardRep:
     def refinement(self, m, target):
         """Cylinder refinement: the isometry from block m into block target >= m."""
         deep, blk = self._values(target), self._values(m)
+        off, out = self.graph.glue(m, deg_sub(target, m))
         table = {}
         for i in range(len(blk)):
-            w_eta, rows = float(self._nonnull(blk, m, i)), self.graph.rows(target, m, i)
-            table[i] = {j: (float(deep[j]) / w_eta) ** 0.5 for _, j in rows}
+            w_eta = float(self._nonnull(blk, m, i))
+            table[i] = {j: (float(deep[j]) / w_eta) ** 0.5 for j in out[off[i]:off[i + 1]]}
         return _Op(self, table, m, target)
 
     def unit_vector(self, m):
@@ -251,7 +266,7 @@ class StandardRep:
 
         mask = np.zeros(self.block_dim(m))
         if deg_le(lam.degree, m):
-            mask[[j for _, j in self.graph.rows(m, lam.degree, self.graph.index(lam))]] = 1.0
+            mask[[j for _, j in self._rows(lam, deg_sub(m, lam.degree))]] = 1.0
         return mask
 
     def encoding_prefix(self, label, n):
@@ -321,8 +336,9 @@ class FaithfulRep:
     covariance is structural.  A label (i, mu) is reduced: for i >= 2, mu
     does not end in the rule segment x_{i-1}.
 
-    The tables name a label (i, mu) by (i, index(mu)) and read lam.mu, the
-    last segment of a path and the prefix test off ``KGraph.cut`` rows.
+    The tables name a label (i, mu) by (i, index(mu)), read lam.mu off
+    ``KGraph.glue`` runs and the last segment of a path and the prefix
+    test off ``KGraph.cut``.
     The label actions compose and factorize paths; they are the reference
     the tables are tested against, and build the tables whose paths pass
     the graph's enumeration cap.
@@ -340,6 +356,9 @@ class FaithfulRep:
         g.check_cap(self.cap * g.k, f"faithful rep cap {self.cap}")
         self._diag = deg_diag(g.k, 1)
         self._segments = [g.index(seg) for seg in rule.segments]  # positions in block(diag)
+        # ... and in the run of their range: w.x is at off[w] + offset in glue(d(w), diag)
+        self._offsets = [i - g.run(self._diag, seg.range).start
+                         for i, seg in zip(self._segments, rule.segments)]
         self._blocks, self._slots, self._tables = {}, {}, {}
         for i in range(1, depth + 1):
             v_i = g.index(g.vertex_path(rule.segment(i - 1).range))
@@ -444,32 +463,31 @@ class FaithfulRep:
 
     def _forward_table(self, lam, delta):
         """t_lam on block delta: (i, mu) goes to (i, lam.mu) reduced, where lam.mu
-        is the row of cut(d(mu) + d(lam), d(lam)) with head index(lam) and
-        tail index(mu).  An image outside the truncation leaves the block
-        undefined.  A table whose paths pass the enumeration cap is read
-        off the label actions."""
+        is the entry of mu in the run of lam in glue(d(lam), d(mu)).  An image
+        outside the truncation leaves the block undefined.  A table whose
+        paths pass the enumeration cap is read off the label actions."""
         dst = deg_add(delta, lam.degree)
         if delta not in self._blocks or dst not in self._blocks:
             return None
         g, n = self.graph, lam.degree
         a = g.index(lam)
-        s_lam = g.cut(n, n)[1][a]  # the index of s(lam) in block(0)
         slots, strata, table = self._slots[dst], {}, {}
         for (i, j), t in self._slots[delta].items():
             if i not in strata:
                 m = deg_add(delta, deg_diag(g.k, i))
                 top = deg_add(m, n)
                 if self._escapes(i, m, top):
-                    rows = None
+                    images = None
                 elif deg_total(top) > g.enum_cap:
                     return self._label_table(self.forward_label, lam, delta, dst)
                 else:
-                    rows = dict(g.rows(top, n, a))
-                strata[i] = g.cut(m, deg_diag(g.k, 0))[0], top, rows
-            ranges, top, rows = strata[i]
-            if ranges[j] != s_lam:
+                    off, out = g.glue(n, m)
+                    images = out[off[a]:off[a + 1]]
+                strata[i] = g.run(m, g.s(lam)), top, images
+            tails, top, images = strata[i]
+            if j not in tails:
                 continue  # r(mu) != s(lam): no image
-            out = None if rows is None else slots.get(self._reduced(i, top, rows[j]))
+            out = None if images is None else slots.get(self._reduced(i, top, images[j - tails.start]))
             if out is None:
                 return None
             table[t] = {out: 1}
@@ -477,8 +495,8 @@ class FaithfulRep:
 
     def _adjoint_table(self, lam, delta):
         """t_lam^* on block delta: (j, w) is extended by rule segments until
-        d(lam) <= d(w), then goes to (j, tail) reduced when the row of w under
-        cut(d(w), d(lam)) has head index(lam) and that tail.
+        d(lam) <= d(w), then goes to (j, tail) reduced when w has head
+        index(lam) and that tail under cut(d(w), d(lam)).
 
         Once block dst exists, neither step leaves the truncation: after
         s > 0 segments some coordinate of dst is -(j + s), so block dst holds
@@ -497,10 +515,12 @@ class FaithfulRep:
                 steps, i, top = self._extension(j, deg_add(delta, deg_diag(g.k, j)), n)
                 if deg_total(top) > g.enum_cap:
                     return self._label_table(self.adjoint_label, lam, delta, dst)
+                # w.x_{j-1} is out[off[w] + offset] in glue(d(w), (1,..,1))
+                steps = [(*g.glue(low, self._diag), offset) for low, offset in steps]
                 strata[j] = steps, i, deg_sub(top, n), g.cut(top, n)
             steps, i, rest, (heads, tails) = strata[j]
-            for up, low, segment in steps:
-                w = dict(g.rows(up, low, w))[segment]
+            for off, out, offset in steps:
+                w = out[off[w] + offset]
             if heads[w] != a:
                 continue  # lam is no prefix of w: no image
             table[t] = {slots[self._reduced(i, rest, tails[w])]: 1}
@@ -521,13 +541,12 @@ class FaithfulRep:
 
     def _extension(self, j, top, n):
         """The rule segments that extend a label (j, w) with d(w) = top until
-        n <= d(w): steps (degree after, degree before, segment index), then
-        the final stratum and degree."""
+        n <= d(w): steps (d(w), offset of x_{j-1} in its range's run of
+        block(1,..,1)), then the final stratum and degree."""
         steps = []
         while not deg_le(n, top):
-            up = deg_add(top, self._diag)
-            steps.append((up, top, self._segments[(j - 1) % len(self._segments)]))
-            top, j = up, j + 1
+            steps.append((top, self._offsets[(j - 1) % len(self._offsets)]))
+            top, j = deg_add(top, self._diag), j + 1
         return steps, j, top
 
     def encoding_prefix(self, label, n):
@@ -978,7 +997,7 @@ def pvm_additivity(rep, depth=1, tol=1e-10):
     """Projection axioms, additivity, and the transport identities.
 
     Each identity is a stream of per-block residuals, counted as in
-    verify_ck.
+    verify_ck; as there, an identity checked on no block fails the report.
     """
     g = rep.graph
     diag = deg_diag(g.k, 1)
@@ -1056,7 +1075,8 @@ def pvm_additivity(rep, depth=1, tol=1e-10):
         res, count = _tally(identity())
         details[name] = {"residual": res, "checked": count}
     worst = max(d["residual"] for d in details.values())
-    return PVMReport(worst <= tol, worst, details)
+    checked = all(d["checked"] > 0 for d in details.values())
+    return PVMReport(checked and worst <= tol, worst, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,18 +1163,7 @@ class IntervalDiagonalRep:
             space = space.union(sys.domains[v])
         self._ranges = sys.path_ranges(level)
         sets = list(self._ranges.values())
-        grid = []
-        for lo, hi in space.parts:
-            steps = int((hi - lo) / resolution) + 1
-            grid.extend(
-                [
-                    IntervalUnion.interval(
-                        lo + t * resolution, min(hi, lo + (t + 1) * resolution)
-                    )
-                    for t in range(steps)
-                ]
-            )
-        sets.extend(grid)
+        sets += [IntervalUnion.interval(*cell) for cell in grid_cells(space.parts, resolution)]
         self.atoms = partition_atoms(space, sets)
         self._his = [hi for _, hi in self.atoms]
 

@@ -42,6 +42,7 @@ from .intervals import (
     Region2,
     Strip,
     atoms_meeting,
+    grid_cells,
     partition_atoms,
     poly_add,
     poly_compose,
@@ -992,19 +993,14 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
 
     # grid approximation errors against the atom algebra
     worst_err = Fraction(0)
-    for v in g.vertices:
-        for dlo, dhi in sys.domains[v].parts:
-            steps = int(math.ceil((dhi - dlo) / resolution))
-            for t in range(steps):
-                cell_lo = dlo + t * resolution
-                cell_hi = min(dhi, cell_lo + resolution)
-                cell = IntervalUnion.interval(cell_lo, cell_hi)
-                err = Fraction(0)
-                for i in atoms_meeting(atoms, his, cell):
-                    lo, hi = atoms[i]
-                    inside = min(hi, cell_hi) - max(lo, cell_lo)
-                    err += min(inside, (hi - lo) - inside)
-                worst_err = max(worst_err, err)
+    parts = [part for v in g.vertices for part in sys.domains[v].parts]
+    for cell_lo, cell_hi in grid_cells(parts, resolution):
+        err = Fraction(0)
+        for i in atoms_meeting(atoms, his, IntervalUnion.interval(cell_lo, cell_hi)):
+            lo, hi = atoms[i]
+            inside = min(hi, cell_hi) - max(lo, cell_lo)
+            err += min(inside, (hi - lo) - inside)
+        worst_err = max(worst_err, err)
     if worst_err <= resolution / 2:
         return Monic(depth, resolution)
     return InconclusiveMonic(max(hi - lo for lo, hi in atoms))

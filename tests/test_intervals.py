@@ -12,6 +12,7 @@ from kgraph_lab.intervals import (
     Region2,
     Strip,
     atoms_meeting,
+    grid_cells,
     partition_atoms,
 )
 
@@ -140,6 +141,35 @@ def test_atoms_meeting_matches_linear_scan(seed):
                    for lo, _ in atoms]
         for union in probes:
             assert atoms_meeting(atoms, his, union) == reference_atoms_meeting(atoms, union)
+
+
+def reference_grids(parts, resolution):
+    """The two grids grid_cells replaced: the monic probe's ceil(width / resolution)
+    cells per part, and the diagonal rep's int(width / resolution) + 1, whose
+    extra cell is empty when the resolution divides the width."""
+    ceil_grid, plus_one_grid = [], []
+    for lo, hi in parts:
+        for t in range(-((lo - hi) // resolution)):
+            ceil_grid.append((lo + t * resolution, min(hi, lo + (t + 1) * resolution)))
+        for t in range(int((hi - lo) / resolution) + 1):
+            plus_one_grid.append((lo + t * resolution, min(hi, lo + (t + 1) * resolution)))
+    return ceil_grid, plus_one_grid
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_cells_match_both_replaced_grids(seed):
+    rng = random.Random(300 + seed)
+    divides = empty = 0
+    for _ in range(60):
+        parts = random_union(rng).parts
+        resolution = Fraction(1, rng.choice([3, 4, 8, 16]))
+        cells = list(grid_cells(parts, resolution))
+        ceil_grid, plus_one_grid = reference_grids(parts, resolution)
+        assert cells == ceil_grid
+        assert cells == [(lo, hi) for lo, hi in plus_one_grid if lo < hi]
+        empty += len(plus_one_grid) - len(cells)
+        divides += any((hi - lo) % resolution == 0 for lo, hi in parts)
+    assert divides and empty  # the cases where the two grids differed by an empty cell
 
 
 def test_box_uncovered_tells_overlap_from_undecided():

@@ -26,7 +26,7 @@ from kgraph_lab.kgraph import (
     deg_join,
     deg_le,
     deg_sub,
-    deg_unit,
+    deg_total,
     graph_from_dict,
     graph_to_dict,
     shift_windows,
@@ -956,23 +956,33 @@ def test_blocks_match_depth_first_reference(label, g, bound):
 
 
 @pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
-def test_extend_tables_match_compose(label, g, bound):
+def test_glue_tables_match_compose(label, g, bound):
+    bound = min(bound, 2) if g.k == 3 else bound
     entries = swapped = 0
     for m in deg_grid(g.k, bound):
-        blk = g.block(m)
-        for c in range(1, g.k + 1):
-            up = g.block(deg_add(m, deg_unit(g.k, c)))
-            fan, ext = g.fan(m, c), g.extend(m, c)
-            assert len(fan) == len(blk) + 1 and len(ext) == fan[-1] == len(up)
-            for i, lam in enumerate(blk):
-                want = [g.compose(lam, g.edge_path(e.eid)) for e in g.edges_from(g.s(lam), c)]
-                assert [up[ext[t]] for t in range(fan[i], fan[i + 1])] == want
-                assert g.extensions(lam, c) == want
-                entries += len(want)
-                swapped += sum(p.edges[:-1] != lam.edges for p in want)
+        top = g.block(m)
+        for n in deg_grid(g.k, bound):
+            if not deg_le(n, m):
+                continue
+            r = deg_sub(m, n)
+            off, out = g.glue(n, r)
+            heads, tails = g.block(n), g.block(r)
+            assert len(off) == len(heads) + 1 and off[0] == 0 and off[-1] == len(top)
+            assert sorted(out) == list(range(len(top)))  # each path is one product
+            for a, lam in enumerate(heads):
+                run = g.run(r, g.s(lam))
+                assert [tails[t] for t in run] == g.enumerate_paths(r, g.s(lam))
+                assert off[a + 1] - off[a] == len(run)
+                for t in run:
+                    want = g.compose(lam, tails[t])
+                    assert top[out[off[a] + t - run.start]] == want
+                    entries += 1
+                    swapped += want.edges[: len(lam.edges)] != lam.edges
+                if deg_total(r) == 1:
+                    assert g.extensions(lam, r.index(1) + 1) == [top[j] for j in out[off[a]:off[a + 1]]]
     assert entries > 0
     if g.k > 1:
-        assert swapped > 0  # some extension moved its edge through a square
+        assert swapped > 0  # some product moved its tail's edges through squares
 
 
 @pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)

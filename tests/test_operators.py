@@ -622,7 +622,7 @@ def test_integer_rn_test_matches_the_quotient_reference(measure):
             dst = deg_add(m, lam.degree)
             if dst not in keys:
                 continue
-            for i, j in g.rows(dst, lam.degree, g.index(lam)):
+            for i, j in rep._rows(lam, m):
                 got = rep._rn_constant(lam, m, [(i, j)])
                 want = reference_constant_quotient(rep, weight, lam, rep.block(m)[i])
                 assert got == (want is not None), (lam, m, i)
@@ -639,7 +639,7 @@ def test_integer_rn_test_on_a_null_cylinder_raises_zero_denominator(at):
     null = g.path(at) if at else g.vertex_path("v")
     rep = UnprobedRep(g, m.perturbed(null, -m.value(null)), 1)
     lam = g.edge_path(g.edges[0].eid)
-    rows = g.rows(lam.degree, lam.degree, g.index(lam))
+    rows = rep._rows(lam, (0, 0))
     with pytest.raises(ZeroDenominator, match=re.escape(f"Z({null}) has measure 0")):
         rep._rn_constant(lam, (0, 0), rows)
 
@@ -1062,6 +1062,24 @@ def test_pvm_additivity_and_transport():
     # checked per identity: projection, additivity, transport, shift_pullback
     assert [d["checked"] for d in report.details.values()] == [198, 99, 96, 288]
     assert all(d["residual"] == 0.0 for d in report.details.values())
+
+
+def shallow_standard_rep(name, depth):
+    g = builtin_graph(name)
+    return standard_rep(g, pf_measure(g), depth)
+
+
+@pytest.mark.parametrize("build, unchecked", [
+    (lambda: faithful_rep(builtin_graph("exonevtwoe"), depth=0),
+     ["projection", "additivity", "transport", "shift_pullback"]),
+    (lambda: shallow_standard_rep("ex3v8e", 1), ["transport", "shift_pullback"]),
+], ids=["faithful-exonevtwoe-0", "standard-ex3v8e-1"])
+def test_pvm_identity_checked_on_no_block_fails(build, unchecked):
+    # a vacuous identity is no evidence: the report fails as verify_ck does
+    report = pvm_additivity(build(), depth=1)
+    assert [name for name, d in report.details.items() if not d["checked"]] == unchecked
+    assert report.max_residual == 0.0
+    assert not report.ok
 
 
 def test_pvm_discrete_exact():

@@ -161,7 +161,7 @@ def test_path_algebra_rule_sees_each_form():
 
 
 def test_standard_rep_tables_use_no_path_algebra():
-    # every StandardRep table is a read of KGraph.cut rows
+    # every StandardRep table is a read of KGraph.glue runs
     source = (PACKAGE / "operators.py").read_text()
     assert "class StandardRep" in source
     assert path_algebra_calls(source, "StandardRep") == set()
@@ -172,7 +172,7 @@ FAITHFUL_LABEL_ACTIONS = {"forward_label", "adjoint_label", "_reduce", "encoding
 
 
 def test_faithful_rep_tables_use_no_path_algebra():
-    # the constructor's reducedness test and both tables read KGraph.cut rows
+    # the constructor's reducedness test and both tables read KGraph.glue and KGraph.cut tables
     source = (PACKAGE / "operators.py").read_text()
     assert "class FaithfulRep" in source
     calls = path_algebra_calls(source, "FaithfulRep")
@@ -200,3 +200,84 @@ def test_block_readers_take_values_by_index():
     operators = (PACKAGE / "operators.py").read_text()
     assert attribute_calls(operators, "StandardRep", VALUE_READS) == {("weight", "value")}
     assert attribute_calls(operators, "KPRep", VALUE_READS) == set()
+
+
+# the KGraph methods that number paths and index them through glue tables
+INDEX_LAYER = {"enumerate_paths", "block", "_ends", "glue", "run", "cut", "index"}
+
+
+def index_layer_sorts(source):
+    """(method, name) for each sort or bisect call in the index layer of class
+    KGraph, and ("<module>", "bisect") for each import of the bisect module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "bisect" for module in modules):
+            out.add(("<module>", "bisect"))
+        if not (isinstance(node, ast.ClassDef) and node.name == "KGraph"):
+            continue
+        for fn in node.body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name in INDEX_LAYER):
+                continue
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call):
+                    name = getattr(call.func, "id", getattr(call.func, "attr", ""))
+                    if name in ("sorted", "sort") or name.startswith(("bisect", "insort")):
+                        out.add((fn.name, name))
+    return out
+
+
+def replaced_table_calls(source):
+    """Line numbers of calls of the tables glue replaced: .rows(...), .fan(...)
+    and the two-argument .extend(m, c); list and array extend take one argument."""
+    out = []
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            attr, args = call.func.attr, len(call.args) + len(call.keywords)
+            if attr in ("rows", "fan") or (attr == "extend" and args == 2):
+                out.append(call.lineno)
+    return sorted(out)
+
+
+def test_index_layer_rules_see_each_form():
+    # the forms the index layer and its callers took before glue
+    source = (
+        "from bisect import bisect_left, bisect_right\n"
+        "class KGraph:\n"
+        "    def enumerate_paths(self, n, v):\n        return bisect_left(h, v), bisect.bisect_right(h, v)\n"
+        "    def cut(self, m, n):\n        return sorted(range(3), key=abs)\n"
+        "    def index(self, p):\n        self._orders.sort()\n"
+        "    def periodicity_probe(self, v, depth):\n        return sorted(v)\n"
+        "def f(g, a):\n    return sorted(a)\n"
+    )
+    assert index_layer_sorts(source) == {
+        ("<module>", "bisect"), ("enumerate_paths", "bisect_left"),
+        ("enumerate_paths", "bisect_right"), ("cut", "sorted"), ("index", "sort")}
+    assert index_layer_sorts("import bisect as b\n") == {("<module>", "bisect")}
+    calls = (
+        "forward = dict(g.rows(up, n, g.index(lam)))\n"
+        "fan, ext = g.fan(m, c), g.extend(m, c)\n"
+        "out.extend(pieces)\n"
+        "flat.extend(step[a:b])\n"
+        "w = self.graph.extend(m, c=1)\n"
+    )
+    assert replaced_table_calls(calls) == [1, 2, 2, 5]
+
+
+def test_index_layer_reads_glue_tables_only():
+    source = (PACKAGE / "kgraph.py").read_text()
+    methods = {fn.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ClassDef) and node.name == "KGraph"
+               for fn in node.body if isinstance(fn, ast.FunctionDef)}
+    assert INDEX_LAYER <= methods
+    assert not methods & {"rows", "fan", "extend"}
+    assert index_layer_sorts(source) == set()
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {m.name: replaced_table_calls(m.read_text()) for m in modules}
+    assert not {name: lines for name, lines in found.items() if lines}
