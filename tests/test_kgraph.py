@@ -27,6 +27,7 @@ from kgraph_lab.kgraph import (
     deg_le,
     deg_sub,
     deg_total,
+    deg_unit,
     graph_from_dict,
     graph_to_dict,
     shift_windows,
@@ -957,6 +958,25 @@ def test_blocks_match_depth_first_reference(label, g, bound):
 
 @pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
 def test_glue_tables_match_compose(label, g, bound):
+    # One-edge tables, the square lookups, on every head degree up to the bound,
+    # so the blocks one edge past it are checked too.
+    entries = swapped = 0
+    for n in deg_grid(g.k, bound):
+        heads = g.block(n)
+        for c in range(1, g.k + 1):
+            top = g.block(deg_add(n, deg_unit(g.k, c)))
+            off, out = g.glue(n, deg_unit(g.k, c))
+            assert len(off) == len(heads) + 1 and off[0] == 0 and off[-1] == len(out) == len(top)
+            for a, lam in enumerate(heads):
+                want = [g.compose(lam, g.edge_path(e.eid)) for e in g.edges_from(g.s(lam), c)]
+                assert [top[j] for j in out[off[a]:off[a + 1]]] == want
+                assert g.extensions(lam, c) == want
+                entries += len(want)
+                swapped += sum(p.edges[:-1] != lam.edges for p in want)
+    assert entries > 0
+    if g.k > 1:
+        assert swapped > 0  # some extension moved its edge through a square
+    # Every pair of degrees; 3-graphs stop at (2,2,2).
     bound = min(bound, 2) if g.k == 3 else bound
     entries = swapped = 0
     for m in deg_grid(g.k, bound):
@@ -978,8 +998,6 @@ def test_glue_tables_match_compose(label, g, bound):
                     assert top[out[off[a] + t - run.start]] == want
                     entries += 1
                     swapped += want.edges[: len(lam.edges)] != lam.edges
-                if deg_total(r) == 1:
-                    assert g.extensions(lam, r.index(1) + 1) == [top[j] for j in out[off[a]:off[a + 1]]]
     assert entries > 0
     if g.k > 1:
         assert swapped > 0  # some product moved its tail's edges through squares
