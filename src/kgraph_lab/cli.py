@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import catalog, kgraph, measures, operators, sbfs
 from .errors import (
     DegreeCapExceeded,
+    DimensionUnsupported,
     GammaOutOfRange,
     KGraphLabError,
     NotComposable,
@@ -430,7 +431,12 @@ def _run_monic(job):
         raise UsageError("monic runs on builtin systems (--builtin)")
     resolution = _resolution(job)
     sys_ = catalog.builtin_sbfs(name)
-    res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
+    try:
+        res = sbfs.monic_probe(sys_, depth=job.param("depth"), resolution=resolution)
+    except DimensionUnsupported as exc:
+        raise UsageError(
+            f"{exc}: monic runs on 1D interval systems and on products of two "
+            f"(such as product-kawamura); {name} is neither") from exc
     payload = {"verdict": type(res).__name__}
     violations = []
     if isinstance(res, sbfs.NotMonic):
@@ -441,6 +447,8 @@ def _run_monic(job):
         violations.append({"check": "monic", "witness": payload["witness"]})
     elif isinstance(res, sbfs.Monic):
         payload["resolution"] = measures.format_value(res.resolution)
+    else:
+        payload["max_atom_width"] = measures.format_value(res.max_atom_width)
     return payload, violations
 
 

@@ -17,7 +17,6 @@ graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,30 +120,41 @@ def _kronecker(t, salt=0):
 # one-dimensional interval unions
 
 
+def _merged(pairs):
+    """Sorted (lo, hi) pairs as canonical parts: empty pairs dropped, touching ones merged."""
+    out = []
+    for lo, hi in pairs:
+        if hi <= lo:
+            continue
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return tuple(out)
+
+
 class IntervalUnion:
-    """Finite union of rational intervals, canonicalized up to null sets."""
+    """Finite union of rational intervals, canonicalized up to null sets.
+
+    The constructor stores Fraction endpoints.  The set operations keep the
+    endpoint type they are given, so a union with int endpoints on an
+    integer grid (see ``sbfs.monic_probe``) stays on it.
+    """
 
     __slots__ = ("parts",)
     dim = 1
 
     def __init__(self, parts=()):
-        merged = []
-        for lo, hi in sorted((Fraction(a), Fraction(b)) for a, b in parts):
-            if hi <= lo:
-                continue
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        self.parts = tuple(merged)
+        self.parts = _merged(sorted((Fraction(a), Fraction(b)) for a, b in parts))
 
     @classmethod
     def interval(cls, lo, hi):
         return cls([(lo, hi)])
 
     @classmethod
-    def _canonical(cls, parts):
-        """Wrap Fraction parts that are already sorted, disjoint and gapped."""
+    def canonical(cls, parts):
+        """Wrap parts that are already sorted, disjoint and gapped, keeping
+        their endpoint type (Fraction, or int on a grid)."""
         out = object.__new__(cls)
         out.parts = tuple(parts)
         return out
@@ -172,7 +182,7 @@ class IntervalUnion:
         return False
 
     def union(self, other):
-        return IntervalUnion(self.parts + other.parts)
+        return IntervalUnion.canonical(_merged(sorted(self.parts + other.parts)))
 
     def intersect(self, other):
         xs, ys = self.parts, other.parts
@@ -188,7 +198,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion._canonical(out)
+        return IntervalUnion.canonical(out)
 
     def subtract(self, other):
         out = []
@@ -206,7 +216,7 @@ class IntervalUnion:
                         nxt.append((d, hi))
                 pieces = nxt
             out.extend(pieces)
-        return IntervalUnion(out)
+        return IntervalUnion.canonical(out)
 
     def is_subset_of(self, other):
         return self.subtract(other).measure == 0
@@ -242,19 +252,31 @@ class IntervalUnion:
             out = [(a * hi + b, a * lo + b) for lo, hi in reversed(self.parts)]
         else:
             out = []
-        return IntervalUnion._canonical(out)
+        return IntervalUnion.canonical(out)
 
 
 def partition_atoms(domain, sets):
-    """Atoms of the partition of `domain` generated by the interval unions."""
-    points = set(domain.breakpoints())
+    """Atoms of the partition of `domain` generated by the interval unions.
+
+    The atoms are the gaps between consecutive breakpoints of the domain and
+    the sets that lie in the domain, sorted, with the endpoint type they are
+    given.  The domain's breakpoints are among the points, so each gap lies
+    in one part of the domain or outside it; one walk tells which.
+    """
+    points = domain.breakpoints()
     for s in sets:
-        points |= s.breakpoints()
+        for part in s.parts:
+            points.update(part)
     points = sorted(points)
+    parts = domain.parts
     atoms = []
+    j = 0
     for lo, hi in zip(points, points[1:]):
-        piece = IntervalUnion.interval(lo, hi).intersect(domain)
-        if piece.measure > 0:
+        while j < len(parts) and parts[j][1] <= lo:
+            j += 1
+        if j == len(parts):
+            break
+        if parts[j][0] <= lo:
             atoms.append((lo, hi))
     return atoms
 
@@ -263,7 +285,7 @@ def grid_cells(parts, resolution):
     """The width-`resolution` cells (lo, hi) that cut each part (lo, hi) from
     its left end, the last cell of a part clipped to it."""
     for lo, hi in parts:
-        for t in range(math.ceil((hi - lo) / resolution)):
+        for t in range(-((lo - hi) // resolution)):
             yield lo + t * resolution, min(hi, lo + (t + 1) * resolution)
 
 

@@ -53,13 +53,10 @@ from .intervals import (
 )
 from .catalog import builtin_graph
 from .kgraph import (
-    Path,
     build_double,
     build_product,
     deg_diag,
     deg_grid,
-    deg_sub,
-    deg_unit,
     graph_from_dict,
     graph_to_dict,
 )
@@ -91,6 +88,43 @@ class Affine1D:
 
     def image(self, union):
         return union.scaled(self.a, self.b)
+
+
+class GridAffine:
+    """Affine1D(a, b) on the integer grid X = S x of a scale S: X -> (p X + c) / q,
+    with p / q = a in lowest terms and c = q S b.
+
+    An endpoint whose image is no integer raises ArithmeticError: the scale
+    is too coarse for the ranges, and rounding would change them.
+    """
+
+    __slots__ = ("p", "c", "q")
+
+    def __init__(self, p, c, q):
+        self.p, self.c, self.q = p, c, q
+
+    def image(self, union):
+        p, c, q = self.p, self.c, self.q
+        if p > 0:
+            ends = union.parts
+        elif p < 0:
+            ends = [(hi, lo) for lo, hi in reversed(union.parts)]
+        else:
+            ends = []
+        out = []
+        for x, y in ends:
+            lo, r = divmod(p * x + c, q)
+            hi, t = divmod(p * y + c, q)
+            if r or t:
+                raise ArithmeticError(f"x -> ({p} x + {c}) / {q} maps {x} or {y} off the grid")
+            out.append((lo, hi))
+        return IntervalUnion.canonical(out)
+
+    def inverse(self):
+        """X -> (q X - c) / p."""
+        if self.p > 0:
+            return GridAffine(self.q, -self.c, self.p)
+        return GridAffine(-self.q, self.c, -self.p)
 
 
 def _xpoly(coeffs):
@@ -218,25 +252,68 @@ class IntervalSBFS:
             cur = self.edge_maps[eid].image(cur.intersect(self.domain_of_edge(eid)))
         return cur
 
-    def path_ranges(self, depth):
-        """{path: R_path} for every degree <= depth*(1,..,1) (1D systems).
+    def range_words(self, depth):
+        """(ranges, word): the distinct ranges R_path of the paths of degree
+        <= depth*(1,..,1) (1D systems), and for each path the index of its
+        range, as word[path.edges] (word[v] for the vertex v).
 
-        A canonical path minus its first edge is its canonical tail, of
-        lexicographically smaller degree, so in deg_grid order each range
-        is one step from its tail's: R(e.t) = m_e(R(t) & D_e).
+        A canonical path minus its first edge e is its canonical tail, of
+        lexicographically smaller degree, so in deg_grid order each range is
+        one step from its tail's: R(e.t) = m_e(R(t) & D_s(e)).  The step
+        depends on R(t), s(e) and m_e only, so paths whose edges carry the
+        same (source, map) pairs share one range; on a double system, so do
+        the paths that spell one word of the base system.
         """
         g = self.graph
-        out = {}
-        for n in deg_grid(g.k, depth):
+        source = {e.eid: e.source for e in g.edges}
+        steps = {}
+        step = {e.eid: steps.setdefault((e.source, self.edge_maps[e.eid]), len(steps))
+                for e in g.edges}
+        ranges = [self.domains[v] for v in g.vertices]
+        word = {v: i for i, v in enumerate(g.vertices)}
+        known = {}  # (tail's word, step of the first edge) -> word
+        for n in deg_grid(g.k, depth)[1:]:
             for lam in g.enumerate_paths(n):
-                if lam.is_vertex:
-                    out[lam] = self.domains[lam.range]
-                    continue
-                e = g.edge_by_id[lam.edges[0]]
-                tail = Path(e.source, lam.edges[1:], deg_sub(n, deg_unit(g.k, e.color)))
-                dom = self.domains[e.source]
-                out[lam] = self.edge_maps[e.eid].image(out[tail].intersect(dom))
-        return out
+                edges = lam.edges
+                first = edges[0]
+                tail = word[edges[1:] or source[first]]
+                key = (tail, step[first])
+                w = known.get(key)
+                if w is None:
+                    w = known[key] = len(ranges)
+                    cur = ranges[tail].intersect(self.domains[source[first]])
+                    ranges.append(self.edge_maps[first].image(cur))
+                word[edges] = w
+        return ranges, word
+
+    def path_ranges(self, depth):
+        """{path: R_path} for every degree <= depth*(1,..,1) (1D systems);
+        paths that share a range (see range_words) share one object."""
+        g = self.graph
+        ranges, word = self.range_words(depth)
+        return {lam: ranges[word[lam.edges or lam.range]]
+                for n in deg_grid(g.k, depth) for lam in g.enumerate_paths(n)}
+
+    def on_grid(self, scale):
+        """Copy of a 1D system on the integer grid X = scale * x: int domain
+        endpoints and one GridAffine per distinct edge map.  Raises
+        ArithmeticError when `scale` does not clear an endpoint or offset."""
+
+        def grid(x):
+            num, rem = divmod(x.numerator * scale, x.denominator)
+            if rem:
+                raise ArithmeticError(f"{x} is off the grid of scale {scale}")
+            return num
+
+        domains = {v: IntervalUnion.canonical([(grid(lo), grid(hi)) for lo, hi in d.parts])
+                   for v, d in self.domains.items()}
+        shared = {}
+        for m in self.edge_maps.values():
+            if m not in shared:
+                shared[m] = GridAffine(m.a.numerator, m.a.denominator * grid(m.b),
+                                       m.a.denominator)
+        maps = {eid: shared[m] for eid, m in self.edge_maps.items()}
+        return IntervalSBFS(self.graph, domains, maps, self.name)
 
     # -- pointwise machinery -----------------------------------------------------
 
@@ -926,6 +1003,27 @@ class InconclusiveMonic:
     max_atom_width: Fraction
 
 
+def grid_scale(sys, depth, resolution):
+    """S = D * Q**(k*depth + 1), a scale whose grid X = S x holds every
+    endpoint the 1D monic probe meets at `depth` and `resolution`.
+
+    D is the lcm of the domain-endpoint and resolution denominators, Q the
+    lcm over the edge maps x -> a x + b of den(a) |num(a)| den(b).  An image
+    step multiplies a denominator by at most den(a) den(b), a preimage step
+    by at most |num(a)| den(b), and intersections and complements make no
+    new ones.  Ranges of paths of length at most k*depth, and the edge
+    preimages of their atoms, so stay on the grid.
+    """
+    den = math.lcm(resolution.denominator, *(
+        x.denominator for d in sys.domains.values() for part in d.parts for x in part))
+    q = 1
+    for m in sys.edge_maps.values():
+        if m.a == 0:
+            raise DegenerateMap("affine map with zero slope")
+        q = math.lcm(q, m.a.denominator * abs(m.a.numerator) * m.b.denominator)
+    return den * q ** (sys.graph.k * depth + 1)
+
+
 def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     """Decide whether depth-limited ranges generate intervals at `resolution`.
 
@@ -933,8 +1031,13 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     approximated by a union of range-algebra atoms within resolution/2.
     NotMonic: some atom wider than `resolution` is provably never cut at
     any depth (its edge preimages are single atoms, recursively).
+    InconclusiveMonic: neither, with the widest atom's width; a product
+    system reports the widest of its inconclusive factors.
     Raises DegreeCapExceeded when depth * k exceeds the graph's enum_cap
     (a product system checks each factor on its own).
+
+    A 1D system is probed on its copy on the integer grid of grid_scale,
+    where every endpoint is an int; Fractions come back only in the result.
     """
     if sys.dim == 2:
         if sys.product_factors is not None:
@@ -945,15 +1048,18 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
             for r in (a, b):
                 if isinstance(r, NotMonic):
                     return r
-            return InconclusiveMonic(Fraction(0))
+            return InconclusiveMonic(max(r.max_atom_width for r in (a, b)
+                                         if isinstance(r, InconclusiveMonic)))
         raise DimensionUnsupported("monic probe needs 1D or product structure")
     g = sys.graph
     g.check_cap(depth * g.k, f"monic depth {depth}")
-    resolution = Fraction(resolution)
+    scale = grid_scale(sys, depth, resolution)
+    width = resolution.numerator * (scale // resolution.denominator)  # of a grid cell
+    sys = sys.on_grid(scale)
     space = IntervalUnion()
     for v in g.vertices:
         space = space.union(sys.domains[v])
-    atoms = partition_atoms(space, sys.path_ranges(depth).values())
+    atoms = partition_atoms(space, sys.range_words(depth)[0])
     his = [hi for _, hi in atoms]
 
     # structural witness: atoms whose edge preimages stay single atoms.  An
@@ -963,19 +1069,18 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     cut = set()
     preds = [[] for _ in atoms]
     for e in g.edges:
-        m = sys.edge_maps[e.eid]
+        inverse = sys.edge_maps[e.eid].inverse()
         dom = sys.domain_of_edge(e.eid)
         rng = sys.edge_range(e.eid)
-        inv_a, inv_b = Fraction(1) / m.a, -m.b / m.a
         for i in atoms_meeting(atoms, his, rng):
-            pre = rng.intersect(IntervalUnion.interval(*atoms[i]))
-            pre = pre.scaled(inv_a, inv_b).intersect(dom)
+            pre = inverse.image(rng.intersect(IntervalUnion.canonical([atoms[i]])))
+            pre = pre.intersect(dom)
             hits = atoms_meeting(atoms, his, pre)
             if len(hits) != 1:
                 cut.add(i)
                 continue
-            b_int = IntervalUnion.interval(*atoms[hits[0]])
-            if pre != b_int.intersect(pre) or b_int.subtract(pre).measure != 0:
+            b_int = IntervalUnion.canonical([atoms[hits[0]]])
+            if pre != b_int.intersect(pre) or b_int.subtract(pre):
                 cut.add(i)
                 continue
             preds[hits[0]].append(i)
@@ -986,24 +1091,25 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
             if alive[i]:
                 alive[i] = False
                 stack.append(i)
-    wide = sorted((a for a, ok in zip(atoms, alive) if ok and a[1] - a[0] > resolution),
+    wide = sorted((a for a, ok in zip(atoms, alive) if ok and a[1] - a[0] > width),
                   key=lambda a: (a[0] - a[1], a[0]))
     if wide:
-        return NotMonic(wide[0], tuple(wide))
+        return NotMonic((Fraction(wide[0][0], scale), Fraction(wide[0][1], scale)),
+                        tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in wide))
 
     # grid approximation errors against the atom algebra
-    worst_err = Fraction(0)
+    worst_err = 0
     parts = [part for v in g.vertices for part in sys.domains[v].parts]
-    for cell_lo, cell_hi in grid_cells(parts, resolution):
-        err = Fraction(0)
-        for i in atoms_meeting(atoms, his, IntervalUnion.interval(cell_lo, cell_hi)):
+    for cell_lo, cell_hi in grid_cells(parts, width):
+        err = 0
+        for i in atoms_meeting(atoms, his, IntervalUnion.canonical([(cell_lo, cell_hi)])):
             lo, hi = atoms[i]
             inside = min(hi, cell_hi) - max(lo, cell_lo)
             err += min(inside, (hi - lo) - inside)
         worst_err = max(worst_err, err)
-    if worst_err <= resolution / 2:
-        return Monic(depth, resolution)
-    return InconclusiveMonic(max(hi - lo for lo, hi in atoms))
+    if 2 * worst_err <= width:
+        return Monic(depth, Fraction(resolution))
+    return InconclusiveMonic(Fraction(max(hi - lo for lo, hi in atoms), scale))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,8 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
         ["measure", "--builtin", "ehfg", "--measure", "product:const:0"],
         ["measure", "--builtin", "lambda2N:N=2", "--measure", "markov:x=1/3"],
         ["rep-verify", "--builtin", "kawamura", "--measure", "product:const:0"],
+        # a 2D system without product structure
+        ["monic", "--builtin", "noncstrn"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -294,6 +296,21 @@ def test_monic_negative_exit_1(tmp_path):
     assert report["violations"]
     lo, hi = report["results"]["witness"]
     assert lo == "1/2"
+
+
+def test_monic_on_a_nonproduct_2d_system_names_what_monic_accepts(tmp_path, capsys):
+    assert main(["monic", "--builtin", "noncstrn", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: monic probe needs 1D or product structure")
+    assert "1D interval systems and on products of two" in err
+
+
+def test_monic_inconclusive_reports_the_widest_atom(tmp_path):
+    # the product reports the widest atom of its inconclusive factors
+    argv = ["monic", "--builtin", "product-kawamura", "--depth", "6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    results = read_report(tmp_path)["results"]
+    assert results == {"verdict": "InconclusiveMonic", "max_atom_width": "1/16"}
 
 
 def test_monic_positive_exit_0(tmp_path):

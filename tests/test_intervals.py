@@ -38,6 +38,16 @@ def reference_scaled(u, a, b):
     return IntervalUnion(out)
 
 
+def reference_partition_atoms(domain, sets):
+    """The per-gap version the merge walk replaced: one union and one measure per gap."""
+    points = set(domain.breakpoints())
+    for s in sets:
+        points |= s.breakpoints()
+    points = sorted(points)
+    return [(lo, hi) for lo, hi in zip(points, points[1:])
+            if IntervalUnion.interval(lo, hi).intersect(domain).measure > 0]
+
+
 def reference_atoms_meeting(atoms, union):
     return [
         i
@@ -141,6 +151,57 @@ def test_atoms_meeting_matches_linear_scan(seed):
                    for lo, _ in atoms]
         for union in probes:
             assert atoms_meeting(atoms, his, union) == reference_atoms_meeting(atoms, union)
+
+
+def on_grid(u, scale):
+    """The union with each endpoint x as the int scale * x."""
+    return IntervalUnion.canonical([(int(lo * scale), int(hi * scale)) for lo, hi in u.parts])
+
+
+def assert_ints(pairs):
+    assert all(type(x) is int for pair in pairs for x in pair)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_partition_atoms_matches_the_per_gap_reference(seed):
+    rng = random.Random(400 + seed)
+    for _ in range(100):
+        domain = random_union(rng)
+        sets = [random_union(rng) for _ in range(rng.randint(0, 4))]
+        atoms = partition_atoms(domain, sets)
+        assert atoms == reference_partition_atoms(domain, sets), (domain, sets)
+        # the same atoms, as ints, on the grid of scale 8
+        grid = partition_atoms(on_grid(domain, 8), [on_grid(s, 8) for s in sets])
+        assert_ints(grid)
+        assert grid == [(lo * 8, hi * 8) for lo, hi in atoms]
+
+
+def test_set_operations_keep_int_endpoints():
+    rng = random.Random(500)
+    for _ in range(300):
+        u, w = random_union(rng), random_union(rng)
+        gu, gw = on_grid(u, 8), on_grid(w, 8)
+        for got, want in [(gu.union(gw), u.union(w)), (gu.intersect(gw), u.intersect(w)),
+                          (gu.subtract(gw), u.subtract(w))]:
+            assert_ints(got.parts)
+            assert got == on_grid(want, 8)
+        cells = list(grid_cells(gu.parts, 3))
+        assert_ints(cells)
+        assert cells == [(lo * 8, hi * 8) for lo, hi in grid_cells(u.parts, Fraction(3, 8))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subtract_and_union_are_canonical(seed):
+    rng = random.Random(600 + seed)
+    for _ in range(300):
+        u, w = random_union(rng), random_union(rng)
+        rest, both = u.subtract(w), u.intersect(w)
+        assert_canonical(rest)
+        assert_canonical(u.union(w))
+        assert u.union(w) == IntervalUnion(u.parts + w.parts)
+        assert rest.intersect(w) == IntervalUnion()
+        assert rest.union(both) == u
+        assert rest.measure + both.measure == u.measure
 
 
 def reference_grids(parts, resolution):

@@ -27,6 +27,7 @@ from kgraph_lab.measures import (
 )
 from kgraph_lab.sbfs import (
     Affine1D,
+    GridAffine,
     InconclusiveMonic,
     IntervalSBFS,
     Monic,
@@ -553,6 +554,42 @@ def test_monic_product_reduces_to_factors():
     assert isinstance(res, Monic)
 
 
+def test_monic_product_reports_the_widest_inconclusive_factor():
+    # the product used to report width 0 where each factor reports 1/16
+    sys = builtin_sbfs("product-kawamura")
+    factors = [monic_probe(f, depth=6) for f in sys.product_factors]
+    assert factors == [InconclusiveMonic(Fraction(1, 16))] * 2
+    assert monic_probe(sys, depth=6) == InconclusiveMonic(Fraction(1, 16))
+
+
+@pytest.mark.parametrize("depth", [6, 7, 8])
+def test_monic_double_kawamura_past_the_reference_depths(depth):
+    # paths of length 2 * depth: a grid scale of D * Q**(depth + 1) holds
+    # their ranges up to depth 5 only, and raises past it
+    assert isinstance(monic_probe(builtin_sbfs("double-kawamura"), depth=depth), Monic)
+
+
+def test_grid_affine_is_affine1d_on_the_grid():
+    scale = 48
+    graph = builtin_sbfs("exonevtwoe").graph
+    union = IntervalUnion([(Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 2), 1)])
+    grid = IntervalUnion.canonical([(int(lo * scale), int(hi * scale)) for lo, hi in union.parts])
+    for a, b in [(Fraction(1, 2), Fraction(1, 4)), (Fraction(-3, 2), Fraction(2)),
+                 (Fraction(1), Fraction(-1, 3))]:
+        sys = IntervalSBFS(graph, {"v": union}, {"e": Affine1D(a, b)}).on_grid(scale)
+        assert sys.domains["v"] == grid
+        m = sys.edge_maps["e"]
+        got = m.image(grid)
+        assert all(type(x) is int for part in got.parts for x in part)
+        assert [(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in got.parts] == list(
+            union.scaled(a, b).parts)
+        assert m.inverse().image(got) == grid
+    with pytest.raises(ArithmeticError):
+        GridAffine(1, 0, 3).image(IntervalUnion.canonical([(1, 3)]))
+    with pytest.raises(ArithmeticError):
+        IntervalSBFS(graph, {"v": union}, {}).on_grid(4)
+
+
 def test_monic_nonproduct_2d_unsupported():
     with pytest.raises(DimensionUnsupported):
         monic_probe(builtin_sbfs("noncstrn"))
@@ -582,7 +619,8 @@ def reference_monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
             for r in (a, b):
                 if isinstance(r, NotMonic):
                     return r
-            return InconclusiveMonic(Fraction(0))
+            return InconclusiveMonic(max(r.max_atom_width for r in (a, b)
+                                         if isinstance(r, InconclusiveMonic)))
         raise DimensionUnsupported("monic probe needs 1D or product structure")
     g = sys.graph
     resolution = Fraction(resolution)
@@ -665,10 +703,14 @@ REFERENCE_DEPTHS = {
     "kawamura:a=1/2": 8,
     "double-kawamura": 5,
     "product-kawamura": 8,
+    # non-dyadic endpoints (1/3, 3/4), and Q = 1200 for a = 3/8
+    "kawamura:a=1/3": 8,
+    "kawamura:a=3/8": 8,
+    "kawamura:a=3/4": 8,
 }
 
 
-@pytest.mark.parametrize("name", BUILTIN_SYSTEMS)
+@pytest.mark.parametrize("name", list(REFERENCE_DEPTHS))
 def test_monic_probe_matches_reference_on_builtins(name):
     sys = builtin_sbfs(name)
     for depth in range(REFERENCE_DEPTHS[name] + 1):

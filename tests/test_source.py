@@ -281,3 +281,71 @@ def test_index_layer_reads_glue_tables_only():
     assert len(modules) >= 8
     found = {m.name: replaced_table_calls(m.read_text()) for m in modules}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+# the integer-grid path of the monic probe: Fractions come back only in its result
+GRID_PATH = {
+    "sbfs.py": {"monic_probe", "grid_scale", "IntervalSBFS.range_words",
+                "IntervalSBFS.on_grid", "GridAffine.image", "GridAffine.inverse"},
+    "intervals.py": {"partition_atoms"},
+}
+PROBE_RESULTS = {"Monic", "NotMonic", "InconclusiveMonic"}
+
+
+def fraction_constructions(source, names):
+    """(function, line) for each Fraction(...) call in the bodies of the named
+    functions ("f", or "C.m" for a method) outside a `return` of a probe result.
+    Default argument values are not in the body and are not counted."""
+    tree = ast.parse(source)
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    out = set()
+    for name, fn in functions:
+        if name not in names:
+            continue
+        allowed = set()
+        for stmt in fn.body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "id", None) in PROBE_RESULTS):
+                    allowed.update(map(id, ast.walk(node)))
+        for stmt in fn.body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and id(node) not in allowed
+                        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "Fraction"):
+                    out.add((name, node.lineno))
+    return out
+
+
+def test_fraction_rule_sees_each_form():
+    source = (
+        "def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):\n"
+        "    a = Fraction(1)\n"
+        "    b = fractions.Fraction(1, 2)\n"
+        "    c = [Fraction(x) for x in sys]\n"
+        "    if a:\n        return Fraction(0)\n"
+        "    if b:\n        return NotMonic((Fraction(1, 2), Fraction(1)), ())\n"
+        "    return Monic(depth, Fraction(resolution))\n"
+        "def partition_atoms(domain, sets):\n"
+        "    return sorted(Fraction(x) for x in sets)\n"
+        "def other():\n    return Fraction(1)\n"
+        "class GridAffine:\n"
+        "    def image(self, union):\n        return [Fraction(x) for x in union]\n"
+    )
+    names = {"monic_probe", "partition_atoms", "GridAffine.image"}
+    assert fraction_constructions(source, names) == {
+        ("monic_probe", 2), ("monic_probe", 3), ("monic_probe", 4), ("monic_probe", 6),
+        ("partition_atoms", 11), ("GridAffine.image", 16)}
+
+
+def test_monic_grid_path_builds_fractions_only_in_its_result():
+    for module, names in GRID_PATH.items():
+        source = (PACKAGE / module).read_text()
+        tree = ast.parse(source)
+        defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        defined |= {f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        assert names <= defined, module
+        assert fraction_constructions(source, names) == set(), module
