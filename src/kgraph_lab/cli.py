@@ -210,6 +210,8 @@ def _load_measure(job, g):
         m = measures.product_measure(g, product)
         try:
             measures.check_product_biases(g, product)
+            # measure and the standard rep read the squares one level past the depth
+            measures.check_product_terms(g, product, job.param("depth") + 1)
         except GammaOutOfRange as exc:
             raise UsageError(f"bad product spec {text!r}: {exc}") from exc
         return m

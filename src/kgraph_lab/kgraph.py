@@ -12,14 +12,18 @@ segment p(m, n) and prefix test.  By unique factorization every swap
 sequence that ends sorted ends at the same edge list.
 
 Paths of one degree m form a block, Lambda^m, numbered in enumeration
-order and built once per graph: Lambda^m is Lambda^{m - e_c} (c the highest
-color of m) with each color-c edge at the source appended, since a
-canonical path less its last edge is canonical.  Unique factorization on
-blocks is one table per pair of degrees: glue(n, r) lists, head by head
-of Lambda^n, the indices in Lambda^{n + r} of the head times each tail of
-Lambda^r, built by square lookups and run expansion alone.  Its inverse
-cut(m, n) names the head and tail of every path of Lambda^m, and is built
-only where a path's head or tail is read.
+order: Lambda^m is Lambda^{m - e_c} (c the highest color of m) with each
+color-c edge at the source appended, since a canonical path less its last
+edge is canonical.  The graph keeps each degree as tail arrays, built once
+by that recursion without Path objects: per path its source vertex, its
+last edge and its parent's index in Lambda^{m - e_c}.  block(m), the
+Path objects, is built from them only when a caller asks for it, and
+path_at(m, i) rebuilds one path.  Unique factorization on blocks is one
+table per pair of degrees: glue(n, r) lists, head by head of Lambda^n,
+the indices in Lambda^{n + r} of the head times each tail of Lambda^r,
+built from the tail arrays by square lookups and run expansion alone.
+Its inverse cut(m, n) names the head and tail of every path of Lambda^m,
+and is built only where a path's head or tail is read.
 
 Minimal common extensions follow from unique factorization as well: when
 d(p) <= d(q), p and q have a common extension iff q factors as p.rho, and
@@ -43,6 +47,7 @@ import itertools
 import json
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     CubeConditionFailed,
@@ -156,6 +161,22 @@ class Path:
         return "Path<" + ".".join(self.edges) + ">"
 
 
+class Tails(NamedTuple):
+    """The paths of one degree m as arrays, in block order.
+
+    ``prev`` is m - e_c, c the highest color of m, or None for m = 0.
+    Path i is path ``parents[i]`` of degree prev with the edge
+    ``lasts[i]`` appended; its source vertex is ``sources[i]``.  For
+    m = 0 the paths are the vertices, and ``lasts`` and ``parents`` are
+    empty.
+    """
+
+    prev: tuple | None
+    sources: list
+    lasts: list
+    parents: array
+
+
 class KGraph:
     """Validated finite k-graph. Immutable after construction."""
 
@@ -180,7 +201,7 @@ class KGraph:
             self._right_to_left[sq.right] = sq.left
         # position of each edge among edges_from(range, color)
         self._pos = {e.eid: i for run in self._by_range.values() for i, e in enumerate(run)}
-        self._source = {e.eid: e.source for e in self.edges}
+        self._tails = {}
         self._blocks = {}
         self._glues = {}
         self._cuts = {}
@@ -331,38 +352,64 @@ class KGraph:
         """The highest color c with m_c > 0, or 0 for m = 0."""
         return max((c for c, n in enumerate(m, start=1) if n), default=0)
 
-    def block(self, m):
-        """The canonical paths of degree m, numbered 0..n-1.
-
-        Grouped by range in vertex order, then lexicographic in the
-        declaration order of edges_from at each step.  Built from
-        block(m - e_c), c the highest color of m, by appending each
-        color-c edge at the source.
-        """
-        blk = self._blocks.get(m)
-        if blk is None:
+    def tails(self, m):
+        """The Tails of degree m, built once per graph: tails(m - e_c), c the
+        highest color of m, with each color-c edge at the source appended."""
+        t = self._tails.get(m)
+        if t is None:
             if deg_total(m) > self.enum_cap:
                 raise DegreeCapExceeded(f"|{m}| exceeds cap {self.enum_cap}")
             c = self._top(m)
             if not c:
-                blk = [Path(v, (), m) for v in self.vertices]
+                t = Tails(None, self.vertices, [], array("l"))
             else:
                 prev = deg_sub(m, deg_unit(self.k, c))
                 by_range = self._by_range
+                runs = [by_range.get((v, c), ()) for v in self.tails(prev).sources]
+                appended = [e for run in runs for e in run]
+                t = Tails(
+                    prev,
+                    [e.source for e in appended],
+                    [e.eid for e in appended],
+                    array("l", [i for i, run in enumerate(runs) for _ in run]),
+                )
+            self._tails[m] = t
+        return t
+
+    def block(self, m):
+        """The canonical paths of degree m, numbered 0..n-1.
+
+        Grouped by range in vertex order, then lexicographic in the
+        declaration order of edges_from at each step.  Built on request
+        from tails(m), kept once per degree.
+        """
+        blk = self._blocks.get(m)
+        if blk is None:
+            t = self.tails(m)
+            if t.prev is None:
+                blk = [Path(v, (), m) for v in self.vertices]
+            else:
+                up = self.block(t.prev)
                 blk = [
-                    Path(lam.range, lam.edges + (e.eid,), m)
-                    for lam, v in zip(self.block(prev), self._ends(prev))
-                    for e in by_range.get((v, c), ())
+                    Path(lam.range, lam.edges + (e,), m)
+                    for lam, e in zip(map(up.__getitem__, t.parents), t.lasts)
                 ]
             self._blocks[m] = blk
         return blk
 
+    def path_at(self, m, i):
+        """block(m)[i], rebuilt from the tail arrays alone."""
+        edges = []
+        t = self.tails(m)
+        while t.prev is not None:
+            edges.append(t.lasts[i])
+            i = t.parents[i]
+            t = self.tails(t.prev)
+        return Path(self.vertices[i], tuple(reversed(edges)), m)
+
     def _ends(self, m):
         """The sources of the paths of block(m), in order."""
-        if not any(m):
-            return self.vertices
-        source = self._source
-        return [source[lam.edges[-1]] for lam in self.block(m)]
+        return self.tails(m).sources
 
     def glue(self, n, r):
         """(off, out): out[off[a]:off[a+1]] are the indices in block(n + r) of
@@ -374,10 +421,11 @@ class KGraph:
         r = e_c lists the one-edge extensions: lam.e is appended when c is
         at least the highest color h of n, otherwise lam = lam'.f with
         color(f) = h and lam'f.e = (lam'.e').f' through the square
-        f.e = e'.f', one lookup in glue(n - e_h, e_c) per entry.  Any other
-        r, c its highest color, expands each entry of glue(n, r - e_c)
-        into its run of glue(n + r - e_c, e_c).  The identity tables of
-        r = 0 and of appends are ranges.
+        f.e = e'.f', one lookup in glue(n - e_h, e_c) per entry; lam' and
+        f are read off tails(n).  Any other r, c its highest color,
+        expands each entry of glue(n, r - e_c) into its run of
+        glue(n + r - e_c, e_c).  The identity tables of r = 0 and of
+        appends are ranges.
         """
         key = (n, r)
         table = self._glues.get(key)
@@ -385,7 +433,7 @@ class KGraph:
             return table
         k, c = self.k, self._top(r)
         if not c:
-            size = len(self.block(n))
+            size = len(self._ends(n))
             table = range(size + 1), range(size)
         elif deg_total(r) > 1:
             prev = deg_sub(r, deg_unit(k, c))
@@ -399,8 +447,7 @@ class KGraph:
         else:
             count = {v: len(self.edges_from(v, c)) for v in self.vertices}
             off = array("l", [0])
-            for v in self._ends(n):
-                off.append(off[-1] + count[v])
+            off.extend(itertools.accumulate(map(count.__getitem__, self._ends(n))))
             h = self._top(n)
             if h <= c:
                 out = range(off[-1])
@@ -408,20 +455,28 @@ class KGraph:
                 prev = deg_sub(n, deg_unit(k, h))
                 inner_off, inner = self.glue(prev, r)  # lam' -> lam'.e' in block(prev + e_c)
                 outer_off = self.glue(deg_add(prev, r), deg_unit(k, h))[0]
-                own_off = self.glue(prev, deg_unit(k, h))[0]  # lam' -> lam'.f in block(n)
-                blk = self.block(n)
-                pos, source, swap, by_range = self._pos, self._source, self._right_to_left, self._by_range
+                t = self.tails(n)  # lam = block(prev)[i] . f
+                pos, swap, by_range = self._pos, self._right_to_left, self._by_range
+                moves = {}  # f -> (pos(e'), pos(f')) for each square f.e = e'.f'
                 out = array("l")
-                for i in range(len(own_off) - 1):
+                for i, f, v in zip(t.parents, t.lasts, t.sources):
+                    pairs = moves.get(f)
+                    if pairs is None:
+                        squares = (swap[(f, e.eid)] for e in by_range.get((v, c), ()))
+                        pairs = moves[f] = [(pos[e2], pos[f2]) for e2, f2 in squares]
                     base = inner_off[i]
-                    for lam in blk[own_off[i]:own_off[i + 1]]:
-                        f = lam.edges[-1]
-                        for e in by_range.get((source[f], c), ()):
-                            e2, f2 = swap[(f, e.eid)]
-                            out.append(outer_off[inner[base + pos[e2]]] + pos[f2])
+                    out.extend([outer_off[inner[base + a]] + b for a, b in pairs])
             table = off, out
         self._glues[key] = table
         return table
+
+    def glued(self):
+        """The (n, r) pairs whose glue tables are kept."""
+        return set(self._glues)
+
+    def drop_glue(self, n, r):
+        """Forget glue(n, r); the next call builds it again."""
+        self._glues.pop((n, r), None)
 
     def run(self, r, v):
         """The indices in block(r) of the paths with range v: glue(0, r) at v."""

@@ -6,10 +6,16 @@ otherwise floats.  Consistency (square-cylinder additivity), Radon-
 Nikodym quotients along nested square cylinders, and the Kakutani
 equivalence/singularity classification are all computed from cylinder
 values only.
+
+The values of a whole block of paths are computed by index, from the
+graph's tail arrays and glue tables, with no Path built; a Path is
+rebuilt only where a report names one.  value(path) is the single-path
+route, the only one above the enumeration cap.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -172,19 +178,24 @@ class CylinderMeasure:
     in the first color short of the base (additivity).
 
     ``values(m)`` lists the values of block(m) in block order, kept once
-    per degree: a base degree maps ``value`` over the block, a shallower
-    one sums the values(m + e_c) at the runs of glue(m, e_c), in the
-    order of ``KGraph.extensions``.
-    ``value(path)`` is the same definition for one path, computed afresh
-    and building no block, so it reaches degrees above the enumeration cap.
+    per degree and computed by index.  A base degree takes
+    ``block_fn(m)``, the measure's rule for a whole block, which reads the
+    graph's tail arrays and glue tables and builds no Path; a measure
+    without one maps ``value`` over block(m).  A shallower degree sums the
+    values(m + e_c) at the runs of glue(m, e_c), in the order of
+    ``KGraph.extensions``.
+    ``value(path)`` is the single-path route: the same definition for one
+    path, computed afresh and building no block, so it is the only route
+    above the enumeration cap.
     """
 
-    def __init__(self, graph, fn, tag, exact, base=None):
+    def __init__(self, graph, fn, tag, exact, base=None, block_fn=None):
         self.graph = graph
         self.tag = tag
         self.exact = exact
         self._fn = fn
         self._base = base
+        self._block_fn = block_fn
         self._bumps = {}  # path -> delta
         self._values = {}  # degree -> values of block(degree)
 
@@ -206,21 +217,26 @@ class CylinderMeasure:
         if vals is None:
             g = self.graph
             color = self._short(m)
-            if not color:
-                vals = list(map(self.value, g.block(m)))
+            if not (color or self._block_fn):
+                vals = list(map(self.value, g.block(m)))  # value adds the bumps
             else:
-                unit = deg_unit(g.k, color)
-                off, out = g.glue(m, unit)
-                up = self.values(deg_add(m, unit))
-                vals = [sum(map(up.__getitem__, out[off[i]:off[i + 1]]))
-                        for i in range(len(off) - 1)]
-                # a sum of checked values is nonnegative; only a bump can go below 0
-                for path, delta in self._bumps.items():
-                    if path.degree == m:
-                        i = g.index(path)
-                        vals[i] += delta
-                        if vals[i] < 0:
-                            raise AdditivityViolation(path, float(vals[i]))
+                if color:
+                    unit = deg_unit(g.k, color)
+                    off, out = g.glue(m, unit)
+                    up = self.values(deg_add(m, unit))
+                    vals = [sum(map(up.__getitem__, out[off[i]:off[i + 1]]))
+                            for i in range(len(off) - 1)]
+                else:
+                    vals = self._block_fn(m)
+                # a rule's values and sums of checked ones are nonnegative; only a bump can go below 0
+                bumps = sorted((g.index(path), delta, path)
+                               for path, delta in self._bumps.items() if path.degree == m)
+                if bumps:
+                    vals = list(vals)  # a block rule may keep its list
+                for i, delta, path in bumps:
+                    vals[i] += delta
+                    if vals[i] < 0:
+                        raise AdditivityViolation(path, float(vals[i]))
             self._values[m] = vals
         return vals
 
@@ -244,29 +260,41 @@ class CylinderMeasure:
     def perturbed(self, path, delta):
         """Copy with the value at one canonical path bumped (fault injection);
         the values derived from it by additivity carry the bump."""
-        out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact, self._base)
+        out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact,
+                              self._base, self._block_fn)
         out._bumps = {**self._bumps, path: delta}
         return out
 
 
 def pf_measure(g, pf=None, tol=1e-10):
-    """The self-similar measure: value(path) = rho^{-d(path)} kappa_{s(path)}."""
+    """The self-similar measure: value(path) = rho^{-d(path)} kappa_{s(path)}.
+
+    One value per (source vertex, degree); a block's values are read off
+    the sources of its paths.
+    """
     if pf is None:
         pf = pf_data(g, tol=tol)
 
     values = {}  # (source vertex, degree) -> value
 
-    def fn(path):
-        key = (g.s(path), path.degree)
+    def at(v, degree):
+        key = (v, degree)
         val = values.get(key)
         if val is None:
-            val = pf.kappa[key[0]]
-            for rho_i, n_i in zip(pf.rho, path.degree):
+            val = pf.kappa[v]
+            for rho_i, n_i in zip(pf.rho, degree):
                 val = val / rho_i**n_i
             values[key] = val
         return val
 
-    m = CylinderMeasure(g, fn, "pf", exact=pf.exact)
+    def fn(path):
+        return at(g.s(path), path.degree)
+
+    def pf_block(m):
+        by_source = {v: at(v, m) for v in g.vertices}
+        return list(map(by_source.__getitem__, g.tails(m).sources))
+
+    m = CylinderMeasure(g, fn, "pf", exact=pf.exact, block_fn=pf_block)
     m.pf = pf
     return m
 
@@ -285,13 +313,17 @@ def check_consistency(measure, depth, tol=1e-12):
 
     The extensions lam.eta, eta of degree (1,..,1), are the runs of
     glue(n, (1,..,1)), which lists them in the enumeration order of eta.
+    A glue(n, (1,..,1)) table this call builds is dropped once n is done.
+    The worst residual is kept as (degree, index), and only its path is
+    rebuilt.
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
     worst = 0.0
-    worst_path = None
+    worst_at = None
     checked = 0
     diag = deg_diag(g.k, 1)
+    held = g.glued()
     for n in deg_grid(g.k, depth):
         off, out = g.glue(n, diag)
         top = measure.values(deg_add(n, diag))
@@ -301,7 +333,10 @@ def check_consistency(measure, depth, tol=1e-12):
             checked += 1
             if float(residual) > worst:
                 worst = float(residual)
-                worst_path = g.block(n)[i]
+                worst_at = n, i
+        if (n, diag) not in held:
+            g.drop_glue(n, diag)
+    worst_path = None if worst_at is None else g.path_at(*worst_at)
     ok = worst == 0.0 if measure.exact else worst <= tol
     return ConsistencyReport(ok, checked, worst, worst_path, measure.exact)
 
@@ -321,6 +356,11 @@ class PathSpaceShape:
     symbol_color: int  # color whose edges carry symbols (single-vertex)
     center: str = ""
     peripherals: tuple = ()
+
+    def reads_range(self, v):
+        """Whether a path with range v has its range as symbol 0: the
+        peripheral vertices of a star."""
+        return self.kind == "star" and v != self.center
 
 
 def detect_shape(g):
@@ -363,36 +403,54 @@ def detect_shape(g):
     raise UnsupportedGraphShape("graph is neither single-vertex nor star shaped")
 
 
-def _rainbow_symbols(g, shape, path, first=0):
-    """Symbol string of a square-degree path (range-first for star shapes),
-    from symbol number first on; the path is split only from there."""
+def _rainbow_symbols(g, shape, path):
+    """Symbol string of a square-degree path (range-first for star shapes)."""
     n = path.degree[0]
     if path.degree != (n, n):
         raise ValueError("rainbow extraction needs a square degree")
     if shape.kind == "single-vertex":
         silent = 1 if shape.symbol_color == 2 else 2
         symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
-        # prefix, then silent edge, symbol edge, silent edge, ...
-        pieces = g.split(path, _rainbow_cuts(first, n, silent))
-        return [symbol_edges.index(p.edges[0]) for p in pieces[2::2]]
+        # silent edge, symbol edge, silent edge, ...
+        pieces = g.split(path, _rainbow_cuts(n, silent))
+        return [symbol_edges.index(p.edges[0]) for p in pieces[1:2 * n:2]]
     # star: record peripheral vertices along the red-first rainbow
     idx = {p: i for i, p in enumerate(shape.peripherals)}
+    pieces = g.split(path, _rainbow_cuts(n, 2))
     if path.range == shape.center:
-        pieces = g.split(path, _rainbow_cuts(first, n, 2))
-        return [idx[g.s(red)] for red in pieces[1:-1:2]]
+        return [idx[g.s(red)] for red in pieces[0:2 * n:2]]
     # after the range, symbol j is the source of the blue edge of segment j - 1
-    pieces = g.split(path, _rainbow_cuts(max(first - 1, 0), n, 2))
-    return [idx[path.range]] * (first == 0) + [idx[g.s(blue)] for blue in pieces[2::2]]
+    return [idx[path.range]] + [idx[g.s(blue)] for blue in pieces[1:2 * n:2]]
 
 
-def _rainbow_cuts(start, n, first):
-    """Cumulative degrees: (start, start), then along the rainbow of a
-    degree-(n, n) path from there, each segment starting with color first."""
+def _segments(g, shape):
+    """(reads_range, symbol) for each path t of block((1, 1)), in block
+    order: whether t starts at a peripheral vertex, and the symbol t adds
+    as the last segment of a square path.  Each t is rebuilt from the tail
+    arrays; no block is kept."""
+    diag = (1, 1)
+    out = []
+    for t in range(len(g.tails(diag).sources)):
+        seg = g.path_at(diag, t)
+        out.append((shape.reads_range(seg.range), _rainbow_symbols(g, shape, seg)[-1]))
+    return out
+
+
+def _rainbow_cuts(n, first):
+    """Cumulative degrees along the rainbow of a degree-(n, n) path, each
+    segment starting with color first."""
     step = deg_unit(2, first)
-    cuts = [(start, start)]
-    for i in range(start, n):
+    cuts = []
+    for i in range(n):
         cuts += [deg_add((i, i), step), (i + 1, i + 1)]
     return cuts
+
+
+def _vertex_values(measure):
+    """The squares of degree (0, 0), the vertices, by the single-path route.
+    A square block rule reads them from the measure it was made for, which
+    carries no bump; perturbed copies share the rule."""
+    return [measure.value(measure.graph.vertex_path(v)) for v in measure.graph.vertices]
 
 
 def _square(degree):
@@ -462,6 +520,19 @@ def check_product_biases(g, spec):
     check_bias_terms(spec, 1 if detect_shape(g).kind == "single-vertex" else 0)
 
 
+def check_product_terms(g, spec, top):
+    """Read every term the square paths of degree <= (top, top) read:
+    gamma_1 .. gamma_top on single-vertex shapes, gamma_0 .. gamma_{2 top}
+    on star shapes.  A sampled spec that lacks one raises GammaOutOfRange
+    naming it."""
+    if detect_shape(g).kind == "single-vertex":
+        terms = range(1, top + 1)
+    else:
+        terms = range(2 * top + 1)
+    for j in terms:
+        spec.gamma(j)
+
+
 def check_bias_terms(spec, j0):
     """Raise GammaOutOfRange unless every term gamma_j with j >= j0 is inside
     (-1/2, 1/2), naming the first bad term.
@@ -488,7 +559,10 @@ def product_measure(g, spec):
     """Infinite-product measure on a single-vertex or star shaped 2-graph.
 
     A square path of degree (n, n) is valued as its degree-(n-1, n-1)
-    prefix times the factors of the symbols its last rainbow segment adds.
+    head times the factor of the symbol its last (1, 1) segment adds; the
+    segment's symbol is read off its index in block((1, 1)).  The block
+    rule takes the heads and segments of a square block from
+    cut((n, n), (n-1, n-1)); value(path) factorizes the one path.
     """
     shape = detect_shape(g)
 
@@ -502,34 +576,61 @@ def product_measure(g, spec):
         if shape.symbol_count != 2:
             raise UnsupportedGraphShape("product measure needs exactly 2 symbols")
 
-        def factor(path, j, s):  # symbol j reads gamma_{j+1}
-            gm = bias(j + 1)
+        def factor(n, reads_range, s):  # symbol j reads gamma_{j+1}; square n ends in symbol n - 1
+            gm = bias(n)
             return Fraction(1, 2) + gm if s == 0 else Fraction(1, 2) - gm
 
     else:
         two_n = shape.symbol_count
         half = two_n // 2
 
-        def factor(path, j, s):  # symbol j sits at position 2j, or 2j + 1 from the center
-            gm = bias(2 * j + (path.range == shape.center))
+        def factor(n, reads_range, s):
+            # symbol j sits at position 2j + 1 from the center, 2j from a
+            # peripheral vertex; square n ends in symbol n - 1 or n
+            gm = bias(2 * n - 1 + reads_range)
             return (1 + gm if s < half else 1 - gm) / Fraction(two_n)
 
     one = Fraction(1) if spec.exact else 1.0
+    segments = []  # (reads_range, symbol) of block((1, 1)), read on first use
+
+    def segment_table():
+        if not segments:
+            segments.extend(_segments(g, shape))
+        return segments
+
+    def start(v):  # degree (0, 0): a peripheral range is symbol 0
+        return one * factor(0, True, shape.peripherals.index(v)) if shape.reads_range(v) else one
+
     values = {}
 
     def square_fn(path):
         key = (path.range, path.edges)
         if key not in values:
             n = path.degree[0]
-            val = square_fn(g.factorize(path, (n - 1, n - 1))[0]) if n else one
-            # the prefix's symbols: one per segment, and the range of a peripheral path
-            first = n if shape.kind == "star" and path.range != shape.center else max(n - 1, 0)
-            for j, s in enumerate(_rainbow_symbols(g, shape, path, first), start=first):
-                val *= factor(path, j, s)
-            values[key] = val
+            if n:
+                head, tail = g.factorize(path, (n - 1, n - 1))
+                values[key] = square_fn(head) * factor(n, *segment_table()[g.index(tail)])
+            else:
+                values[key] = start(path.range)
         return values[key]
 
-    return CylinderMeasure(g, square_fn, f"product({spec.family})", spec.exact, _square)
+    squares = []  # squares[n]: the values of block((n, n))
+
+    def product_squares(degree):
+        while len(squares) <= degree[0]:
+            n = len(squares)
+            if n:
+                heads, tails = g.cut((n, n), (n - 1, n - 1))
+                prev = squares[-1]
+                factors = [factor(n, *seg) for seg in segment_table()]
+                squares.append([prev[h] * factors[t] for h, t in zip(heads, tails)])
+            else:
+                squares.append(_vertex_values(measure))
+        return squares[degree[0]]
+
+    measure = CylinderMeasure(g, square_fn, f"product({spec.family})", spec.exact, _square,
+                              product_squares)
+    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +752,14 @@ def star_markov_matrix(two_n, perm, x_vectors):
 
 
 def markov_measure(g, spec):
-    """Markov measure transported to the graph's path space via symbols."""
+    """Markov measure transported to the graph's path space via symbols.
+
+    value(path) reads the whole symbol string of a square path.  The block
+    rule carries each square's last symbol: a square of degree (n, n) is
+    its degree-(n-1, n-1) head times the transition from the head's last
+    symbol to the symbol of its last (1, 1) segment, read off cut((n, n),
+    (n-1, n-1)) and the segment's index in block((1, 1)).
+    """
     spec = spec.validated()
     shape = detect_shape(g)
     n_states = len(spec.matrix)
@@ -671,7 +779,30 @@ def markov_measure(g, spec):
             val *= spec.matrix[a][b]
         return val
 
-    return CylinderMeasure(g, square_fn, "markov", spec.exact, _square)
+    symbols = []  # the symbol of each path of block((1, 1)), read on first use
+    squares = []  # squares[n]: (values, last symbols) of block((n, n)); -1 for none
+
+    def markov_squares(degree):
+        if not symbols:
+            symbols.extend(s for _, s in _segments(g, shape))
+        while len(squares) <= degree[0]:
+            n = len(squares)
+            if n:
+                heads, tails = g.cut((n, n), (n - 1, n - 1))
+                prev, prev_last = squares[-1]
+                moves = [[row[s] for s in symbols] for row in spec.matrix]
+                vals = [prev[h] * moves[a][t] if a >= 0 else lam[symbols[t]]
+                        for h, t, a in zip(heads, tails, map(prev_last.__getitem__, heads))]
+                last = array("l", map(symbols.__getitem__, tails))
+            else:
+                vals = _vertex_values(measure)
+                last = array("l", [shape.peripherals.index(v) if shape.reads_range(v) else -1
+                                   for v in g.vertices])
+            squares.append((vals, last))
+        return squares[degree[0]][0]
+
+    measure = CylinderMeasure(g, square_fn, "markov", spec.exact, _square, markov_squares)
+    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -849,12 +980,25 @@ def format_value(v):
 
 
 def measure_table(measure, depth):
-    """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1)."""
+    """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1).
+
+    A path's label is built from the tail arrays: its parent's label with
+    its last edge appended, or its vertex at degree 0.
+    """
     g = measure.graph
     g.check_cap(depth * g.k, f"measure table depth {depth}")
     lines = ["depth\tpath\tvalue"]
+    labels = {}
     for n in deg_grid(g.k, depth):
-        for lam, val in zip(g.block(n), measure.values(n)):
-            label = ".".join(lam.edges) if lam.edges else lam.range
-            lines.append(f"{deg_total(n)}\t{label}\t{format_value(val)}")
+        t = g.tails(n)
+        if t.prev is None:
+            labels[n] = g.vertices
+        elif not any(t.prev):
+            labels[n] = t.lasts
+        else:
+            up = labels[t.prev]
+            labels[n] = [f"{up[p]}.{e}" for p, e in zip(t.parents, t.lasts)]
+        total = deg_total(n)
+        lines += [f"{total}\t{label}\t{format_value(val)}"
+                  for label, val in zip(labels[n], measure.values(n))]
     return "\n".join(lines) + "\n"

@@ -232,6 +232,11 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
         ["rep-verify", "--builtin", "kawamura", "--measure", "product:const:0"],
         # a 2D system without product structure
         ["monic", "--builtin", "noncstrn"],
+        # sampled product specs without a term the top degree reads
+        ["measure", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4", "--depth", "1"],
+        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:sampled:1/4,1/4"],
+        ["rep-verify", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4,1/8",
+         "--depth", "2"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -245,6 +250,27 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, builtin, spec, depth, code, missing",
+    [
+        ("measure", "exonevtwoe", "sampled:1/4", 1, 2, 2),  # the check reads squares (2, 2)
+        ("measure", "exonevtwoe", "sampled:1/4,1/8", 1, 0, None),
+        ("measure", "lambda2N:N=2", "sampled:1/4,1/4", 1, 2, 0),  # star shapes read gamma_0
+        ("rep-verify", "exonevtwoe", "sampled:1/4,1/8", 2, 2, 3),
+    ],
+)
+def test_short_sampled_spec_names_the_missing_term(command, builtin, spec, depth, code, missing,
+                                                    tmp_path, capsys):
+    argv = [command, "--builtin", builtin, "--measure", f"product:{spec}", "--depth", str(depth)]
+    assert main(argv + ["--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if missing is None:
+        assert err == ""
+    else:
+        assert err == (f"usage error: bad product spec {spec!r}: "
+                       f"sampled sequence has no term {missing}\n")
 
 
 def test_unknown_job_file_param_is_named(tmp_path, capsys):

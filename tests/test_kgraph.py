@@ -957,6 +957,34 @@ def test_blocks_match_depth_first_reference(label, g, bound):
 
 
 @pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
+def test_tail_arrays_match_blocks(label, g, bound):
+    for m in deg_grid(g.k, bound):
+        t, blk = g.tails(m), g.block(m)
+        assert t.sources == g._ends(m) == [g.s(p) for p in blk]
+        assert [g.path_at(m, i) for i in range(len(blk))] == blk
+        if t.prev is None:
+            assert not any(m) and t.sources == g.vertices and not t.lasts and not t.parents
+            continue
+        c = max(i for i, n in enumerate(m, start=1) if n)
+        assert t.prev == deg_sub(m, deg_unit(g.k, c))
+        up = g.block(t.prev)
+        assert len(t.parents) == len(t.lasts) == len(blk)
+        assert [up[a].edges + (e,) for a, e in zip(t.parents, t.lasts)] == [p.edges for p in blk]
+        assert [up[a].range for a in t.parents] == [p.range for p in blk]
+
+
+def test_tail_arrays_build_no_blocks():
+    g = builtin_graph("lambda2N:N=2")
+    m = (2, 3)
+    for n in deg_grid(2, 3):
+        g.glue(n, (1, 1))
+        g.cut(deg_add(n, (1, 1)), n)
+    assert g.path_at(m, 17) == g.path(g.path_at(m, 17).edges)
+    assert g._blocks == {}
+    assert g.path_at(m, 17) == g.block(m)[17]
+
+
+@pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
 def test_glue_tables_match_compose(label, g, bound):
     # One-edge tables, the square lookups, on every head degree up to the bound,
     # so the blocks one edge past it are checked too.

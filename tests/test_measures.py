@@ -16,7 +16,7 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import Edge, deg_diag, deg_grid, deg_sub, deg_unit, validate_kgraph
+from kgraph_lab.kgraph import Edge, deg_diag, deg_grid, deg_sub, deg_total, deg_unit, validate_kgraph
 from kgraph_lab import measures
 from kgraph_lab.measures import (
     CylinderMeasure,
@@ -29,6 +29,7 @@ from kgraph_lab.measures import (
     _rainbow_symbols,
     check_consistency,
     check_product_biases,
+    check_product_terms,
     default_prefix_rule,
     detect_shape,
     format_value,
@@ -45,7 +46,7 @@ from kgraph_lab.measures import (
 )
 from kgraph_lab.operators import KPRep, induced_measure, standard_rep
 
-from test_kgraph import random_graph
+from test_kgraph import BLOCK_GRAPHS, BLOCK_IDS, random_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -684,10 +685,6 @@ def test_rainbow_symbols_match_unit_factorization_loop(name):
         for path in g.enumerate_paths((n, n)):
             expected = reference_rainbow_symbols(g, shape, path)
             assert _rainbow_symbols(g, shape, path) == expected
-        for path in g.enumerate_paths((n, n)):
-            expected = reference_rainbow_symbols(g, shape, path)
-            for first in range(len(expected) + 1):
-                assert _rainbow_symbols(g, shape, path, first) == expected[first:]
 
 
 # -- derived cylinder values ----------------------------------------------------------------
@@ -761,17 +758,20 @@ def test_derived_values_equal_square_extension_reference(name, bound, tag, make)
 
 
 def test_consistency_computes_each_square_value_once(monkeypatch):
-    calls = []
+    symbols, cuts = [], []
     rainbow = measures._rainbow_symbols
     monkeypatch.setattr(
-        measures, "_rainbow_symbols", lambda *args: calls.append(args[2]) or rainbow(*args)
+        measures, "_rainbow_symbols", lambda *args: symbols.append(args[2]) or rainbow(*args)
     )
     g = builtin_graph("exonevtwoe")
+    cut = g.cut
+    monkeypatch.setattr(g, "cut", lambda m, n: cuts.append((m, n)) or cut(m, n))
     m = product_measure(g, parse_product_spec("geometric:1/2,1/2"))
     assert check_consistency(m, 4).ok
-    # once per square path of degree (n, n), n <= 5: 1 + 2 + 4 + 8 + 16 + 32
-    assert len(calls) == 63
-    assert len(set(calls)) == 63
+    # the symbols of the segments of degree (1, 1) are read once each, and each
+    # square block (n, n), n <= 5, is one pass over its heads and segments
+    assert symbols == g.block((1, 1))
+    assert cuts == [((n, n), (n - 1, n - 1)) for n in range(1, 6)]
 
 
 @pytest.mark.parametrize(
@@ -971,3 +971,150 @@ def test_a_bump_below_zero_raises_at_its_path(edges):
         with pytest.raises(AdditivityViolation) as err:
             read()
         assert err.value.path == at and err.value.residual == -float(m.value(at))
+
+
+# -- values by index ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("label, g, bound", BLOCK_GRAPHS, ids=BLOCK_IDS)
+def test_measure_table_labels_match_blocks(label, g, bound):
+    # labels come from the tail arrays; the reference joins each path's edges
+    depth = min(bound, 2)
+    m = CylinderMeasure(g, lambda p: Fraction(1), "one", True)
+    rows = [line.split("\t") for line in measure_table(m, depth).splitlines()[1:]]
+    want = [(str(deg_total(n)), ".".join(p.edges) if p.edges else p.range)
+            for n in deg_grid(g.k, depth) for p in g.block(n)]
+    assert [(d, path) for d, path, _ in rows] == want
+
+
+@pytest.mark.parametrize("g", pf_graphs())
+def test_pf_block_values_equal_path_values(g):
+    m = pf_measure(g)
+    for n in deg_grid(g.k, 3 if g.k <= 2 else 2):
+        assert typed(m.values(n)) == typed([m.value(p) for p in g.block(n)]), n
+
+
+def four_state_star_chain():
+    quarter, eighth = Fraction(1, 4), Fraction(1, 8)
+    vectors = [(Fraction(1, 2), quarter, eighth, eighth), (eighth, eighth, quarter, Fraction(1, 2))]
+    return star_markov_matrix(4, [2, 1, 4, 3], vectors)
+
+
+def square_block_cases():
+    """(label, bound, make): product specs on both shapes, and Markov chains."""
+    cases = []
+    for name, bound in [("exonevtwoe", 4), ("ex3v8e", 4), ("lambda2N:N=1", 4), ("lambda2N:N=2", 3)]:
+        specs = [parse_product_spec(text) for text in
+                 ("const:1/4", "geometric:1/4,1/2", "geometric:-1/3,-1/2", "finite:1/4,0,-1/8")]
+        specs.append(ProductMeasureSpec("const", c=0.125))
+        for spec in specs:
+            cases.append((f"{name}-product-{spec.family}-{spec.c}-{spec.r}", bound,
+                          lambda name=name, spec=spec: product_measure(builtin_graph(name), spec)))
+        chains = ([("four-state", four_state_star_chain())] if name == "lambda2N:N=2" else
+                  [(f"x={x}", t_x_matrix(Fraction(x))) for x in ("1/3", "2/3")])
+        for tag, chain in chains:
+            cases.append((f"{name}-markov-{tag}", bound,
+                          lambda name=name, chain=chain: markov_measure(builtin_graph(name), chain)))
+    return cases
+
+
+SQUARE_BLOCK_CASES = square_block_cases()
+
+
+@pytest.mark.parametrize("label, bound, make", SQUARE_BLOCK_CASES,
+                         ids=[label for label, _, _ in SQUARE_BLOCK_CASES])
+def test_square_block_values_equal_path_values(label, bound, make):
+    m = make()
+    g = m.graph
+    for n in deg_grid(2, bound):
+        assert typed(m.values(n)) == typed([m.value(p) for p in g.block(n)]), n
+
+
+def bump_cases():
+    """(label, make, at): a bump at a base degree and one below it, per measure kind."""
+    cases = []
+    for name, make in [
+        ("exonevtwoe-pf", lambda: pf_measure(builtin_graph("exonevtwoe"))),
+        ("ex3v8e-pf", lambda: pf_measure(builtin_graph("ex3v8e"))),
+        ("exonevtwoe-markov", lambda: markov_measure(builtin_graph("exonevtwoe"), t_x_matrix(Fraction(1, 3)))),
+        ("lambda4-markov", lambda: markov_measure(builtin_graph("lambda2N:N=2"), four_state_star_chain())),
+        ("lambda4-product", lambda: product_measure(builtin_graph("lambda2N:N=2"),
+                                                    parse_product_spec("const:1/4"))),
+    ]:
+        for degree, i in [((1, 1), -1), ((2, 2), 3), ((1, 2), 0), ((0, 1), -1)]:
+            cases.append((f"{name}-{degree}", make, degree, i))
+    return cases
+
+
+BUMP_CASES = bump_cases()
+
+
+@pytest.mark.parametrize("label, make, degree, i", BUMP_CASES, ids=[c[0] for c in BUMP_CASES])
+def test_bumps_by_index_match_the_path_route(label, make, degree, i):
+    m = make()
+    g = m.graph
+    at = g.block(degree)[i]
+    bumped = m.perturbed(at, bump_for(m))
+    for n in deg_grid(2, 3):
+        assert typed(bumped.values(n)) == typed([bumped.value(p) for p in g.block(n)]), n
+    assert not check_consistency(bumped, 2).ok
+    below = m.perturbed(at, -2 * m.value(at))
+    reads = [lambda: below.values(at.degree), lambda: below.value(at),
+             lambda: check_consistency(below, 2), lambda: measure_table(below, 2)]
+    for read in reads:
+        with pytest.raises(AdditivityViolation) as err:
+            read()
+        assert err.value.path == at and err.value.residual == -float(m.value(at))
+
+
+NO_BLOCK_CASES = [
+    ("ex3v8e-pf", "ex3v8e", lambda g: pf_measure(g)),
+    ("ex3v8e-pf-perturbed", "ex3v8e", lambda g: pf_measure(g).perturbed(g.path(["a0", "b0"]), 1e-3)),
+    ("exonevtwoe-product", "exonevtwoe", lambda g: product_measure(g, parse_product_spec("geometric:1/2,1/2"))),
+    ("lambda4-product", "lambda2N:N=2", lambda g: product_measure(g, parse_product_spec("const:1/4"))),
+    ("exonevtwoe-markov", "exonevtwoe", lambda g: markov_measure(g, t_x_matrix(Fraction(2, 3)))),
+    ("lambda4-markov", "lambda2N:N=2", lambda g: markov_measure(g, four_state_star_chain())),
+]
+
+
+@pytest.mark.parametrize("label, name, make", NO_BLOCK_CASES, ids=[c[0] for c in NO_BLOCK_CASES])
+def test_measure_checks_build_no_blocks(label, name, make):
+    g = builtin_graph(name)
+    m = make(g)
+    rep = check_consistency(m, 3)
+    measure_table(m, 3)
+    assert rep.ok == ("perturbed" not in label)
+    if not rep.ok:
+        assert rep.worst_path.degree in ((1, 1), (0, 0))  # the bumped path or its parent
+    assert g._blocks == {}
+
+
+@pytest.mark.parametrize("spec", ["pf", "const:1/4"])
+def test_consistency_drops_only_the_glue_tables_it_built(spec):
+    g = builtin_graph("lambda2N:N=2")
+    diag = (1, 1)
+    kept = g.glue((1, 1), diag)
+    m = pf_measure(g) if spec == "pf" else product_measure(g, parse_product_spec(spec))
+    assert check_consistency(m, 3).ok
+    left = {n for n in deg_grid(2, 3) if (n, diag) in g.glued()}
+    # the product squares' cut tables read the runs of glue((0, 0), diag) again
+    assert left == ({(1, 1)} if spec == "pf" else {(0, 0), (1, 1)})
+    assert g.glue((1, 1), diag) is kept
+    assert ((1, 1), (1, 0)) in g.glued()  # the one-edge tables behind them stay
+
+
+@pytest.mark.parametrize("name, text, top, missing", [
+    ("exonevtwoe", "sampled:1/4", 1, None),
+    ("exonevtwoe", "sampled:1/4", 2, "no term 2"),
+    ("exonevtwoe", "sampled:1/4,1/8,1/16", 3, None),
+    ("lambda2N:N=2", "sampled:1/4,1/4", 1, "no term 0"),
+    ("lambda2N:N=2", "const:1/4", 5, None),
+    ("exonevtwoe", "finite:1/4", 5, None),
+])
+def test_product_terms_read_up_to_the_top_square(name, text, top, missing):
+    g, spec = builtin_graph(name), parse_product_spec(text)
+    if missing is None:
+        check_product_terms(g, spec, top)
+    else:
+        with pytest.raises(GammaOutOfRange, match=missing):
+            check_product_terms(g, spec, top)

@@ -349,3 +349,75 @@ def test_monic_grid_path_builds_fractions_only_in_its_result():
                     for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         assert names <= defined, module
         assert fraction_constructions(source, names) == set(), module
+
+
+# the per-block layer of the measures reads tail arrays and glue tables, never Path
+# blocks; _segments reads the segments of degree (1, 1) once, through path_at
+BLOCK_READERS = {"check_consistency", "measure_table", "pf_block", "product_squares", "markov_squares"}
+PATH_BLOCK_CALLS = {"block", "enumerate_paths", "split", "factorize", "_rainbow_symbols"}
+TAIL_READERS = {"_ends", "glue", "cut"}
+
+
+def function_calls(source, owners, names):
+    """(function, called name) for each call f(...) or x.f(...) of a name in
+    names inside a function named in owners, nested functions included."""
+    out = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in owners):
+            continue
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", ""))
+                if name in names:
+                    out.add((fn.name, name))
+    return out
+
+
+def edge_reads(source, methods):
+    """(method, line) for each read of an .edges attribute in the named methods of class KGraph."""
+    out = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "KGraph"):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in methods:
+                out |= {(fn.name, node.lineno) for node in ast.walk(fn)
+                        if isinstance(node, ast.Attribute) and node.attr == "edges"}
+    return out
+
+
+def test_path_block_rules_see_each_form():
+    # the forms the measure layer and the index layer took before the tail arrays
+    source = (
+        "def check_consistency(measure, depth):\n    worst_path = g.block(n)[i]\n"
+        "def measure_table(measure, depth):\n    return zip(measure.graph.block(n), measure.values(n))\n"
+        "def product_measure(g, spec):\n"
+        "    def product_squares(path):\n"
+        "        head = g.factorize(path, (n - 1, n - 1))[0]\n"
+        "        return _rainbow_symbols(g, shape, path, first)\n"
+        "def markov_measure(g, spec):\n"
+        "    def markov_squares(m):\n"
+        "        return [g.split(p, cuts) for p in g.enumerate_paths(m)]\n"
+        "def pf_block(m):\n    return list(map(fn, g.block(m)))\n"
+        "def other(g):\n    return g.block(m), g.split(p, [m])\n"
+        "class KGraph:\n"
+        "    def _ends(self, m):\n        return [source[lam.edges[-1]] for lam in self.block(m)]\n"
+        "    def glue(self, n, r):\n        for lam in blk:\n            f = lam.edges[-1]\n"
+        "    def cut(self, m, n):\n        return len(self.block(m)[0].edges)\n"
+        "    def block(self, m):\n        return lam.edges + (e,)\n"
+    )
+    assert function_calls(source, BLOCK_READERS, PATH_BLOCK_CALLS) == {
+        ("check_consistency", "block"), ("measure_table", "block"),
+        ("product_squares", "factorize"), ("product_squares", "_rainbow_symbols"),
+        ("markov_squares", "split"), ("markov_squares", "enumerate_paths"), ("pf_block", "block")}
+    assert edge_reads(source, TAIL_READERS) == {("_ends", 18), ("glue", 21), ("cut", 23)}
+
+
+def test_measure_block_layer_builds_no_path_blocks():
+    source = (PACKAGE / "measures.py").read_text()
+    defined = {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
+    assert BLOCK_READERS | {"_segments"} <= defined
+    assert function_calls(source, BLOCK_READERS, PATH_BLOCK_CALLS) == set()
+    assert function_calls(source, {"_segments"}, {"block", "enumerate_paths"}) == set()
+    kgraph = (PACKAGE / "kgraph.py").read_text()
+    assert edge_reads(kgraph, TAIL_READERS) == set()
