@@ -11,6 +11,11 @@ The values of a whole block of paths are computed by index, from the
 graph's tail arrays and glue tables, with no Path built; a Path is
 rebuilt only where a report names one.  value(path) is the single-path
 route, the only one above the enumeration cap.
+
+Product and Markov measures are one chain rule over the symbols a square
+path reads (_chain_measure): a square of degree (n, n) is its
+degree-(n-1, n-1) head times the step of its last (1, 1) segment.  A
+product step ignores the previous symbol; a Markov step reads it.
 """
 
 from __future__ import annotations
@@ -185,8 +190,9 @@ class CylinderMeasure:
     values(m + e_c) at the runs of glue(m, e_c), in the order of
     ``KGraph.extensions``.
     ``value(path)`` is the single-path route: the same definition for one
-    path, computed afresh and building no block, so it is the only route
-    above the enumeration cap.
+    path, building no block, so it is the only route above the enumeration
+    cap.  Its sums are redone on every call; a rule's ``fn`` may keep the
+    base values it computes, as product and Markov measures do.
     """
 
     def __init__(self, graph, fn, tag, exact, base=None, block_fn=None):
@@ -403,59 +409,100 @@ def detect_shape(g):
     raise UnsupportedGraphShape("graph is neither single-vertex nor star shaped")
 
 
-def _rainbow_symbols(g, shape, path):
-    """Symbol string of a square-degree path (range-first for star shapes)."""
-    n = path.degree[0]
-    if path.degree != (n, n):
-        raise ValueError("rainbow extraction needs a square degree")
-    if shape.kind == "single-vertex":
-        silent = 1 if shape.symbol_color == 2 else 2
-        symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
-        # silent edge, symbol edge, silent edge, ...
-        pieces = g.split(path, _rainbow_cuts(n, silent))
-        return [symbol_edges.index(p.edges[0]) for p in pieces[1:2 * n:2]]
-    # star: record peripheral vertices along the red-first rainbow
-    idx = {p: i for i, p in enumerate(shape.peripherals)}
-    pieces = g.split(path, _rainbow_cuts(n, 2))
-    if path.range == shape.center:
-        return [idx[g.s(red)] for red in pieces[0:2 * n:2]]
-    # after the range, symbol j is the source of the blue edge of segment j - 1
-    return [idx[path.range]] + [idx[g.s(blue)] for blue in pieces[1:2 * n:2]]
-
-
 def _segments(g, shape):
     """(reads_range, symbol) for each path t of block((1, 1)), in block
     order: whether t starts at a peripheral vertex, and the symbol t adds
     as the last segment of a square path.  Each t is rebuilt from the tail
-    arrays; no block is kept."""
+    arrays and split once; no block is kept."""
     diag = (1, 1)
+    if shape.kind == "single-vertex":  # a silent edge, then a symbol edge
+        symbol_edges = [e.eid for e in g.edges if e.color == shape.symbol_color]
+        first = deg_unit(2, 3 - shape.symbol_color)
+    else:  # a color-2 edge, then a color-1 edge
+        idx = {p: i for i, p in enumerate(shape.peripherals)}
+        first = deg_unit(2, 2)
     out = []
     for t in range(len(g.tails(diag).sources)):
         seg = g.path_at(diag, t)
-        out.append((shape.reads_range(seg.range), _rainbow_symbols(g, shape, seg)[-1]))
+        head, tail = g.split(seg, [first])
+        if shape.kind == "single-vertex":
+            symbol = symbol_edges.index(tail.edges[0])
+        else:  # the peripheral vertex the segment passes through
+            symbol = idx[g.s(head) if seg.range == shape.center else g.s(tail)]
+        out.append((shape.reads_range(seg.range), symbol))
     return out
-
-
-def _rainbow_cuts(n, first):
-    """Cumulative degrees along the rainbow of a degree-(n, n) path, each
-    segment starting with color first."""
-    step = deg_unit(2, first)
-    cuts = []
-    for i in range(n):
-        cuts += [deg_add((i, i), step), (i + 1, i + 1)]
-    return cuts
-
-
-def _vertex_values(measure):
-    """The squares of degree (0, 0), the vertices, by the single-path route.
-    A square block rule reads them from the measure it was made for, which
-    carries no bump; perturbed copies share the rule."""
-    return [measure.value(measure.graph.vertex_path(v)) for v in measure.graph.vertices]
 
 
 def _square(degree):
     """The base degree (n, n), n = max(degree), of product and Markov measures."""
     return deg_diag(len(degree), max(degree))
+
+
+def _chain_measure(g, shape, tag, exact, first, step):
+    """The measure whose square of degree (n, n) is its degree-(n-1, n-1)
+    head times the step its last (1, 1) segment takes.
+
+    first(v) gives the (value, last symbol) of the vertex v, -1 for no
+    symbol.  step(n, a, reads_range, s) is the factor of a square of
+    degree (n, n) whose head ends in symbol a and whose last segment has
+    (reads_range, symbol s) (see _segments); after a head with no symbol
+    (a = -1) the square's value is the step itself.
+
+    value(path) recurses on the head from factorize, keeping each square
+    it computes, and reads the segment off its index in block((1, 1)).
+    The block rule carries the last symbol of each square and reads
+    block((n, n)) off cut((n, n), (n-1, n-1)).  Its degree-(0, 0) row goes
+    through value() of the measure made here, which carries no bump;
+    perturbed copies share the rule.
+    """
+    segments = []  # (reads_range, symbol) of block((1, 1)), read on first use
+
+    def segment_table():
+        if not segments:
+            segments.extend(_segments(g, shape))
+        return segments
+
+    chains = {}  # (range, edges) -> (value, last symbol) of a square path
+
+    def chain(path):
+        key = (path.range, path.edges)
+        got = chains.get(key)
+        if got is None:
+            n = path.degree[0]
+            if n:
+                head, tail = g.factorize(path, (n - 1, n - 1))
+                val, a = chain(head)
+                reads_range, s = segment_table()[g.index(tail)]
+                factor = step(n, a, reads_range, s)
+                got = (factor if a < 0 else val * factor, s)
+            else:
+                got = first(path.range)
+            chains[key] = got
+        return got
+
+    squares = []  # squares[n]: (values, last symbols) of block((n, n))
+
+    def chain_squares(degree):
+        while len(squares) <= degree[0]:
+            n = len(squares)
+            if n:
+                heads, tails = g.cut((n, n), (n - 1, n - 1))
+                prev, prev_last = squares[-1]
+                segs = segment_table()
+                # steps[a][t]: the step of segment t after last symbol a, for each a that occurs
+                steps = {a: [step(n, a, *seg) for seg in segs] for a in sorted(set(prev_last))}
+                vals = [steps[a][t] if a < 0 else prev[h] * steps[a][t]
+                        for h, t, a in zip(heads, tails, map(prev_last.__getitem__, heads))]
+                last = array("l", [segs[t][1] for t in tails])
+            else:
+                vals = [measure.value(g.vertex_path(v)) for v in g.vertices]
+                last = array("l", [first(v)[1] for v in g.vertices])
+            squares.append((vals, last))
+        return squares[degree[0]][0]
+
+    measure = CylinderMeasure(g, lambda path: chain(path)[0], tag, exact, _square,
+                              chain_squares)
+    return measure
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +603,9 @@ def check_bias_terms(spec, j0):
 
 
 def product_measure(g, spec):
-    """Infinite-product measure on a single-vertex or star shaped 2-graph.
-
-    A square path of degree (n, n) is valued as its degree-(n-1, n-1)
-    head times the factor of the symbol its last (1, 1) segment adds; the
-    segment's symbol is read off its index in block((1, 1)).  The block
-    rule takes the heads and segments of a square block from
-    cut((n, n), (n-1, n-1)); value(path) factorizes the one path.
-    """
+    """Infinite-product measure on a single-vertex or star shaped 2-graph:
+    the chain (see _chain_measure) whose step ignores the last symbol and
+    weighs the segment's symbol by the bias of its position."""
     shape = detect_shape(g)
 
     def bias(j):
@@ -576,7 +618,7 @@ def product_measure(g, spec):
         if shape.symbol_count != 2:
             raise UnsupportedGraphShape("product measure needs exactly 2 symbols")
 
-        def factor(n, reads_range, s):  # symbol j reads gamma_{j+1}; square n ends in symbol n - 1
+        def step(n, a, reads_range, s):  # symbol j reads gamma_{j+1}; square n ends in symbol n - 1
             gm = bias(n)
             return Fraction(1, 2) + gm if s == 0 else Fraction(1, 2) - gm
 
@@ -584,53 +626,20 @@ def product_measure(g, spec):
         two_n = shape.symbol_count
         half = two_n // 2
 
-        def factor(n, reads_range, s):
+        def step(n, a, reads_range, s):
             # symbol j sits at position 2j + 1 from the center, 2j from a
             # peripheral vertex; square n ends in symbol n - 1 or n
             gm = bias(2 * n - 1 + reads_range)
             return (1 + gm if s < half else 1 - gm) / Fraction(two_n)
 
     one = Fraction(1) if spec.exact else 1.0
-    segments = []  # (reads_range, symbol) of block((1, 1)), read on first use
 
-    def segment_table():
-        if not segments:
-            segments.extend(_segments(g, shape))
-        return segments
+    def first(v):  # a peripheral range is symbol 0; the last symbol is never read
+        if shape.reads_range(v):
+            return one * step(0, 0, True, shape.peripherals.index(v)), 0
+        return one, 0
 
-    def start(v):  # degree (0, 0): a peripheral range is symbol 0
-        return one * factor(0, True, shape.peripherals.index(v)) if shape.reads_range(v) else one
-
-    values = {}
-
-    def square_fn(path):
-        key = (path.range, path.edges)
-        if key not in values:
-            n = path.degree[0]
-            if n:
-                head, tail = g.factorize(path, (n - 1, n - 1))
-                values[key] = square_fn(head) * factor(n, *segment_table()[g.index(tail)])
-            else:
-                values[key] = start(path.range)
-        return values[key]
-
-    squares = []  # squares[n]: the values of block((n, n))
-
-    def product_squares(degree):
-        while len(squares) <= degree[0]:
-            n = len(squares)
-            if n:
-                heads, tails = g.cut((n, n), (n - 1, n - 1))
-                prev = squares[-1]
-                factors = [factor(n, *seg) for seg in segment_table()]
-                squares.append([prev[h] * factors[t] for h, t in zip(heads, tails)])
-            else:
-                squares.append(_vertex_values(measure))
-        return squares[degree[0]]
-
-    measure = CylinderMeasure(g, square_fn, f"product({spec.family})", spec.exact, _square,
-                              product_squares)
-    return measure
+    return _chain_measure(g, shape, f"product({spec.family})", spec.exact, first, step)
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +685,10 @@ class MarkovMeasureSpec:
         """Positive left fixed row, scaled so its entries sum to len(matrix)."""
         n = len(self.matrix)
         if self.exact:
-            shifted = [
-                [Fraction(self.matrix[j][i]) - (1 if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            vec = _exact_nullspace(shifted)
+            vec = _perron_vector(tuple(zip(*self.matrix)), 1)
             if vec is None:
-                raise SpecInvariantViolated("no one-dimensional stationary row")
-            if all(x < 0 for x in vec):
-                vec = [-x for x in vec]
-            if not all(x > 0 for x in vec):
-                raise SpecInvariantViolated("stationary row is not positive")
-            scale = Fraction(n) / sum(vec)
-            return tuple(x * scale for x in vec)
+                raise SpecInvariantViolated("no positive one-dimensional stationary row")
+            return tuple(x * n for x in vec)
         import numpy as np
 
         mat = np.array([[float(x) for x in row] for row in self.matrix])
@@ -752,14 +752,10 @@ def star_markov_matrix(two_n, perm, x_vectors):
 
 
 def markov_measure(g, spec):
-    """Markov measure transported to the graph's path space via symbols.
-
-    value(path) reads the whole symbol string of a square path.  The block
-    rule carries each square's last symbol: a square of degree (n, n) is
-    its degree-(n-1, n-1) head times the transition from the head's last
-    symbol to the symbol of its last (1, 1) segment, read off cut((n, n),
-    (n-1, n-1)) and the segment's index in block((1, 1)).
-    """
+    """Markov measure transported to the graph's path space via symbols:
+    the chain (see _chain_measure) that starts at lam[s] and steps from
+    symbol a to symbol b with probability T[a][b].  A cylinder with no
+    symbol yet sums lam over the first one."""
     spec = spec.validated()
     shape = detect_shape(g)
     n_states = len(spec.matrix)
@@ -767,42 +763,18 @@ def markov_measure(g, spec):
         raise UnsupportedGraphShape(
             f"chain has {n_states} states, shape has {shape.symbol_count} symbols"
         )
-    lam = spec.lam
+    lam, matrix = spec.lam, spec.matrix
 
-    def square_fn(path):
-        syms = _rainbow_symbols(g, shape, path)
-        if not syms:
-            # center/single-vertex cylinder: sum over the first symbol
-            return sum(lam)
-        val = lam[syms[0]]
-        for a, b in zip(syms, syms[1:]):
-            val *= spec.matrix[a][b]
-        return val
+    def first(v):  # a peripheral range is the first symbol
+        if shape.reads_range(v):
+            i = shape.peripherals.index(v)
+            return lam[i], i
+        return sum(lam), -1
 
-    symbols = []  # the symbol of each path of block((1, 1)), read on first use
-    squares = []  # squares[n]: (values, last symbols) of block((n, n)); -1 for none
+    def step(n, a, reads_range, s):
+        return lam[s] if a < 0 else matrix[a][s]
 
-    def markov_squares(degree):
-        if not symbols:
-            symbols.extend(s for _, s in _segments(g, shape))
-        while len(squares) <= degree[0]:
-            n = len(squares)
-            if n:
-                heads, tails = g.cut((n, n), (n - 1, n - 1))
-                prev, prev_last = squares[-1]
-                moves = [[row[s] for s in symbols] for row in spec.matrix]
-                vals = [prev[h] * moves[a][t] if a >= 0 else lam[symbols[t]]
-                        for h, t, a in zip(heads, tails, map(prev_last.__getitem__, heads))]
-                last = array("l", map(symbols.__getitem__, tails))
-            else:
-                vals = _vertex_values(measure)
-                last = array("l", [shape.peripherals.index(v) if shape.reads_range(v) else -1
-                                   for v in g.vertices])
-            squares.append((vals, last))
-        return squares[degree[0]][0]
-
-    measure = CylinderMeasure(g, square_fn, "markov", spec.exact, _square, markov_squares)
-    return measure
+    return _chain_measure(g, shape, "markov", spec.exact, first, step)
 
 
 # ---------------------------------------------------------------------------

@@ -675,17 +675,6 @@ def system_kawamura(a):
     return IntervalSBFS(g, domains, edge_maps, f"kawamura(a={a})")
 
 
-def builtin_examples(a=Fraction(1, 2)):
-    """The five printed interval systems, keyed by their catalog names."""
-    return {
-        "exonevthreeed": system_two_vertex_three_edge(),
-        "exonevtwoe": system_one_vertex_two_blue(),
-        "noncstrn": system_nonconstant_rn(),
-        "ex3v8e": system_three_vertex_eight_edge(),
-        "kawamura": system_kawamura(a),
-    }
-
-
 # ---------------------------------------------------------------------------
 # lifts: double and product systems
 

@@ -16,7 +16,9 @@ from kgraph_lab.errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from kgraph_lab.kgraph import Edge, deg_diag, deg_grid, deg_sub, deg_total, deg_unit, validate_kgraph
+from kgraph_lab.kgraph import (
+    Edge, build_lambda2N, deg_diag, deg_grid, deg_sub, deg_total, deg_unit, validate_kgraph,
+)
 from kgraph_lab import measures
 from kgraph_lab.measures import (
     CylinderMeasure,
@@ -26,7 +28,6 @@ from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
     Undetermined,
-    _rainbow_symbols,
     check_consistency,
     check_product_biases,
     check_product_terms,
@@ -678,13 +679,12 @@ def reference_rainbow_symbols(g, shape, path):
 
 
 @pytest.mark.parametrize("name", ["exonevtwoe", "lambda2N:N=2"])
-def test_rainbow_symbols_match_unit_factorization_loop(name):
+def test_segment_symbols_match_unit_factorization_loop(name):
     g = builtin_graph(name)
     shape = detect_shape(g)
-    for n in range(5):
-        for path in g.enumerate_paths((n, n)):
-            expected = reference_rainbow_symbols(g, shape, path)
-            assert _rainbow_symbols(g, shape, path) == expected
+    expected = [(shape.reads_range(seg.range), reference_rainbow_symbols(g, shape, seg)[-1])
+                for seg in g.enumerate_paths((1, 1))]
+    assert measures._segments(g, shape) == expected
 
 
 # -- derived cylinder values ----------------------------------------------------------------
@@ -758,19 +758,16 @@ def test_derived_values_equal_square_extension_reference(name, bound, tag, make)
 
 
 def test_consistency_computes_each_square_value_once(monkeypatch):
-    symbols, cuts = [], []
-    rainbow = measures._rainbow_symbols
-    monkeypatch.setattr(
-        measures, "_rainbow_symbols", lambda *args: symbols.append(args[2]) or rainbow(*args)
-    )
+    rebuilt, cuts = [], []
     g = builtin_graph("exonevtwoe")
-    cut = g.cut
+    path_at, cut = g.path_at, g.cut
+    monkeypatch.setattr(g, "path_at", lambda m, i: rebuilt.append((m, i)) or path_at(m, i))
     monkeypatch.setattr(g, "cut", lambda m, n: cuts.append((m, n)) or cut(m, n))
     m = product_measure(g, parse_product_spec("geometric:1/2,1/2"))
     assert check_consistency(m, 4).ok
-    # the symbols of the segments of degree (1, 1) are read once each, and each
-    # square block (n, n), n <= 5, is one pass over its heads and segments
-    assert symbols == g.block((1, 1))
+    # the segments of degree (1, 1) are rebuilt once each for their symbols, and
+    # each square block (n, n), n <= 5, is one pass over its heads and segments
+    assert rebuilt == [((1, 1), t) for t in range(len(g.block((1, 1))))]
     assert cuts == [((n, n), (n - 1, n - 1)) for n in range(1, 6)]
 
 
@@ -864,6 +861,101 @@ def test_product_squares_equal_the_whole_string_formula(name, bound, spec):
             want = outcome_or_message(reference, path)
             got = outcome_or_message(fn, path)
             assert got == want and type(got) is type(want), (path, got, want)
+
+
+def reference_markov_square_fn(g, spec):
+    """A Markov measure's square values from the whole symbol string: lam of
+    the first symbol times one transition per later symbol, left to right
+    (how markov_measure valued a single path before it reused the value of
+    the degree-(n-1, n-1) prefix)."""
+    shape = detect_shape(g)
+    spec = spec.validated()
+
+    def fn(path):
+        syms = reference_rainbow_symbols(g, shape, path)
+        if not syms:  # no symbol yet: the cylinder sums over the first one
+            return sum(spec.lam)
+        val = spec.lam[syms[0]]
+        for a, b in zip(syms, syms[1:]):
+            val *= spec.matrix[a][b]
+        return val
+
+    return fn
+
+
+def random_chain(rng, states):
+    """A transition matrix with positive rational entries."""
+    rows = []
+    for _ in range(states):
+        weights = [rng.randint(1, 9) for _ in range(states)]
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    return MarkovMeasureSpec(tuple(rows))
+
+
+def random_product_specs(rng):
+    """A geometric, a finite and a sampled spec; terms may leave (-1/2, 1/2)."""
+    def term():
+        return Fraction(rng.randint(-9, 9), 16)
+
+    return [
+        ProductMeasureSpec("geometric", c=term(), r=Fraction(rng.randint(-4, 4), 4)),
+        ProductMeasureSpec("finite", values=tuple(term() for _ in range(rng.randint(1, 6)))),
+        ProductMeasureSpec("sampled", values=tuple(term() for _ in range(rng.randint(1, 6)))),
+    ]
+
+
+def assert_routes_agree(m, reference, bound):
+    """values(m) against value per path on every degree <= (bound, bound),
+    and value against the whole-string reference on the squares; a
+    GammaOutOfRange counts as its message.  A block raises what one of
+    its paths raises."""
+    g = m.graph
+    for n in deg_grid(2, bound):
+        block = g.block(n)
+        per_path = [outcome_or_message(m.value, lam) for lam in block]
+        if n[0] == n[1]:
+            for lam, got in zip(block, per_path):
+                want = outcome_or_message(reference, lam)
+                assert got == want and type(got) is type(want), (lam, got, want)
+        whole = outcome_or_message(m.values, n)
+        if isinstance(whole, tuple):
+            assert whole in per_path, (n, whole)
+            continue
+        assert len(whole) == len(block)
+        for lam, got, want in zip(block, whole, per_path):
+            assert got == want and type(got) is type(want), (lam, got, want)
+
+
+def random_star_cases():
+    cases = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        n_half = seed % 3 + 1
+        perm = list(range(1, 2 * n_half + 1))
+        rng.shuffle(perm)
+        g = build_lambda2N(n_half, perm)
+        bound = {1: 4, 2: 3, 3: 2}[n_half]
+        cases.append((g, bound, random_chain(rng, 2 * n_half), random_product_specs(rng)))
+    return cases
+
+
+STAR_CASES = random_star_cases()
+
+
+@pytest.mark.parametrize("case", range(len(STAR_CASES)))
+def test_chain_routes_agree_on_random_stars(case):
+    g, bound, chain, product_specs = STAR_CASES[case]
+    assert_routes_agree(markov_measure(g, chain), reference_markov_square_fn(g, chain), bound)
+    for spec in product_specs:
+        assert_routes_agree(product_measure(g, spec), reference_product_square_fn(g, spec), bound)
+
+
+@pytest.mark.parametrize("name, bound", [("exonevtwoe", 6), ("lambda2N:N=1", 4)])
+def test_float_chain_routes_agree_bit_for_bit(name, bound):
+    g = builtin_graph(name)
+    chain = t_x_matrix(0.3)
+    assert not chain.exact
+    assert_routes_agree(markov_measure(g, chain), reference_markov_square_fn(g, chain), bound)
 
 
 def exact_pf_graphs():

@@ -353,7 +353,7 @@ def test_monic_grid_path_builds_fractions_only_in_its_result():
 
 # the per-block layer of the measures reads tail arrays and glue tables, never Path
 # blocks; _segments reads the segments of degree (1, 1) once, through path_at
-BLOCK_READERS = {"check_consistency", "measure_table", "pf_block", "product_squares", "markov_squares"}
+BLOCK_READERS = {"check_consistency", "measure_table", "pf_block", "chain_squares"}
 PATH_BLOCK_CALLS = {"block", "enumerate_paths", "split", "factorize", "_rainbow_symbols"}
 TAIL_READERS = {"_ends", "glue", "cut"}
 
@@ -392,11 +392,11 @@ def test_path_block_rules_see_each_form():
         "def check_consistency(measure, depth):\n    worst_path = g.block(n)[i]\n"
         "def measure_table(measure, depth):\n    return zip(measure.graph.block(n), measure.values(n))\n"
         "def product_measure(g, spec):\n"
-        "    def product_squares(path):\n"
+        "    def chain_squares(path):\n"
         "        head = g.factorize(path, (n - 1, n - 1))[0]\n"
         "        return _rainbow_symbols(g, shape, path, first)\n"
         "def markov_measure(g, spec):\n"
-        "    def markov_squares(m):\n"
+        "    def chain_squares(m):\n"
         "        return [g.split(p, cuts) for p in g.enumerate_paths(m)]\n"
         "def pf_block(m):\n    return list(map(fn, g.block(m)))\n"
         "def other(g):\n    return g.block(m), g.split(p, [m])\n"
@@ -408,8 +408,8 @@ def test_path_block_rules_see_each_form():
     )
     assert function_calls(source, BLOCK_READERS, PATH_BLOCK_CALLS) == {
         ("check_consistency", "block"), ("measure_table", "block"),
-        ("product_squares", "factorize"), ("product_squares", "_rainbow_symbols"),
-        ("markov_squares", "split"), ("markov_squares", "enumerate_paths"), ("pf_block", "block")}
+        ("chain_squares", "factorize"), ("chain_squares", "_rainbow_symbols"),
+        ("chain_squares", "split"), ("chain_squares", "enumerate_paths"), ("pf_block", "block")}
     assert edge_reads(source, TAIL_READERS) == {("_ends", 18), ("glue", 21), ("cut", 23)}
 
 
@@ -421,3 +421,12 @@ def test_measure_block_layer_builds_no_path_blocks():
     assert function_calls(source, {"_segments"}, {"block", "enumerate_paths"}) == set()
     kgraph = (PACKAGE / "kgraph.py").read_text()
     assert edge_reads(kgraph, TAIL_READERS) == set()
+
+
+def test_measures_keep_one_square_rule():
+    # product and Markov squares are both _chain_measure's head-times-step rule
+    source = (PACKAGE / "measures.py").read_text()
+    defined = {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
+    assert "_chain_measure" in defined
+    gone = {"_rainbow_symbols", "_rainbow_cuts", "product_squares", "markov_squares", "square_fn"}
+    assert defined & gone == set()
