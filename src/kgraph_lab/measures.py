@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import fsum
 
 from .errors import (
     AdditivityViolation,
@@ -86,39 +87,56 @@ def _exact_nullspace(mat):
 def pf_data(g, tol=1e-10):
     """Spectral radii and the common unimodular Perron eigenvector.
 
-    Exact data is settled first, over the rationals and without numpy
-    (_exact_pf).  Otherwise: power iteration (all-ones seed) on
-    I + sum(A_i); the shift handles periodic vertex matrices.
+    Exact data is settled first, over the rationals (_exact_pf).
+    Otherwise: power iteration (all-ones seed) on I + sum(A_i); the shift
+    handles periodic vertex matrices.  The iteration runs in plain Python
+    floats, so no Perron data loads numpy.
     """
     if not g.is_strongly_connected():
         raise NotStronglyConnected(g.name)
     exact = _exact_pf(g)
     if exact is not None:
         return exact
-    import numpy as np
-
-    mats = [np.array(m, dtype=float) for m in g.vertex_matrices()]
+    mats = g.vertex_matrices()
     nv = len(g.vertices)
-    m_sum = np.eye(nv) + sum(mats)
-    vec = np.ones(nv)
-    for _ in range(MAX_POWER_ITERATIONS):
-        nxt = m_sum @ vec
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - vec)) < min(tol, 1e-13):
-            vec = nxt
-            break
-        vec = nxt
-    else:
-        raise NoConvergence(MAX_POWER_ITERATIONS)
-    rho_f = [float(np.dot(vec, m @ vec) / np.dot(vec, vec)) for m in mats]
+    m_sum = [[(i == j) + sum(m[i][j] for m in mats) for j in range(nv)] for i in range(nv)]
+    vec = _power_iteration(m_sum, min(tol, 1e-13))
+    norm = _dot(vec, vec)
+    rho_f = [_dot(vec, _matvec(m, vec)) / norm for m in mats]
 
-    kappa = {v: float(vec[i]) for i, v in enumerate(g.vertices)}
+    kappa = {v: vec[i] for i, v in enumerate(g.vertices)}
     residual = 0.0
     for rho_i, m in zip(rho_f, mats):
-        residual = max(residual, float(np.max(np.abs(m @ vec - rho_i * vec))))
+        residual = max(residual, max(abs(y - rho_i * x) for y, x in zip(_matvec(m, vec), vec)))
     if residual > tol:
         raise NoConvergence(MAX_POWER_ITERATIONS)
     return PFData(tuple(rho_f), kappa, exact=False, residual=residual)
+
+
+def _power_iteration(mat, stop):
+    """The positive fixed direction of a nonnegative primitive matrix, as a
+    list of floats summing to 1: mat @ vec from the all-ones vector,
+    normalized to sum 1 after each product, until no entry moves by stop
+    or more.  Raises NoConvergence after MAX_POWER_ITERATIONS products."""
+    vec = [1.0] * len(mat)
+    for _ in range(MAX_POWER_ITERATIONS):
+        nxt = _matvec(mat, vec)
+        total = fsum(nxt)
+        nxt = [x / total for x in nxt]
+        if max(abs(a - b) for a, b in zip(nxt, vec)) < stop:
+            return nxt
+        vec = nxt
+    raise NoConvergence(MAX_POWER_ITERATIONS)
+
+
+def _dot(u, v):
+    """u . v, its rounded products summed exactly (fsum), so the result does
+    not depend on summation order or on the interpreter's float sum."""
+    return fsum(a * b for a, b in zip(u, v))
+
+
+def _matvec(mat, vec):
+    return [_dot(row, vec) for row in mat]
 
 
 def _exact_pf(g):
@@ -689,18 +707,8 @@ class MarkovMeasureSpec:
             if vec is None:
                 raise SpecInvariantViolated("no positive one-dimensional stationary row")
             return tuple(x * n for x in vec)
-        import numpy as np
-
-        mat = np.array([[float(x) for x in row] for row in self.matrix])
-        vec = np.ones(n)
-        for _ in range(MAX_POWER_ITERATIONS):
-            nxt = vec @ mat
-            nxt /= nxt.sum()
-            if np.max(np.abs(nxt - vec / vec.sum())) < tol:
-                break
-            vec = nxt
-        vec = vec / vec.sum() * n
-        return tuple(float(x) for x in vec)
+        transpose = [[float(x) for x in col] for col in zip(*self.matrix)]  # vec T = T^t vec
+        return tuple(x * n for x in _power_iteration(transpose, tol))
 
     @property
     def exact(self):
@@ -946,7 +954,7 @@ def rn_estimate(measure, lam, rule, depth, tol=1e-12):
 
 
 def format_value(v):
-    if isinstance(v, Fraction):
+    if type(v) is Fraction:
         return f"{v.numerator}/{v.denominator}"
     return f"{float(v):.17g}"
 

@@ -38,7 +38,8 @@ block m that of glue(d(lam), m), t_lam^* that of glue(d(lam), (m v d(lam))
 - d(lam)) grouped by the heads under cut(m v d(lam), m), P(Z(lam)) that of
 glue(d(lam), m - d(lam)); refinement reads every run of glue(m, target -
 m).  Weights are read at the same indices from ``CylinderMeasure.values``;
-on exact weights the Radon-Nikodym test compares integer cross-products.
+on exact weights the Radon-Nikodym test compares integer cross-products
+and the adjoint coefficients divide them.
 
 The faithful tables name a label (i, mu) by (i, index(mu)): lam.mu is the
 entry of mu in the run of lam in glue(d(lam), d(mu)), a rule segment
@@ -150,6 +151,11 @@ class StandardRep:
     def block_dim(self, m):
         return len(self._blocks[m])
 
+    @property
+    def exact(self):
+        """Whether the weights are exact rationals."""
+        return self.measure.exact
+
     def weight(self, path):
         return self.measure.value(path)
 
@@ -182,7 +188,7 @@ class StandardRep:
         lam_off, forward = g.glue(lam.degree, up)
         shift = lam_off[g.index(lam)] - g.run(up, g.s(lam)).start
         degrees = (m, up, deg_add(m, lam.degree), deg_add(up, lam.degree))
-        if not self.measure.exact:
+        if not self.exact:
             blk, deep, image, deep_image = map(self._values, degrees)
             for i, j in rows:
                 base = image[j] / nonnull(blk, m, i)
@@ -236,13 +242,21 @@ class StandardRep:
         join = deg_join(m, lam.degree)
         if m not in self._blocks or join not in self._blocks:
             return None
-        heads, top, blk = g.cut(join, m)[0], self._values(join), self._values(m)
-        table = {}
-        rows = self._rows(lam, deg_sub(join, lam.degree))
-        for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
-            ratio = top[j] / self._nonnull(blk, m, i)
-            table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
-        return _Op(self, table, m, deg_sub(join, lam.degree))
+        dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
+        rows = sorted((heads[j], alpha, j) for alpha, j in self._rows(lam, dst))
+        if not self.exact:
+            top, blk = self._values(join), self._values(m)
+            for i, alpha, j in rows:
+                ratio = top[j] / self._nonnull(blk, m, i)
+                table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
+            return _Op(self, table, m, dst)
+        # exact weights: the ratio (tn/td) / (bn/bd) as the integers tn*bd and td*bn;
+        # int true division is correctly rounded, as float(Fraction) is
+        (tn, td), (bn, bd) = self._integer_values(join), self._integer_values(m)
+        for i, alpha, j in rows:
+            num, den = tn[j] * bd[i], td[j] * self._nonnull(bn, m, i)
+            table.setdefault(i, {})[alpha] = 1 if num == den else (num / den) ** 0.5
+        return _Op(self, table, m, dst)
 
     def refinement(self, m, target):
         """Cylinder refinement: the isometry from block m into block target >= m."""
@@ -289,6 +303,7 @@ class KPRep(StandardRep):
     kind = "kp"
     discrete = True
     reach = 0  # no Radon-Nikodym test
+    exact = True  # counting weights
 
     def __init__(self, graph, depth):
         super().__init__(graph, None, depth)
@@ -1104,8 +1119,8 @@ def induced_measure(rep, xi=None, block=None):
                 raise DepthTooSmall(f"{path} deeper than the represented block")
             return rep.weight(path)
 
-        tag, exact = f"induced({rep.kind})", rep.measure.exact if rep.measure else True
-        return CylinderMeasure(g, fn, tag, exact, lambda d: block if deg_le(d, block) else d)
+        return CylinderMeasure(g, fn, f"induced({rep.kind})", rep.exact,
+                               lambda d: block if deg_le(d, block) else d)
 
     import numpy as np
 

@@ -11,6 +11,7 @@ from kgraph_lab.errors import (
     DegreeCapExceeded,
     GammaOutOfRange,
     IncomparableSpecs,
+    NoConvergence,
     NotStronglyConnected,
     SpecInvariantViolated,
     UnsupportedGraphShape,
@@ -146,8 +147,35 @@ def pf_graphs():
 
 @pytest.mark.parametrize("g", pf_graphs())
 def test_pf_data_matches_the_power_iteration_reference(g):
-    # exact data comes from the integer scan, the rest from the same power iteration
-    assert pf_data(g) == reference_pf_data(g)
+    # exact data comes from the integer scan, the rest from the same power
+    # iteration; numpy's BLAS sums in another order, so float data may differ
+    # from the reference in its last ulps
+    got, want = pf_data(g), reference_pf_data(g)
+    assert got.exact == want.exact
+    if want.exact:
+        assert got == want
+        return
+    assert list(got.kappa) == list(want.kappa)
+    pairs = list(zip(got.rho, want.rho)) + [(got.kappa[v], want.kappa[v]) for v in want.kappa]
+    for x, y in pairs:
+        assert type(x) is float and abs(x - y) <= 4 * math.ulp(y)
+    assert got.residual <= 1e-10 and want.residual <= 1e-10
+
+
+def test_pf_data_reports_non_convergence(monkeypatch):
+    g = builtin_graph("ex3v8e")
+    monkeypatch.setattr(measures, "MAX_POWER_ITERATIONS", 1)
+    with pytest.raises(NoConvergence):
+        pf_data(g)
+
+
+def test_float_stationary_row_reports_non_convergence(monkeypatch):
+    spec = MarkovMeasureSpec(((0.3, 0.7), (0.6, 0.4)))
+    lam = spec.validated().lam
+    assert lam == pytest.approx((2 * 6 / 13, 2 * 7 / 13), abs=1e-12)
+    monkeypatch.setattr(measures, "MAX_POWER_ITERATIONS", 1)
+    with pytest.raises(NoConvergence):
+        spec.validated()
 
 
 def test_pf_data_references_see_both_kinds():

@@ -644,6 +644,18 @@ def test_integer_rn_test_on_a_null_cylinder_raises_zero_denominator(at):
         rep._rn_constant(lam, (0, 0), rows)
 
 
+@pytest.mark.parametrize("name", ["exonevtwoe", "ex3v8e"], ids=["exact", "float"])
+def test_adjoint_table_on_a_null_cylinder_raises_zero_denominator(name):
+    g = builtin_graph(name)
+    m = pf_measure(g)
+    null = g.vertex_path(g.vertices[0])
+    rep = UnprobedRep(g, m.perturbed(null, -m.value(null)), 1)
+    assert rep.exact == m.exact == (name == "exonevtwoe")
+    lam = next(g.edge_path(e.eid) for e in g.edges if e.range == null.range)
+    with pytest.raises(ZeroDenominator, match=re.escape(f"Z({null}) has measure 0")):
+        rep.apply_adjoint(lam, (0, 0))
+
+
 def test_standard_tables_need_no_path_algebra(monkeypatch):
     calls = collections.Counter()
     for name in ("compose", "lambda_min", "strip_prefix"):

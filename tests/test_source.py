@@ -76,6 +76,16 @@ def test_function_level_imports_only_close_cycles():
     assert found == CYCLE_IMPORTS
 
 
+def is_numpy_import(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
 def eager_numpy_imports(source):
     """Line numbers of numpy imports that run when the module is imported:
     every one outside a function body."""
@@ -85,13 +95,7 @@ def eager_numpy_imports(source):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if is_numpy_import(child):
                 out.append(child.lineno)
             visit(child)
 
@@ -115,6 +119,41 @@ def test_numpy_is_imported_only_where_float_algebra_runs():
     assert len(modules) >= 8
     found = {m.name: eager_numpy_imports(m.read_text()) for m in modules}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+# Perron data and stationary rows run in plain Python floats
+NUMPY_FREE = {"pf_data", "_exact_pf", "_power_iteration", "_dot", "_matvec", "MarkovMeasureSpec"}
+
+
+def numpy_imports_in(source, owners):
+    """(owner, line) for each numpy import anywhere inside a top-level
+    function or class named in owners, nested functions and methods included."""
+    return {(node.name, inner.lineno) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in owners
+            for inner in ast.walk(node) if is_numpy_import(inner)}
+
+
+def test_numpy_free_rule_sees_each_form():
+    source = (
+        "import numpy as np\n"
+        "def pf_data(g):\n    import numpy as np\n"
+        "class MarkovMeasureSpec:\n"
+        "    def row(self):\n        if self:\n            from numpy import ones\n"
+        "def _power_iteration(mat):\n    def step(v):\n        import numpy.linalg\n"
+        "def other():\n    import numpy\n"
+        "def _exact_pf(g):\n    import numpyish\n    from .numpy import x\n"
+    )
+    assert numpy_imports_in(source, NUMPY_FREE) == {
+        ("pf_data", 3), ("MarkovMeasureSpec", 7), ("_power_iteration", 10)}
+
+
+def test_perron_data_imports_no_numpy():
+    source = (PACKAGE / "measures.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert NUMPY_FREE <= defined
+    assert numpy_imports_in(source, NUMPY_FREE) == set()
 
 
 PATH_ALGEBRA = {"compose", "lambda_min", "strip_prefix", "split", "factorize"}
