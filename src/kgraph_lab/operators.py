@@ -166,11 +166,11 @@ class StandardRep:
     def _nonnull(self, vals, m, i):
         """vals[i], the weight of block(m)[i]; raises ZeroDenominator when it is 0."""
         if vals[i] == 0:
-            raise ZeroDenominator(f"Z({self.graph.block(m)[i]}) has measure 0")
+            raise ZeroDenominator(f"Z({self.graph.path_at(m, i)}) has measure 0")
         return vals[i]
 
     def _integer_values(self, m):
-        """(numerators, denominators) of the exact weights of block(m)."""
+        """(numerators, denominators) of the weights of block(m), exact or float."""
         pair = self._integers.get(m)
         if pair is None:
             ratios = [v.as_integer_ratio() for v in self._values(m)]
@@ -244,14 +244,8 @@ class StandardRep:
             return None
         dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
         rows = sorted((heads[j], alpha, j) for alpha, j in self._rows(lam, dst))
-        if not self.exact:
-            top, blk = self._values(join), self._values(m)
-            for i, alpha, j in rows:
-                ratio = top[j] / self._nonnull(blk, m, i)
-                table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
-            return _Op(self, table, m, dst)
-        # exact weights: the ratio (tn/td) / (bn/bd) as the integers tn*bd and td*bn;
-        # int true division is correctly rounded, as float(Fraction) is
+        # the ratio (tn/td) / (bn/bd) as the integers tn*bd and td*bn; int true
+        # division is correctly rounded, as float(Fraction) and float division are
         (tn, td), (bn, bd) = self._integer_values(join), self._integer_values(m)
         for i, alpha, j in rows:
             num, den = tn[j] * bd[i], td[j] * self._nonnull(bn, m, i)
@@ -315,7 +309,7 @@ class KPRep(StandardRep):
         return 1
 
     def _values(self, m):
-        return [1] * len(self.graph.block(m))
+        return [1] * len(self.graph.tails(m).sources)
 
     def _rn_constant(self, lam, m, rows):
         return True
@@ -1161,8 +1155,9 @@ def monic_vector_probe(rep, level, xi=None, tol=1e-9):
 class IntervalDiagonalRep:
     """Grid discretization of an interval system: only the diagonal algebra.
 
-    Basis = atoms of the range partition refined by a uniform grid, so a
-    cyclic-vector deficit shows up wherever the ranges stop cutting.
+    Basis = atoms of the partition that the ranges of range_words(level)
+    and a uniform grid generate, so a cyclic-vector deficit shows up
+    wherever the ranges stop cutting.  1D systems only.
     """
 
     discrete = False
@@ -1172,12 +1167,10 @@ class IntervalDiagonalRep:
         self.sys = sys
         self.graph = sys.graph
         self.depth = level
-        g = sys.graph
+        sets = sys.range_words(level)
         space = IntervalUnion()
-        for v in g.vertices:
+        for v in sys.graph.vertices:
             space = space.union(sys.domains[v])
-        self._ranges = sys.path_ranges(level)
-        sets = list(self._ranges.values())
         sets += [IntervalUnion.interval(*cell) for cell in grid_cells(space.parts, resolution)]
         self.atoms = partition_atoms(space, sets)
         self._his = [hi for _, hi in self.atoms]
@@ -1191,12 +1184,13 @@ class IntervalDiagonalRep:
         return np.array([float(hi - lo) ** 0.5 for lo, hi in self.atoms])
 
     def pvm_mask(self, lam, block):
-        # every range generated the atoms, so it holds exactly the atoms it meets
+        # every range of degree <= level generated the atoms: it holds the atoms it meets
         import numpy as np
 
-        rng = self._ranges[lam]
+        if not deg_le(lam.degree, deg_diag(self.graph.k, self.depth)):
+            raise DepthTooSmall(f"d({lam}) = {lam.degree} is beyond level {self.depth}")
         mask = np.zeros(len(self.atoms))
-        mask[atoms_meeting(self.atoms, self._his, rng)] = 1.0
+        mask[atoms_meeting(self.atoms, self._his, self.sys.path_range_1d(lam))] = 1.0
         return mask
 
 

@@ -57,6 +57,8 @@ from .kgraph import (
     build_product,
     deg_diag,
     deg_grid,
+    deg_sub,
+    deg_unit,
     graph_from_dict,
     graph_to_dict,
 )
@@ -253,46 +255,50 @@ class IntervalSBFS:
         return cur
 
     def range_words(self, depth):
-        """(ranges, word): the distinct ranges R_path of the paths of degree
-        <= depth*(1,..,1) (1D systems), and for each path the index of its
-        range, as word[path.edges] (word[v] for the vertex v).
+        """The ranges R_path of the paths of degree <= depth*(1,..,1), one
+        per word, the vertex domains first (1D systems).  No path is built.
 
-        A canonical path minus its first edge e is its canonical tail, of
-        lexicographically smaller degree, so in deg_grid order each range is
-        one step from its tail's: R(e.t) = m_e(R(t) & D_s(e)).  The step
-        depends on R(t), s(e) and m_e only, so paths whose edges carry the
-        same (source, map) pairs share one range; on a double system, so do
-        the paths that spell one word of the base system.
+        A canonical path of degree n is e.t, e of the lowest color c of n,
+        and R(e.t) = m_e(R(t) & D_s(e)), so the words of degree n are the
+        pairs (word t of degree n - e_c, step of a color-c edge e with
+        source r(t)), keyed on (t, (source, range, map)); paths, or on a
+        double system base words, that take the same steps share one word.
+        The intersection is skipped unless the range of t's first edge
+        leaves its range vertex's domain.  Raises DimensionUnsupported on a
+        2D system and DegreeCapExceeded above the graph's enum_cap.
         """
+        if self.dim != 1:
+            raise DimensionUnsupported("range words need a 1D system")
         g = self.graph
-        source = {e.eid: e.source for e in g.edges}
-        steps = {}
-        step = {e.eid: steps.setdefault((e.source, self.edge_maps[e.eid]), len(steps))
-                for e in g.edges}
+        g.check_cap(depth * g.k, f"range words at depth {depth}")
+        steps, edges_at = {}, {}  # edges_at[(source, color)]: (step, edge, R_e leaks)
+        for e in g.edges:
+            step = steps.setdefault((e.source, e.range, self.edge_maps[e.eid]), len(steps))
+            rng = self.edge_range(e.eid)
+            leaks = rng.intersect(self.domains[e.range]) != rng
+            edges_at.setdefault((e.source, e.color), []).append((step, e, leaks))
         ranges = [self.domains[v] for v in g.vertices]
-        word = {v: i for i, v in enumerate(g.vertices)}
-        known = {}  # (tail's word, step of the first edge) -> word
-        for n in deg_grid(g.k, depth)[1:]:
-            for lam in g.enumerate_paths(n):
-                edges = lam.edges
-                first = edges[0]
-                tail = word[edges[1:] or source[first]]
-                key = (tail, step[first])
-                w = known.get(key)
-                if w is None:
-                    w = known[key] = len(ranges)
-                    cur = ranges[tail].intersect(self.domains[source[first]])
-                    ranges.append(self.edge_maps[first].image(cur))
-                word[edges] = w
-        return ranges, word
-
-    def path_ranges(self, depth):
-        """{path: R_path} for every degree <= depth*(1,..,1) (1D systems);
-        paths that share a range (see range_words) share one object."""
-        g = self.graph
-        ranges, word = self.range_words(depth)
-        return {lam: ranges[word[lam.edges or lam.range]]
-                for n in deg_grid(g.k, depth) for lam in g.enumerate_paths(n)}
+        tops = list(g.vertices)  # the range vertex of each word
+        leaky = [False] * len(ranges)  # whether a word's range may leave its top's domain
+        grid = deg_grid(g.k, depth)
+        words = {grid[0]: range(len(ranges))}  # degree -> its distinct words
+        known = {}  # tail word * len(steps) + step -> word
+        for n in grid[1:]:
+            c = next(c for c, nc in enumerate(n, start=1) if nc)
+            out = {}
+            for t in words[deg_sub(n, deg_unit(g.k, c))]:
+                for step, e, leaks in edges_at.get((tops[t], c), ()):
+                    key = t * len(steps) + step
+                    w = known.get(key)
+                    if w is None:
+                        w = known[key] = len(ranges)
+                        cur = ranges[t].intersect(self.domains[e.source]) if leaky[t] else ranges[t]
+                        ranges.append(self.edge_maps[e.eid].image(cur))
+                        tops.append(e.range)
+                        leaky.append(leaks)
+                    out[w] = None
+            words[n] = out
+        return ranges
 
     def on_grid(self, scale):
         """Copy of a 1D system on the integer grid X = scale * x: int domain
@@ -1027,6 +1033,8 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
 
     A 1D system is probed on its copy on the integer grid of grid_scale,
     where every endpoint is an int; Fractions come back only in the result.
+    The atoms come from the ranges that range_words lists, one per word,
+    degree by degree, so the probe builds no path.
     """
     if sys.dim == 2:
         if sys.product_factors is not None:
@@ -1048,31 +1056,27 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     space = IntervalUnion()
     for v in g.vertices:
         space = space.union(sys.domains[v])
-    atoms = partition_atoms(space, sys.range_words(depth)[0])
+    atoms = partition_atoms(space, sys.range_words(depth))
     his = [hi for _, hi in atoms]
 
     # structural witness: atoms whose edge preimages stay single atoms.  An
     # atom is cut when some edge preimage meets several atoms or does not
     # fill its one atom; otherwise it survives iff every atom its preimages
-    # fill survives, so the cut spreads backwards along `preds`.
+    # fill survives, so the cut spreads backwards along `preds`.  A preimage
+    # m_e^-1(R_e & A) lies in D_s(e), which the atoms tile, so it fills the
+    # one atom it meets iff it is that atom.
     cut = set()
     preds = [[] for _ in atoms]
     for e in g.edges:
         inverse = sys.edge_maps[e.eid].inverse()
-        dom = sys.domain_of_edge(e.eid)
         rng = sys.edge_range(e.eid)
         for i in atoms_meeting(atoms, his, rng):
             pre = inverse.image(rng.intersect(IntervalUnion.canonical([atoms[i]])))
-            pre = pre.intersect(dom)
             hits = atoms_meeting(atoms, his, pre)
-            if len(hits) != 1:
+            if len(hits) == 1 and pre.parts == (atoms[hits[0]],):
+                preds[hits[0]].append(i)
+            else:
                 cut.add(i)
-                continue
-            b_int = IntervalUnion.canonical([atoms[hits[0]]])
-            if pre != b_int.intersect(pre) or b_int.subtract(pre):
-                cut.add(i)
-                continue
-            preds[hits[0]].append(i)
     alive = [i not in cut for i in range(len(atoms))]
     stack = list(cut)
     while stack:

@@ -18,6 +18,7 @@ from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph, builtin_sbfs
 from kgraph_lab.errors import (
     DegreeCapExceeded,
     DepthTooSmall,
+    DimensionUnsupported,
     NoPathBasis,
     NoPeriodFound,
     NotStronglyConnected,
@@ -656,6 +657,36 @@ def test_adjoint_table_on_a_null_cylinder_raises_zero_denominator(name):
         rep.apply_adjoint(lam, (0, 0))
 
 
+def float_adjoint_table(rep, lam, m):
+    """The float-weight branch that _adjoint_table kept beside its integer route."""
+    g = rep.graph
+    join = deg_join(m, lam.degree)
+    dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
+    rows = sorted((heads[j], alpha, j) for alpha, j in rep._rows(lam, dst))
+    top, blk = rep._values(join), rep._values(m)
+    for i, alpha, j in rows:
+        ratio = top[j] / blk[i]
+        table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
+    return table
+
+
+@pytest.mark.parametrize("name", ["ex3v8e", "kawamura"])
+def test_float_adjoint_coefficients_match_the_float_route_bit_for_bit(name):
+    g = builtin_graph(name)
+    rep = standard_rep(g, pf_measure(g), 2)
+    assert not rep.exact
+
+    def bits(table):
+        return {i: {a: float(c).hex() for a, c in outs.items()} for i, outs in table.items()}
+
+    lams = [lam for n in deg_grid(g.k, 2) for lam in g.enumerate_paths(n)]
+    for m in rep.block_keys():
+        for lam in lams:
+            if deg_join(m, lam.degree) in rep.block_keys():
+                got = rep.apply_adjoint(lam, m).table
+                assert bits(got) == bits(float_adjoint_table(rep, lam, m)), (lam, m)
+
+
 def test_standard_tables_need_no_path_algebra(monkeypatch):
     calls = collections.Counter()
     for name in ("compose", "lambda_min", "strip_prefix"):
@@ -1239,6 +1270,20 @@ def test_interval_pvm_mask_matches_subset_loop(name):
                 old = [float(IntervalUnion.interval(lo, hi).is_subset_of(rng))
                        for lo, hi in rep.atoms]
                 assert rep.pvm_mask(lam, None).tolist() == old, (name, level, lam)
+
+
+def test_interval_pvm_mask_beyond_the_level_raises_depth_too_small():
+    sys = builtin_sbfs("exonevtwoe")
+    rep = IntervalDiagonalRep(sys, 2, Fraction(1, 16))
+    deep = sys.graph.enumerate_paths((3, 0))[0]
+    with pytest.raises(DepthTooSmall):
+        rep.pvm_mask(deep, None)
+
+
+@pytest.mark.parametrize("name", ["noncstrn", "product-kawamura"])
+def test_interval_diagonal_rep_needs_a_1d_system(name):
+    with pytest.raises(DimensionUnsupported):
+        IntervalDiagonalRep(builtin_sbfs(name), 1, Fraction(1, 16))
 
 
 def test_monic_vector_probe_single_vector():

@@ -35,6 +35,7 @@ from kgraph_lab.sbfs import (
     PathspaceSBFS,
     Skew2D,
     canonical_projective,
+    grid_scale,
     kirchhoff_check,
     lift_double_sbfs,
     lift_product_sbfs,
@@ -595,6 +596,19 @@ def test_monic_nonproduct_2d_unsupported():
         monic_probe(builtin_sbfs("noncstrn"))
 
 
+@pytest.mark.parametrize("name", ["noncstrn", "product-kawamura"])
+def test_range_words_need_a_1d_system(name):
+    with pytest.raises(DimensionUnsupported):
+        builtin_sbfs(name).range_words(1)
+
+
+def test_range_words_above_the_enumeration_cap_raise():
+    with pytest.raises(DegreeCapExceeded, match="cap 24"):
+        builtin_sbfs("kawamura:a=1/2").range_words(25)
+    with pytest.raises(DegreeCapExceeded, match="cap 24"):
+        builtin_sbfs("double-kawamura").range_words(13)
+
+
 def test_monic_depth_above_the_enumeration_cap_raises():
     # depth * k above enum_cap used to skip the long degrees and pass anyway
     with pytest.raises(DegreeCapExceeded, match="cap 24"):
@@ -774,10 +788,11 @@ def random_loop_system(rng, tiling):
     return IntervalSBFS(g, {"v": IntervalUnion.interval(0, 1)}, maps)
 
 
-def test_path_ranges_match_the_per_path_reference():
+def test_range_words_are_the_per_path_ranges():
     rng = random.Random(5)
     systems = [builtin_sbfs(n) for n in BUILTIN_SYSTEMS if builtin_sbfs(n).dim == 1]
-    systems += [random_loop_system(rng, tiling) for tiling in (True, False) for _ in range(6)]
+    loops = [random_loop_system(rng, tiling) for tiling in (True, False) for _ in range(6)]
+    systems += loops + [lift_double_sbfs(sys) for sys in loops]  # 2-graphs
     systems.append(branching_cycle_system())
     # R_c0 leaks out of D_v, so each step must cut the tail's range to D_e
     leaky = Affine1D(Fraction(1), Fraction(1, 4))
@@ -785,11 +800,24 @@ def test_path_ranges_match_the_per_path_reference():
     for sys in systems:
         g = sys.graph
         depth = 3 if len(g.edges) > 4 else 4
-        ranges = sys.path_ranges(depth)
-        want = {lam: sys.path_range_1d(lam)
-                for n in itertools.product(range(depth + 1), repeat=g.k)
-                for lam in g.enumerate_paths(n)}
-        assert ranges == want, sys.name
+        for copy in (sys, sys.on_grid(grid_scale(sys, depth, Fraction(1, 32)))):
+            want = {copy.path_range_1d(lam)
+                    for n in itertools.product(range(depth + 1), repeat=g.k)
+                    for lam in g.enumerate_paths(n)}
+            assert set(copy.range_words(depth)) == want, sys.name
+
+
+# one range per word, on the grid copy that the monic probe reads
+WORD_COUNTS = [("kawamura:a=1/2", 10, 607), ("kawamura:a=3/8", 8, 230),
+               ("exonevtwoe", 8, 4599), ("exonevthreeed", 14, 135), ("ex3v8e", 6, 1809),
+               ("double-kawamura", 8, 10943)]
+
+
+@pytest.mark.parametrize("name, depth, count", WORD_COUNTS)
+def test_range_word_counts_on_the_grid(name, depth, count):
+    sys = builtin_sbfs(name)
+    grid = sys.on_grid(grid_scale(sys, depth, Fraction(1, 32)))
+    assert len(grid.range_words(depth)) == count
 
 
 def test_products_of_random_tiling_systems_validate():

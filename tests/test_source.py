@@ -397,18 +397,29 @@ PATH_BLOCK_CALLS = {"block", "enumerate_paths", "split", "factorize", "_rainbow_
 TAIL_READERS = {"_ends", "glue", "cut"}
 
 
+def qualified_functions(source):
+    """(name, node) for each function: "C.m" for a method of a class C, the
+    bare name for any other function, nested ones included."""
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {id(fn): f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body if isinstance(fn, kinds)}
+    return [(methods.get(id(fn), fn.name), fn) for fn in ast.walk(tree) if isinstance(fn, kinds)]
+
+
 def function_calls(source, owners, names):
     """(function, called name) for each call f(...) or x.f(...) of a name in
-    names inside a function named in owners, nested functions included."""
+    names inside a function named in owners ("f", or "C.m" for a method),
+    nested functions included."""
     out = set()
-    for fn in ast.walk(ast.parse(source)):
-        if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in owners):
+    for owner, fn in qualified_functions(source):
+        if owner not in owners:
             continue
         for call in ast.walk(fn):
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", ""))
                 if name in names:
-                    out.add((fn.name, name))
+                    out.add((owner, name))
     return out
 
 
@@ -460,6 +471,43 @@ def test_measure_block_layer_builds_no_path_blocks():
     assert function_calls(source, {"_segments"}, {"block", "enumerate_paths"}) == set()
     kgraph = (PACKAGE / "kgraph.py").read_text()
     assert edge_reads(kgraph, TAIL_READERS) == set()
+
+
+# the monic probe and the interval diagonal rep read ranges by word, never Path blocks
+RANGE_READERS = {
+    "sbfs.py": {"monic_probe", "IntervalSBFS.range_words"},
+    "operators.py": {"IntervalDiagonalRep.__init__"},
+}
+PATH_LISTING_CALLS = {"enumerate_paths", "block"}
+
+
+def test_range_reader_rule_sees_each_form():
+    # the forms range_words and IntervalDiagonalRep took before the degree recursion
+    source = (
+        "class IntervalSBFS:\n"
+        "    def range_words(self, depth):\n"
+        "        for lam in g.enumerate_paths(n):\n            pass\n"
+        "class IntervalDiagonalRep:\n"
+        "    def __init__(self, sys, level):\n"
+        "        self._ranges = {lam: r for n in grid for lam in sys.graph.block(n)}\n"
+        "class StandardRep:\n"
+        "    def __init__(self, graph, depth):\n"
+        "        self._blocks = {m: graph.enumerate_paths(m) for m in grid}\n"
+        "def monic_probe(sys, depth):\n"
+        "    def paths(n):\n        return block(n)\n"
+        "def range_words(depth):\n    return g.block(n)\n"
+    )
+    assert function_calls(source, RANGE_READERS["sbfs.py"] | RANGE_READERS["operators.py"],
+                          PATH_LISTING_CALLS) == {
+        ("IntervalSBFS.range_words", "enumerate_paths"),
+        ("IntervalDiagonalRep.__init__", "block"), ("monic_probe", "block")}
+
+
+def test_range_readers_build_no_path_blocks():
+    for module, owners in RANGE_READERS.items():
+        source = (PACKAGE / module).read_text()
+        assert owners <= {name for name, _ in qualified_functions(source)}
+        assert function_calls(source, owners, PATH_LISTING_CALLS) == set(), module
 
 
 def test_measures_keep_one_square_rule():
