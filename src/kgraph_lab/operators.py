@@ -277,9 +277,6 @@ class StandardRep:
             mask[[j for _, j in self._rows(lam, deg_sub(m, lam.degree))]] = 1.0
         return mask
 
-    def encoding_prefix(self, label, n):
-        raise NotImplementedError("standard representation has no discrete encoding")
-
 
 def standard_rep(graph, measure, depth, tol=1e-10):
     return StandardRep(graph, measure, depth, tol=tol)
@@ -370,9 +367,9 @@ class FaithfulRep:
                          for i, seg in zip(self._segments, rule.segments)]
         self._blocks, self._slots, self._tables = {}, {}, {}
         for i in range(1, depth + 1):
-            v_i = g.index(g.vertex_path(rule.segment(i - 1).range))
+            v_i = rule.segment(i - 1).range
             for m in deg_grid(g.k, self.cap):
-                sources, delta = g.cut(m, m)[1], deg_sub(m, deg_diag(g.k, i))
+                sources, delta = g.tails(m).sources, deg_sub(m, deg_diag(g.k, i))
                 for j, mu in enumerate(g.block(m)):
                     if sources[j] == v_i and self._strip(i, m, j) is None:
                         labels = self._blocks.setdefault(delta, [])
@@ -422,9 +419,6 @@ class FaithfulRep:
 
     def block_dim(self, delta):
         return len(self._blocks[delta])
-
-    def weight(self, label):
-        return 1
 
     def label_index(self, delta, label):
         i, mu = label
@@ -614,9 +608,6 @@ class DirectSumRep:
 
     def block_dim(self, key):
         return len(self.block(key))
-
-    def weight(self, label):
-        return 1
 
     def _offsets(self, key):
         offs = []
@@ -1283,57 +1274,43 @@ def atoms_report(rep, depth=None):
 
 
 class EncodingTable:
-    """Finite truncation of a permutative structure over a discrete rep."""
+    """Finite truncation of a permutative structure over a discrete rep.
+
+    One pass per nonzero degree n <= max_degree*(1,..,1) stores the label
+    images sigma[lam] = {source: image} of each lam in Lambda^n and inverts
+    them into the K sets: ksets[n][label] lists the pairs (lam, source)
+    with sigma[lam][source] = label, lam in enumeration order and sources
+    in label order.
+    """
 
     def __init__(self, rep, max_degree=1):
         g = rep.graph
         self.rep = rep
         self.graph = g
         self.max_degree = max_degree
-        self.sigma = {}  # path key -> {label: label}
-        self.paths = {}
-        labels = rep.labels()
-        known = set(labels)
-        self.labels = labels
-        for n in deg_grid(g.k, max_degree):
-            if deg_total(n) == 0:
-                continue
+        self.labels = rep.labels()
+        known = set(self.labels)
+        self.degrees = [n for n in deg_grid(g.k, max_degree) if deg_total(n)]
+        self.sigma, self.ksets = {}, {}
+        for n in self.degrees:
+            kset = self.ksets[n] = {}
             for lam in g.enumerate_paths(n):
-                table = {}
-                for lab in labels:
+                images = self.sigma[lam] = {}
+                for lab in self.labels:
                     out = rep.forward_label(lam, lab)
                     if out in known:
-                        table[lab] = out
-                self.sigma[(lam.range, lam.edges)] = table
-                self.paths[(lam.range, lam.edges)] = lam
-        # core: labels whose coding stays represented for all degrees
-        self.core = []
-        for lab in labels:
-            ok = True
-            for n in deg_grid(g.k, max_degree):
-                if deg_total(n) == 0:
-                    continue
-                hits = self.memberships(lab, n)
-                if len(hits) != 1:
-                    ok = False
-                    break
-            if ok:
-                self.core.append(lab)
+                        images[lab] = out
+                        kset.setdefault(out, []).append((lam, lab))
+        # core: labels in exactly one K set of each degree
+        self.core = [lab for lab in self.labels
+                     if all(len(self.memberships(lab, n)) == 1 for n in self.degrees)]
 
     def memberships(self, label, n):
         """Pairs (lam, source label) with lam in Lambda^n and label in K_lam."""
-        hits = []
-        for key, table in self.sigma.items():
-            lam = self.paths[key]
-            if lam.degree != n:
-                continue
-            for src, out in table.items():
-                if out == label:
-                    hits.append((lam, src))
-        return hits
+        return self.ksets.get(n, {}).get(label, [])
 
     def sigma_of(self, lam, label):
-        return self.sigma[(lam.range, lam.edges)].get(label)
+        return self.sigma[lam].get(label)
 
     def coding(self, label, n):
         """sigma~^n: the unique preimage through the degree-n memberships."""
@@ -1349,41 +1326,36 @@ class PermutativeReport:
     composition_ok: bool
     intertwine_ok: bool
     witnesses: list
+    compositions: int  # core labels compared along sigma_lam o sigma_nu and sigma_{lam nu}
+    intertwinings: int  # core labels compared along an edge prefix
 
 
 def permutative_validate(table):
-    """Covering, disjointness, composition, and shift intertwining."""
+    """Disjointness, composition, and shift intertwining on the core.
+
+    The report fails on an empty core, and when composition or prefix
+    intertwining made no comparison; coding intertwining compares every
+    core label at every degree.
+    """
     g = table.graph
     witnesses = []
 
     # disjointness of the K sets per degree (checked on all labels)
     disjoint_ok = True
-    for n in deg_grid(g.k, table.max_degree):
-        if deg_total(n) == 0:
-            continue
-        seen = {}
-        for key, tab in table.sigma.items():
-            lam = table.paths[key]
-            if lam.degree != n:
-                continue
-            for out in tab.values():
-                if out in seen and seen[out] != key:
+    for n in table.degrees:
+        for out, hits in table.ksets[n].items():
+            for (lam, _), (prev, _) in zip(hits[1:], hits):
+                if lam != prev:
                     disjoint_ok = False
                     witnesses.append(("disjointness", n, out))
-                seen[out] = key
 
-    # cover: every core label lies in exactly one K_lam and some J_lam
-    cover_ok = True
-    for lab in table.core:
-        for n in deg_grid(g.k, table.max_degree):
-            if deg_total(n) == 0:
-                continue
-            if len(table.memberships(lab, n)) != 1:
-                cover_ok = False
-                witnesses.append(("cover", n, lab))
+    # cover: some label lies in exactly one K set of each degree
+    cover_ok = bool(table.core)
+    if not cover_ok:
+        witnesses.append(("cover", "empty core"))
 
     # composition sigma~_lam o sigma~_nu = sigma~_{lam nu}
-    composition_ok = True
+    composition_ok, compositions = True, 0
     edges = [g.edge_path(e.eid) for e in g.edges]
     for lam in edges:
         for nu in edges:
@@ -1400,12 +1372,16 @@ def permutative_validate(table):
                 direct = table.sigma_of(prod, lab)
                 if step2 is None or direct is None:
                     continue
+                compositions += 1
                 if step2 != direct:
                     composition_ok = False
                     witnesses.append(("composition", lab, repr(lam), repr(nu)))
+    if not compositions:
+        composition_ok = False
+        witnesses.append(("composition", "no comparisons"))
 
     # intertwining of the encoding with prefixing and coding
-    intertwine_ok = True
+    intertwine_ok, intertwinings = True, 0
     probe = deg_diag(g.k, max(1, table.max_degree))
     for lab in table.core:
         enc = table.rep.encoding_prefix(lab, probe)
@@ -1413,27 +1389,27 @@ def permutative_validate(table):
             out = table.sigma_of(lam, lab)
             if out is None:
                 continue
+            intertwinings += 1
             lhs = g.compose(lam, enc)
             rhs = table.rep.encoding_prefix(out, deg_add(probe, lam.degree))
             if lhs != rhs:
                 intertwine_ok = False
                 witnesses.append(("intertwine", lab, repr(lam)))
-        for n in deg_grid(g.k, table.max_degree):
-            if deg_total(n) == 0 or not deg_le(n, probe):
-                continue
-            coded = table.coding(lab, n)
-            if coded is None:
-                continue
-            _, src = coded
+        for n in table.degrees:
+            _, src = table.coding(lab, n)
             lhs = g.factorize(enc, n)[1]
             rhs = table.rep.encoding_prefix(src, deg_sub(probe, n))
             if lhs != rhs:
                 intertwine_ok = False
                 witnesses.append(("coding-intertwine", lab, n))
+    if not intertwinings:
+        intertwine_ok = False
+        witnesses.append(("intertwine", "no comparisons"))
 
     ok = disjoint_ok and cover_ok and composition_ok and intertwine_ok
     return PermutativeReport(
-        ok, cover_ok, disjoint_ok, composition_ok, intertwine_ok, witnesses
+        ok, cover_ok, disjoint_ok, composition_ok, intertwine_ok, witnesses,
+        compositions, intertwinings,
     )
 
 

@@ -1064,17 +1064,17 @@ def monic_probe(sys, depth=4, resolution=Fraction(1, 32)):
     # fill its one atom; otherwise it survives iff every atom its preimages
     # fill survives, so the cut spreads backwards along `preds`.  A preimage
     # m_e^-1(R_e & A) lies in D_s(e), which the atoms tile, so it fills the
-    # one atom it meets iff it is that atom.
+    # one atom it meets iff its one part is an atom; `index` finds that atom.
     cut = set()
     preds = [[] for _ in atoms]
+    index = {atom: i for i, atom in enumerate(atoms)}
     for e in g.edges:
         inverse = sys.edge_maps[e.eid].inverse()
         rng = sys.edge_range(e.eid)
         for i in atoms_meeting(atoms, his, rng):
             pre = inverse.image(rng.intersect(IntervalUnion.canonical([atoms[i]])))
-            hits = atoms_meeting(atoms, his, pre)
-            if len(hits) == 1 and pre.parts == (atoms[hits[0]],):
-                preds[hits[0]].append(i)
+            if len(pre.parts) == 1 and pre.parts[0] in index:
+                preds[index[pre.parts[0]]].append(i)
             else:
                 cut.add(i)
     alive = [i not in cut for i in range(len(atoms))]

@@ -1397,6 +1397,7 @@ def test_faithful_table_validates():
     assert table.core
     report = permutative_validate(table)
     assert report.ok, report.witnesses
+    assert (report.compositions, report.intertwinings) == (232, 228)
 
 
 def test_kp_table_encoding_is_prefix():
@@ -1409,25 +1410,255 @@ def test_kp_table_encoding_is_prefix():
             assert lam == g.factorize(lab, n)[0]
 
 
-def corrupt_table(table, n):
-    """Fault injection: alias two images so K sets of equal degree collide."""
-    keys = [k for k, lam in table.paths.items() if lam.degree == n]
-    if len(keys) < 2:
-        raise ValueError("need two paths of the chosen degree")
-    t0 = table.sigma[keys[0]]
-    t1 = table.sigma[keys[1]]
-    src = next(iter(t0))
-    dst = next(iter(t1.values()))
-    t0[src] = dst
-    return table
+class AliasedRep:
+    """Fault injection: forward_label sends one (lam, source) to another image."""
+
+    def __init__(self, rep, lam, source, image):
+        self._rep = rep
+        self._alias = (lam, source)
+        self._image = image
+
+    def __getattr__(self, name):
+        return getattr(self._rep, name)
+
+    def forward_label(self, lam, label):
+        if (lam, label) == self._alias:
+            return self._image
+        return self._rep.forward_label(lam, label)
+
+
+def aliased_rep(rep, n):
+    """rep with the first source of the first path of degree n sent to the
+    first image of the second, so that two K sets of degree n collide."""
+    honest = EncodingTable(rep, max_degree=1)
+    lam0, lam1, *_ = (lam for lam in honest.sigma if lam.degree == n)
+    src = next(iter(honest.sigma[lam0]))
+    dst = next(iter(honest.sigma[lam1].values()))
+    return AliasedRep(rep, lam0, src, dst)
+
+
+def corrupt_table(rep, n):
+    """Fault injection: the max_degree 1 table of aliased_rep(rep, n)."""
+    return EncodingTable(aliased_rep(rep, n), max_degree=1)
 
 
 def test_corrupted_table_fails_disjointness():
     g = builtin_graph("exonevtwoe")
     rep = KPRep(g, 3)
-    table = corrupt_table(EncodingTable(rep, max_degree=1), (1, 0))
+    table = corrupt_table(rep, (1, 0))
     report = permutative_validate(table)
     assert not report.disjoint_ok
+
+
+def test_vacuous_tables_fail():
+    # no core label at depth 0; at depth 1 the core labels have degree (1, 1),
+    # so no edge keeps them in the truncation: nothing is composed or prefixed
+    for name in ("exonevtwoe", "ex3v8e"):
+        g = builtin_graph(name)
+        empty = permutative_validate(EncodingTable(KPRep(g, 0), max_degree=1))
+        assert not empty.ok and not empty.cover_ok
+        assert ("cover", "empty core") in empty.witnesses
+        shallow = permutative_validate(EncodingTable(KPRep(g, 1), max_degree=1))
+        assert shallow.cover_ok and shallow.disjoint_ok
+        assert (shallow.compositions, shallow.intertwinings) == (0, 0)
+        assert not shallow.ok
+        assert not shallow.composition_ok and not shallow.intertwine_ok
+        assert ("composition", "no comparisons") in shallow.witnesses
+        assert ("intertwine", "no comparisons") in shallow.witnesses
+
+
+class ReferenceEncodingTable:
+    """EncodingTable before its K sets: memberships scans every image table."""
+
+    def __init__(self, rep, max_degree=1):
+        g = rep.graph
+        self.rep = rep
+        self.graph = g
+        self.max_degree = max_degree
+        self.sigma = {}  # path key -> {label: label}
+        self.paths = {}
+        labels = rep.labels()
+        known = set(labels)
+        self.labels = labels
+        for n in deg_grid(g.k, max_degree):
+            if sum(n) == 0:
+                continue
+            for lam in g.enumerate_paths(n):
+                table = {}
+                for lab in labels:
+                    out = rep.forward_label(lam, lab)
+                    if out in known:
+                        table[lab] = out
+                self.sigma[(lam.range, lam.edges)] = table
+                self.paths[(lam.range, lam.edges)] = lam
+        self.core = [
+            lab for lab in labels
+            if all(len(self.memberships(lab, n)) == 1
+                   for n in deg_grid(g.k, max_degree) if sum(n))
+        ]
+
+    def memberships(self, label, n):
+        hits = []
+        for key, table in self.sigma.items():
+            lam = self.paths[key]
+            if lam.degree != n:
+                continue
+            for src, out in table.items():
+                if out == label:
+                    hits.append((lam, src))
+        return hits
+
+    def sigma_of(self, lam, label):
+        return self.sigma[(lam.range, lam.edges)].get(label)
+
+    def coding(self, label, n):
+        hits = self.memberships(label, n)
+        return hits[0] if len(hits) == 1 else None
+
+
+def reference_permutative_validate(table):
+    """permutative_validate before its vacuity checks: (ok, cover_ok,
+    disjoint_ok, composition_ok, intertwine_ok, witnesses)."""
+    g = table.graph
+    witnesses = []
+    degrees = [n for n in deg_grid(g.k, table.max_degree) if sum(n)]
+    disjoint_ok = True
+    for n in degrees:
+        seen = {}
+        for key, tab in table.sigma.items():
+            if table.paths[key].degree != n:
+                continue
+            for out in tab.values():
+                if out in seen and seen[out] != key:
+                    disjoint_ok = False
+                    witnesses.append(("disjointness", n, out))
+                seen[out] = key
+    cover_ok = True
+    for lab in table.core:
+        for n in degrees:
+            if len(table.memberships(lab, n)) != 1:
+                cover_ok = False
+                witnesses.append(("cover", n, lab))
+    composition_ok = True
+    edges = [g.edge_path(e.eid) for e in g.edges]
+    for lam in edges:
+        for nu in edges:
+            if g.s(lam) != nu.range:
+                continue
+            prod = g.compose(lam, nu)
+            if not all(c <= table.max_degree for c in prod.degree):
+                continue
+            for lab in table.core:
+                step1 = table.sigma_of(nu, lab)
+                if step1 is None:
+                    continue
+                step2 = table.sigma_of(lam, step1)
+                direct = table.sigma_of(prod, lab)
+                if step2 is None or direct is None:
+                    continue
+                if step2 != direct:
+                    composition_ok = False
+                    witnesses.append(("composition", lab, repr(lam), repr(nu)))
+    intertwine_ok = True
+    probe = deg_diag(g.k, max(1, table.max_degree))
+    for lab in table.core:
+        enc = table.rep.encoding_prefix(lab, probe)
+        for lam in edges:
+            out = table.sigma_of(lam, lab)
+            if out is None:
+                continue
+            if g.compose(lam, enc) != table.rep.encoding_prefix(out, deg_add(probe, lam.degree)):
+                intertwine_ok = False
+                witnesses.append(("intertwine", lab, repr(lam)))
+        for n in degrees:
+            coded = table.coding(lab, n)
+            if coded is None:
+                continue
+            if g.factorize(enc, n)[1] != table.rep.encoding_prefix(coded[1], deg_sub(probe, n)):
+                intertwine_ok = False
+                witnesses.append(("coding-intertwine", lab, n))
+    ok = disjoint_ok and cover_ok and composition_ok and intertwine_ok
+    return ok, cover_ok, disjoint_ok, composition_ok, intertwine_ok, witnesses
+
+
+VACUITY_WITNESSES = {
+    ("cover", "empty core"),
+    ("composition", "no comparisons"),
+    ("intertwine", "no comparisons"),
+}
+
+
+def assert_table_matches_reference(rep, max_degree):
+    """The K-set table against the scanning reference: the same images, core,
+    memberships (pairs and order), codings and report, except that the
+    report also fails an empty core and a check that compared nothing."""
+    table = EncodingTable(rep, max_degree)
+    ref = ReferenceEncodingTable(rep, max_degree)
+    assert {(lam.range, lam.edges): t for lam, t in table.sigma.items()} == ref.sigma
+    assert table.labels == ref.labels
+    assert table.core == ref.core
+    for n in deg_grid(rep.graph.k, max_degree):
+        for lab in table.labels:
+            hits = ref.memberships(lab, n)  # the scan behind ref.coding too
+            assert table.memberships(lab, n) == hits
+            assert table.coding(lab, n) == (hits[0] if len(hits) == 1 else None)
+    report = permutative_validate(table)
+    ok, cover_ok, disjoint_ok, composition_ok, intertwine_ok, witnesses = (
+        reference_permutative_validate(ref))
+    assert [w for w in report.witnesses if w not in VACUITY_WITNESSES] == witnesses
+    assert cover_ok and report.cover_ok == bool(table.core)
+    assert report.disjoint_ok == disjoint_ok
+    assert report.composition_ok == (composition_ok and report.compositions > 0)
+    assert report.intertwine_ok == (intertwine_ok and report.intertwinings > 0)
+    assert report.ok == (ok and report.cover_ok and report.compositions > 0
+                         and report.intertwinings > 0)
+    return report
+
+
+def permutative_rep(case):
+    kind, name, *args = case.split(":")
+    g = builtin_graph(name)
+    if kind == "kp":
+        return KPRep(g, int(args[0]))
+    if kind == "faithful":
+        return faithful_rep(g, depth=int(args[0]), cap=int(args[1]))
+    if kind == "sum":
+        return DirectSumRep([KPRep(g, 3), KPRep(g, 3)])
+    return orbit_restriction(KPRep(g, 4), aperiodic_prefix(g))
+
+
+PERMUTATIVE_CASES = [
+    *(f"kp:{name}:{d}" for name in ("exonevtwoe", "ex3v8e") for d in range(4)),
+    "faithful:ex3v8e:5:3",
+    "faithful:exonevtwoe:4:2",
+    "sum:exonevtwoe",
+    "orbit:kawamura",
+]
+
+
+@pytest.mark.parametrize("max_degree", [1, 2])
+@pytest.mark.parametrize("case", PERMUTATIVE_CASES)
+def test_encoding_table_matches_reference(case, max_degree):
+    report = assert_table_matches_reference(permutative_rep(case), max_degree)
+    # every rep here is permutative: only a vacuous check fails
+    assert set(report.witnesses) <= VACUITY_WITNESSES
+
+
+@pytest.mark.parametrize("n", [(1, 0), (1, 1)])
+@pytest.mark.parametrize("case", ["kp:exonevtwoe:3", "faithful:ex3v8e:5:3"])
+def test_corrupted_table_matches_reference(case, n):
+    # the aliased image has two memberships, in enumeration order
+    rep = aliased_rep(permutative_rep(case), n)
+    assert not assert_table_matches_reference(rep, max_degree=1).disjoint_ok
+
+
+# at depth 2 the core labels of degree (1,..,1) have edges keeping them in the truncation
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_encoding_table_matches_reference_random(seed, k):
+    rep = KPRep(random_graph(random.Random(seed), k), 2)
+    report = assert_table_matches_reference(rep, max_degree=1)
+    assert report.ok, report.witnesses
 
 
 # -- permutative decomposition ----------------------------------------------------------------------
@@ -1508,7 +1739,7 @@ def test_encoding_map_typed_errors():
     vert = g.vertex_path("v")
     with pytest.raises(CoverViolation):
         encoding_map(table, vert, (1, 0))
-    corrupt_table(table, (1, 0))
+    table = corrupt_table(rep, (1, 0))
     # the aliased image now lies in two K sets of degree (1, 0)
     aliased = next(
         lab
