@@ -29,23 +29,10 @@ from .errors import (
     UsageError,
 )
 
-COMMANDS = [
-    "validate",
-    "spectral",
-    "measure",
-    "sbfs-check",
-    "rep-verify",
-    "kakutani",
-    "monic",
-    "orbit",
-    "export-dot",
-]
-
 
 @dataclass
 class Job:
     command: str
-    graph: str = ""  # file path or builtin name (builtin: prefix)
     params: dict = field(default_factory=dict)
 
     def param(self, key, default=None):
@@ -63,24 +50,25 @@ DEFAULTS = {
 }
 FORMATS = ["tsv", "json"]
 REPS = ["standard", "faithful"]
-# job-file params keys: the flag names, with - as _
-PARAMS = (
-    "graph",
-    "builtin",
-    "depth",
-    "tol",
-    "resolution",
-    "out",
-    "format",
-    "measure",
-    "rep",
-    "product_a",
-    "product_b",
-    "markov_a",
-    "markov_b",
-    "x_prefix",
-    "y_prefix",
-)
+# the options besides --job; each key is a job-file params key and, with _ as -,
+# the flag name
+FLAGS = {
+    "graph": {"help": "path to a skeleton JSON file"},
+    "builtin": {"help": "builtin name, e.g. ex3v8e or kawamura:a=1/2"},
+    "depth": {"type": int},
+    "tol": {"type": float},
+    "resolution": {"help": "rational like 1/32"},
+    "out": {"help": "output directory (default: current)"},
+    "format": {"choices": FORMATS},
+    "measure": {"help": "pf | product:<spec> | markov:x=p/q"},
+    "rep": {"choices": REPS},
+    "product_a": {"help": "product spec, e.g. geometric:1/2,1/2"},
+    "product_b": {},
+    "markov_a": {"help": "markov spec, e.g. x=1/3"},
+    "markov_b": {},
+    "x_prefix": {"help": "'.'-joined edge ids for orbit checks"},
+    "y_prefix": {},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,21 +81,8 @@ def build_parser():
     p = _Parser(prog="kgraph-lab", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--job", help="JSON job file; flags override its fields")
-    p.add_argument("--graph", help="path to a skeleton JSON file")
-    p.add_argument("--builtin", help="builtin name, e.g. ex3v8e or kawamura:a=1/2")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--resolution", help="rational like 1/32")
-    p.add_argument("--out", help="output directory (default: current)")
-    p.add_argument("--format", choices=FORMATS)
-    p.add_argument("--measure", help="pf | product:<spec> | markov:x=p/q")
-    p.add_argument("--rep", choices=REPS)
-    p.add_argument("--product-a", help="product spec, e.g. geometric:1/2,1/2")
-    p.add_argument("--product-b")
-    p.add_argument("--markov-a", help="markov spec, e.g. x=1/3")
-    p.add_argument("--markov-b")
-    p.add_argument("--x-prefix", help="'.'-joined edge ids for orbit checks")
-    p.add_argument("--y-prefix")
+    for key, options in FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), **options)
     return p
 
 
@@ -132,37 +107,26 @@ def parse_job(argv):
         if "command" in data and data["command"] != ns.command:
             raise UsageError("job file command disagrees with the CLI command")
         for key in data.get("params", {}):
-            if key not in PARAMS:
+            if key not in FLAGS:
                 raise UsageError(f"unknown job-file param {key!r}")
         params.update(data.get("params", {}))
         if data.get("graph"):
             params["graph"] = data["graph"]
         if data.get("builtin"):
             params["builtin"] = data["builtin"]
-    for key in PARAMS:
-        val = getattr(ns, key, None)
+    for key in FLAGS:
+        val = getattr(ns, key)
         if val is not None:
             params[key] = val
     for key, val in DEFAULTS.items():
         params.setdefault(key, val)
-    graph_ref = params.get("builtin") or params.get("graph") or ""
-    job = Job(ns.command, graph_ref, params)
+    job = Job(ns.command, params)
     _validate_job(job)
     return job
 
 
 def _validate_job(job):
-    needs_graph = job.command in (
-        "validate",
-        "spectral",
-        "measure",
-        "sbfs-check",
-        "rep-verify",
-        "monic",
-        "orbit",
-        "export-dot",
-    )
-    if needs_graph and not job.graph:
+    if job.command != "kakutani" and not (job.param("builtin") or job.param("graph")):
         raise UsageError(f"{job.command} needs --graph or --builtin")
     # job files bypass argparse: check what its types and choices check
     depth = job.param("depth")
@@ -286,18 +250,7 @@ def _emit_report(job, payload, violations):
 
 def run(job):
     """Execute a job; returns the exit code after writing artifacts."""
-    handler = {
-        "validate": _run_validate,
-        "spectral": _run_spectral,
-        "measure": _run_measure,
-        "sbfs-check": _run_sbfs_check,
-        "rep-verify": _run_rep_verify,
-        "kakutani": _run_kakutani,
-        "monic": _run_monic,
-        "orbit": _run_orbit,
-        "export-dot": _run_export_dot,
-    }[job.command]
-    payload, violations = handler(job)
+    payload, violations = COMMANDS[job.command](job)
     _emit_report(job, payload, violations)
     return 1 if violations else 0
 
@@ -473,6 +426,20 @@ def _run_export_dot(job):
     g = _load_graph(job)
     path = _write(job.param("out", "."), "skeleton.dot", kgraph.to_dot(g))
     return {"dot": os.path.basename(path)}, []
+
+
+# every command but kakutani reads a graph (--graph or --builtin)
+COMMANDS = {
+    "validate": _run_validate,
+    "spectral": _run_spectral,
+    "measure": _run_measure,
+    "sbfs-check": _run_sbfs_check,
+    "rep-verify": _run_rep_verify,
+    "kakutani": _run_kakutani,
+    "monic": _run_monic,
+    "orbit": _run_orbit,
+    "export-dot": _run_export_dot,
+}
 
 
 def main(argv=None):

@@ -117,6 +117,10 @@ class RangesOverlap(KGraphLabError):
     """Ranges that should tile a domain overlap, so their measures do not add."""
 
 
+class CodingUndefined(KGraphLabError):
+    """A point lies in no range of the color whose coding map was asked for."""
+
+
 class DegenerateMap(KGraphLabError):
     """A prefixing map has a vanishing Jacobian on a positive-measure set."""
 

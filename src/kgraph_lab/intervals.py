@@ -175,11 +175,8 @@ class IntervalUnion:
     def measure(self):
         return sum((hi - lo for lo, hi in self.parts), Fraction(0))
 
-    def contains_point(self, x, strict=True):
-        for lo, hi in self.parts:
-            if (lo < x < hi) or (not strict and lo <= x <= hi):
-                return True
-        return False
+    def contains_point(self, x):
+        return any(lo < x < hi for lo, hi in self.parts)
 
     def union(self, other):
         return IntervalUnion.canonical(_merged(sorted(self.parts + other.parts)))

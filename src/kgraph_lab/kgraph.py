@@ -855,7 +855,7 @@ def build_product(g1, g2):
     )
 
 
-def build_lambda2N(n_half, perm, enum_cap=24):
+def build_lambda2N(n_half, perm):
     """2-graph with center v and peripherals Q1..Q_{2N}; factorization by perm.
 
     perm maps i -> perm[i-1] (1-based images): the blue-red loop through
@@ -881,9 +881,7 @@ def build_lambda2N(n_half, perm, enum_cap=24):
             squares.append(
                 Square((f"b_out_{i}", f"r_in_{j}"), (f"r_out_{i}", f"b_in_{j}"))
             )
-    return validate_kgraph(
-        2, vertices, edges, squares, enum_cap=enum_cap, name=f"lambda{two_n}"
-    )
+    return validate_kgraph(2, vertices, edges, squares, name=f"lambda{two_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -904,24 +902,22 @@ def graph_to_dict(g):
     }
 
 
-def graph_from_dict(data, enum_cap=24, name=""):
+def graph_from_dict(data, name=""):
     edges = [
         Edge(e["id"], int(e["color"]), e["source"], e["range"])
         for e in data["edges"]
     ]
     squares = [Square(tuple(s["left"]), tuple(s["right"])) for s in data["squares"]]
-    return validate_kgraph(
-        int(data["k"]), data["vertices"], edges, squares, enum_cap=enum_cap, name=name
-    )
+    return validate_kgraph(int(data["k"]), data["vertices"], edges, squares, name=name)
 
 
-def load_graph(path_or_file, enum_cap=24, name=""):
+def load_graph(path_or_file, name=""):
     if hasattr(path_or_file, "read"):
         data = json.load(path_or_file)
     else:
         with open(path_or_file) as fh:
             data = json.load(fh)
-    return graph_from_dict(data, enum_cap=enum_cap, name=name)
+    return graph_from_dict(data, name=name)
 
 
 _DOT_PALETTE = ["blue", "red", "forestgreen", "orange", "purple", "brown"]

@@ -290,14 +290,14 @@ class CylinderMeasure:
         return out
 
 
-def pf_measure(g, pf=None, tol=1e-10):
+def pf_measure(g, pf=None):
     """The self-similar measure: value(path) = rho^{-d(path)} kappa_{s(path)}.
 
     One value per (source vertex, degree); a block's values are read off
     the sources of its paths.
     """
     if pf is None:
-        pf = pf_data(g, tol=tol)
+        pf = pf_data(g)
 
     values = {}  # (source vertex, degree) -> value
 
@@ -669,7 +669,8 @@ class MarkovMeasureSpec:
     matrix: tuple  # rows of transition probabilities, rows sum to 1
     lam: tuple = ()  # row vector with lam T = lam; defaults to all ones
 
-    def validated(self, tol=1e-12):
+    def validated(self):
+        tol = 1e-12  # float row sums and stationary defects within tol pass
         n = len(self.matrix)
         exact = self.exact
         for row in self.matrix:
@@ -811,7 +812,7 @@ def _hellinger_term(ga, gb):
     return 1.0 - (pa * pb) ** 0.5 - (qa * qb) ** 0.5
 
 
-def kakutani_classify(spec_a, spec_b, probe_terms=64):
+def kakutani_classify(spec_a, spec_b):
     """Equivalence/singularity of two product or two Markov specs.
 
     Product specs: each bias term from gamma_1 on must lie in (-1/2, 1/2).
@@ -836,13 +837,14 @@ def kakutani_classify(spec_a, spec_b, probe_terms=64):
     for spec in (spec_a, spec_b):
         check_bias_terms(spec, 1)
 
+    terms = 64  # sampled specs report the partial sum of this many terms
     partial = sum(
         _hellinger_term(spec_a.gamma(j), spec_b.gamma(j))
-        for j in range(1, probe_terms + 1)
+        for j in range(1, terms + 1)
         if _safe_gamma(spec_a, j) and _safe_gamma(spec_b, j)
     )
     if spec_a.family == "sampled" or spec_b.family == "sampled":
-        return Undetermined(partial, probe_terms)
+        return Undetermined(partial, terms)
 
     def tail_pair(spec):  # (gamma_j at even j, at odd j), up to a square-summable part
         if spec.family == "const" or (spec.family == "geometric" and spec.r == 1):

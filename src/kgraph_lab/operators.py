@@ -116,12 +116,12 @@ class StandardRep:
     discrete = False
     path_basis = True  # block m holds the paths of degree m
     reach = 1  # the Radon-Nikodym test reads block depth + 1
+    tol = 1e-10  # float Radon-Nikodym quotients this close count as constant
 
-    def __init__(self, graph, measure, depth, tol=1e-10):
+    def __init__(self, graph, measure, depth):
         self.graph = graph
         self.measure = measure
         self.depth = depth
-        self.tol = tol
         graph.check_cap((depth + self.reach) * graph.k, f"{self.kind} rep depth {depth}")
         self._blocks = {m: graph.enumerate_paths(m) for m in deg_grid(graph.k, depth)}
         self._tables, self._integers = {}, {}  # built operators, exact weights as integers
@@ -278,8 +278,8 @@ class StandardRep:
         return mask
 
 
-def standard_rep(graph, measure, depth, tol=1e-10):
-    return StandardRep(graph, measure, depth, tol=tol)
+def standard_rep(graph, measure, depth):
+    return StandardRep(graph, measure, depth)
 
 
 class KPRep(StandardRep):
@@ -1284,6 +1284,8 @@ class EncodingTable:
     """
 
     def __init__(self, rep, max_degree=1):
+        if max_degree < 1:  # no degrees would put every label in the core
+            raise DepthTooSmall(f"an encoding table needs max_degree >= 1, got {max_degree}")
         g = rep.graph
         self.rep = rep
         self.graph = g
@@ -1527,7 +1529,7 @@ class WitnessReport:
     omega_twist_gap: float  # |1 - rho^{(m-n)/2}|
 
 
-def nonfaithful_witness(graph, measure, depth=4, probe_depth=3):
+def nonfaithful_witness(graph, measure, depth=4):
     """Build b = t_mu t_mu^* - rho^{(m-n)/2} t_nu t_mu^* from a period candidate.
 
     Returns the truncated standard-representation norm of b (expected 0)
@@ -1535,7 +1537,7 @@ def nonfaithful_witness(graph, measure, depth=4, probe_depth=3):
     representation (expected >= 1).
     """
     g = graph
-    probe = g.periodicity_probe(g.vertices[0], probe_depth)
+    probe = g.periodicity_probe(g.vertices[0], 3)
     if not isinstance(probe, PeriodCandidate):
         raise NoPeriodFound("periodicity probe found no candidate difference")
     pf = pf_data(g)
@@ -1688,12 +1690,3 @@ def orbit_restriction(rep, omega_prefix):
     """Restrict a discrete rep to the generator-orbit of the omega fiber."""
     fiber, known = _omega_fiber(rep, omega_prefix)
     return RestrictedRep(rep, set(_generator_orbit(rep, fiber, known)))
-
-
-def op_coordinate_text(op):
-    """Coordinate-list text (row, col, value) of one block operator."""
-    lines = [f"# block {op.src_key} -> {op.dst_key}"]
-    for src_i in sorted(op.table):
-        for dst_i, coef in sorted(op.table[src_i].items()):
-            lines.append(f"{dst_i}\t{src_i}\t{float(coef):.17g}")
-    return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .errors import (
     CocycleViolation,
+    CodingUndefined,
     DegenerateMap,
     DimensionUnsupported,
     NonpositiveDensity,
@@ -386,10 +387,6 @@ class IntervalSBFS:
         return self.domains[v].sample_points(count)
 
 
-class CodingUndefined(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Radon-Nikodym derivative of a single map
 
@@ -734,14 +731,14 @@ class PathspaceSBFS:
     cylinder-value quotients.
     """
 
-    def __init__(self, graph, measure, probe_depth=2):
+    def __init__(self, graph, measure):
         self.graph = graph
         self.measure = measure
         self.name = f"pathspace({measure.tag})"
         for v in graph.vertices:
             if measure.value(graph.vertex_path(v)) <= 0:
                 raise ZeroVertexMass(v)
-        diag = deg_diag(graph.k, probe_depth)
+        diag = deg_diag(graph.k, 2)
         for e in graph.edges:
             lam = graph.edge_path(e.eid)
             for w in graph.enumerate_paths(diag, graph.s(lam)):
@@ -760,9 +757,9 @@ class PathspaceSBFS:
     def head_is(self, z, path):
         return self.graph.strip_prefix(z, path) is not None
 
-    def sample_points(self, v, count, depth=4):
+    def sample_points(self, v, count):
         """Deep prefixes with range v (points of the cylinder Z(v))."""
-        pts = self.graph.enumerate_paths(deg_diag(self.graph.k, depth), v)
+        pts = self.graph.enumerate_paths(deg_diag(self.graph.k, 4), v)
         return pts[: max(1, count)]
 
 

@@ -1450,6 +1450,15 @@ def test_corrupted_table_fails_disjointness():
     assert not report.disjoint_ok
 
 
+def test_encoding_table_rejects_max_degree_zero():
+    # with no degrees every label would be in the core, and the validation
+    # would raise deep in the prefix checks instead of reporting
+    rep = KPRep(builtin_graph("exonevtwoe"), 2)
+    for max_degree in (0, -1):
+        with pytest.raises(DepthTooSmall, match="max_degree >= 1"):
+            EncodingTable(rep, max_degree)
+
+
 def test_vacuous_tables_fail():
     # no core label at depth 0; at depth 1 the core labels have degree (1, 1),
     # so no edge keeps them in the truncation: nothing is composed or prefixed
@@ -1713,17 +1722,6 @@ def test_adjoint_consistency_is_transpose_on_matched_blocks():
             if adj is None:
                 continue
             assert np.array_equal(fwd.matrix().T, adj.matrix())
-
-
-def test_coordinate_text_export():
-    from kgraph_lab.operators import op_coordinate_text
-
-    g = builtin_graph("exonevtwoe")
-    rep = standard_rep(g, pf_measure(g), 2)
-    text = op_coordinate_text(op_forward(rep, g.edge_path("f1"), (1, 1)))
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# block")
-    assert all(len(ln.split("\t")) == 3 for ln in lines[1:])
 
 
 def test_encoding_map_typed_errors():

@@ -1,6 +1,8 @@
 """Source rules for the package, checked on the syntax trees of its modules."""
 
 import ast
+import builtins
+import collections
 import pathlib
 
 import pytest
@@ -517,3 +519,119 @@ def test_measures_keep_one_square_rule():
     assert "_chain_measure" in defined
     gone = {"_rainbow_symbols", "_rainbow_cuts", "product_squares", "markov_squares", "square_fn"}
     assert defined & gone == set()
+
+
+BUILTIN_EXCEPTIONS = {name for name, obj in vars(builtins).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+def exception_classes(sources):
+    """{"module:class": whether it derives from KGraphLabError} for each class of
+    the sources, nested ones included, that derives from a builtin exception
+    through its bases (bare or dotted names) and the classes of the sources."""
+    classes = [(module, node) for module, source in sources.items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    bases = collections.defaultdict(set)
+    for _, node in classes:
+        bases[node.name] |= {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+
+    def reaches(name, targets):
+        seen, todo = set(), [name]
+        while todo:
+            base = todo.pop()
+            if base in targets:
+                return True
+            if base not in seen:
+                seen.add(base)
+                todo += bases.get(base, ())
+        return False
+
+    return {f"{module}:{node.name}": reaches(node.name, {"KGraphLabError"})
+            for module, node in classes if reaches(node.name, BUILTIN_EXCEPTIONS)}
+
+
+def test_exception_rule_sees_each_form():
+    sources = {
+        "errors.py": "class KGraphLabError(Exception):\n    pass\n"
+                     "class A(KGraphLabError):\n    pass\n"
+                     "class B(Mixin, A):\n    pass\n"
+                     "class Loose(ValueError):\n    pass\n",
+        "sbfs.py": "class CodingUndefined(Exception):\n    pass\n"
+                   "class C(errors.A):\n    pass\n"
+                   "class Plain:\n    pass\n"
+                   "class Sub(Plain):\n    pass\n"
+                   "def f():\n    class Local(KeyError):\n        pass\n",
+    }
+    assert exception_classes(sources) == {
+        "errors.py:KGraphLabError": True, "errors.py:A": True, "errors.py:B": True,
+        "errors.py:Loose": False, "sbfs.py:CodingUndefined": False, "sbfs.py:C": True,
+        "sbfs.py:Local": False}
+
+
+def test_package_exceptions_are_kgraph_lab_errors_in_errors_module():
+    # the CLI turns a KGraphLabError into an exit code and a message, never a traceback
+    found = exception_classes({m.name: m.read_text() for m in sorted(PACKAGE.glob("*.py"))})
+    assert len(found) >= 30
+    assert {name for name, ok in found.items() if not (ok and name.startswith("errors.py:"))} == set()
+
+
+# top-level names of the package that no other package code names: the API
+# that only tests and library users call.  A name new here is dead code or
+# code that only a test needs; a name gone from here gained a package caller
+# or was deleted.
+UNNAMED = {
+    "measures.py:rn_estimate", "measures.py:star_markov_matrix",
+    "operators.py:EncodingTable", "operators.py:IntervalDiagonalRep", "operators.py:KPRep",
+    "operators.py:ScaledRep", "operators.py:atoms_report", "operators.py:decompose_permutative",
+    "operators.py:encoding_map", "operators.py:induced_measure",
+    "operators.py:monic_vector_probe", "operators.py:nonfaithful_witness",
+    "operators.py:orbit_restriction", "operators.py:permutative_validate",
+    "operators.py:pvm_additivity", "operators.py:tail_equivalence_map",
+    "sbfs.py:PathspaceSBFS", "sbfs.py:sbfs_from_dict", "sbfs.py:sbfs_to_dict",
+    "sbfs.py:transport_projective", "sbfs.py:with_edge_map",
+}
+
+
+def names_used(node):
+    """Names that node uses: Name ids, Attribute attrs and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            out |= {alias.name.split(".")[-1] for alias in n.names}
+    return out
+
+
+def unnamed_definitions(sources):
+    """"module:name" for each top-level function or class of the sources that no
+    other top-level statement of any source names."""
+    statements = [(module, stmt) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    uses = collections.Counter(name for _, stmt in statements for name in names_used(stmt))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    # a definition's own uses of its name (recursion) do not count
+    return {f"{module}:{stmt.name}" for module, stmt in statements
+            if isinstance(stmt, kinds) and uses[stmt.name] == (stmt.name in names_used(stmt))}
+
+
+def test_unnamed_definition_rule_sees_each_form():
+    sources = {
+        "a.py": "from .b import imported\n"
+                "def f():\n    return called() + b.attribute()\n"
+                "def called():\n    return 1\n"
+                "class Dead:\n    pass\n"
+                "def recursive(n):\n    return recursive(n - 1)\n"
+                "async def waited():\n    pass\n",
+        "b.py": "def imported():\n    pass\n"
+                "def attribute():\n    pass\n"
+                "ALIAS = f\n",
+    }
+    assert unnamed_definitions(sources) == {"a.py:Dead", "a.py:recursive", "a.py:waited"}
+
+
+def test_unnamed_definitions_are_pinned():
+    found = unnamed_definitions({m.name: m.read_text() for m in sorted(PACKAGE.glob("*.py"))})
+    assert found == UNNAMED
