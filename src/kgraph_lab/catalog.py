@@ -87,17 +87,28 @@ def _periodic_ehfg():
     return validate_kgraph(2, ["u", "v"], edges, squares, name="ehfg")
 
 
+# the parameter keys each builtin takes
+BUILTIN_KEYS = {"exonevthreeed": (), "exonevtwoe": (), "noncstrn": (), "ex3v8e": (), "ehfg": (),
+                "kawamura": ("a",), "double-kawamura": ("a",), "product-kawamura": ("a",),
+                "lambda2N": ("N", "perm")}
+
+
 def parse_builtin_name(name):
-    """Split 'kawamura:a=1/2' style names into (base, params)."""
-    if ":" not in name:
-        return name, {}
+    """Split 'kawamura:a=1/2' style names into (base, params).  A key that the
+    builtin does not take, or that repeats, is a usage error."""
     base, _, rest = name.partition(":")
+    keys = BUILTIN_KEYS.get(base)
     params = {}
     for item in rest.split(","):
         if not item:
             continue
         key, _, val = item.partition("=")
-        params[key.strip()] = val.strip()
+        key = key.strip()
+        if keys is not None and (key not in keys or key in params):
+            problem = "repeated" if key in params else "unknown"
+            takes = ", ".join(keys) or "none"
+            raise UsageError(f"builtin {name!r}: {problem} key {key!r}; {base} takes: {takes}")
+        params[key] = val.strip()
     return base, params
 
 

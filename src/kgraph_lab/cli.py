@@ -160,7 +160,7 @@ def _load_graph(job):
         if isinstance(ref, dict):  # inline skeleton in a job file
             return kgraph.graph_from_dict(ref)
         return kgraph.load_graph(ref)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise UsageError(f"cannot load graph: {exc}") from exc
 
 

@@ -29,10 +29,6 @@ from .errors import RangesOverlap
 # univariate polynomials (tuple of coefficients, low degree first)
 
 
-def poly_const(c):
-    return (Fraction(c),)
-
-
 def poly_trim(p):
     p = list(p)
     while len(p) > 1 and p[-1] == 0:

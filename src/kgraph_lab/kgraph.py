@@ -903,21 +903,28 @@ def graph_to_dict(g):
 
 
 def graph_from_dict(data, name=""):
+    """The k-graph of a skeleton dict; raises ValueError on a k below 1, a
+    color or k that is no integer, or a square side that is no pair."""
+    k = int(data["k"])
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     edges = [
         Edge(e["id"], int(e["color"]), e["source"], e["range"])
         for e in data["edges"]
     ]
     squares = [Square(tuple(s["left"]), tuple(s["right"])) for s in data["squares"]]
-    return validate_kgraph(int(data["k"]), data["vertices"], edges, squares, name=name)
+    if any(len(sq.left) != 2 or len(sq.right) != 2 for sq in squares):
+        raise ValueError("square sides must be pairs of edge ids")
+    return validate_kgraph(k, data["vertices"], edges, squares, name=name)
 
 
-def load_graph(path_or_file, name=""):
+def load_graph(path_or_file):
     if hasattr(path_or_file, "read"):
         data = json.load(path_or_file)
     else:
         with open(path_or_file) as fh:
             data = json.load(fh)
-    return graph_from_dict(data, name=name)
+    return graph_from_dict(data)
 
 
 _DOT_PALETTE = ["blue", "red", "forestgreen", "orange", "purple", "brown"]

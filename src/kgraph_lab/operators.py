@@ -993,11 +993,12 @@ class PVMReport:
     details: dict
 
 
-def pvm_additivity(rep, depth=1, tol=1e-10):
+def pvm_additivity(rep, depth=1):
     """Projection axioms, additivity, and the transport identities.
 
     Each identity is a stream of per-block residuals, counted as in
-    verify_ck; as there, an identity checked on no block fails the report.
+    verify_ck; as there, an identity checked on no block fails the report,
+    and so does a residual above 1e-10.
     """
     g = rep.graph
     diag = deg_diag(g.k, 1)
@@ -1076,7 +1077,7 @@ def pvm_additivity(rep, depth=1, tol=1e-10):
         details[name] = {"residual": res, "checked": count}
     worst = max(d["residual"] for d in details.values())
     checked = all(d["checked"] > 0 for d in details.values())
-    return PVMReport(checked and worst <= tol, worst, details)
+    return PVMReport(checked and worst <= 1e-10, worst, details)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,8 +1126,9 @@ class MonicVectorReport:
     cyclic: bool
 
 
-def monic_vector_probe(rep, level, xi=None, tol=1e-9):
-    """Rank of {P(Z(lam)) xi : d(lam) <= level} inside the level block."""
+def monic_vector_probe(rep, level, xi=None):
+    """Rank of {P(Z(lam)) xi : d(lam) <= level} inside the level block,
+    singular values up to 1e-9 counted as zero."""
     import numpy as np
 
     g = rep.graph
@@ -1139,7 +1141,7 @@ def monic_vector_probe(rep, level, xi=None, tol=1e-9):
         for lam in g.enumerate_paths(n):
             vectors.append(rep.pvm_mask(lam, block) * xi)
     mat = np.array(vectors)
-    span = int(np.linalg.matrix_rank(mat, tol=tol)) if mat.size else 0
+    span = int(np.linalg.matrix_rank(mat, tol=1e-9)) if mat.size else 0
     return MonicVectorReport(span, dim, span == dim)
 
 

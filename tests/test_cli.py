@@ -237,6 +237,20 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
         ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:sampled:1/4,1/4"],
         ["rep-verify", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4,1/8",
          "--depth", "2"],
+        # builtin parameter keys the builtin does not take, or repeated ones
+        ["monic", "--builtin", "kawamura:A=1/4", "--depth", "4"],
+        ["validate", "--builtin", "ex3v8e:N=7"],
+        ["rep-verify", "--builtin", "lambda2N:N=2,N=3"],
+        # malformed skeletons: k below 1, a color that is no integer, a square
+        # side that is no pair
+        ["validate", "--job", '{"graph": {"k": 0, "vertices": ["v"], "edges": [], '
+                              '"squares": []}}'],
+        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                              '"color": "blue", "source": "v", "range": "v"}], "squares": []}}'],
+        ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
+                              '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
+                              '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
+                              '"squares": [{"left": ["f"], "right": ["e", "f"]}]}}'],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -5,9 +5,11 @@ import pytest
 
 from kgraph_lab.catalog import BUILTIN_GRAPH_NAMES, builtin_graph
 from kgraph_lab.errors import (
+    DanglingEndpoint,
     DegreeOutOfRange,
     DepthTooSmall,
     InvalidPermutation,
+    InvalidSquare,
     NotComposable,
     SourceVertex,
     SquareNotBijective,
@@ -78,6 +80,35 @@ def test_source_vertex_detected():
     edges = [Edge("e", 1, "v", "v")]
     with pytest.raises(SourceVertex):
         validate_kgraph(1, ["v", "w"], edges, [])
+
+
+# (fault, the exonevtwoe skeleton (vertices, edges, squares) with it, error, message part)
+SHAPE_FAULTS = [
+    ("dangling-endpoint", lambda vs, es, sqs: (vs, es + [Edge("x", 1, "w", "v")], sqs),
+     DanglingEndpoint, "edge 'x' references unknown vertex 'w'"),
+    ("duplicate-vertex", lambda vs, es, sqs: (vs + vs, es, sqs),
+     InvalidSquare, "duplicate vertex ids"),
+    ("duplicate-edge-id", lambda vs, es, sqs: (vs, es + [Edge("e", 2, "v", "v")], sqs),
+     InvalidSquare, "duplicate edge id 'e'"),
+    ("color-outside-k", lambda vs, es, sqs: (vs, es + [Edge("x", 3, "v", "v")], sqs),
+     InvalidSquare, "edge 'x' color 3 outside 1..2"),
+    ("unknown-square-edge",
+     lambda vs, es, sqs: (vs, es, sqs + [Square(("f1", "nosuch"), ("e", "f2"))]),
+     InvalidSquare, "unknown edge id"),
+    ("wrong-color-order",
+     lambda vs, es, sqs: (vs, es, [Square(("e", "f1"), ("f2", "e"))] + sqs),
+     InvalidSquare, "left pair must be (lower color, higher color)"),
+]
+
+
+@pytest.mark.parametrize("fault, change, error, message", SHAPE_FAULTS,
+                         ids=[fault for fault, *_ in SHAPE_FAULTS])
+def test_malformed_skeleton_is_rejected(fault, change, error, message):
+    g = builtin_graph("exonevtwoe")
+    vertices, edges, squares = change(list(g.vertices), list(g.edges), list(g.squares))
+    with pytest.raises(error) as info:
+        validate_kgraph(2, vertices, edges, squares)
+    assert message in str(info.value)
 
 
 def test_cube_condition_on_triple_product():

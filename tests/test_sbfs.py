@@ -40,7 +40,6 @@ from kgraph_lab.sbfs import (
     lift_double_sbfs,
     lift_product_sbfs,
     monic_probe,
-    rn_derivative,
     sbfs_from_dict,
     sbfs_to_dict,
     system_kawamura,
@@ -67,34 +66,32 @@ def interval(lo, hi):
 # -- Radon-Nikodym derivatives of single maps ------------------------------------
 
 
-def test_rn_derivative_skew_one_minus_x():
-    sys = builtin_sbfs("noncstrn")
-    rn = rn_derivative(sys.edge_maps["f1"], sys.domains["v"])
-    assert rn.single_poly == (Fraction(1), Fraction(-1))  # 1 - x
-    assert rn.eval((Fraction(1, 4), Fraction(1, 3))) == Fraction(3, 4)
-    rn2 = rn_derivative(sys.edge_maps["f2"], sys.domains["v"])
-    assert rn2.single_poly == (Fraction(0), Fraction(1))  # x
-
-
-def test_rn_derivative_identity():
-    rn = rn_derivative(Affine1D(Fraction(1), Fraction(0)), interval(0, 1))
-    assert rn.eval(Fraction(1, 3)) == 1
-
-
-def test_rn_derivative_affine_half():
+def test_phi_edge_values():
+    noncstrn = builtin_sbfs("noncstrn")
+    pt = (Fraction(1, 4), Fraction(1, 3))
+    assert noncstrn.phi_edge("f1", pt) == Fraction(3, 4)  # 1 - x
+    assert noncstrn.phi_edge("f2", pt) == Fraction(1, 4)  # x
     sys = builtin_sbfs("exonevthreeed")
-    rn = rn_derivative(sys.edge_maps["f1"], sys.domains["v1"])
-    assert rn.eval(Fraction(1, 8)) == Fraction(1, 2)
+    assert sys.phi_edge("f1", Fraction(1, 8)) == Fraction(1, 2)
+    identity = with_edge_map(sys, "f3", Affine1D(Fraction(1), Fraction(0)))
+    assert identity.phi_edge("f3", Fraction(1, 3)) == 1
 
 
-def test_rn_derivative_degenerate():
-    with pytest.raises(DegenerateMap):
-        rn_derivative(Affine1D(Fraction(0), Fraction(1)), interval(0, 1))
-    with pytest.raises(DegenerateMap):
-        rn_derivative(
-            Skew2D.make(1, 0, {(1, 0): Fraction(1)}),
-            (interval(0, 1), interval(0, 1)),
-        )
+# (system, edge, map whose Jacobian vanishes identically)
+DEGENERATE_MAPS = [
+    ("exonevthreeed", "f1", Affine1D(Fraction(0), Fraction(1, 4))),
+    ("noncstrn", "f1", Skew2D.make(1, 0, {(1, 0): Fraction(1)})),  # beta free of y
+    ("noncstrn", "f1", Skew2D.make(0, Fraction(1, 2), {(0, 1): 1})),  # constant first coordinate
+]
+
+
+@pytest.mark.parametrize("name, eid, new_map", DEGENERATE_MAPS,
+                         ids=["affine-a0", "skew-p1-0", "skew-a0"])
+def test_degenerate_map_fails_rn_positive(name, eid, new_map):
+    report = validate_sbfs(with_edge_map(builtin_sbfs(name), eid, new_map))
+    rn = report.condition("rn_positive")
+    assert not rn.ok
+    assert rn.witnesses == [(eid, "degenerate")]
 
 
 # -- prefixing maps ---------------------------------------------------------------------
@@ -268,6 +265,18 @@ def test_perturbed_skew_map_fails_exactly_the_pinned_conditions(name, eid, new_m
             assert w in got[cond], (cond, w)
 
 
+def test_coding_commute_fails_without_comparisons():
+    # with a zero-slope red map no sample point can be coded in color 2
+    flat = Affine1D(Fraction(0), Fraction(1, 2))
+    iv = validate_sbfs(with_edge_map(builtin_sbfs("exonevtwoe"), "e", flat)).condition(
+        "iv_coding_commute")
+    assert not iv.ok
+    assert iv.witnesses == ["no comparisons"]
+    # a 1-graph has no pair of colors to compare
+    one = validate_sbfs(with_edge_map(builtin_sbfs("exonevthreeed"), "f3", flat))
+    assert one.condition("iv_coding_commute").ok
+
+
 def test_missing_color_fails_cover():
     # a raw skeleton lacking red edges entirely (not a valid 2-graph, so
     # built without validation): condition (v) must flag every vertex
@@ -405,7 +414,8 @@ def test_standard_pathspace_f_values():
     ps = PathspaceSBFS(g, pf_measure(g))
     proj = canonical_projective(ps, sample_count=32)
     lam = g.edge_path("a0")
-    inside = [z for z in g.enumerate_paths((3, 3), "u") if ps.head_is(z, lam)]
+    inside = [z for z in g.enumerate_paths((3, 3), "u")
+              if g.strip_prefix(z, lam) is not None]
     outside = [z for z in g.enumerate_paths((3, 3), "v")]
     assert inside and outside
     for z in inside:

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import collections
+import math
 import pathlib
 
 import pytest
@@ -635,3 +636,88 @@ def test_unnamed_definition_rule_sees_each_form():
 def test_unnamed_definitions_are_pinned():
     found = unnamed_definitions({m.name: m.read_text() for m in sorted(PACKAGE.glob("*.py"))})
     assert found == UNNAMED
+
+
+# a defaulted parameter that no call sets is a setting nobody uses: a constant
+ROOT = PACKAGE.parents[1]
+CALLERS = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
+
+
+def defaulted_parameters(source):
+    """(function, parameter, callee names, positional index or None) for each
+    parameter with a default.  "C.m" names a method; its calls drop self, and
+    C(...) calls C.__init__.  Keyword-only parameters have no index."""
+    tree = ast.parse(source)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, kinds)}
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, kinds):
+            continue
+        cls = owner.get(id(fn))
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        drop = 1 if cls is not None and not static else 0
+        name = fn.name if cls is None else f"{cls.name}.{fn.name}"
+        callees = (cls.name, fn.name) if cls is not None and fn.name == "__init__" else (fn.name,)
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            out.add((name, arg.arg, callees, i - drop))
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                out.add((name, arg.arg, callees, None))
+    return out
+
+
+def call_shapes(source):
+    """{callee name: [(positional count, keyword names)]} for each call f(...) or
+    x.f(...); a *args call counts as setting every position, a **kwargs call
+    every keyword (the keyword name None)."""
+    out = collections.defaultdict(list)
+    for call in ast.walk(ast.parse(source)):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            count = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            out[name].append((count, {k.arg for k in call.keywords}))
+    return out
+
+
+def unset_parameters(definitions, callers):
+    """"module:function(parameter)" for each defaulted parameter of the
+    definitions {module: source} that no call in the callers' sources sets."""
+    calls = collections.defaultdict(list)
+    for source in callers:
+        for name, shapes in call_shapes(source).items():
+            calls[name] += shapes
+    return {f"{module}:{fn}({arg})" for module, source in definitions.items()
+            for fn, arg, callees, index in defaulted_parameters(source)
+            if not any(arg in kws or None in kws or (index is not None and count > index)
+                       for callee in callees for count, kws in calls[callee])}
+
+
+def test_unset_parameter_rule_sees_each_form():
+    definitions = {"m.py": (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class C:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, p=1, q=2):\n        pass\n"
+        "    @staticmethod\n    def s(p=1):\n        pass\n"
+        "def g(a=1, b=2):\n    def inner(t=0):\n        pass\n"
+        "def h(a=1):\n    pass\n"
+    )}
+    callers = [
+        "f(0, 1)\nf(0, d=4)\n",
+        "C(1, 2)\nobj.m(5)\nC.s(1)\n",
+        "g(*args)\nh(**opts)\n",
+    ]
+    assert unset_parameters(definitions, callers) == {
+        "m.py:f(c)", "m.py:C.m(q)", "m.py:inner(t)"}
+    assert unset_parameters(definitions, callers + ["f(c=3)\nobj.m(1, 2)\ninner(0)\n"]) == set()
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    definitions = {m.name: m.read_text() for m in sorted(PACKAGE.glob("*.py"))}
+    assert len(definitions) >= 8
+    callers = [f.read_text() for root in CALLERS for f in sorted(root.rglob("*.py"))]
+    assert unset_parameters(definitions, callers) == set()
