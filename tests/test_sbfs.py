@@ -66,15 +66,22 @@ def interval(lo, hi):
 # -- Radon-Nikodym derivatives of single maps ------------------------------------
 
 
-def test_phi_edge_values():
+def test_rn_derivative_skew_one_minus_x():
     noncstrn = builtin_sbfs("noncstrn")
     pt = (Fraction(1, 4), Fraction(1, 3))
     assert noncstrn.phi_edge("f1", pt) == Fraction(3, 4)  # 1 - x
     assert noncstrn.phi_edge("f2", pt) == Fraction(1, 4)  # x
+
+
+def test_rn_derivative_identity():
     sys = builtin_sbfs("exonevthreeed")
-    assert sys.phi_edge("f1", Fraction(1, 8)) == Fraction(1, 2)
     identity = with_edge_map(sys, "f3", Affine1D(Fraction(1), Fraction(0)))
     assert identity.phi_edge("f3", Fraction(1, 3)) == 1
+
+
+def test_rn_derivative_affine_half():
+    sys = builtin_sbfs("exonevthreeed")
+    assert sys.phi_edge("f1", Fraction(1, 8)) == Fraction(1, 2)
 
 
 # (system, edge, map whose Jacobian vanishes identically)
