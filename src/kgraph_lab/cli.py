@@ -14,14 +14,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog, kgraph, measures, operators, sbfs
 from .errors import (
+    DanglingEndpoint,
     DegreeCapExceeded,
     DimensionUnsupported,
     GammaOutOfRange,
+    InvalidSquare,
     KGraphLabError,
     NotComposable,
     SpecInvariantViolated,
@@ -30,10 +32,9 @@ from .errors import (
 )
 
 
-@dataclass
-class Job:
+class Job(NamedTuple):
     command: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def param(self, key, default=None):
         return self.params.get(key, default)
@@ -156,11 +157,12 @@ def _load_graph(job):
     if job.param("builtin"):
         return catalog.builtin_graph(job.param("builtin"))
     ref = job.param("graph")
+    # JSONDecodeError is a ValueError; a skeleton that fails a shape rule is bad input
     try:
         if isinstance(ref, dict):  # inline skeleton in a job file
             return kgraph.graph_from_dict(ref)
         return kgraph.load_graph(ref)
-    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, KeyError, TypeError, ValueError, DanglingEndpoint, InvalidSquare) as exc:
         raise UsageError(f"cannot load graph: {exc}") from exc
 
 
@@ -219,8 +221,6 @@ def _json_default(obj):
         return f"{obj.numerator}/{obj.denominator}"
     if hasattr(obj, "edges"):
         return ".".join(obj.edges) if obj.edges else obj.range
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
     return repr(obj)
 
 

@@ -18,7 +18,6 @@ graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -340,8 +339,7 @@ class Box(NamedTuple):
 # two-dimensional regions as strip unions
 
 
-@dataclass(frozen=True)
-class Strip:
+class Strip(NamedTuple):
     """{(x, y): lo < x < hi, lower(x) < y < upper(x)} with polynomial bounds."""
 
     lo: Fraction

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -119,8 +118,7 @@ def shift_windows(dx, dy, bound):
 # skeleton data
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     eid: str
     color: int  # 1-based
     source: str
@@ -130,26 +128,51 @@ class Edge:
         return f"Edge({self.eid})"
 
 
-@dataclass(frozen=True)
 class Square:
-    """a.b = c.d with color(a) < color(b), color(c) = color(b), color(d) = color(a)."""
+    """a.b = c.d with color(a) < color(b), color(c) = color(b), color(d) = color(a).
 
-    left: tuple  # (a_id, b_id)
-    right: tuple  # (c_id, d_id)
+    Not a tuple: json would write a tuple square of an sbfs-check witness as
+    nested arrays, where the report prints its repr.
+    """
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left, self.right = left, right  # (a_id, b_id), (c_id, d_id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    def __repr__(self):
+        return f"Square(left={self.left!r}, right={self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Path:
     """A morphism in color-sorted canonical form.
 
     ``edges`` is a tuple of edge ids; ``range`` disambiguates degree-0
     paths (vertices).  Construct via KGraph.path / KGraph.vertex_path so
-    the canonical form is guaranteed.
+    the canonical form is guaranteed.  Not a tuple: json would write a
+    tuple path as an array, where reports print its dotted edge ids.
     """
 
-    range: str
-    edges: tuple
-    degree: tuple
+    __slots__ = ("range", "edges", "degree")
+
+    def __init__(self, range, edges, degree):
+        self.range, self.edges, self.degree = range, edges, degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges and self.range == other.range and self.degree == other.degree
+
+    def __hash__(self):
+        return hash((self.range, self.edges, self.degree))
 
     @property
     def is_vertex(self):
@@ -634,20 +657,28 @@ class KGraph:
         return Inconclusive()
 
 
-@dataclass(frozen=True)
-class AperiodicWitness:
+class AperiodicWitness(NamedTuple):
     prefix: Path
     checked_up_to: tuple
 
 
-@dataclass(frozen=True)
-class PeriodCandidate:
+class PeriodCandidate(NamedTuple):
     differences: tuple  # all m - n that agree on every enumerated prefix
 
 
-@dataclass(frozen=True)
 class Inconclusive:
-    pass
+    """No candidate and no witness; not a tuple, since an empty tuple is falsy."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Inconclusive()"
 
 
 # ---------------------------------------------------------------------------
@@ -902,16 +933,22 @@ def graph_to_dict(g):
     }
 
 
+def _integer(value, what):
+    """int(value), refusing a bool and a number with a fraction part, which
+    int() would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_dict(data, name=""):
     """The k-graph of a skeleton dict; raises ValueError on a k below 1, a
     color or k that is no integer, or a square side that is no pair."""
-    k = int(data["k"])
+    k = _integer(data["k"], "k")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    edges = [
-        Edge(e["id"], int(e["color"]), e["source"], e["range"])
-        for e in data["edges"]
-    ]
+    edges = [Edge(e["id"], _integer(e["color"], "color"), e["source"], e["range"])
+             for e in data["edges"]]
     squares = [Square(tuple(s["left"]), tuple(s["right"])) for s in data["squares"]]
     if any(len(sq.left) != 2 or len(sq.right) != 2 for sq in squares):
         raise ValueError("square sides must be pairs of edge ids")

@@ -21,9 +21,9 @@ product step ignores the previous symbol; a Markov step reads it.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
+from typing import NamedTuple
 
 from .errors import (
     AdditivityViolation,
@@ -46,8 +46,7 @@ MAX_POWER_ITERATIONS = 100_000
 # Perron-Frobenius data
 
 
-@dataclass(frozen=True)
-class PFData:
+class PFData(NamedTuple):
     rho: tuple  # spectral radius per color
     kappa: dict  # vertex -> weight, positive, summing to 1
     exact: bool
@@ -323,8 +322,7 @@ def pf_measure(g, pf=None):
     return m
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     ok: bool
     checked: int
     worst_residual: float
@@ -373,8 +371,7 @@ def check_consistency(measure, depth, tol=1e-12):
 # edge each way per color to each peripheral vertex; symbols are peripherals.
 
 
-@dataclass(frozen=True)
-class PathSpaceShape:
+class PathSpaceShape(NamedTuple):
     kind: str  # "single-vertex" or "star"
     symbol_count: int
     symbol_color: int  # color whose edges carry symbols (single-vertex)
@@ -527,8 +524,7 @@ def _chain_measure(g, shape, tag, exact, first, step):
 # product measures
 
 
-@dataclass(frozen=True)
-class ProductMeasureSpec:
+class ProductMeasureSpec(NamedTuple):
     """Bias sequence gamma for an infinite product measure.
 
     family: "const" (value c), "geometric" (gamma_j = c * r**j),
@@ -664,8 +660,7 @@ def product_measure(g, spec):
 # Markov measures
 
 
-@dataclass(frozen=True)
-class MarkovMeasureSpec:
+class MarkovMeasureSpec(NamedTuple):
     matrix: tuple  # rows of transition probabilities, rows sum to 1
     lam: tuple = ()  # row vector with lam T = lam; defaults to all ones
 
@@ -790,18 +785,15 @@ def markov_measure(g, spec):
 # Kakutani classification
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(NamedTuple):
     series_bound: float
 
 
-@dataclass(frozen=True)
-class MutuallySingular:
+class MutuallySingular(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(NamedTuple):
     partial_sum: float
     bound: int
 
@@ -932,8 +924,7 @@ def _least_cycle(g, start, diag, max_len):
     return search(start, [])
 
 
-@dataclass
-class RNEstimate:
+class RNEstimate(NamedTuple):
     quotients: list
     limit: object
     converged: bool

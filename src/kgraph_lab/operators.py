@@ -53,9 +53,9 @@ relation checks the tables against the path algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .errors import (
     CoverViolation,
@@ -763,16 +763,14 @@ def op_adjoint(rep, lam, key):
 # Cuntz-Krieger relation verification
 
 
-@dataclass
-class RelationCheck:
+class RelationCheck(NamedTuple):
     relation: str
     witness: str
     residual: float
     blocks_checked: int
 
 
-@dataclass
-class CKReport:
+class CKReport(NamedTuple):
     ok: bool
     max_residual: float
     checks: list
@@ -786,19 +784,7 @@ class CKReport:
         return max(bad, key=lambda c: c.residual) if bad else None
 
     def to_dict(self):
-        return {
-            "ok": self.ok,
-            "max_residual": self.max_residual,
-            "checks": [
-                {
-                    "relation": c.relation,
-                    "blocks_checked": c.blocks_checked,
-                    "residual": c.residual,
-                    "witness": c.witness,
-                }
-                for c in self.checks
-            ],
-        }
+        return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
 
 
 class ScaledRep:
@@ -986,8 +972,7 @@ def pvm(rep, lam, key):
     return p if p is not None and p.dst_key == key else None
 
 
-@dataclass
-class PVMReport:
+class PVMReport(NamedTuple):
     ok: bool
     max_residual: float
     details: dict
@@ -1119,8 +1104,7 @@ def induced_measure(rep, xi=None, block=None):
     return CylinderMeasure(g, fn, f"induced({rep.kind})", False)
 
 
-@dataclass
-class MonicVectorReport:
+class MonicVectorReport(NamedTuple):
     span_dim: int
     block_dim: int
     cyclic: bool
@@ -1214,15 +1198,13 @@ def prefix_has_period(graph, prefix, bound=3):
     )
 
 
-@dataclass
-class Atom:
+class Atom(NamedTuple):
     prefix: object
     rank: int
     stabilized: bool
 
 
-@dataclass
-class AtomsReport:
+class AtomsReport(NamedTuple):
     atoms: list
     all_rank_one: bool
     stabilized: bool
@@ -1322,8 +1304,7 @@ class EncodingTable:
         return hits[0] if len(hits) == 1 else None
 
 
-@dataclass
-class PermutativeReport:
+class PermutativeReport(NamedTuple):
     ok: bool
     cover_ok: bool
     disjoint_ok: bool
@@ -1431,8 +1412,7 @@ def encoding_map(table, label, n):
 # permutative decomposition
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     summands: list  # lists of labels
     invariant: bool
     spans: bool
@@ -1496,8 +1476,7 @@ def _generator_orbit(rep, seeds, known):
 # gauge covariance and the non-faithfulness witness
 
 
-@dataclass
-class GaugeReport:
+class GaugeReport(NamedTuple):
     structural_ok: bool
     max_residual: float
 
@@ -1521,8 +1500,7 @@ def gauge_covariance(rep):
     return GaugeReport(structural, 0.0 if structural else 2.0)
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(NamedTuple):
     mu: object
     nu: object
     scale: float

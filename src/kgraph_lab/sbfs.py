@@ -23,8 +23,8 @@ rule.  Interval and path-space systems both answer ``code(n, pt)`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     CocycleViolation,
@@ -68,8 +68,7 @@ from .kgraph import (
 # prefixing maps
 
 
-@dataclass(frozen=True)
-class Affine1D:
+class Affine1D(NamedTuple):
     """x -> a x + b."""
 
     a: Fraction
@@ -134,8 +133,7 @@ def _xpoly(coeffs):
     return poly_trim(tuple(Fraction(coeffs.get(i, 0)) for i in range(max(coeffs, default=0) + 1)))
 
 
-@dataclass(frozen=True)
-class Skew2D:
+class Skew2D(NamedTuple):
     """(x, y) -> (a x + b, p0(x) + p1(x) y), with p0 and p1 trimmed x-polynomials.
 
     Skew maps are closed under composition and the form is canonical, so
@@ -393,26 +391,18 @@ class IntervalSBFS:
 # validation
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     name: str
     ok: bool
     mode: str  # "exact" or "numeric"
-    witnesses: list = field(default_factory=list)
+    witnesses: list
     worst_residual: float = 0.0
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "mode": self.mode,
-            "witnesses": [str(w) for w in self.witnesses[:8]],
-            "worst_residual": self.worst_residual,
-        }
+        return {**self._asdict(), "witnesses": [str(w) for w in self.witnesses[:8]]}
 
 
-@dataclass
-class SBFSValidationReport:
+class SBFSValidationReport(NamedTuple):
     system: str
     ok: bool
     conditions: list
@@ -421,11 +411,7 @@ class SBFSValidationReport:
         return next(c for c in self.conditions if c.name == name)
 
     def to_dict(self):
-        return {
-            "system": self.system,
-            "ok": self.ok,
-            "conditions": [c.to_dict() for c in self.conditions],
-        }
+        return {**self._asdict(), "conditions": [c.to_dict() for c in self.conditions]}
 
 
 def validate_sbfs(sys, tol=1e-12):
@@ -784,8 +770,7 @@ class ProjectiveSystem:
             raise CocycleViolation(*witness, worst)
 
 
-@dataclass
-class CocycleReport:
+class CocycleReport(NamedTuple):
     ok: bool
     worst_residual: float
     witness: object
@@ -842,8 +827,7 @@ def _chain_density(sys, density):
 # Kirchhoff parallel-sum rule
 
 
-@dataclass
-class KirchhoffReport:
+class KirchhoffReport(NamedTuple):
     ok: bool
     worst_residual: float
     checked: int
@@ -923,20 +907,17 @@ def _coding_jacobian(base, n, z):
 # monic probe on the range algebra
 
 
-@dataclass(frozen=True)
-class Monic:
+class Monic(NamedTuple):
     depth: int
     resolution: Fraction
 
 
-@dataclass(frozen=True)
-class NotMonic:
+class NotMonic(NamedTuple):
     witness: tuple  # widest (lo, hi) interval the range algebra never cuts
     witnesses: tuple = ()  # every invariant atom wider than the resolution
 
 
-@dataclass(frozen=True)
-class InconclusiveMonic:
+class InconclusiveMonic(NamedTuple):
     max_atom_width: Fraction
 
 

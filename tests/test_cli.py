@@ -251,6 +251,20 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
                               '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
                               '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
                               '"squares": [{"left": ["f"], "right": ["e", "f"]}]}}'],
+        # a color or k that int() would truncate: a fraction part or a bool
+        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                              '"color": 1.7, "source": "v", "range": "v"}], "squares": []}}'],
+        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                              '"color": true, "source": "v", "range": "v"}], "squares": []}}'],
+        ["validate", "--job", '{"graph": {"k": 2.5, "vertices": ["v"], "edges": [{"id": "e", '
+                              '"color": 1, "source": "v", "range": "v"}], "squares": []}}'],
+        # skeletons that fail a shape rule: DanglingEndpoint, InvalidSquare
+        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                              '"color": 1, "source": "w", "range": "v"}], "squares": []}}'],
+        ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
+                              '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
+                              '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
+                              '"squares": [{"left": ["f", "x"], "right": ["e", "f"]}]}}'],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -264,6 +278,38 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+def loop_skeleton(k, edges, squares):
+    """One vertex v with a loop per (id, color) in edges; squares as (left, right)."""
+    return {"k": k, "vertices": ["v"],
+            "edges": [{"id": e, "color": c, "source": "v", "range": "v"} for e, c in edges],
+            "squares": [{"left": list(left), "right": list(right)} for left, right in squares]}
+
+
+# three color-1 loops permuted by swap(1,2) through b and swap(1,3) through c,
+# which do not commute
+NONCOMMUTING_CUBE = loop_skeleton(
+    3, [("a1", 1), ("a2", 1), ("a3", 1), ("b", 2), ("c", 3)],
+    [(("b", "c"), ("c", "b"))]
+    + [((f"a{i}", "b"), ("b", f"a{j}")) for i, j in zip((1, 2, 3), (2, 1, 3))]
+    + [((f"a{i}", "c"), ("c", f"a{j}")) for i, j in zip((1, 2, 3), (3, 2, 1))])
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({"k": 1, "vertices": ["v", "w"], "edges": [{"id": "e", "color": 1, "source": "v",
+                                                  "range": "v"}], "squares": []},
+     "vertex 'w' receives no edge of color 1"),
+    (loop_skeleton(2, [("f", 1), ("e", 2)], []), "is uncovered by the square relation"),
+    (NONCOMMUTING_CUBE, "the two square-reordering routes disagree"),
+], ids=["source-vertex", "square-not-bijective", "cube-condition"])
+def test_skeleton_that_presents_no_kgraph_exits_1(graph, message, tmp_path, capsys):
+    # the shape rules pass, so the skeleton is well formed: a failed check, not bad input
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"graph": graph}))
+    assert main(["validate", "--job", str(job), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ") and message in err
 
 
 @pytest.mark.parametrize(

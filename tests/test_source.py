@@ -4,7 +4,10 @@ import ast
 import builtins
 import collections
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -79,14 +82,15 @@ def test_function_level_imports_only_close_cycles():
     assert found == CYCLE_IMPORTS
 
 
-def is_numpy_import(node):
+def imports_module(node, module):
+    """Whether node is an absolute import of module or of one of its submodules."""
     if isinstance(node, ast.Import):
         names = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom) and node.level == 0:
         names = [node.module or ""]
     else:
         return False
-    return any(name.split(".")[0] == "numpy" for name in names)
+    return any(name.split(".")[0] == module for name in names)
 
 
 def eager_numpy_imports(source):
@@ -98,7 +102,7 @@ def eager_numpy_imports(source):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
-            if is_numpy_import(child):
+            if imports_module(child, "numpy"):
                 out.append(child.lineno)
             visit(child)
 
@@ -124,6 +128,43 @@ def test_numpy_is_imported_only_where_float_algebra_runs():
     assert not {name: lines for name, lines in found.items() if lines}
 
 
+# every CLI job is a fresh process, so what importing the package costs is paid
+# per job: importing dataclasses loads inspect, and each @dataclass execs the
+# source of its methods
+def dataclasses_imports(source):
+    """Line numbers of dataclasses imports anywhere in source."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if imports_module(node, "dataclasses")]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import dataclasses", "import dataclasses as dc", "from dataclasses import dataclass",
+     "from dataclasses import dataclass, field", "import json, dataclasses",
+     "def f():\n    import dataclasses", "class C:\n    from dataclasses import field"],
+)
+def test_dataclasses_rule_sees_each_form(statement):
+    assert dataclasses_imports(f"import json\n{statement}\n") == [2 + statement.count("\n")]
+    assert dataclasses_imports("import dataclassesish\nfrom .dataclasses import x\n"
+                               "from typing import NamedTuple\n") == []
+
+
+def test_no_package_module_imports_dataclasses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    found = {m.name: dataclasses_imports(m.read_text()) for m in modules}
+    assert not {name: lines for name, lines in found.items() if lines}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    script = ("import sys\nbefore = set(sys.modules)\nimport kgraph_lab.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 # Perron data and stationary rows run in plain Python floats
 NUMPY_FREE = {"pf_data", "_exact_pf", "_power_iteration", "_dot", "_matvec", "MarkovMeasureSpec"}
 
@@ -134,7 +175,7 @@ def numpy_imports_in(source, owners):
     return {(node.name, inner.lineno) for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and node.name in owners
-            for inner in ast.walk(node) if is_numpy_import(inner)}
+            for inner in ast.walk(node) if imports_module(inner, "numpy")}
 
 
 def test_numpy_free_rule_sees_each_form():
