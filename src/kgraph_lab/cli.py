@@ -7,8 +7,6 @@ checks passed, 1 some mathematical check failed (the report names the
 witness), 2 usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -126,7 +126,7 @@ class DegenerateMap(KGraphLabError):
 
 
 class ParameterOutOfRange(KGraphLabError):
-    """A builtin-system parameter is outside its legal range."""
+    """A builtin parameter value does not parse or is outside its legal range."""
 
 
 class DimensionUnsupported(KGraphLabError):

@@ -15,8 +15,6 @@ graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
 ``is_subset_of(domain)`` and ``disjoint_from(other)``.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple

@@ -41,8 +41,6 @@ Conventions
   ``a.b = c.d``.
 """
 
-from __future__ import annotations
-
 import itertools
 import json
 from array import array

@@ -18,8 +18,6 @@ degree-(n-1, n-1) head times the step of its last (1, 1) segment.  A
 product step ignores the previous symbol; a Markov step reads it.
 """
 
-from __future__ import annotations
-
 from array import array
 from fractions import Fraction
 from math import fsum

@@ -51,8 +51,6 @@ against.  verify_ck and pvm_additivity compose paths themselves, so each
 relation checks the tables against the path algebra.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple

@@ -11,7 +11,9 @@ in both dimensions, so the system and its validator ask each geometric
 question once.  Compositions, images and Jacobians stay exact; the
 validator checks the edge-level axioms: per-color range partitions,
 disjoint vertex domains, square compatibility of the maps, commuting
-coding maps, and positive Radon-Nikodym derivatives.
+coding maps, and positive Radon-Nikodym derivatives.  The builtin
+systems are declared with their graphs in ``catalog``; this module
+builds systems only by lifting (double and product) or from a dict.
 
 Projective systems decorate a validated system with signed functions
 f_path = sign * (Phi_path o coding)^(-1/2) * indicator(range) and are
@@ -19,8 +21,6 @@ checked for the multiplicative cocycle and the parallel-sum (Kirchhoff)
 rule.  Interval and path-space systems both answer ``code(n, pt)`` and
 ``rn_at(path, pt)``, so a projective system evaluates either the same way.
 """
-
-from __future__ import annotations
 
 import math
 from fractions import Fraction
@@ -33,7 +33,6 @@ from .errors import (
     DimensionUnsupported,
     NonpositiveDensity,
     NonpositiveRN,
-    ParameterOutOfRange,
     RangesOverlap,
     ZeroVertexMass,
 )
@@ -51,7 +50,6 @@ from .intervals import (
     poly_mul,
     poly_trim,
 )
-from .catalog import builtin_graph
 from .kgraph import (
     build_double,
     build_product,
@@ -181,11 +179,15 @@ class Skew2D(NamedTuple):
 
     def image(self, box):
         """Image of a Box, as a strip union; cut where p1 changes sign.  With
-        a = 0 the image lies on a vertical line: the empty region, up to null sets."""
+        a = 0 the image lies on a vertical line: the empty region, up to null sets.
+        A p1 of degree >= 2 raises DimensionUnsupported: only a linear p1 is cut
+        at its roots."""
         if self.a == 0:
             return Region2()
-        xint, yint = box
         dy = self.p1
+        if len(dy) > 2:
+            raise DimensionUnsupported(f"image needs p1 of degree <= 1, got {len(dy) - 1}")
+        xint, yint = box
         inv = (-self.b / self.a, Fraction(1) / self.a)
         strips = []
         for xlo, xhi in xint.parts:
@@ -529,90 +531,6 @@ def with_edge_map(sys, eid, new_map):
     maps = dict(sys.edge_maps)
     maps[eid] = new_map
     return IntervalSBFS(sys.graph, sys.domains, maps, sys.name + "*")
-
-
-# ---------------------------------------------------------------------------
-# built-in systems (the interval systems of the catalog graphs)
-
-
-def system_two_vertex_three_edge():
-    g = builtin_graph("exonevthreeed")
-    half = Fraction(1, 2)
-    domains = {
-        "v1": IntervalUnion.interval(0, half),
-        "v2": IntervalUnion.interval(half, 1),
-    }
-    edge_maps = {
-        "f1": Affine1D(-half, half),
-        "f2": Affine1D(-half, half),
-        "f3": Affine1D(1, 0),
-    }
-    return IntervalSBFS(g, domains, edge_maps, "exonevthreeed")
-
-
-def system_one_vertex_two_blue():
-    g = builtin_graph("exonevtwoe")
-    domains = {"v": IntervalUnion.interval(0, 1)}
-    edge_maps = {
-        "f1": Affine1D(Fraction(-1, 2), Fraction(1, 2)),
-        "f2": Affine1D(Fraction(-1, 2), Fraction(1)),
-        "e": Affine1D(Fraction(-1), Fraction(1)),
-    }
-    return IntervalSBFS(g, domains, edge_maps, "exonevtwoe")
-
-
-def system_nonconstant_rn():
-    g = builtin_graph("noncstrn")
-    unit = IntervalUnion.interval(0, 1)
-    domains = {"v": Box(unit, unit)}
-    one = Fraction(1)
-    edge_maps = {
-        # (x, y) -> (x, x + y - x y)
-        "f1": Skew2D.make(1, 0, {(1, 0): one, (0, 1): one, (1, 1): -one}),
-        # (x, y) -> (x, x y)
-        "f2": Skew2D.make(1, 0, {(1, 1): one}),
-        # (x, y) -> (1 - x, 1 - y)
-        "e": Skew2D.make(-1, 1, {(0, 0): one, (0, 1): -one}),
-    }
-    return IntervalSBFS(g, domains, edge_maps, "noncstrn")
-
-
-def system_three_vertex_eight_edge():
-    g = builtin_graph("ex3v8e")
-    third = Fraction(1, 3)
-    domains = {
-        "u": IntervalUnion.interval(0, third),
-        "v": IntervalUnion.interval(third, 2 * third),
-        "w": IntervalUnion.interval(2 * third, 1),
-    }
-    edge_maps = {
-        "a0": Affine1D(Fraction(1), -third),
-        "a1": Affine1D(Fraction(1), third),
-        "c0": Affine1D(Fraction(1, 2), Fraction(1, 2)),
-        "c1": Affine1D(Fraction(1, 2), Fraction(0)),
-        "d0": Affine1D(Fraction(-1), 2 * third),
-        "d1": Affine1D(Fraction(-1), 4 * third),
-        "b0": Affine1D(Fraction(-1, 2), Fraction(1, 2)),
-        "b1": Affine1D(Fraction(-1, 2), Fraction(1)),
-    }
-    return IntervalSBFS(g, domains, edge_maps, "ex3v8e")
-
-
-def system_kawamura(a):
-    a = Fraction(a)
-    if not 0 < a < 1:
-        raise ParameterOutOfRange(f"a = {a} outside (0, 1)")
-    g = builtin_graph("kawamura")
-    domains = {
-        "v": IntervalUnion.interval(0, a),
-        "w": IntervalUnion.interval(a, 1),
-    }
-    edge_maps = {
-        "e": Affine1D(Fraction(1, 2), Fraction(0)),
-        "f": Affine1D((1 - a) / a, a),
-        "g": Affine1D(-a / (2 * (a - 1)), a * (2 * a - 1) / (2 * (a - 1))),
-    }
-    return IntervalSBFS(g, domains, edge_maps, f"kawamura(a={a})")
 
 
 # ---------------------------------------------------------------------------

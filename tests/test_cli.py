@@ -177,6 +177,15 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
     assert report["violations"][0]["blocks_checked"] == 0
 
 
+# a bad builtin parameter value, under a command other than monic
+BAD_BUILTIN_VALUES = [
+    ["validate", "--builtin", "kawamura:a=foo"],
+    ["spectral", "--builtin", "kawamura:a=3/2"],
+    ["rep-verify", "--builtin", "double-kawamura:a=0"],
+    ["export-dot", "--builtin", "product-kawamura:a=1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -265,6 +274,8 @@ def test_rep_verify_standard_zero_blocks_exit_1(tmp_path):
                               '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
                               '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
                               '"squares": [{"left": ["f", "x"], "right": ["e", "f"]}]}}'],
+        # builtin parameter values that do not parse or lie outside their range
+        *BAD_BUILTIN_VALUES,
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):
@@ -278,6 +289,14 @@ def test_bad_input_exit_2(argv, tmp_path, capsys):
     assert err.startswith("usage error:")
     assert "Traceback" not in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", BAD_BUILTIN_VALUES, ids=lambda argv: argv[0])
+def test_bad_builtin_value_reads_as_under_monic(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert main(["monic", *argv[1:], "--out", str(tmp_path)]) == 2
+    assert err == capsys.readouterr().err
 
 
 def loop_skeleton(k, edges, squares):

@@ -14,6 +14,7 @@ from kgraph_lab.intervals import (
     atoms_meeting,
     grid_cells,
     partition_atoms,
+    poly_range_on,
 )
 
 
@@ -248,3 +249,8 @@ def test_box_uncovered_tells_overlap_from_undecided():
     # y < x^3 and y > x^3 / 2: a cubic gap, which the exact test cannot decide
     cube = (0, 0, 0, Fraction(1))
     assert box.uncovered([strip((0,), cube), strip((0, 0, 0, half), (1,))]) is None
+
+
+def test_poly_range_on_finds_an_interior_extremum():
+    # x^2 - x on [0, 1]: 0 at both ends, -1/4 at the vertex x = 1/2
+    assert poly_range_on((0, -1, 1), 0, 1) == (Fraction(-1, 4), 0)

@@ -156,6 +156,8 @@ def test_fault_injected_scaling_detected():
     assert any(c.relation == "CK3" and c.residual > 1 for c in report.checks)
     assert [c.blocks_checked for c in report.checks] == [16, 164, 36, 37, 108]
     assert [c.residual for c in report.checks] == [0.0, 1.0, 3.0, 15.0, 3.0]
+    # every relation was checked on some block: worst() is the largest residual
+    assert report.worst().residual == report.max_residual == 15.0
 
 
 CK_PINS = {

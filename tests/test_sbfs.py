@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgraph_lab.catalog import builtin_graph, builtin_sbfs
+from kgraph_lab.catalog import builtin_graph, builtin_sbfs, system_kawamura
 from kgraph_lab.errors import (
     CocycleViolation,
     DegreeCapExceeded,
@@ -15,7 +15,7 @@ from kgraph_lab.errors import (
     ParameterOutOfRange,
     ZeroVertexMass,
 )
-from kgraph_lab.intervals import IntervalUnion, partition_atoms
+from kgraph_lab.intervals import Box, IntervalUnion, partition_atoms
 from kgraph_lab.kgraph import KGraph, Edge, Square, deg_total, validate_kgraph
 from kgraph_lab.measures import (
     CylinderMeasure,
@@ -42,7 +42,6 @@ from kgraph_lab.sbfs import (
     monic_probe,
     sbfs_from_dict,
     sbfs_to_dict,
-    system_kawamura,
     transport_projective,
     validate_sbfs,
     with_edge_map,
@@ -151,6 +150,27 @@ def test_skew_map_dict_form_is_stored_as_two_x_polynomials():
     assert (m.p0, m.p1) == ((Fraction(1),), (Fraction(-1), Fraction(1, 3)))
     with pytest.raises(ValueError):
         Skew2D.make(1, 0, {(0, 2): 1})
+
+
+UNIT_BOX = Box(IntervalUnion.interval(0, 1), IntervalUnion.interval(0, 1))
+
+
+def test_skew_image_cuts_a_linear_y_coefficient_at_its_root():
+    # p1 = 2x - 1 changes sign at x = 1/2: one strip on each side, each of measure 1/4
+    image = Skew2D.make(1, 0, {(0, 1): -1, (1, 1): 2}).image(UNIT_BOX)
+    assert len(image.strips) == 2
+    assert image.measure == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 16), Fraction(1, 6)])
+def test_skew_image_refuses_a_y_coefficient_of_degree_two(c):
+    # p1 = x^2 - x + c changes sign twice in (0, 1), at 1/4 and 3/4 for c = 3/16
+    # and at irrational roots for c = 1/6; image cuts only at a linear root
+    m = Skew2D.make(1, 0, {(0, 1): c, (1, 1): -1, (2, 1): 1})
+    with pytest.raises(DimensionUnsupported):
+        m.image(UNIT_BOX)
+    # after still composes such maps, for the square test of condition iii
+    assert len(m.after(m).p1) == 5
 
 
 # -- built-in systems -----------------------------------------------------------------

@@ -45,11 +45,8 @@ def test_no_broad_exception_handlers_in_the_package():
     assert not {name: lines for name, lines in found.items() if lines}
 
 
-# catalog.builtin_sbfs imports sbfs, which imports catalog at module level;
-# that cycle is the one reason for a sibling import inside a function
-CYCLE_IMPORTS = {("catalog.py", "builtin_sbfs", "sbfs")}
-
-
+# a sibling import inside a function hides an import cycle or a load the
+# module could do once at import time
 def function_level_relative_imports(source):
     """(function, module) for each relative import inside a function body."""
     out = set()
@@ -73,13 +70,13 @@ def test_function_level_import_rule_sees_each_form():
     assert found == {("f", "intervals"), ("g", "sbfs"), ("h", "x")}
 
 
-def test_function_level_imports_only_close_cycles():
+def test_no_function_level_sibling_imports():
     found = {
         (m.name, fn, mod)
         for m in sorted(PACKAGE.glob("*.py"))
         for fn, mod in function_level_relative_imports(m.read_text())
     }
-    assert found == CYCLE_IMPORTS
+    assert found == set()
 
 
 def imports_module(node, module):
@@ -154,6 +151,15 @@ def test_no_package_module_imports_dataclasses():
     assert len(modules) >= 8
     found = {m.name: dataclasses_imports(m.read_text()) for m in modules}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+# postponed annotations make typing compile each NamedTuple field's string
+# annotation at import, and the statement itself loads __future__
+def test_no_package_module_postpones_annotations():
+    found = [m.name for m in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(m.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert found == []
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
