@@ -43,6 +43,7 @@ Conventions
 
 import itertools
 import json
+import operator
 from array import array
 from typing import NamedTuple
 
@@ -69,23 +70,24 @@ def deg_zero(k):
 
 def deg_unit(k, color):
     """Standard basis vector for a 1-based color index."""
-    return tuple(1 if c == color else 0 for c in range(1, k + 1))
+    return (0,) * (color - 1) + (1,) + (0,) * (k - color)
 
 
+# map stops at the shorter argument, as zip does
 def deg_add(m, n):
-    return tuple(a + b for a, b in zip(m, n))
+    return tuple(map(operator.add, m, n))
 
 
 def deg_sub(m, n):
-    return tuple(a - b for a, b in zip(m, n))
+    return tuple(map(operator.sub, m, n))
 
 
 def deg_le(m, n):
-    return all(a <= b for a, b in zip(m, n))
+    return all(map(operator.le, m, n))
 
 
 def deg_join(m, n):
-    return tuple(max(a, b) for a, b in zip(m, n))
+    return tuple(map(max, m, n))
 
 
 def deg_total(m):

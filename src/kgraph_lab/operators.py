@@ -26,11 +26,14 @@ basis labels: ``labels()``, ``forward_label(lam, label)``,
 action returns the image label, None when there is no image, or ESCAPE
 when the image leaves the truncation.
 
-``StandardRep`` (with ``KPRep``), ``FaithfulRep`` and ``DirectSumRep``
-build each block operator once per rep, on its first request, and hand
-the same ``_Op`` to every later caller; a ``DirectSumRep`` stacks its
-parts' operators through ``_Op`` methods.  ``ScaledRep`` builds fresh
-operators from its part's operators.
+``StandardRep`` (with ``KPRep``) and ``FaithfulRep`` build, on the first
+request for lam on a block, the operators of every path of degree d(lam)
+on that block in one batch, keep each under its own path and hand the
+same ``_Op`` to every later caller; a ``ZeroDenominator`` met in a batch
+is raised only when its path is requested.  ``DirectSumRep`` builds each
+block operator once per rep, on its first request, stacking its parts'
+operators through ``_Op`` methods.  ``ScaledRep`` builds fresh operators
+from its part's operators.
 
 Every standard table reads the run of ``KGraph.index(lam)`` in a
 ``KGraph.glue`` table, the products lam.eta in the order of eta: t_lam on
@@ -52,7 +55,6 @@ relation checks the tables against the path algebra.
 """
 
 from fractions import Fraction
-from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -87,13 +89,35 @@ ESCAPE = object()
 _UNBUILT = object()
 
 
-def _built_once(tables, direction, lam, key, build):
-    """build(lam, key), remembered in tables; the shared _Op is read-only."""
-    memo = (direction, lam, key)
+def _built_once(rep, direction, lam, key, build):
+    """The table of lam on block key, remembered in rep._tables; the shared
+    _Op is read-only.
+
+    On a miss, build(d(lam), key) lists the tables of every path of degree
+    d(lam) in block order, each remembered under its own path, or returns
+    None when block key or its image is not represented, remembered for
+    lam alone.  A ZeroDenominator in the list is raised for its path only.
+    """
+    tables, memo = rep._tables, (direction, lam, key)
     op = tables.get(memo, _UNBUILT)
     if op is _UNBUILT:
-        op = tables[memo] = build(lam, key)
+        ops = build(lam.degree, key)
+        if ops is None:
+            op = tables[memo] = None
+        else:
+            tables.update(zip([(direction, p, key) for p in rep.graph.block(lam.degree)], ops))
+            op = tables[memo]
+    if isinstance(op, ZeroDenominator):
+        raise op.with_traceback(None)
     return op
+
+
+def _or_error(build, *args):
+    """build(*args), or the ZeroDenominator it raises, kept for its path."""
+    try:
+        return build(*args)
+    except ZeroDenominator as err:
+        return err
 
 
 # ---------------------------------------------------------------------------
@@ -175,80 +199,103 @@ class StandardRep:
             pair = self._integers[m] = [n for n, _ in ratios], [d for _, d in ratios]
         return pair
 
-    def _rn_constant(self, lam, m, rows):
-        """Whether Phi_lam is constant on Z(eta), eta = block(m)[i], for each row (i, j):
-        its quotient against those on the extensions eta.xi of degree up =
-        m + (1,..,1), the run of i in glue(m, (1,..,1))."""
+    def _rn_constant(self, n, m):
+        """The Radon-Nikodym test on block m of the paths of degree n, reading
+        each glue table and value block once: constant(a, rows) says whether
+        Phi_lam, lam = block(n)[a], is constant on Z(eta), eta = block(m)[i],
+        for each row (i, j): its quotient against those on the extensions
+        eta.xi of degree up = m + (1,..,1), the run of i in glue(m, (1,..,1))."""
         g, nonnull, diag = self.graph, self._nonnull, deg_diag(self.graph.k, 1)
         up = deg_add(m, diag)
         off, out = g.glue(m, diag)
-        # t -> lam.t is forward[shift + t]: every t here has range s(lam)
-        lam_off, forward = g.glue(lam.degree, up)
-        shift = lam_off[g.index(lam)] - g.run(up, g.s(lam)).start
-        degrees = (m, up, deg_add(m, lam.degree), deg_add(up, lam.degree))
+        # t -> lam.t is forward[shifts[a] + t]: every t here has range s(lam)
+        lam_off, forward = g.glue(n, up)
+        starts = {v: g.run(up, v).start for v in g.vertices}
+        shifts = [lam_off[a] - starts[v] for a, v in enumerate(g.tails(n).sources)]
+        degrees = (m, up, deg_add(m, n), deg_add(up, n))
+        # a weight is tested for 0 as "w or nonnull(...)", one call only where it raises
         if not self.exact:
-            blk, deep, image, deep_image = map(self._values, degrees)
-            for i, j in rows:
-                base = image[j] / nonnull(blk, m, i)
-                for t in out[off[i]:off[i + 1]]:
-                    q = deep_image[forward[shift + t]] / nonnull(deep, up, t)
-                    if abs(float(q - base)) > self.tol:
-                        return False
-            return True
+            blk, deep, image, deep_image, tol = *map(self._values, degrees), self.tol
+
+            def constant(a, rows):
+                shift = shifts[a]
+                for i, j in rows:
+                    base = image[j] / nonnull(blk, m, i)
+                    for t in out[off[i]:off[i + 1]]:
+                        q = deep_image[forward[shift + t]] / (deep[t] or nonnull(deep, up, t))
+                        if abs(float(q - base)) > tol:
+                            return False
+                return True
+
+            return constant
         # exact weights: a/b = c/d compared as a*d = c*b, numerators and denominators apart
         (bn, bd), (dn, dd), (imn, imd), (jn, jd) = map(self._integer_values, degrees)
-        for i, j in rows:
-            num, den = imn[j] * bd[i], imd[j] * nonnull(bn, m, i)
-            for t in out[off[i]:off[i + 1]]:
-                f = forward[shift + t]
-                if jn[f] * dd[t] * den != num * jd[f] * nonnull(dn, up, t):
-                    return False
-        return True
+
+        def constant(a, rows):
+            shift = shifts[a]
+            for i, j in rows:
+                num, den = imn[j] * bd[i], imd[j] * nonnull(bn, m, i)
+                for t in out[off[i]:off[i + 1]]:
+                    f = forward[shift + t]
+                    if jn[f] * dd[t] * den != num * jd[f] * (dn[t] or nonnull(dn, up, t)):
+                        return False
+            return True
+
+        return constant
 
     # -- operator actions ---------------------------------------------------------
 
     def apply_path(self, lam, m):
         """Forward action on block m; returns an _Op or None."""
-        return _built_once(self._tables, "forward", lam, m, self._forward_table)
+        return _built_once(self, "forward", lam, m, self._forward_tables)
 
     def apply_adjoint(self, lam, m):
         """Adjoint action on block m; returns an _Op or None."""
-        return _built_once(self._tables, "adjoint", lam, m, self._adjoint_table)
+        return _built_once(self, "adjoint", lam, m, self._adjoint_tables)
 
-    def _rows(self, lam, m):
-        """(i, j) with block(m)[i] = eta and block(m + d(lam))[j] = lam.eta, for
-        each eta with range s(lam): the run of lam in glue(d(lam), m)."""
+    def _rows(self, n, m):
+        """For each lam of degree n, in block order: the pairs (i, j) with
+        block(m)[i] = eta and block(m + n)[j] = lam.eta, for each eta with
+        range s(lam): the run of lam in glue(n, m)."""
         g = self.graph
-        off, out = g.glue(lam.degree, m)
-        a = g.index(lam)
-        return list(zip(g.run(m, g.s(lam)), out[off[a]:off[a + 1]]))
+        off, out = g.glue(n, m)
+        runs = {v: g.run(m, v) for v in g.vertices}
+        return [list(zip(runs[v], out[off[a]:off[a + 1]]))
+                for a, v in enumerate(g.tails(n).sources)]
 
-    def _forward_table(self, lam, m):
-        """u_eta -> u_{lam.eta}: the run of lam in glue(d(lam), m)."""
-        dst = deg_add(m, lam.degree)
+    def _forward_tables(self, n, m):
+        """u_eta -> u_{lam.eta} for each lam of degree n: the run of lam in glue(n, m)."""
+        dst = deg_add(m, n)
         if m not in self._blocks or dst not in self._blocks:
             return None
-        rows = self._rows(lam, m)
-        if not self._rn_constant(lam, m, rows):
-            return None  # nonconstant RN data: block not represented
-        return _Op(self, {i: {j: 1} for i, j in rows}, m, dst)
+        constant = self._rn_constant(n, m)
 
-    def _adjoint_table(self, lam, m):
-        """Adjoint action on block m via minimal common extensions lam.alpha =
-        eta.beta: the coefficient of u_alpha in t_lam^* u_eta is sqrt(w(lam.alpha) / w(eta))."""
+        def table(a, rows):  # nonconstant RN data: block not represented
+            return _Op(self, {i: {j: 1} for i, j in rows}, m, dst) if constant(a, rows) else None
+
+        return [_or_error(table, a, rows) for a, rows in enumerate(self._rows(n, m))]
+
+    def _adjoint_tables(self, n, m):
+        """Adjoint action on block m of each lam of degree n via minimal common
+        extensions lam.alpha = eta.beta: the coefficient of u_alpha in t_lam^* u_eta
+        is sqrt(w(lam.alpha) / w(eta))."""
         g = self.graph
-        join = deg_join(m, lam.degree)
+        join = deg_join(m, n)
         if m not in self._blocks or join not in self._blocks:
             return None
-        dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
-        rows = sorted((heads[j], alpha, j) for alpha, j in self._rows(lam, dst))
+        dst, heads = deg_sub(join, n), g.cut(join, m)[0]
         # the ratio (tn/td) / (bn/bd) as the integers tn*bd and td*bn; int true
         # division is correctly rounded, as float(Fraction) and float division are
         (tn, td), (bn, bd) = self._integer_values(join), self._integer_values(m)
-        for i, alpha, j in rows:
-            num, den = tn[j] * bd[i], td[j] * self._nonnull(bn, m, i)
-            table.setdefault(i, {})[alpha] = 1 if num == den else (num / den) ** 0.5
-        return _Op(self, table, m, dst)
+
+        def table(rows):
+            coefs = {}
+            for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
+                num, den = tn[j] * bd[i], td[j] * self._nonnull(bn, m, i)
+                coefs.setdefault(i, {})[alpha] = 1 if num == den else (num / den) ** 0.5
+            return _Op(self, coefs, m, dst)
+
+        return [_or_error(table, rows) for rows in self._rows(n, dst)]
 
     def refinement(self, m, target):
         """Cylinder refinement: the isometry from block m into block target >= m."""
@@ -270,9 +317,11 @@ class StandardRep:
         """Diagonal 0/1 mask of P(Z(lam)) on block m (zero unless m >= d(lam))."""
         import numpy as np
 
-        mask = np.zeros(self.block_dim(m))
+        g, mask = self.graph, np.zeros(self.block_dim(m))
         if deg_le(lam.degree, m):
-            mask[[j for _, j in self._rows(lam, deg_sub(m, lam.degree))]] = 1.0
+            off, out = g.glue(lam.degree, deg_sub(m, lam.degree))
+            a = g.index(lam)
+            mask[list(out[off[a]:off[a + 1]])] = 1.0
         return mask
 
 
@@ -306,8 +355,8 @@ class KPRep(StandardRep):
     def _values(self, m):
         return [1] * len(self.graph.tails(m).sources)
 
-    def _rn_constant(self, lam, m, rows):
-        return True
+    def _rn_constant(self, n, m):
+        return lambda a, rows: True  # counting weights: no test, no block past the depth
 
     def labels(self):
         return [lab for m in self._blocks for lab in self._blocks[m]]
@@ -457,88 +506,102 @@ class FaithfulRep:
         return out if self.has_label(out) else ESCAPE
 
     def apply_path(self, lam, delta):
-        return _built_once(self._tables, "forward", lam, delta, self._forward_table)
+        return _built_once(self, "forward", lam, delta, self._forward_tables)
 
     def apply_adjoint(self, lam, delta):
-        return _built_once(self._tables, "adjoint", lam, delta, self._adjoint_table)
+        return _built_once(self, "adjoint", lam, delta, self._adjoint_tables)
 
-    def _forward_table(self, lam, delta):
-        """t_lam on block delta: (i, mu) goes to (i, lam.mu) reduced, where lam.mu
-        is the entry of mu in the run of lam in glue(d(lam), d(mu)).  An image
-        outside the truncation leaves the block undefined.  A table whose
-        paths pass the enumeration cap is read off the label actions."""
-        dst = deg_add(delta, lam.degree)
+    def _forward_tables(self, n, delta):
+        """t_lam on block delta for each lam of degree n: (i, mu) goes to
+        (i, lam.mu) reduced, where lam.mu is the entry of mu in the run of lam
+        in glue(n, d(mu)).  The labels are grouped by stratum and range, so
+        each lam reads only the labels with range s(lam).  An image outside
+        the truncation leaves the block undefined.  Tables whose paths pass
+        the enumeration cap are read off the label actions."""
+        dst = deg_add(delta, n)
         if delta not in self._blocks or dst not in self._blocks:
             return None
-        g, n = self.graph, lam.degree
-        a = g.index(lam)
-        slots, strata, table = self._slots[dst], {}, {}
-        for (i, j), t in self._slots[delta].items():
+        g, slots, strata = self.graph, self._slots[dst], {}
+        for ((i, j), t), (_, mu) in zip(self._slots[delta].items(), self._blocks[delta]):
             if i not in strata:
                 m = deg_add(delta, deg_diag(g.k, i))
                 top = deg_add(m, n)
                 if self._escapes(i, m, top):
                     images = None
                 elif deg_total(top) > g.enum_cap:
-                    return self._label_table(self.forward_label, lam, delta, dst)
+                    return self._label_tables(self.forward_label, n, delta, dst)
                 else:
-                    off, out = g.glue(n, m)
-                    images = out[off[a]:off[a + 1]]
-                strata[i] = g.run(m, g.s(lam)), top, images
-            tails, top, images = strata[i]
-            if j not in tails:
-                continue  # r(mu) != s(lam): no image
-            out = None if images is None else slots.get(self._reduced(i, top, images[j - tails.start]))
-            if out is None:
-                return None
-            table[t] = {out: 1}
-        return _Op(self, table, delta, dst)
+                    images = g.glue(n, m)
+                strata[i] = top, images, {v: g.run(m, v).start for v in g.vertices}, {}
+            strata[i][3].setdefault(mu.range, []).append((j, t))
 
-    def _adjoint_table(self, lam, delta):
-        """t_lam^* on block delta: (j, w) is extended by rule segments until
-        d(lam) <= d(w), then goes to (j, tail) reduced when w has head
-        index(lam) and that tail under cut(d(w), d(lam)).
+        def table(a, v):
+            out_table = {}
+            for i, (top, images, starts, groups) in strata.items():
+                group = groups.get(v)
+                if group is None:
+                    continue  # no mu with r(mu) = s(lam) at stratum i
+                if images is None:
+                    return None
+                off, out = images
+                shift = off[a] - starts[v]
+                for j, t in group:
+                    image = slots.get(self._reduced(i, top, out[shift + j]))
+                    if image is None:
+                        return None
+                    out_table[t] = {image: 1}
+            return _Op(self, out_table, delta, dst)
+
+        return [table(a, v) for a, v in enumerate(g.tails(n).sources)]
+
+    def _adjoint_tables(self, n, delta):
+        """t_lam^* on block delta for each lam of degree n, in one pass over
+        the labels: (j, w) is extended by rule segments until n <= d(w), then
+        goes to (j, tail) reduced in the table of lam = block(n)[head], where
+        head and tail are those of w under cut(d(w), n).
 
         Once block dst exists, neither step leaves the truncation: after
         s > 0 segments some coordinate of dst is -(j + s), so block dst holds
         labels only at strata >= j + s.  Hence j + s <= depth, and the tail,
         of degree dst + (j + s)*(1,..,1), is within the cap, as is every
-        reduction of it.  A table whose paths pass the enumeration cap is
+        reduction of it.  Tables whose paths pass the enumeration cap are
         read off the label actions.
         """
-        dst = deg_sub(delta, lam.degree)
+        dst = deg_sub(delta, n)
         if delta not in self._blocks or dst not in self._blocks:
             return None
-        g, n = self.graph, lam.degree
-        a, slots, strata, table = g.index(lam), self._slots[dst], {}, {}
+        g, slots, strata = self.graph, self._slots[dst], {}
+        tables = [{} for _ in g.tails(n).sources]
         for (j, w), t in self._slots[delta].items():
             if j not in strata:
                 steps, i, top = self._extension(j, deg_add(delta, deg_diag(g.k, j)), n)
                 if deg_total(top) > g.enum_cap:
-                    return self._label_table(self.adjoint_label, lam, delta, dst)
+                    return self._label_tables(self.adjoint_label, n, delta, dst)
                 # w.x_{j-1} is out[off[w] + offset] in glue(d(w), (1,..,1))
                 steps = [(*g.glue(low, self._diag), offset) for low, offset in steps]
                 strata[j] = steps, i, deg_sub(top, n), g.cut(top, n)
             steps, i, rest, (heads, tails) = strata[j]
             for off, out, offset in steps:
                 w = out[off[w] + offset]
-            if heads[w] != a:
-                continue  # lam is no prefix of w: no image
-            table[t] = {slots[self._reduced(i, rest, tails[w])]: 1}
-        return _Op(self, table, delta, dst)
+            tables[heads[w]][t] = {slots[self._reduced(i, rest, tails[w])]: 1}
+        return [_Op(self, table, delta, dst) for table in tables]
 
-    def _label_table(self, action, lam, delta, dst):
-        """The table read off a label action, one label at a time: the route
-        for a table whose paths pass the enumeration cap, where the graph
-        builds no block to index them."""
-        table = {}
-        for t, label in enumerate(self._blocks[delta]):
-            out = action(lam, label)
-            if out is ESCAPE:
-                return None
-            if out is not None:
-                table[t] = {self.label_index(dst, out): 1}
-        return _Op(self, table, delta, dst)
+    def _label_tables(self, action, n, delta, dst):
+        """The tables of the paths of degree n read off a label action, one
+        label at a time: the route for tables whose paths pass the
+        enumeration cap, where the graph builds no block to index them."""
+
+        def table(lam):
+            out_table = {}
+            for t, label in enumerate(self._blocks[delta]):
+                out = action(lam, label)
+                if out is ESCAPE:
+                    return None
+                if out is not None:
+                    out_table[t] = {self.label_index(dst, out): 1}
+            return _Op(self, out_table, delta, dst)
+
+        return [table(lam) for lam in self.graph.block(n)]
 
     def _extension(self, j, top, n):
         """The rule segments that extend a label (j, w) with d(w) = top until
@@ -617,22 +680,25 @@ class DirectSumRep:
         return offs
 
     def _stacked(self, action, lam, key):
-        """The parts' operators p.action(lam, key), moved to their offsets and summed."""
-        offs = self._offsets(key)
-        ops = ((c, getattr(p, action)(lam, key))
-               for c, p in enumerate(self.parts) if key in self._keys[c])
-        return _sum(
-            None if op is None else op.moved(self, offs[c], self._offsets(op.dst_key)[c])
-            for c, op in ops
-        )
+        """The parts' operators p.action(lam, key), moved to their offsets and
+        summed; built once per (action, lam, key)."""
+        memo = (action, lam, key)
+        op = self._tables.get(memo, _UNBUILT)
+        if op is _UNBUILT:
+            offs = self._offsets(key)
+            parts = ((c, getattr(p, action)(lam, key))
+                     for c, p in enumerate(self.parts) if key in self._keys[c])
+            op = self._tables[memo] = _sum(
+                None if part is None else part.moved(self, offs[c], self._offsets(part.dst_key)[c])
+                for c, part in parts
+            )
+        return op
 
     def apply_path(self, lam, key):
-        return _built_once(self._tables, "forward", lam, key, partial(self._stacked, "apply_path"))
+        return self._stacked("apply_path", lam, key)
 
     def apply_adjoint(self, lam, key):
-        return _built_once(
-            self._tables, "adjoint", lam, key, partial(self._stacked, "apply_adjoint")
-        )
+        return self._stacked("apply_adjoint", lam, key)
 
     def labels(self):
         return [(c, lab) for c, p in enumerate(self.parts) for lab in p.labels()]

@@ -54,6 +54,28 @@ def degrees_up_to(k, bound):
     return list(itertools.product(range(bound + 1), repeat=k))
 
 
+# -- degree vectors -----------------------------------------------------------
+
+
+def test_degree_helpers_match_their_generator_forms():
+    # map stops at the shorter argument as zip does, so unequal lengths are drawn too
+    rng = random.Random(0)
+    verdicts = set()
+    for _ in range(500):
+        m = tuple(rng.randint(-3, 5) for _ in range(rng.randint(1, 4)))
+        length = len(m) if rng.random() < 0.8 else rng.randint(1, 4)
+        n = tuple(a + rng.randint(-1, 2) for a in (m * 2)[:length])
+        assert deg_add(m, n) == tuple(a + b for a, b in zip(m, n))
+        assert deg_sub(m, n) == tuple(a - b for a, b in zip(m, n))
+        assert deg_join(m, n) == tuple(max(a, b) for a, b in zip(m, n))
+        assert deg_le(m, n) == all(a <= b for a, b in zip(m, n))
+        verdicts.add(deg_le(m, n))
+    assert verdicts == {True, False}
+    for k in range(1, 5):
+        for color in range(1, k + 1):
+            assert deg_unit(k, color) == tuple(1 if c == color else 0 for c in range(1, k + 1))
+
+
 # -- validation -------------------------------------------------------------
 
 

@@ -28,7 +28,15 @@ from kgraph_lab.errors import (
     ZeroDenominator,
 )
 from kgraph_lab.intervals import IntervalUnion
-from kgraph_lab.kgraph import KGraph, deg_add, deg_diag, deg_grid, deg_join, deg_sub
+from kgraph_lab.kgraph import (
+    KGraph,
+    build_product,
+    deg_add,
+    deg_diag,
+    deg_grid,
+    deg_join,
+    deg_sub,
+)
 from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
@@ -179,6 +187,25 @@ def test_verify_ck_checks_the_pinned_blocks(name, make, max_level, blocks):
     assert [c.relation for c in report.checks] == ["CK1", "CK2", "CK3", "CK4", "CK4-min"]
     assert [c.blocks_checked for c in report.checks] == blocks
     assert [c.residual for c in report.checks] == [0.0] * 5
+
+
+def four_graph():
+    """ex3v8e x exonevtwoe: a 4-graph with 3 vertices and 17 edges."""
+    return build_product(builtin_graph("ex3v8e"), builtin_graph("exonevtwoe"))
+
+
+FOUR_GRAPH_PINS = {
+    "standard": (lambda g: standard_rep(g, pf_measure(g), 1), [48, 608, 136, 99, 792]),
+    "kp": (lambda g: KPRep(g, 1), [48, 608, 136, 99, 792]),
+    "faithful": (lambda g: faithful_rep(g, depth=1), [48, 608, 136, 99, 504]),
+}
+
+
+@pytest.mark.parametrize("make, blocks", FOUR_GRAPH_PINS.values(), ids=FOUR_GRAPH_PINS)
+def test_verify_ck_on_a_4_graph(make, blocks):
+    report = verify_ck(make(four_graph()), max_level=1)
+    assert report.ok
+    assert [c.blocks_checked for c in report.checks] == blocks
 
 
 def test_relation_checks_call_block_actions_through_the_module(monkeypatch):
@@ -343,6 +370,95 @@ def test_verify_ck_twice_on_one_rep_is_identical(make):
     lam = g.edge_path(g.edges[0].eid)
     key = next(k for k in rep.block_keys() if rep.apply_path(lam, k) is not None)
     assert rep.apply_path(lam, key) is rep.apply_path(lam, key)
+
+
+MEMO_REPS = {
+    "standard": lambda g: UnprobedRep(g, pf_measure(g), 2),
+    "kp": lambda g: KPRep(g, 2),
+    "faithful": lambda g: faithful_rep(g, depth=3),
+}
+
+
+def table_requests(rep, bound):
+    """(direction, lam, key) for every path of degree <= bound*(1,..,1) on every block."""
+    g = rep.graph
+    lams = [lam for n in deg_grid(g.k, bound) for lam in g.enumerate_paths(n)]
+    return [(d, lam, key) for key in rep.block_keys() for lam in lams for d in ("fwd", "adj")]
+
+
+def requested(rep, requests):
+    """rows_of each requested table, in request order."""
+    apply = {"fwd": rep.apply_path, "adj": rep.apply_adjoint}
+    return [rows_of(op and op.table) for op in (apply[d](lam, key) for d, lam, key in requests)]
+
+
+@pytest.mark.parametrize("order", ["block", "reversed", "shuffled"])
+@pytest.mark.parametrize("kind", MEMO_REPS)
+def test_each_batch_is_built_once_whatever_the_request_order(kind, order, monkeypatch):
+    # a batch is every path of one degree in one direction on one block; a
+    # block or image that is not represented is remembered per path instead
+    rep = MEMO_REPS[kind](builtin_graph("ex3v8e"))
+    built = collections.Counter()
+    for name in ("_forward_tables", "_adjoint_tables"):
+
+        def counted(n, key, build=getattr(rep, name), name=name):
+            ops = build(n, key)
+            built[name, n, key, ops is None] += 1
+            return ops
+
+        monkeypatch.setattr(rep, name, counted)
+    requests = table_requests(rep, 2)
+    if order == "reversed":
+        requests.reverse()
+    elif order == "shuffled":
+        random.Random(7).shuffle(requests)
+    first = requested(rep, requests)
+    assert requested(rep, requests) == first
+    batches = [key for key, count in built.items() if not key[-1]]
+    assert batches and all(built[key] == 1 for key in batches)
+    g = rep.graph
+    assert all(count == len(g.enumerate_paths(n)) for (_, n, _, none), count in built.items() if none)
+
+
+@pytest.mark.parametrize("kind", MEMO_REPS)
+def test_shuffled_requests_give_the_tables_of_block_order(kind):
+    g = next(strongly_connected_draws(2, 1))
+    requests = table_requests(MEMO_REPS[kind](g), 2)
+    want = requested(MEMO_REPS[kind](g), requests)
+    order = list(range(len(requests)))
+    random.Random(11).shuffle(order)
+    got = dict(zip(order, requested(MEMO_REPS[kind](g), [requests[i] for i in order])))
+    assert [got[i] for i in range(len(requests))] == want
+    assert any(want) and None in want
+
+
+def test_zero_denominator_is_raised_for_its_path_alone():
+    # one batch builds every edge of a color on block 0; only an edge whose
+    # source cylinder is null raises, in whatever order the edges are asked for
+    g = builtin_graph("ex3v8e")
+    m = pf_measure(g)
+    null = g.vertex_path(g.vertices[0])
+    measure = m.perturbed(null, -m.value(null))
+    lams = [g.edge_path(e.eid) for e in g.edges if e.color == 1]
+    assert {g.s(lam) == null.range for lam in lams} == {True, False}
+
+    def outcomes(order):
+        rep, out = UnprobedRep(g, measure, 1), {}
+        for lam in order + order:  # a second request raises again
+            try:
+                got = rows_of(rep.apply_path(lam, (0, 0)).table)
+            except ZeroDenominator as err:
+                got = str(err)
+            assert out.setdefault(lam, got) == got
+        return out
+
+    first = outcomes(lams)
+    for lam, got in first.items():
+        if g.s(lam) == null.range:
+            assert got == f"Z({null}) has measure 0"
+        else:
+            assert got and isinstance(got, list)
+    assert outcomes(lams[::-1]) == first
 
 
 def test_block_actions_are_defined_in_the_class_bodies():
@@ -589,6 +705,13 @@ def test_standard_tables_match_the_replaced_builders(measure, depth):
         assert undefined  # nonconstant RN data leaves some forward map undefined
 
 
+@pytest.mark.parametrize("kind", ["pf", "kp"])
+def test_standard_tables_match_the_replaced_builders_on_a_4_graph(kind):
+    g = four_graph()
+    rep = UnprobedRep(g, pf_measure(g), 1) if kind == "pf" else KPRep(g, 1)
+    assert assert_tables_match_references(rep, 1) == 0
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("seed", range(4))
 def test_kp_tables_match_the_replaced_builders_on_random_graphs(k, seed):
@@ -621,15 +744,16 @@ def test_integer_rn_test_matches_the_quotient_reference(measure):
     g, weight, seen = rep.graph, functools.cache(rep.weight), collections.Counter()
     keys = rep.block_keys()
     for m in keys:
-        for lam in (lam for n in deg_grid(g.k, 1) for lam in g.enumerate_paths(n)):
-            dst = deg_add(m, lam.degree)
-            if dst not in keys:
+        for n in deg_grid(g.k, 1):
+            if deg_add(m, n) not in keys:
                 continue
-            for i, j in rep._rows(lam, m):
-                got = rep._rn_constant(lam, m, [(i, j)])
-                want = reference_constant_quotient(rep, weight, lam, rep.block(m)[i])
-                assert got == (want is not None), (lam, m, i)
-                seen[got] += 1
+            constant, rows = rep._rn_constant(n, m), rep._rows(n, m)
+            for a, lam in enumerate(g.enumerate_paths(n)):
+                for i, j in rows[a]:
+                    got = constant(a, [(i, j)])
+                    want = reference_constant_quotient(rep, weight, lam, rep.block(m)[i])
+                    assert got == (want is not None), (lam, m, i)
+                    seen[got] += 1
     assert seen[True]
     if measure.tag.endswith("+perturbed") or "finite" in measure.tag:
         assert seen[False]  # the reference says not constant somewhere
@@ -642,9 +766,10 @@ def test_integer_rn_test_on_a_null_cylinder_raises_zero_denominator(at):
     null = g.path(at) if at else g.vertex_path("v")
     rep = UnprobedRep(g, m.perturbed(null, -m.value(null)), 1)
     lam = g.edge_path(g.edges[0].eid)
-    rows = rep._rows(lam, (0, 0))
+    a = g.index(lam)
+    rows = rep._rows(lam.degree, (0, 0))[a]
     with pytest.raises(ZeroDenominator, match=re.escape(f"Z({null}) has measure 0")):
-        rep._rn_constant(lam, (0, 0), rows)
+        rep._rn_constant(lam.degree, (0, 0))(a, rows)
 
 
 @pytest.mark.parametrize("name", ["exonevtwoe", "ex3v8e"], ids=["exact", "float"])
@@ -664,7 +789,7 @@ def float_adjoint_table(rep, lam, m):
     g = rep.graph
     join = deg_join(m, lam.degree)
     dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
-    rows = sorted((heads[j], alpha, j) for alpha, j in rep._rows(lam, dst))
+    rows = sorted((heads[j], alpha, j) for alpha, j in rep._rows(lam.degree, dst)[g.index(lam)])
     top, blk = rep._values(join), rep._values(m)
     for i, alpha, j in rows:
         ratio = top[j] / blk[i]
@@ -804,6 +929,11 @@ def test_faithful_tables_match_the_label_actions(name, depth, cap):
     rep = faithful_rep(builtin_graph(name), depth=depth, cap=cap)
     defined, undefined = assert_faithful_tables_match_label_actions(rep)
     assert defined and undefined
+
+
+def test_faithful_tables_match_the_label_actions_on_a_4_graph():
+    rep = faithful_rep(four_graph(), depth=1)
+    assert assert_faithful_tables_match_label_actions(rep) == (680, 3896)
 
 
 @pytest.mark.parametrize("k", [2, 3])
