@@ -480,26 +480,15 @@ class KGraph:
                 outer_off = self.glue(deg_add(prev, r), deg_unit(k, h))[0]
                 t = self.tails(n)  # lam = block(prev)[i] . f
                 pos, swap, by_range = self._pos, self._right_to_left, self._by_range
-                moves = {}  # f -> (pos(e'), pos(f')) for each square f.e = e'.f'
-                out = array("l")
-                for i, f, v in zip(t.parents, t.lasts, t.sources):
-                    pairs = moves.get(f)
-                    if pairs is None:
-                        squares = (swap[(f, e.eid)] for e in by_range.get((v, c), ()))
-                        pairs = moves[f] = [(pos[e2], pos[f2]) for e2, f2 in squares]
-                    base = inner_off[i]
-                    out.extend([outer_off[inner[base + a]] + b for a, b in pairs])
+                moves = {}  # f -> (pos(e'), pos(f')) for each square f.e = e'.f', per color-h edge f
+                for f in (f for (_, color), run in by_range.items() if color == h for f in run):
+                    squares = (swap[(f.eid, e.eid)] for e in by_range.get((f.source, c), ()))
+                    moves[f.eid] = [(pos[e2], pos[f2]) for e2, f2 in squares]
+                out = array("l", [outer_off[inner[inner_off[i] + a]] + b
+                                  for i, f in zip(t.parents, t.lasts) for a, b in moves[f]])
             table = off, out
         self._glues[key] = table
         return table
-
-    def glued(self):
-        """The (n, r) pairs whose glue tables are kept."""
-        return set(self._glues)
-
-    def drop_glue(self, n, r):
-        """Forget glue(n, r); the next call builds it again."""
-        self._glues.pop((n, r), None)
 
     def run(self, r, v):
         """The indices in block(r) of the paths with range v: glue(0, r) at v."""

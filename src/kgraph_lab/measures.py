@@ -1,16 +1,18 @@
 """Perron-Frobenius data and Borel measures on the infinite path space.
 
 Measures are handled through their values on cylinder sets Z(path).
-Values are exact Fractions whenever the defining data is rational,
-otherwise floats.  Consistency (square-cylinder additivity), Radon-
-Nikodym quotients along nested square cylinders, and the Kakutani
+Values are exact whenever the defining data is rational, otherwise
+floats.  Consistency (square-cylinder additivity), Radon-Nikodym
+quotients along nested square cylinders, and the Kakutani
 equivalence/singularity classification are all computed from cylinder
 values only.
 
 The values of a whole block of paths are computed by index, from the
 graph's tail arrays and glue tables, with no Path built; a Path is
-rebuilt only where a report names one.  value(path) is the single-path
-route, the only one above the enumeration cap.
+rebuilt only where a report names one.  Exact values of a block are
+kept as int numerators over one int denominator per degree, and turned
+into Fractions only where a caller asks for them.  value(path) is the
+single-path route, the only one above the enumeration cap.
 
 Product and Markov measures are one chain rule over the symbols a square
 path reads (_chain_measure): a square of degree (n, n) is its
@@ -19,8 +21,10 @@ product step ignores the previous symbol; a Markov step reads it.
 """
 
 from array import array
+from collections import Counter
 from fractions import Fraction
-from math import fsum
+from itertools import pairwise, repeat
+from math import fsum, gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import (
@@ -35,7 +39,7 @@ from .errors import (
     UnsupportedGraphShape,
     ZeroDenominator,
 )
-from .kgraph import deg_add, deg_diag, deg_grid, deg_total, deg_unit
+from .kgraph import deg_add, deg_diag, deg_grid, deg_sub, deg_total, deg_unit
 
 MAX_POWER_ITERATIONS = 100_000
 
@@ -51,25 +55,32 @@ class PFData(NamedTuple):
     residual: float
 
 
-def _exact_nullspace(mat):
-    """One-dimensional rational nullspace of a square Fraction matrix, or None."""
-    n = len(mat)
+def _row_reduce(mat):
+    """(rows, pivots): the reduced row echelon form of a rational matrix, as
+    Fraction rows, and its pivot columns in order."""
     rows = [list(map(Fraction, row)) for row in mat]
     pivots = []
     r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         pv = rows[r][c]
         rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
+        for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
+    return rows, pivots
+
+
+def _exact_nullspace(mat):
+    """One-dimensional rational nullspace of a Fraction matrix, or None."""
+    n = len(mat[0])
+    rows, pivots = _row_reduce(mat)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
@@ -140,27 +151,29 @@ def _exact_pf(g):
     """PFData over the rationals, or None when some spectral radius is
     irrational or the colors share no Perron vector.
 
-    A rational root of the characteristic polynomial of an integer matrix
-    is an integer, and the Perron root of a nonnegative matrix lies between
-    its least and greatest row sums; only it has a positive eigenvector.
-    So each color scans those integers for a one-dimensional rational
-    nullspace of A_i - rho*I with a positive vector.
+    A positive eigenvector of a nonnegative matrix belongs to its spectral
+    radius, which bounds every real eigenvalue and lies between the least
+    and greatest row sums; a rational root of the characteristic polynomial
+    of an integer matrix is an integer.  So each color takes the largest
+    integer rho in that range with A_i - rho*I singular, and kappa spans
+    the common nullspace of all the A_i - rho_i*I stacked.  One color alone
+    may leave a wider nullspace (an identity color leaves every vector); an
+    irrational radius leaves no positive vector in the stack.
     """
-    mats = g.vertex_matrices()
-    rhos, kappa = [], None
-    for mat in mats:
+    stacked, rhos = [], []
+    for mat in g.vertex_matrices():
         sums = [sum(row) for row in mat]
-        for rho in range(min(sums), max(sums) + 1):
-            vec = _perron_vector(mat, rho)
-            if vec is not None:
+        for rho in range(max(sums), min(sums) - 1, -1):
+            shifted = _shifted(mat, rho)
+            if _singular(shifted):
                 break
         else:
             return None
-        if kappa is None:
-            kappa = vec
-        elif kappa != vec:
-            return None
+        stacked += shifted
         rhos.append(Fraction(rho))
+    kappa = _perron_vector(stacked)
+    if kappa is None:
+        return None
     return PFData(
         tuple(rhos),
         {v: kappa[i] for i, v in enumerate(g.vertices)},
@@ -169,12 +182,31 @@ def _exact_pf(g):
     )
 
 
-def _perron_vector(mat, rho):
-    """The positive vector, summing to 1, spanning the nullspace of mat - rho*I,
+def _singular(mat):
+    """Whether a square integer matrix is singular, by fraction-free (Bareiss)
+    elimination: every division is exact, so no Fraction is built."""
+    rows, prev = [list(row) for row in mat], 1
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return True
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for i in range(k + 1, len(rows)):
+            rows[i] = [(x * top[k] - rows[i][k] * y) // prev for x, y in zip(rows[i], top)]
+        prev = top[k]
+    return False
+
+
+def _shifted(mat, rho):
+    """The rows of mat - rho*I."""
+    return [[x - (rho if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+
+
+def _perron_vector(mat):
+    """The positive vector, summing to 1, spanning the nullspace of mat,
     or None when that nullspace is not one-dimensional and positive."""
-    nv = len(mat)
-    shifted = [[mat[i][j] - (rho if i == j else 0) for j in range(nv)] for i in range(nv)]
-    vec = _exact_nullspace(shifted)
+    vec = _exact_nullspace(mat)
     if vec is None:
         return None
     if all(x < 0 for x in vec):
@@ -197,13 +229,20 @@ class CylinderMeasure:
     cylinder.  Any shallower cylinder is the sum of its one-edge extensions
     in the first color short of the base (additivity).
 
-    ``values(m)`` lists the values of block(m) in block order, kept once
-    per degree and computed by index.  A base degree takes
-    ``block_fn(m)``, the measure's rule for a whole block, which reads the
-    graph's tail arrays and glue tables and builds no Path; a measure
-    without one maps ``value`` over block(m).  A shallower degree sums the
-    values(m + e_c) at the runs of glue(m, e_c), in the order of
-    ``KGraph.extensions``.
+    ``numerators(m)`` gives the values of block(m) in block order, kept
+    once per degree and computed by index, as numerators over one
+    denominator: on an exact measure a list of ints over the degree's
+    int denominator, on a float measure the values themselves over 1.  A
+    base degree takes ``block_fn(m)``, the measure's rule for a whole
+    block in that form, which reads the graph's tail arrays and glue
+    tables and builds no Path; a measure without one maps ``value`` over
+    block(m).  A shallower degree sums the numerators of degree m + e_c at
+    the runs of glue(m, e_c), in the order of ``KGraph.extensions``, over
+    the same denominator.  A bump rescales its own degree to a common
+    denominator.  ``values(m)`` builds the values from the numerators
+    when a caller asks, of the type ``value`` returns: Fractions, or ints
+    on a counting measure (one whose base values are ints), or the float
+    list itself.
     ``value(path)`` is the single-path route: the same definition for one
     path, building no block, so it is the only route above the enumeration
     cap.  Its sums are redone on every call; a rule's ``fn`` may keep the
@@ -218,7 +257,9 @@ class CylinderMeasure:
         self._base = base
         self._block_fn = block_fn
         self._bumps = {}  # path -> delta
-        self._values = {}  # degree -> values of block(degree)
+        self._numerators = {}  # degree -> (numerators, denominator) of block(degree)
+        self._values = {}  # degree -> values of block(degree), built on request
+        self._counting = False  # exact base values read from fn are all ints
 
     def value(self, path):
         color = self._short(path.degree)
@@ -236,30 +277,55 @@ class CylinderMeasure:
         """The values of block(m), in block order."""
         vals = self._values.get(m)
         if vals is None:
-            g = self.graph
-            color = self._short(m)
-            if not (color or self._block_fn):
-                vals = list(map(self.value, g.block(m)))  # value adds the bumps
-            else:
-                if color:
-                    unit = deg_unit(g.k, color)
-                    off, out = g.glue(m, unit)
-                    up = self.values(deg_add(m, unit))
-                    vals = [sum(map(up.__getitem__, out[off[i]:off[i + 1]]))
-                            for i in range(len(off) - 1)]
-                else:
-                    vals = self._block_fn(m)
-                # a rule's values and sums of checked ones are nonnegative; only a bump can go below 0
-                bumps = sorted((g.index(path), delta, path)
-                               for path, delta in self._bumps.items() if path.degree == m)
-                if bumps:
-                    vals = list(vals)  # a block rule may keep its list
-                for i, delta, path in bumps:
-                    vals[i] += delta
-                    if vals[i] < 0:
-                        raise AdditivityViolation(path, float(vals[i]))
+            exact = self.fractions(m)
+            vals = self.numerators(m)[0] if exact is None else [Fraction(n, exact[1]) for n in exact[0]]
             self._values[m] = vals
         return vals
+
+    def fractions(self, m):
+        """numerators(m) where the values of block(m) are Fractions, else None."""
+        nums, den = self.numerators(m)
+        return None if not self.exact or (self._counting and den == 1) else (nums, den)
+
+    def numerators(self, m):
+        """(numerators, denominator) of the values of block(m), in block order."""
+        got = self._numerators.get(m)
+        if got is not None:
+            return got
+        g = self.graph
+        color = self._short(m)
+        if not (color or self._block_fn):
+            vals = self._values[m] = list(map(self.value, g.block(m)))  # value adds the bumps
+            if not self.exact:
+                got = vals, 1
+            else:
+                self._counting = all(type(v) is int for v in vals)
+                got = _over_lcm(vals)
+        else:
+            if color:
+                unit = deg_unit(g.k, color)
+                up, den = self.numerators(deg_add(m, unit))
+                nums = _run_sums(g.glue(m, unit), up)
+                if self.exact:  # equal sums share one int: a degree's values repeat
+                    seen = {}
+                    nums = [seen.setdefault(x, x) for x in nums]
+            else:
+                nums, den = self._block_fn(m)
+            # a rule's values and sums of checked ones are nonnegative; only a bump can go below 0
+            bumps = sorted((g.index(path), delta, path)
+                           for path, delta in self._bumps.items() if path.degree == m)
+            if bumps:
+                nums = list(nums)  # a block rule may keep its list
+                if self.exact:
+                    common = lcm(den, *(delta.denominator for _, delta, _ in bumps))
+                    nums, den = [n * (common // den) for n in nums], common
+            for i, delta, path in bumps:
+                nums[i] += delta.numerator * (den // delta.denominator) if self.exact else delta
+                if nums[i] < 0:
+                    raise AdditivityViolation(path, float(nums[i] / den))
+            got = nums, den
+        self._numerators[m] = got
+        return got
 
     def _short(self, degree):
         """The first color in which degree falls short of its base, or 0."""
@@ -287,11 +353,28 @@ class CylinderMeasure:
         return out
 
 
+def _over_lcm(vals):
+    """(numerators, denominator): exact values over their least common denominator."""
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+def _run_sums(table, up):
+    """The sums of up over the runs of a glue table (off, out): slices of up
+    itself where out is a range, else of up gathered in the order of out."""
+    off, out = table
+    if type(out) is not range:
+        up = [up[j] for j in out]
+    return [sum(up[a:b]) for a, b in pairwise(off)]
+
+
 def pf_measure(g, pf=None):
     """The self-similar measure: value(path) = rho^{-d(path)} kappa_{s(path)}.
 
     One value per (source vertex, degree); a block's values are read off
-    the sources of its paths.
+    the sources of its paths.  Exact data gives each source the numerator
+    kappa_v * L, L = lcm(den kappa), over the degree's denominator
+    L * rho_1^{m_1} ... rho_k^{m_k}.
     """
     if pf is None:
         pf = pf_data(g)
@@ -311,9 +394,17 @@ def pf_measure(g, pf=None):
     def fn(path):
         return at(g.s(path), path.degree)
 
+    if pf.exact:
+        nums, scale = _over_lcm([pf.kappa[v] for v in g.vertices])
+        numerator = dict(zip(g.vertices, nums))
+        rhos = [rho.numerator for rho in pf.rho]  # exact radii are integers
+
     def pf_block(m):
+        sources = g.tails(m).sources
+        if pf.exact:
+            return list(map(numerator.__getitem__, sources)), scale * prod(map(pow, rhos, m))
         by_source = {v: at(v, m) for v in g.vertices}
-        return list(map(by_source.__getitem__, g.tails(m).sources))
+        return list(map(by_source.__getitem__, sources)), 1
 
     m = CylinderMeasure(g, fn, "pf", exact=pf.exact, block_fn=pf_block)
     m.pf = pf
@@ -331,34 +422,53 @@ class ConsistencyReport(NamedTuple):
 def check_consistency(measure, depth, tol=1e-12):
     """Square-cylinder additivity for all paths with degree <= depth*(1,..,1).
 
-    The extensions lam.eta, eta of degree (1,..,1), are the runs of
-    glue(n, (1,..,1)), which lists them in the enumeration order of eta.
-    A glue(n, (1,..,1)) table this call builds is dropped once n is done.
-    The worst residual is kept as (degree, index), and only its path is
-    rebuilt.
+    The extensions lam.eta, eta of degree (1,..,1), are summed one color at
+    a time (_extension_sums), down the one-edge tables glue(m, e_c); no
+    glue(n, (1,..,1)) table is built.  An exact measure compares
+    val * D_top with total * D_n on ints, D the degrees' denominators, and
+    only on a degree where some differ turns each difference into the
+    correctly rounded float of its rational residual.  A float total adds
+    each color's runs in turn, the last color innermost, so its rounding
+    may differ from a flat sum over the extensions in block((1,..,1))
+    order.  The worst residual is kept as (degree, index), and only its
+    path is rebuilt.
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
     worst = 0.0
     worst_at = None
     checked = 0
-    diag = deg_diag(g.k, 1)
-    held = g.glued()
     for n in deg_grid(g.k, depth):
-        off, out = g.glue(n, diag)
-        top = measure.values(deg_add(n, diag))
-        for i, val in enumerate(measure.values(n)):
-            total = sum(map(top.__getitem__, out[off[i]:off[i + 1]]))
-            residual = abs(val - total)
-            checked += 1
-            if float(residual) > worst:
-                worst = float(residual)
-                worst_at = n, i
-        if (n, diag) not in held:
-            g.drop_glue(n, diag)
+        totals, top_den = _extension_sums(measure, n)
+        nums, den = measure.numerators(n)
+        checked += len(nums)
+        if measure.exact:
+            res = [abs(val * top_den - total * den) for val, total in zip(nums, totals)]
+            if any(res):  # int true division rounds each rational residual correctly
+                res = [r / (den * top_den) for r in res]
+        else:
+            res = [abs(val - total) for val, total in zip(nums, totals)]
+        here = max(res, default=0)
+        if float(here) > worst:
+            worst, worst_at = float(here), (n, res.index(here))
     worst_path = None if worst_at is None else g.path_at(*worst_at)
     ok = worst == 0.0 if measure.exact else worst <= tol
     return ConsistencyReport(ok, checked, worst, worst_path, measure.exact)
+
+
+def _extension_sums(measure, n):
+    """(totals, denominator): for each path lam of block(n), the sum of the
+    numerators of its extensions lam.eta, eta of degree (1,..,1), over the
+    denominator of degree n + (1,..,1).  The sums go down the one-edge
+    tables glue(m, e_c), c from k down to 1, so the last color is innermost."""
+    g = measure.graph
+    m = deg_add(n, deg_diag(g.k, 1))
+    totals, den = measure.numerators(m)
+    for c in range(g.k, 0, -1):
+        unit = deg_unit(g.k, c)
+        m = deg_sub(m, unit)
+        totals = _run_sums(g.glue(m, unit), totals)
+    return totals, den
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +573,15 @@ def _chain_measure(g, shape, tag, exact, first, step):
 
     value(path) recurses on the head from factorize, keeping each square
     it computes, and reads the segment off its index in block((1, 1)).
-    The block rule carries the last symbol of each square and reads
-    block((n, n)) off cut((n, n), (n-1, n-1)).  Its degree-(0, 0) row goes
-    through value() of the measure made here, which carries no bump;
-    perturbed copies share the rule.
+    The block rule carries the last symbol of each square and fills
+    block((n, n)) by one scatter over the runs of glue((n-1, n-1), (1, 1)):
+    the run of a head h lists h.t for the segments t at s(h), in block((1, 1))
+    order.  On an exact measure it multiplies integers: a square's numerator
+    is its head's numerator times its step's numerator over E_n, the common
+    denominator of the steps of degree (n, n), and D_n = D_{n-1} * E_n;
+    after a head with no symbol the head's factor is D_{n-1}.  Its
+    degree-(0, 0) row goes through value() of the measure made here, which
+    carries no bump; perturbed copies share the rule.
     """
     segments = []  # (reads_range, symbol) of block((1, 1)), read on first use
 
@@ -493,25 +608,48 @@ def _chain_measure(g, shape, tag, exact, first, step):
             chains[key] = got
         return got
 
-    squares = []  # squares[n]: (values, last symbols) of block((n, n))
+    diag = (1, 1)
+    squares = []  # squares[n]: (numerators, denominator) of block((n, n))
+    last = array("l")  # the last symbol of each path of the deepest square
 
     def chain_squares(degree):
+        nonlocal last
         while len(squares) <= degree[0]:
             n = len(squares)
             if n:
-                heads, tails = g.cut((n, n), (n - 1, n - 1))
-                prev, prev_last = squares[-1]
+                (prev, den), prev_last = squares[-1], last
                 segs = segment_table()
                 # steps[a][t]: the step of segment t after last symbol a, for each a that occurs
                 steps = {a: [step(n, a, *seg) for seg in segs] for a in sorted(set(prev_last))}
-                vals = [steps[a][t] if a < 0 else prev[h] * steps[a][t]
-                        for h, t, a in zip(heads, tails, map(prev_last.__getitem__, heads))]
-                last = array("l", [segs[t][1] for t in tails])
+                if exact:
+                    scale = lcm(*(s.denominator for row in steps.values() for s in row))
+                    steps = {a: [s.numerator * (scale // s.denominator) for s in row]
+                             for a, row in steps.items()}
+                else:
+                    scale = 1
+                spans = {}  # v -> its run in block((1, 1)), to slice the steps with
+                for v in g.vertices:
+                    run = g.run(diag, v)
+                    spans[v] = slice(run.start, run.stop)
+                heads = g.tails((n - 1, n - 1)).sources
+                factors = [den if a < 0 else x for x, a in zip(prev, prev_last)]
+                # the run of each head, in glue order: the head's factor times each step
+                flat = [x * s for x, a, v in zip(factors, prev_last, heads) for s in steps[a][spans[v]]]
+                symbols = [s for _, s in segs]
+                flat_last = [s for v in heads for s in symbols[spans[v]]]
+                out = g.glue((n - 1, n - 1), diag)[1]
+                vals, last = [0] * len(out), array("l", [0]) * len(out)
+                for j, x, s in zip(out, flat, flat_last):
+                    vals[j] = x
+                    last[j] = s
+                den *= scale
             else:
-                vals = [measure.value(g.vertex_path(v)) for v in g.vertices]
+                vals, den = [measure.value(g.vertex_path(v)) for v in g.vertices], 1
+                if exact:
+                    vals, den = _over_lcm(vals)
                 last = array("l", [first(v)[1] for v in g.vertices])
-            squares.append((vals, last))
-        return squares[degree[0]][0]
+            squares.append((vals, den))
+        return squares[degree[0]]
 
     measure = CylinderMeasure(g, lambda path: chain(path)[0], tag, exact, _square,
                               chain_squares)
@@ -697,7 +835,7 @@ class MarkovMeasureSpec(NamedTuple):
         """Positive left fixed row, scaled so its entries sum to len(matrix)."""
         n = len(self.matrix)
         if self.exact:
-            vec = _perron_vector(tuple(zip(*self.matrix)), 1)
+            vec = _perron_vector(_shifted(tuple(zip(*self.matrix)), 1))
             if vec is None:
                 raise SpecInvariantViolated("no positive one-dimensional stationary row")
             return tuple(x * n for x in vec)
@@ -950,26 +1088,53 @@ def format_value(v):
     return f"{float(v):.17g}"
 
 
+def _value_texts(vals):
+    """format_value of each value.  A degree's values repeat, so a list of
+    nonzero floats formats each distinct one once; equal floats print alike
+    but for the sign of 0.0, and equal values of other types may not."""
+    distinct = dict.fromkeys(vals)
+    if not all(type(val) is float and val for val in distinct):
+        return list(map(format_value, vals))
+    text = {val: f"{val:.17g}" for val in distinct}
+    return list(map(text.__getitem__, vals))
+
+
 def measure_table(measure, depth):
     """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1).
 
     A path's label is built from the tail arrays: its parent's label with
-    its last edge appended, or its vertex at degree 0.
+    its last edge appended, or its vertex at degree 0.  A degree's labels
+    are kept until the last degree built on them is written, and its rows
+    are joined once it is done.
     """
     g = measure.graph
     g.check_cap(depth * g.k, f"measure table depth {depth}")
-    lines = ["depth\tpath\tvalue"]
+    grid = deg_grid(g.k, depth)
+    readers = Counter(g.tails(n).prev for n in grid)  # degrees whose labels extend each degree's
+    chunks = ["depth\tpath\tvalue\n"]
     labels = {}
-    for n in deg_grid(g.k, depth):
+    for n in grid:
         t = g.tails(n)
         if t.prev is None:
-            labels[n] = g.vertices
+            here = g.vertices
         elif not any(t.prev):
-            labels[n] = t.lasts
+            here = t.lasts
         else:
             up = labels[t.prev]
-            labels[n] = [f"{up[p]}.{e}" for p, e in zip(t.parents, t.lasts)]
+            here = [f"{up[p]}.{e}" for p, e in zip(t.parents, t.lasts)]
+            readers[t.prev] -= 1
+            if not readers[t.prev]:
+                del labels[t.prev]
+        if readers[n]:
+            labels[n] = here
         total = deg_total(n)
-        lines += [f"{total}\t{label}\t{format_value(val)}"
-                  for label, val in zip(labels[n], measure.values(n))]
-    return "\n".join(lines) + "\n"
+        exact = measure.fractions(n)
+        if exact is None:
+            rows = [f"{total}\t{label}\t{text}\n"
+                    for label, text in zip(here, _value_texts(measure.values(n)))]
+        else:  # p/q reduced from the numerators
+            nums, den = exact
+            rows = [f"{total}\t{label}\t{a // d}/{den // d}\n"
+                    for label, a, d in zip(here, nums, map(gcd, nums, repeat(den)))]
+        chunks.append("".join(rows))
+    return "".join(chunks)

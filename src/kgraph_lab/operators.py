@@ -146,7 +146,7 @@ class StandardRep:
         self.depth = depth
         graph.check_cap((depth + self.reach) * graph.k, f"{self.kind} rep depth {depth}")
         self._blocks = {m: graph.enumerate_paths(m) for m in deg_grid(graph.k, depth)}
-        self._tables, self._integers = {}, {}  # built operators, exact weights as integers
+        self._tables = {}  # built operators
         self._probe_usability()
 
     def _probe_usability(self):
@@ -191,13 +191,10 @@ class StandardRep:
             raise ZeroDenominator(f"Z({self.graph.path_at(m, i)}) has measure 0")
         return vals[i]
 
-    def _integer_values(self, m):
-        """(numerators, denominators) of the weights of block(m), exact or float."""
-        pair = self._integers.get(m)
-        if pair is None:
-            ratios = [v.as_integer_ratio() for v in self._values(m)]
-            pair = self._integers[m] = [n for n, _ in ratios], [d for _, d in ratios]
-        return pair
+    def _numerators(self, m):
+        """(numerators, denominator) of the weights of block(m): ints over one
+        int for exact weights (CylinderMeasure.numerators)."""
+        return self.measure.numerators(m)
 
     def _rn_constant(self, n, m):
         """The Radon-Nikodym test on block m of the paths of degree n, reading
@@ -228,16 +225,17 @@ class StandardRep:
                 return True
 
             return constant
-        # exact weights: a/b = c/d compared as a*d = c*b, numerators and denominators apart
-        (bn, bd), (dn, dd), (imn, imd), (jn, jd) = map(self._integer_values, degrees)
+        # exact weights, numerators over one denominator per degree: the quotients
+        # (jn/jd) / (dn/dd) = (imn/imd) / (bn/bd) compared as jn*dd*imd*bn = imn*bd*jd*dn
+        (bn, bd), (dn, dd), (imn, imd), (jn, jd) = map(self._numerators, degrees)
+        deep_scale, scale = dd * imd, bd * jd
 
         def constant(a, rows):
             shift = shifts[a]
             for i, j in rows:
-                num, den = imn[j] * bd[i], imd[j] * nonnull(bn, m, i)
+                left, right = nonnull(bn, m, i) * deep_scale, imn[j] * scale
                 for t in out[off[i]:off[i + 1]]:
-                    f = forward[shift + t]
-                    if jn[f] * dd[t] * den != num * jd[f] * (dn[t] or nonnull(dn, up, t)):
+                    if jn[forward[shift + t]] * left != right * (dn[t] or nonnull(dn, up, t)):
                         return False
             return True
 
@@ -286,12 +284,12 @@ class StandardRep:
         dst, heads = deg_sub(join, n), g.cut(join, m)[0]
         # the ratio (tn/td) / (bn/bd) as the integers tn*bd and td*bn; int true
         # division is correctly rounded, as float(Fraction) and float division are
-        (tn, td), (bn, bd) = self._integer_values(join), self._integer_values(m)
+        (tn, td), (bn, bd) = self._numerators(join), self._numerators(m)
 
         def table(rows):
             coefs = {}
             for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
-                num, den = tn[j] * bd[i], td[j] * self._nonnull(bn, m, i)
+                num, den = tn[j] * bd, td * self._nonnull(bn, m, i)
                 coefs.setdefault(i, {})[alpha] = 1 if num == den else (num / den) ** 0.5
             return _Op(self, coefs, m, dst)
 
@@ -354,6 +352,9 @@ class KPRep(StandardRep):
 
     def _values(self, m):
         return [1] * len(self.graph.tails(m).sources)
+
+    def _numerators(self, m):
+        return self._values(m), 1
 
     def _rn_constant(self, n, m):
         return lambda a, rows: True  # counting weights: no test, no block past the depth

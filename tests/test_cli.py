@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -119,6 +120,25 @@ def test_exact_perron_data_never_loads_numpy(argv, numpy_loaded, tmp_path):
     # exact Perron data comes from the integer scan; irrational radii from a
     # power iteration in plain Python floats, so neither imports numpy
     assert loads_numpy(argv, tmp_path) is numpy_loaded
+
+
+BENCHMARK_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_measure_jobs_match_the_benchmark_reference(tmp_path):
+    # the seed-0 measure jobs of the benchmark, run through main(): exit code,
+    # paths checked and the measure.tsv digest (exact measures) as recorded
+    reference = json.loads(BENCHMARK_REFERENCE.read_text())
+    assert reference["seed"] == 0
+    jobs = {label: want for label, want in reference["jobs"].items() if label.startswith("measure ")}
+    assert len(jobs) == 3 and sum("sha256" in want for want in jobs.values()) == 2
+    for i, (label, want) in enumerate(sorted(jobs.items())):
+        out = tmp_path / str(i)
+        got = {"exit": main([*label.split(), "--out", str(out)]),
+               "checked": read_report(out)["results"]["consistency_checked"]}
+        if "sha256" in want:
+            got["sha256"] = hashlib.sha256((out / "measure.tsv").read_bytes()).hexdigest()
+        assert got == want, label
 
 
 def test_measure_table(tmp_path):

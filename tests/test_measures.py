@@ -18,7 +18,7 @@ from kgraph_lab.errors import (
     ZeroDenominator,
 )
 from kgraph_lab.kgraph import (
-    Edge, build_lambda2N, deg_diag, deg_grid, deg_sub, deg_total, deg_unit, validate_kgraph,
+    Edge, Square, build_lambda2N, deg_diag, deg_grid, deg_sub, deg_total, deg_unit, validate_kgraph,
 )
 from kgraph_lab import measures
 from kgraph_lab.measures import (
@@ -114,19 +114,18 @@ def reference_pf_data(g, tol=1e-10):
             break
     rho_f = [float(np.dot(vec, m @ vec) / np.dot(vec, vec)) for m in mats]
     rhos = [Fraction(est).limit_denominator(1000) for est in rho_f]
-    kappas = []
+    vec_q = None
     if all(abs(float(r) - est) <= 1e-8 for r, est in zip(rhos, rho_f)):
-        for rho, mat in zip(rhos, g.vertex_matrices()):
-            n = len(mat)
-            vec_q = measures._exact_nullspace(
-                [[mat[i][j] - (rho if i == j else 0) for j in range(n)] for i in range(n)])
-            if vec_q is not None and all(x < 0 for x in vec_q):
-                vec_q = [-x for x in vec_q]
-            if vec_q is None or not all(x > 0 for x in vec_q):
-                break
-            kappas.append([x / sum(vec_q) for x in vec_q])
-    if len(kappas) == len(rhos) and all(k == kappas[0] for k in kappas):
-        return measures.PFData(tuple(rhos), dict(zip(g.vertices, kappas[0])), True, 0.0)
+        # kappa spans the common nullspace of every A_i - rho_i I, stacked
+        n = len(g.vertices)
+        stacked = [[mat[i][j] - (rho if i == j else 0) for j in range(n)]
+                   for rho, mat in zip(rhos, g.vertex_matrices()) for i in range(n)]
+        vec_q = measures._exact_nullspace(stacked)
+        if vec_q is not None and all(x < 0 for x in vec_q):
+            vec_q = [-x for x in vec_q]
+    if vec_q is not None and all(x > 0 for x in vec_q):
+        kappa = [x / sum(vec_q) for x in vec_q]
+        return measures.PFData(tuple(rhos), dict(zip(g.vertices, kappa)), True, 0.0)
     residual = max(float(np.max(np.abs(m @ vec - r * vec))) for r, m in zip(rho_f, mats))
     kappa = {v: float(vec[i]) for i, v in enumerate(g.vertices)}
     return measures.PFData(tuple(rho_f), kappa, exact=False, residual=residual)
@@ -594,6 +593,35 @@ def test_measure_table_layout():
     assert all(len(ln.split("\t")) == 3 for ln in lines)
 
 
+def table_cases():
+    """(label, make): exact, float, counting and mixed measures: the float
+    Markov measure of a doubly stochastic chain has Fraction values, and a
+    float measure of zeros formats 0.0."""
+    one_third = t_x_matrix(Fraction(1, 3))
+    floats = MarkovMeasureSpec(tuple(tuple(map(float, row)) for row in one_third.matrix))
+    return [
+        ("ex3v8e-pf", lambda: pf_measure(builtin_graph("ex3v8e"))),
+        ("exonevtwoe-product", lambda: product_measure(builtin_graph("exonevtwoe"),
+                                                       parse_product_spec("geometric:1/2,1/2"))),
+        ("exonevtwoe-markov-float", lambda: markov_measure(builtin_graph("exonevtwoe"), floats)),
+        ("exonevtwoe-zero", lambda: CylinderMeasure(builtin_graph("exonevtwoe"), lambda p: 0.0,
+                                                    "zero", False)),
+        ("lambda4-kp", lambda: induced_measure(KPRep(builtin_graph("lambda2N:N=2"), 2))),
+    ]
+
+
+@pytest.mark.parametrize("label, make", table_cases(), ids=[label for label, _ in table_cases()])
+def test_measure_table_prints_format_value_of_each_value(label, make):
+    m = make()
+    g = m.graph
+    rows = [line.split("\t")[2] for line in measure_table(m, 2).splitlines()[1:]]
+    assert rows == [format_value(val) for n in deg_grid(g.k, 2) for val in m.values(n)]
+    if label == "exonevtwoe-markov-float":
+        assert {"1/1", "2/1"} <= set(rows) and any("." in text for text in rows)
+    if label == "exonevtwoe-zero":
+        assert set(rows) == {"0"}
+
+
 def loop_graph(enum_cap):
     """One vertex, one loop, and a small enumeration cap."""
     return validate_kgraph(1, ["v"], [Edge("e", 1, "v", "v")], [], enum_cap=enum_cap)
@@ -794,9 +822,11 @@ def test_consistency_computes_each_square_value_once(monkeypatch):
     m = product_measure(g, parse_product_spec("geometric:1/2,1/2"))
     assert check_consistency(m, 4).ok
     # the segments of degree (1, 1) are rebuilt once each for their symbols, and
-    # each square block (n, n), n <= 5, is one pass over its heads and segments
+    # each square block (n, n), n <= 5, is one scatter over the runs of
+    # glue((n-1, n-1), (1, 1)), with no cut table
     assert rebuilt == [((1, 1), t) for t in range(len(g.block((1, 1))))]
-    assert cuts == [((n, n), (n - 1, n - 1)) for n in range(1, 6)]
+    assert cuts == [] and g._cuts == {}
+    assert {n for n, r in g._glues if r == (1, 1)} == {(n, n) for n in range(5)}
 
 
 @pytest.mark.parametrize(
@@ -998,6 +1028,63 @@ def exact_pf_graphs():
             if pf.exact:
                 out.append((g, pf, depth))
     return out
+
+
+def one_graph(matrix):
+    """The 1-graph whose vertex matrix is matrix: matrix[v][w] edges from w to v."""
+    vertices = [f"x{i}" for i in range(len(matrix))]
+    edges = [Edge(f"e{v}{w}{j}", 1, vertices[w], vertices[v])
+             for v, row in enumerate(matrix) for w, count in enumerate(row) for j in range(count)]
+    return validate_kgraph(1, vertices, edges, [])
+
+
+@pytest.mark.parametrize("label, make", [
+    ("ehfg", lambda: builtin_graph("ehfg")),
+    ("random2-21", lambda: random_graph(random.Random(21), 2)),
+    ("random3-6", lambda: random_graph(random.Random(6), 3)),
+], ids=["ehfg", "random2-21", "random3-6"])
+def test_exact_pf_data_where_one_color_alone_has_a_wider_nullspace(label, make):
+    # kappa spans the common nullspace of the stacked A_i - rho_i I; some
+    # color's own nullspace is wider (ehfg's color 1 is the identity)
+    import numpy as np
+
+    g = make()
+    pf = pf_data(g)
+    assert pf.exact and pf.residual == 0
+    kappa = [pf.kappa[v] for v in g.vertices]
+    assert min(kappa) > 0 and sum(kappa) == 1
+    nullities = []
+    for mat, rho in zip(g.vertex_matrices(), pf.rho):
+        shifted = [[x - (rho if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)]
+        assert [sum(a * b for a, b in zip(row, kappa)) for row in shifted] == [0] * len(kappa)
+        nullities.append(len(mat) - np.linalg.matrix_rank(np.array(shifted, dtype=float)))
+    assert max(nullities) > 1
+    if label == "ehfg":
+        assert pf.rho == (1, 1) and kappa == [Fraction(1, 2)] * 2
+
+
+def test_singular_matches_the_row_reduced_rank():
+    # the fraction-free test against the rank of the Fraction reduced row echelon form
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(500):
+        n = rng.randint(1, 5)
+        mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]  # a dependent row
+        want = len(measures._row_reduce(mat)[1]) < n
+        assert measures._singular(mat) == want, mat
+        kinds.add(want)
+    assert kinds == {True, False}
+
+
+def test_exact_pf_radius_is_the_largest_singular_integer():
+    # eigenvalues 0, 1 and 3 with row sums 1, 4 and 4: A - I is singular too,
+    # but only the Perron root 3 has a positive vector
+    g = one_graph([[0, 1, 0], [1, 2, 1], [2, 0, 2]])
+    pf = pf_data(g)
+    assert pf.exact and pf.rho == (3,)
+    assert [pf.kappa[v] for v in g.vertices] == [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_exact_pf_measures_of_random_graphs_are_exactly_additive():
@@ -1210,17 +1297,139 @@ def test_measure_checks_build_no_blocks(label, name, make):
 
 
 @pytest.mark.parametrize("spec", ["pf", "const:1/4"])
-def test_consistency_drops_only_the_glue_tables_it_built(spec):
+def test_consistency_builds_only_one_edge_glue_tables(spec):
+    # the additivity sums go down the one-edge tables glue(m, e_c); no
+    # glue(n, (1, 1)) table is built, so none is kept or dropped
     g = builtin_graph("lambda2N:N=2")
-    diag = (1, 1)
-    kept = g.glue((1, 1), diag)
     m = pf_measure(g) if spec == "pf" else product_measure(g, parse_product_spec(spec))
+    for n in range(5):
+        m.numerators((n, n))  # the product squares scatter over glue((n-1, n-1), (1, 1))
+    before = set(g._glues)
     assert check_consistency(m, 3).ok
-    left = {n for n in deg_grid(2, 3) if (n, diag) in g.glued()}
-    # the product squares' cut tables read the runs of glue((0, 0), diag) again
-    assert left == ({(1, 1)} if spec == "pf" else {(0, 0), (1, 1)})
-    assert g.glue((1, 1), diag) is kept
-    assert ((1, 1), (1, 0)) in g.glued()  # the one-edge tables behind them stay
+    built = set(g._glues) - before
+    assert built and {deg_total(r) for _, r in built} == {1}
+    assert g._cuts == {}
+
+
+# -- the integer form and the one-edge sums on random graphs ------------------------------
+
+
+def random_chain_graph(rng):
+    """A random 2-graph of a shape product and Markov measures read: one vertex
+    with a silent loop and two symbol loops under a random bijection of
+    squares, or the star lambda2N:N=1 or N=2 under a random permutation."""
+    if rng.random() < 0.5:
+        symbol = rng.choice([1, 2])
+        edges = [Edge("l", 3 - symbol, "v", "v")] + [Edge(f"s{i}", symbol, "v", "v") for i in range(2)]
+        blue = [e.eid for e in edges if e.color == 1]
+        red = [e.eid for e in edges if e.color == 2]
+        rights = [(r, b) for r in red for b in blue]
+        rng.shuffle(rights)
+        lefts = [(b, r) for b in blue for r in red]
+        return validate_kgraph(2, ["v"], edges, [Square(a, b) for a, b in zip(lefts, rights)])
+    perm = list(range(1, 2 * rng.choice([1, 2]) + 1))
+    rng.shuffle(perm)
+    return build_lambda2N(len(perm) // 2, perm)
+
+
+def random_chain_measures(rng, g):
+    """(tag, measure): a Markov measure of a random positive rational chain, a
+    product measure of random rational biases, and a float copy of each."""
+    n = detect_shape(g).symbol_count
+    rows = []
+    for _ in range(n):
+        weights = [rng.randint(1, 6) for _ in range(n)]
+        rows.append(tuple(Fraction(w, sum(weights)) for w in weights))
+    c, r = Fraction(rng.randint(-7, 7), 16), Fraction(rng.randint(-3, 3), 4)
+    spec = rng.choice([ProductMeasureSpec("const", c=c), ProductMeasureSpec("geometric", c=c, r=r),
+                       ProductMeasureSpec("finite", values=(c, r / 2))])
+    floats = MarkovMeasureSpec(tuple(tuple(map(float, row)) for row in rows))
+    return [("markov", markov_measure(g, MarkovMeasureSpec(tuple(rows)))),
+            ("product", product_measure(g, spec)),
+            ("markov-float", markov_measure(g, floats)),
+            ("product-float", product_measure(g, ProductMeasureSpec("const", c=float(c))))]
+
+
+def random_measure_cases(seed):
+    """(tag, measure, bound) on the random 2- and 3-graphs of the seed and a
+    random chain-shaped 2-graph: pf, product and Markov measures, and bumped
+    copies at base degrees and, on the chains, at derived degrees."""
+    rng = random.Random(seed)
+    out = []
+    for k, bound in ((2, 3), (3, 2)):
+        g = random_graph(random.Random(seed), k)
+        if g.is_strongly_connected():
+            m = pf_measure(g)
+            bumps = [g.vertex_path(g.vertices[0]), g.block(deg_diag(k, 1))[-1]]
+            out += [("pf", m, bound)] + [("pf+bump", m.perturbed(at, bump_for(m)), bound) for at in bumps]
+    g = random_chain_graph(rng)
+    for tag, m in random_chain_measures(rng, g):
+        bumps = [g.block((1, 1))[-1], g.block((2, 2))[0], g.block((1, 2))[-1], g.block((0, 1))[0]]
+        out += [(tag, m, 3)] + [(tag + "+bump", m.perturbed(at, bump_for(m)), 3) for at in bumps]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_form_equals_path_values_on_random_graphs(seed):
+    cases = [(tag, m, bound) for tag, m, bound in random_measure_cases(seed) if m.exact]
+    assert {tag for tag, _, _ in cases} >= {"markov", "product", "markov+bump", "product+bump"}
+    for tag, m, bound in cases:
+        g = m.graph
+        for n in deg_grid(g.k, bound):
+            nums, den = m.numerators(n)
+            want = [m.value(p) for p in g.block(n)]
+            assert type(den) is int and {type(a) for a in nums} == {int}, (tag, n)
+            assert [Fraction(a, den) for a in nums] == want, (tag, n)
+            assert typed(m.values(n)) == typed(want), (tag, n)
+
+
+def reference_extension_sums(measure, n):
+    """Test-only reference for measures._extension_sums: the flat sums over
+    the runs of glue(n, (1,..,1)), in block((1,..,1)) order."""
+    g = measure.graph
+    diag = deg_diag(g.k, 1)
+    off, out = g.glue(n, diag)
+    top, den = measure.numerators(tuple(a + 1 for a in n))
+    return [sum(top[j] for j in out[off[i]:off[i + 1]]) for i in range(len(off) - 1)], den
+
+
+def reference_consistency(measure, depth):
+    """Test-only reference for check_consistency: (checked, worst residual,
+    worst path) from the values and the flat sums of glue(n, (1,..,1))."""
+    g = measure.graph
+    worst, worst_path, checked = 0.0, None, 0
+    for n in deg_grid(g.k, depth):
+        off, out = g.glue(n, deg_diag(g.k, 1))
+        top = measure.values(tuple(a + 1 for a in n))
+        for i, val in enumerate(measure.values(n)):
+            residual = float(abs(val - sum(top[j] for j in out[off[i]:off[i + 1]])))
+            checked += 1
+            if residual > worst:
+                worst, worst_path = residual, g.path_at(n, i)
+    return checked, worst, worst_path
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_edge_sums_equal_the_flat_glue_sums_on_random_graphs(seed):
+    cases = random_measure_cases(seed)
+    assert {m.exact for _, m, _ in cases} == {True, False}
+    for tag, m, bound in cases:
+        g, depth = m.graph, bound - 1
+        for n in deg_grid(g.k, depth):
+            got, got_den = measures._extension_sums(m, n)
+            want, want_den = reference_extension_sums(m, n)
+            assert got_den == want_den, (tag, n)
+            if m.exact:
+                assert got == want, (tag, n)
+            else:
+                assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(got, want)), (tag, n)
+        rep = check_consistency(m, depth)
+        checked, worst, worst_path = reference_consistency(m, depth)
+        assert rep.checked == checked and rep.ok == ("bump" not in tag), tag
+        if m.exact:
+            assert (rep.worst_residual, rep.worst_path) == (worst, worst_path), tag
+        else:
+            assert abs(rep.worst_residual - worst) <= 1e-15, tag
 
 
 @pytest.mark.parametrize("name, text, top, missing", [

@@ -429,15 +429,44 @@ def test_fraction_rule_sees_each_form():
         ("partition_atoms", 11), ("GridAffine.image", 16)}
 
 
+def top_level_functions(source):
+    """The names fraction_constructions reads: "f" for a module function, "C.m" for a method."""
+    tree = ast.parse(source)
+    defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    return defined | {f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+
+
 def test_monic_grid_path_builds_fractions_only_in_its_result():
     for module, names in GRID_PATH.items():
         source = (PACKAGE / module).read_text()
-        tree = ast.parse(source)
-        defined = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-        defined |= {f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
-                    for fn in cls.body if isinstance(fn, ast.FunctionDef)}
-        assert names <= defined, module
+        assert names <= top_level_functions(source), module
         assert fraction_constructions(source, names) == set(), module
+
+
+# exact measure values as numerators over one denominator per degree: the block
+# rules (pf_block in pf_measure, chain_squares in _chain_measure), the
+# additivity check, the exact rows of measure_table and the standard rep's
+# exact Radon-Nikodym test and adjoint read ints; values() builds Fractions
+# from them only when a caller asks.  The Perron scan's singularity test is
+# fraction-free too.
+INTEGER_ROUTES = {
+    "measures.py": {"CylinderMeasure.numerators", "CylinderMeasure.fractions", "_over_lcm",
+                    "_run_sums", "pf_measure", "_chain_measure", "check_consistency",
+                    "_extension_sums", "measure_table", "_singular"},
+    "operators.py": {"StandardRep._numerators", "StandardRep._rn_constant",
+                     "StandardRep._adjoint_tables"},
+}
+
+
+def test_exact_measure_routes_build_no_fractions():
+    for module, names in INTEGER_ROUTES.items():
+        source = (PACKAGE / module).read_text()
+        assert names <= top_level_functions(source), module
+        assert fraction_constructions(source, names) == set(), module
+    # the rule sees the route that does build them
+    measures = (PACKAGE / "measures.py").read_text()
+    assert fraction_constructions(measures, {"CylinderMeasure.values"}) != set()
 
 
 # the per-block layer of the measures reads tail arrays and glue tables, never Path
