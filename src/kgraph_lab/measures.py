@@ -813,21 +813,20 @@ class MarkovMeasureSpec(NamedTuple):
             if (exact and total != 1) or (not exact and abs(float(total) - 1) > tol):
                 raise SpecInvariantViolated(f"row sum {total} != 1")
 
-        def stationary_defect(lam):
+        def stationary(lam):
             worst = 0
             for j in range(n):
                 col = sum(lam[i] * self.matrix[i][j] for i in range(n))
                 worst = max(worst, abs(col - lam[j]))
-            return worst
+            return worst == 0 if exact else float(worst) <= tol
 
         if self.lam:
             lam = self.lam
-            defect = stationary_defect(lam)
-            if (exact and defect != 0) or (not exact and float(defect) > tol):
+            if not stationary(lam):
                 raise SpecInvariantViolated("lam T != lam")
         else:
-            lam = (Fraction(1),) * n
-            if stationary_defect(lam) != 0:
+            lam = (Fraction(1) if exact else 1.0,) * n
+            if not stationary(lam):
                 lam = self._stationary_row(tol)
         return MarkovMeasureSpec(self.matrix, tuple(lam))
 

@@ -19,12 +19,17 @@ Every representation exposes its basis through ``block_keys()`` and
 ``block(key)`` and acts by ``apply_path(lam, key)`` and
 ``apply_adjoint(lam, key)``, which return an ``_Op`` (source block key,
 destination block key and a read-only sparse table), or None where the
-block action is undefined.  Only ``_Op`` and the reps' table builders
-know the table format.  Discrete representations also act on single
-basis labels: ``labels()``, ``forward_label(lam, label)``,
-``adjoint_label(lam, label)`` and ``encoding_prefix(label, n)``.  A label
-action returns the image label, None when there is no image, or ESCAPE
-when the image leaves the truncation.
+block action is undefined.  A table is a partial map, each source index
+sent to at most one destination index, or rows of entries.  By unique
+factorization t_lam sends e_eta to e_{lam.eta}: the standard forward
+tables, the standard adjoint on blocks m >= d(lam) and every faithful
+table are partial maps; the standard adjoint below d(lam) and refinement
+are rows.  Only ``_Op`` and the reps' table builders know either layout.
+Discrete representations also act on single basis labels: ``labels()``,
+``forward_label(lam, label)``, ``adjoint_label(lam, label)`` and
+``encoding_prefix(label, n)``.  A label action returns the image label,
+None when there is no image, or ESCAPE when the image leaves the
+truncation.
 
 ``StandardRep`` (with ``KPRep``) and ``FaithfulRep`` build, on the first
 request for lam on a block, the operators of every path of degree d(lam)
@@ -47,10 +52,10 @@ and the adjoint coefficients divide them.
 The faithful tables name a label (i, mu) by (i, index(mu)): lam.mu is the
 entry of mu in the run of lam in glue(d(lam), d(mu)), a rule segment
 appended to w one entry of glue(d(w), (1,..,1)), a trailing rule segment
-the tail under cut(m, m - (1,..,1)), and lam is a prefix of w when w has
-head index(lam) under cut(d(w), d(lam)).  Their label actions, which
-compose and factorize paths, are the reference the tables are tested
-against.  verify_ck and pvm_additivity compose paths themselves, so each
+stripped by the inverse of those entries, kept per (segment, degree), and
+lam is a prefix of w when w has head index(lam) under cut(d(w), d(lam)).
+Their label actions, which compose and factorize paths, are the
+reference the tables are tested against.  verify_ck and pvm_additivity compose paths themselves, so each
 relation checks the tables against the path algebra.
 """
 
@@ -90,22 +95,24 @@ _UNBUILT = object()
 
 
 def _built_once(rep, direction, lam, key, build):
-    """The table of lam on block key, remembered in rep._tables; the shared
-    _Op is read-only.
+    """The table of lam on block key, remembered in rep._tables under
+    (direction, r(lam), edge ids of lam, key), a key hashed without calling
+    Path.__hash__; the shared _Op is read-only.
 
     On a miss, build(d(lam), key) lists the tables of every path of degree
     d(lam) in block order, each remembered under its own path, or returns
     None when block key or its image is not represented, remembered for
     lam alone.  A ZeroDenominator in the list is raised for its path only.
     """
-    tables, memo = rep._tables, (direction, lam, key)
+    tables, memo = rep._tables, (direction, lam.range, lam.edges, key)
     op = tables.get(memo, _UNBUILT)
     if op is _UNBUILT:
         ops = build(lam.degree, key)
         if ops is None:
             op = tables[memo] = None
         else:
-            tables.update(zip([(direction, p, key) for p in rep.graph.block(lam.degree)], ops))
+            paths = rep.graph.block(lam.degree)
+            tables.update(zip([(direction, p.range, p.edges, key) for p in paths], ops))
             op = tables[memo]
     if isinstance(op, ZeroDenominator):
         raise op.with_traceback(None)
@@ -146,6 +153,8 @@ class StandardRep:
         self.depth = depth
         graph.check_cap((depth + self.reach) * graph.k, f"{self.kind} rep depth {depth}")
         self._blocks = {m: graph.enumerate_paths(m) for m in deg_grid(graph.k, depth)}
+        # one int object per block index, shared by every table that holds it
+        self._indices = list(range(max(map(len, self._blocks.values()))))
         self._tables = {}  # built operators
         self._probe_usability()
 
@@ -257,8 +266,9 @@ class StandardRep:
         range s(lam): the run of lam in glue(n, m)."""
         g = self.graph
         off, out = g.glue(n, m)
-        runs = {v: g.run(m, v) for v in g.vertices}
-        return [list(zip(runs[v], out[off[a]:off[a + 1]]))
+        shared = self._indices.__getitem__
+        runs = {v: list(map(shared, g.run(m, v))) for v in g.vertices}
+        return [list(zip(runs[v], map(shared, out[off[a]:off[a + 1]])))
                 for a, v in enumerate(g.tails(n).sources)]
 
     def _forward_tables(self, n, m):
@@ -269,7 +279,7 @@ class StandardRep:
         constant = self._rn_constant(n, m)
 
         def table(a, rows):  # nonconstant RN data: block not represented
-            return _Op(self, {i: {j: 1} for i, j in rows}, m, dst) if constant(a, rows) else None
+            return _Op(self, m, dst, dict(rows)) if constant(a, rows) else None
 
         return [_or_error(table, a, rows) for a, rows in enumerate(self._rows(n, m))]
 
@@ -287,11 +297,19 @@ class StandardRep:
         (tn, td), (bn, bd) = self._numerators(join), self._numerators(m)
 
         def table(rows):
-            coefs = {}
-            for i, alpha, j in sorted((heads[j], alpha, j) for alpha, j in rows):
-                num, den = tn[j] * bd, td * self._nonnull(bn, m, i)
-                coefs.setdefault(i, {})[alpha] = 1 if num == den else (num / den) ** 0.5
-            return _Op(self, coefs, m, dst)
+            entries = sorted((heads[j], alpha, j) for alpha, j in rows)
+            coefs = []
+            for i, _, j in entries:  # as in _rn_constant: nonnull only where it raises
+                num, den = tn[j] * bd, td * (bn[i] or self._nonnull(bn, m, i))
+                coefs.append(1 if num == den else (num / den) ** 0.5)
+            if join == m:  # eta = lam.alpha has the one image u_alpha: a partial map
+                images = {j: alpha for _, alpha, j in entries}  # heads[j] = j, shared
+                unit = all(c == 1 for c in coefs)
+                return _Op(self, m, dst, images, None if unit else dict(zip(images, coefs)))
+            rows = {}
+            for (i, alpha, _), c in zip(entries, coefs):
+                rows.setdefault(i, {})[alpha] = c
+            return _Op(self, m, dst, rows=rows)
 
         return [_or_error(table, rows) for rows in self._rows(n, dst)]
 
@@ -303,7 +321,7 @@ class StandardRep:
         for i in range(len(blk)):
             w_eta = float(self._nonnull(blk, m, i))
             table[i] = {j: (float(deep[j]) / w_eta) ** 0.5 for j in out[off[i]:off[i + 1]]}
-        return _Op(self, table, m, target)
+        return _Op(self, m, target, rows=table)
 
     def unit_vector(self, m):
         """Coordinates of the constant function 1 in block m."""
@@ -390,9 +408,9 @@ class FaithfulRep:
     covariance is structural.  A label (i, mu) is reduced: for i >= 2, mu
     does not end in the rule segment x_{i-1}.
 
-    The tables name a label (i, mu) by (i, index(mu)), read lam.mu off
-    ``KGraph.glue`` runs and the last segment of a path and the prefix
-    test off ``KGraph.cut``.
+    The tables name a label (i, mu) by (i, index(mu)), read lam.mu and
+    the trailing rule segments of a path off ``KGraph.glue`` runs and the
+    prefix test off ``KGraph.cut``.
     The label actions compose and factorize paths; they are the reference
     the tables are tested against, and build the tables whose paths pass
     the graph's enumeration cap.
@@ -413,13 +431,15 @@ class FaithfulRep:
         # ... and in the run of their range: w.x is at off[w] + offset in glue(d(w), diag)
         self._offsets = [i - g.run(self._diag, seg.range).start
                          for i, seg in zip(self._segments, rule.segments)]
-        self._blocks, self._slots, self._tables = {}, {}, {}
+        self._blocks, self._slots, self._tables, self._heads = {}, {}, {}, {}
         for i in range(1, depth + 1):
             v_i = rule.segment(i - 1).range
             for m in deg_grid(g.k, self.cap):
                 sources, delta = g.tails(m).sources, deg_sub(m, deg_diag(g.k, i))
+                strips = self._strips(i, m)
+                stripped = strips[0] if strips else {}
                 for j, mu in enumerate(g.block(m)):
-                    if sources[j] == v_i and self._strip(i, m, j) is None:
+                    if sources[j] == v_i and j not in stripped:
                         labels = self._blocks.setdefault(delta, [])
                         self._slots.setdefault(delta, {})[(i, j)] = len(labels)
                         labels.append((i, mu))
@@ -434,19 +454,33 @@ class FaithfulRep:
             i, mu = i - 1, head
         return (i, mu)
 
-    def _strip(self, i, m, j):
-        """For mu = block(m)[j] at stratum i >= 2 ending in the rule segment
-        x_{i-1}: the index of mu less that segment.  Otherwise None."""
-        if i < 2 or not deg_le(self._diag, m):
-            return None
-        heads, tails = self.graph.cut(m, deg_sub(m, self._diag))
-        return heads[j] if tails[j] == self._segments[(i - 2) % len(self._segments)] else None
+    def _strips(self, i, m):
+        """The strip maps that _reduced walks for a label at stratum i and
+        degree m: the c-th, c = 0, 1, .., maps the index of each w.x in
+        block(m - c*(1,..,1)), x = x_{i-1-c}, to the index of w; it is
+        built once per (segment, degree) from glue(d(w), (1,..,1))."""
+        g, out = self.graph, []
+        while i >= 2 and deg_le(self._diag, m):
+            m, s = deg_sub(m, self._diag), (i - 2) % len(self._segments)
+            heads = self._heads.get((s, m))
+            if heads is None:
+                off, ext = g.glue(m, self._diag)
+                v, offset = self.rule.segment(s).range, self._offsets[s]
+                heads = self._heads[s, m] = {
+                    ext[off[w] + offset]: w for w, u in enumerate(g.tails(m).sources) if u == v}
+            out.append(heads)
+            i -= 1
+        return out
 
-    def _reduced(self, i, m, j):
-        """_reduce on indices: (stratum, index) of block(m)[j] at stratum i,
-        stripped of its trailing rule segments."""
-        while (head := self._strip(i, m, j)) is not None:
-            i, m, j = i - 1, deg_sub(m, self._diag), head
+    @staticmethod
+    def _reduced(strips, i, j):
+        """_reduce on indices: (stratum, index) of the label at stratum i and
+        index j, stripped of its trailing rule segments by _strips."""
+        for heads in strips:
+            head = heads.get(j)
+            if head is None:
+                break
+            i, j = i - 1, head
         return i, j
 
     def _escapes(self, i, m, top):
@@ -528,17 +562,17 @@ class FaithfulRep:
                 m = deg_add(delta, deg_diag(g.k, i))
                 top = deg_add(m, n)
                 if self._escapes(i, m, top):
-                    images = None
+                    images, strips = None, None
                 elif deg_total(top) > g.enum_cap:
                     return self._label_tables(self.forward_label, n, delta, dst)
                 else:
-                    images = g.glue(n, m)
-                strata[i] = top, images, {v: g.run(m, v).start for v in g.vertices}, {}
+                    images, strips = g.glue(n, m), self._strips(i, top)
+                strata[i] = strips, images, {v: g.run(m, v).start for v in g.vertices}, {}
             strata[i][3].setdefault(mu.range, []).append((j, t))
 
         def table(a, v):
             out_table = {}
-            for i, (top, images, starts, groups) in strata.items():
+            for i, (strips, images, starts, groups) in strata.items():
                 group = groups.get(v)
                 if group is None:
                     continue  # no mu with r(mu) = s(lam) at stratum i
@@ -547,11 +581,11 @@ class FaithfulRep:
                 off, out = images
                 shift = off[a] - starts[v]
                 for j, t in group:
-                    image = slots.get(self._reduced(i, top, out[shift + j]))
+                    image = slots.get(self._reduced(strips, i, out[shift + j]))
                     if image is None:
                         return None
-                    out_table[t] = {image: 1}
-            return _Op(self, out_table, delta, dst)
+                    out_table[t] = image
+            return _Op(self, delta, dst, out_table)
 
         return [table(a, v) for a, v in enumerate(g.tails(n).sources)]
 
@@ -580,12 +614,12 @@ class FaithfulRep:
                     return self._label_tables(self.adjoint_label, n, delta, dst)
                 # w.x_{j-1} is out[off[w] + offset] in glue(d(w), (1,..,1))
                 steps = [(*g.glue(low, self._diag), offset) for low, offset in steps]
-                strata[j] = steps, i, deg_sub(top, n), g.cut(top, n)
-            steps, i, rest, (heads, tails) = strata[j]
+                strata[j] = steps, i, self._strips(i, deg_sub(top, n)), g.cut(top, n)
+            steps, i, strips, (heads, tails) = strata[j]
             for off, out, offset in steps:
                 w = out[off[w] + offset]
-            tables[heads[w]][t] = {slots[self._reduced(i, rest, tails[w])]: 1}
-        return [_Op(self, table, delta, dst) for table in tables]
+            tables[heads[w]][t] = slots[self._reduced(strips, i, tails[w])]
+        return [_Op(self, delta, dst, table) for table in tables]
 
     def _label_tables(self, action, n, delta, dst):
         """The tables of the paths of degree n read off a label action, one
@@ -599,8 +633,8 @@ class FaithfulRep:
                 if out is ESCAPE:
                     return None
                 if out is not None:
-                    out_table[t] = {self.label_index(dst, out): 1}
-            return _Op(self, out_table, delta, dst)
+                    out_table[t] = self.label_index(dst, out)
+            return _Op(self, delta, dst, out_table)
 
         return [table(lam) for lam in self.graph.block(n)]
 
@@ -727,36 +761,74 @@ def _tagged(c, out):
 
 
 class _Op:
-    """Block operator src_key -> dst_key of rep, table {src index: {dst index: coef}}.
+    """Block operator src_key -> dst_key of rep, in one of two layouts.
 
-    Only this class and the reps' table builders read or build tables; a
-    table is never changed after construction.
+    A partial map sends each source index to at most one destination index:
+    ``dst`` is {src index: dst index}, and ``coef`` is None when every
+    coefficient is 1, else {src index: coef} over the same sources.  Any
+    other operator keeps ``rows``, {src index: {dst index: coef}}, and has
+    ``dst`` and ``coef`` None.  The layout follows the data: by unique
+    factorization t_lam sends e_eta to e_{lam.eta}, so the builders emit
+    every forward table and every adjoint at or above d(lam) as a partial
+    map, and the standard adjoint below d(lam) and refinement as rows.
+    Composites and sums of partial maps stay partial maps while no source
+    gets two images; the rest fall back to rows.
+
+    A row keeps its entry order and a sum its term order, so every float is
+    the one the rows algorithms compute.  Only this class and the reps'
+    table builders read or build either layout; an operator is never
+    changed after construction.
     """
 
-    def __init__(self, rep, table, src_key, dst_key):
+    __slots__ = ("rep", "src_key", "dst_key", "dst", "coef", "rows")
+
+    def __init__(self, rep, src_key, dst_key, dst=None, coef=None, rows=None):
         self.rep = rep
-        self.table = table
         self.src_key = src_key
         self.dst_key = dst_key
+        self.dst = dst
+        self.coef = coef
+        self.rows = rows
+
+    @property
+    def table(self):
+        """The operator as rows {src index: {dst index: coef}}, in source order."""
+        if self.rows is not None:
+            return self.rows
+        if self.coef is None:
+            return {s: {d: 1} for s, d in self.dst.items()}
+        return {s: {d: self.coef[s]} for s, d in self.dst.items()}
 
     def scaled(self, factor):
-        table = {s: {d: c * factor for d, c in outs.items()} for s, outs in self.table.items()}
-        return _Op(self.rep, table, self.src_key, self.dst_key)
+        if self.dst is not None:
+            coef = (dict.fromkeys(self.dst, factor) if self.coef is None
+                    else {s: c * factor for s, c in self.coef.items()})
+            return _Op(self.rep, self.src_key, self.dst_key, self.dst, coef)
+        rows = {s: {d: c * factor for d, c in outs.items()} for s, outs in self.rows.items()}
+        return _Op(self.rep, self.src_key, self.dst_key, rows=rows)
 
     def moved(self, rep, src_offset, dst_offset):
         """The same operator as a block operator of rep, its indices offset."""
-        table = {
+        if self.dst is not None:
+            dst = {src_offset + s: dst_offset + d for s, d in self.dst.items()}
+            coef = None if self.coef is None else {src_offset + s: c for s, c in self.coef.items()}
+            return _Op(rep, self.src_key, self.dst_key, dst, coef)
+        rows = {
             src_offset + s: {dst_offset + d: c for d, c in outs.items()}
-            for s, outs in self.table.items()
+            for s, outs in self.rows.items()
         }
-        return _Op(rep, table, self.src_key, self.dst_key)
+        return _Op(rep, self.src_key, self.dst_key, rows=rows)
 
     def transpose(self):
-        table = {}
+        dst = self.dst
+        if dst is not None and len(set(dst.values())) == len(dst):  # one-to-one
+            coef = None if self.coef is None else {dst[s]: c for s, c in self.coef.items()}
+            return _Op(self.rep, self.dst_key, self.src_key, {d: s for s, d in dst.items()}, coef)
+        rows = {}
         for s, outs in self.table.items():
             for d, c in outs.items():
-                table.setdefault(d, {})[s] = c
-        return _Op(self.rep, table, self.dst_key, self.src_key)
+                rows.setdefault(d, {})[s] = c
+        return _Op(self.rep, self.dst_key, self.src_key, rows=rows)
 
     def then(self, other):
         """other o self (apply self first)."""
@@ -766,16 +838,32 @@ class _Op:
             raise ValueError(
                 f"cannot compose: block {self.dst_key} feeds block {other.src_key}"
             )
-        table = {}
+        a, b = self.dst, other.dst
+        if a is not None and b is not None:
+            dst = {s: x for s, d in a.items() if (x := b.get(d)) is not None}
+            ca, cb = self.coef, other.coef
+            if ca is None and cb is None:
+                return _Op(self.rep, self.src_key, other.dst_key, dst)
+            if cb is None:
+                coef = {s: ca[s] for s in dst}
+            elif ca is None:
+                coef = {s: cb[a[s]] for s in dst}
+            else:
+                coef = {s: ca[s] * cb[a[s]] for s in dst}
+            if 0 in coef.values():  # a zero product leaves no entry
+                coef = {s: c for s, c in coef.items() if c != 0}
+                dst = {s: dst[s] for s in coef}
+            return _Op(self.rep, self.src_key, other.dst_key, dst, coef)
+        right, rows = other.table, {}
         for src, outs in self.table.items():
             acc = {}
             for mid, c1 in outs.items():
-                for dst, c2 in other.table.get(mid, {}).items():
+                for dst, c2 in right.get(mid, {}).items():
                     acc[dst] = acc.get(dst, 0) + c1 * c2
             acc = {d: c for d, c in acc.items() if c != 0}
             if acc:
-                table[src] = acc
-        return _Op(self.rep, table, self.src_key, other.dst_key)
+                rows[src] = acc
+        return _Op(self.rep, self.src_key, other.dst_key, rows=rows)
 
     def add(self, other, sign=1):
         if (self.src_key, self.dst_key) != (other.src_key, other.dst_key):
@@ -783,21 +871,43 @@ class _Op:
                 f"cannot add: block map {self.src_key} -> {self.dst_key} and "
                 f"{other.src_key} -> {other.dst_key}"
             )
-        table = {}
-        for s in set(self.table) | set(other.table):
-            acc = dict(self.table.get(s, {}))
-            for d, c in other.table.get(s, {}).items():
+        a, b = self.dst, other.dst
+        if a is not None and b is not None and all(a[s] == b[s] for s in a.keys() & b.keys()):
+            dst, ca, cb = {**a, **b}, self.coef, other.coef
+            if ca is None and cb is None and sign == 1 and len(dst) == len(a) + len(b):
+                return _Op(self.rep, self.src_key, self.dst_key, dst)
+            coef = {s: 1 if ca is None else ca[s] for s in a}
+            for s in b:
+                c = sign * (1 if cb is None else cb[s])
+                # 0 + c as the rows sum adds it, which turns -0.0 into 0.0
+                coef[s] = coef[s] + c if s in coef else 0 + c
+            return _Op(self.rep, self.src_key, self.dst_key, dst, coef)
+        left, right, rows = self.table, other.table, {}
+        for s in set(left) | set(right):
+            acc = dict(left.get(s, {}))
+            for d, c in right.get(s, {}).items():
                 acc[d] = acc.get(d, 0) + sign * c
-            table[s] = acc
-        return _Op(self.rep, table, self.src_key, self.dst_key)
+            rows[s] = acc
+        return _Op(self.rep, self.src_key, self.dst_key, rows=rows)
 
     def residual_vs(self, other):
+        if (self.coef is None and other.coef is None and self.dst is not None
+                and self.dst == other.dst
+                and (self.src_key, self.dst_key) == (other.src_key, other.dst_key)):
+            return 0.0  # equal unit partial maps
         return self.add(other, sign=-1).max_abs()
+
+    def _coefs(self):
+        """The coefficients of rows, or of a partial map that has coef."""
+        if self.rows is not None:
+            return (c for outs in self.rows.values() for c in outs.values())
+        return self.coef.values()
 
     def max_abs(self):
         """Largest absolute coefficient; 0.0 for the zero operator."""
-        coefs = (abs(float(c)) for outs in self.table.values() for c in outs.values())
-        return max(coefs, default=0.0)
+        if self.coef is None and self.dst is not None:
+            return 1.0 if self.dst else 0.0
+        return max((abs(float(c)) for c in self._coefs()), default=0.0)
 
     def matrix(self):
         import numpy as np
@@ -811,7 +921,9 @@ class _Op:
         return mat
 
     def is_zero(self):
-        return all(c == 0 for outs in self.table.values() for c in outs.values())
+        if self.coef is None and self.dst is not None:
+            return not self.dst
+        return all(c == 0 for c in self._coefs())
 
 
 # The relation checks reach block actions only through these two module

@@ -141,6 +141,26 @@ def test_measure_jobs_match_the_benchmark_reference(tmp_path):
         assert got == want, label
 
 
+def test_ck_and_monic_jobs_match_the_benchmark_reference(tmp_path):
+    # the seed-0 ck-verify and monic-interval jobs of the benchmark, run through
+    # main(): exit code, ok and blocks per CK relation, or verdict and witness
+    reference = json.loads(BENCHMARK_REFERENCE.read_text())
+    assert reference["seed"] == 0
+    jobs = {label: want for label, want in reference["jobs"].items()
+            if label.startswith(("rep-verify ", "monic "))}
+    assert len(jobs) == 5 and sum("witness" in want for want in jobs.values()) == 1
+    for i, (label, want) in enumerate(sorted(jobs.items())):
+        out = tmp_path / str(i)
+        got = {"exit": main([*label.split(), "--out", str(out)])}
+        results = read_report(out)["results"]
+        if label.startswith("rep-verify "):
+            got["ok"] = results["ok"]
+            got["blocks"] = {c["relation"]: c["blocks_checked"] for c in results["checks"]}
+        else:
+            got.update((key, results[key]) for key in ("verdict", "witness") if key in results)
+        assert got == want, label
+
+
 def test_measure_table(tmp_path):
     code = main(
         ["measure", "--builtin", "exonevtwoe", "--measure", "markov:x=1/3",

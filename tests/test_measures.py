@@ -424,6 +424,16 @@ def test_markov_spec_invariants():
         ).validated()
 
 
+@pytest.mark.parametrize("rows", [
+    ((0.15, 0.35, 0.5), (0.5, 0.15, 0.35), (0.35, 0.5, 0.15)),
+    ((0.1, 0.6, 0.3), (0.3, 0.1, 0.6), (0.6, 0.3, 0.1)),
+], ids=["stationary", "defect-within-tol"])
+def test_float_markov_spec_keeps_a_float_all_ones_row(rows):
+    # the column sums are 1 exactly, or off by one rounding step (within tol)
+    lam = MarkovMeasureSpec(rows).validated().lam
+    assert lam == (1.0,) * 3 and all(type(x) is float for x in lam)
+
+
 def test_markov_needs_matching_state_count():
     g = builtin_graph("ex3v8e")
     with pytest.raises(UnsupportedGraphShape):
@@ -595,7 +605,7 @@ def test_measure_table_layout():
 
 def table_cases():
     """(label, make): exact, float, counting and mixed measures: the float
-    Markov measure of a doubly stochastic chain has Fraction values, and a
+    Markov measure of a doubly stochastic chain has float values, and a
     float measure of zeros formats 0.0."""
     one_third = t_x_matrix(Fraction(1, 3))
     floats = MarkovMeasureSpec(tuple(tuple(map(float, row)) for row in one_third.matrix))
@@ -617,7 +627,8 @@ def test_measure_table_prints_format_value_of_each_value(label, make):
     rows = [line.split("\t")[2] for line in measure_table(m, 2).splitlines()[1:]]
     assert rows == [format_value(val) for n in deg_grid(g.k, 2) for val in m.values(n)]
     if label == "exonevtwoe-markov-float":
-        assert {"1/1", "2/1"} <= set(rows) and any("." in text for text in rows)
+        assert all("/" not in text for text in rows) and any("." in text for text in rows)
+        assert {"1", "2"} <= set(rows)
     if label == "exonevtwoe-zero":
         assert set(rows) == {"0"}
 

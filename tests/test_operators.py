@@ -208,6 +208,23 @@ def test_verify_ck_on_a_4_graph(make, blocks):
     assert [c.blocks_checked for c in report.checks] == blocks
 
 
+def test_standard_forward_tables_store_their_runs_not_their_blocks():
+    # a forward table holds one entry per path of its run, on the 25-vertex
+    # 4-graph where a block is many times longer than one run
+    g = build_product(builtin_graph("lambda2N:N=2"), builtin_graph("lambda2N:N=2"))
+    rep = standard_rep(g, pf_measure(g), 1)
+    shorter = 0
+    for e in g.edges:
+        lam = g.edge_path(e.eid)
+        for m in rep.block_keys():
+            op = rep.apply_path(lam, m)
+            if op is not None:
+                assert op.rows is None and op.coef is None
+                assert len(op.dst) == len(g.run(m, g.s(lam)))
+                shorter += len(op.dst) < rep.block_dim(m)
+    assert shorter
+
+
 def test_relation_checks_call_block_actions_through_the_module(monkeypatch):
     # the benchmark's tracer patches op_forward and op_adjoint on the module:
     # every call must reach the patched names, and no skipped block is built
@@ -967,7 +984,7 @@ class OffByOneBlock:
         if op is None:
             return None
         dst = deg_add(op.dst_key, (1,) + (0,) * (self.graph.k - 1))
-        return operators._Op(op.rep, op.table, op.src_key, dst)
+        return operators._Op(op.rep, op.src_key, dst, op.dst, op.coef, op.rows)
 
 
 def test_gauge_covariance_fails_on_a_shifted_block_map():
@@ -1170,6 +1187,203 @@ def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
     assert compared
 
 
+# -- block operators against the dict-of-dicts operator they replaced -----------------
+
+
+class ReferenceOp:
+    """The dict-of-dicts block operator that _Op replaced: src_key -> dst_key
+    of rep, table {src index: {dst index: coef}}."""
+
+    def __init__(self, rep, table, src_key, dst_key):
+        self.rep = rep
+        self.table = table
+        self.src_key = src_key
+        self.dst_key = dst_key
+
+    def scaled(self, factor):
+        table = {s: {d: c * factor for d, c in outs.items()} for s, outs in self.table.items()}
+        return ReferenceOp(self.rep, table, self.src_key, self.dst_key)
+
+    def moved(self, rep, src_offset, dst_offset):
+        """The same operator as a block operator of rep, its indices offset."""
+        table = {
+            src_offset + s: {dst_offset + d: c for d, c in outs.items()}
+            for s, outs in self.table.items()
+        }
+        return ReferenceOp(rep, table, self.src_key, self.dst_key)
+
+    def transpose(self):
+        table = {}
+        for s, outs in self.table.items():
+            for d, c in outs.items():
+                table.setdefault(d, {})[s] = c
+        return ReferenceOp(self.rep, table, self.dst_key, self.src_key)
+
+    def then(self, other):
+        """other o self (apply self first)."""
+        if other is None:
+            return None
+        if other.src_key != self.dst_key:
+            raise ValueError(
+                f"cannot compose: block {self.dst_key} feeds block {other.src_key}"
+            )
+        table = {}
+        for src, outs in self.table.items():
+            acc = {}
+            for mid, c1 in outs.items():
+                for dst, c2 in other.table.get(mid, {}).items():
+                    acc[dst] = acc.get(dst, 0) + c1 * c2
+            acc = {d: c for d, c in acc.items() if c != 0}
+            if acc:
+                table[src] = acc
+        return ReferenceOp(self.rep, table, self.src_key, other.dst_key)
+
+    def add(self, other, sign=1):
+        if (self.src_key, self.dst_key) != (other.src_key, other.dst_key):
+            raise ValueError(
+                f"cannot add: block map {self.src_key} -> {self.dst_key} and "
+                f"{other.src_key} -> {other.dst_key}"
+            )
+        table = {}
+        for s in set(self.table) | set(other.table):
+            acc = dict(self.table.get(s, {}))
+            for d, c in other.table.get(s, {}).items():
+                acc[d] = acc.get(d, 0) + sign * c
+            table[s] = acc
+        return ReferenceOp(self.rep, table, self.src_key, self.dst_key)
+
+    def residual_vs(self, other):
+        return self.add(other, sign=-1).max_abs()
+
+    def max_abs(self):
+        """Largest absolute coefficient; 0.0 for the zero operator."""
+        coefs = (abs(float(c)) for outs in self.table.values() for c in outs.values())
+        return max(coefs, default=0.0)
+
+    def matrix(self):
+        rows = self.rep.block_dim(self.dst_key)
+        cols = self.rep.block_dim(self.src_key)
+        mat = np.zeros((rows, cols))
+        for s, outs in self.table.items():
+            for d, c in outs.items():
+                mat[d, s] = float(c)
+        return mat
+
+    def is_zero(self):
+        return all(c == 0 for outs in self.table.values() for c in outs.values())
+
+
+def reference_of(op):
+    return None if op is None else ReferenceOp(op.rep, op.table, op.src_key, op.dst_key)
+
+
+def layout(op):
+    return "partial" if op.dst is not None else "rows"
+
+
+def assert_same_op(op, ref):
+    """Equal block keys and entries, each row in its entry order (the order
+    in which then sums its products), and equal derived values."""
+    assert (op is None) == (ref is None)
+    if op is not None:
+        assert (op.src_key, op.dst_key) == (ref.src_key, ref.dst_key)
+        assert op.table.keys() == ref.table.keys()
+        assert all(list(row.items()) == list(ref.table[s].items()) for s, row in op.table.items())
+        assert op.max_abs() == ref.max_abs() and op.is_zero() == ref.is_zero()
+        assert np.array_equal(op.matrix(), ref.matrix())
+        transposed, ref_transposed = op.transpose(), ref.transpose()
+        assert transposed.table == ref_transposed.table
+        assert (transposed.src_key, transposed.dst_key) == (ref_transposed.src_key, ref_transposed.dst_key)
+
+
+def assert_algebra_matches_reference(ops):
+    """then, add (both signs) and residual_vs of every composable pair and
+    every pair on the same blocks; returns the layouts compared."""
+    seen = collections.Counter()
+    refs = [reference_of(op) for op in ops]
+    for a, ref_a in zip(ops, refs):
+        assert_same_op(a, ref_a)
+        for b, ref_b in zip(ops, refs):
+            if a.dst_key == b.src_key:
+                assert_same_op(a.then(b), ref_a.then(ref_b))
+                seen["then", layout(a), layout(b)] += 1
+            if (a.src_key, a.dst_key) == (b.src_key, b.dst_key):
+                for sign in (1, -1):
+                    total = a.add(b, sign)
+                    assert_same_op(total, ref_a.add(ref_b, sign))
+                    seen["add", layout(a), layout(b), layout(total)] += 1
+                    seen["zero coefficient"] += any(
+                        c == 0 for row in total.table.values() for c in row.values())
+                assert a.residual_vs(b) == ref_a.residual_vs(ref_b)
+    return seen
+
+
+def algebra_reps(k):
+    """Standard (pf), KP and faithful reps of a random k-graph with two vertices."""
+    depth = 2 if k == 2 else 1
+    g = random_graph(random.Random(515 if k == 2 else 513), k)
+    assert g.is_strongly_connected() and len(g.vertices) == 2
+    return [standard_rep(g, pf_measure(g), depth), KPRep(g, depth), faithful_rep(g, depth=depth)]
+
+
+SCALE_FACTORS = [Fraction(1, 3), 0.5, 0]
+
+
+def algebra_ops(rep):
+    """The forward and adjoint operators of every edge and vertex on every
+    block, the edges' scaled through ScaledRep, and the sums
+    t_e t_e^* + t_f t_f^* of edge pairs."""
+    g = rep.graph
+    edges = [g.edge_path(e.eid) for e in g.edges]
+    lams = edges + [g.vertex_path(v) for v in g.vertices]
+    ops = [op for key in rep.block_keys() for lam in lams
+           for op in (op_forward(rep, lam, key), op_adjoint(rep, lam, key)) if op is not None]
+    for factor in SCALE_FACTORS:
+        scaled = ScaledRep(rep, g.edges[0].eid, factor)
+        ops += [op for key in rep.block_keys() for lam in edges
+                if (op := scaled.apply_path(lam, key)) is not None]
+    for key in rep.block_keys():
+        outers = [op for lam in edges if (op := operators._outer(rep, lam, lam, key)) is not None]
+        ops += [a.add(b) for a, b in zip(outers, outers[1:]) if a.dst_key == b.dst_key]
+    return ops
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_operator_algebra_matches_the_dict_reference_on_random_reps(k):
+    seen = collections.Counter()
+    for rep in algebra_reps(k):
+        seen.update(assert_algebra_matches_reference(algebra_ops(rep)))
+    # every pairing of layouts, a sum that stays a partial map, one that
+    # sends a source to two places, and zero coefficients were compared
+    for x, y in itertools.product(["partial", "rows"], repeat=2):
+        assert seen["then", x, y] and any(key[:3] == ("add", x, y) for key in seen)
+    assert seen["add", "partial", "partial", "partial"] and seen["add", "partial", "partial", "rows"]
+    assert seen["zero coefficient"]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_scaled_and_moved_operators_match_the_dict_reference(k):
+    compared = 0
+    for rep in algebra_reps(k):
+        g = rep.graph
+        eid = g.edges[0].eid
+        total = DirectSumRep([rep, rep])
+        lams = [g.edge_path(e.eid) for e in g.edges] + [g.vertex_path(v) for v in g.vertices]
+        for key in rep.block_keys():
+            for lam, action in itertools.product(lams, ["apply_path", "apply_adjoint"]):
+                ref = reference_of(getattr(rep, action)(lam, key))
+                for factor in SCALE_FACTORS:
+                    want = ref and ref.scaled(factor ** lam.edges.count(eid))
+                    assert_same_op(getattr(ScaledRep(rep, eid, factor), action)(lam, key), want)
+                # the sum stacks the two copies at their offsets
+                if ref is not None:
+                    src, dst = rep.block_dim(key), rep.block_dim(ref.dst_key)
+                    ref = ref.moved(total, 0, 0).add(ref.moved(total, src, dst))
+                    compared += 1
+                assert_same_op(getattr(total, action)(lam, key), ref)
+    assert compared
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -1206,7 +1420,7 @@ class Conjugated:
         table = {i: {i: 1} for i in range(self.rep.block_dim(key))}
         if len(table) > 1:
             table[0][1] = sign
-        return operators._Op(self.rep, table, key, key)
+        return operators._Op(self.rep, key, key, rows=table)
 
     def _conjugated(self, op):
         if op is None:
