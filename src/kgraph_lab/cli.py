@@ -222,12 +222,16 @@ def _json_default(obj):
     return repr(obj)
 
 
-def _write(outdir, name, text):
+def _open(outdir, name):
+    """The file name in outdir, opened for writing; outdir is made if missing."""
     os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
+    return open(os.path.join(outdir, name), "w")
+
+
+def _write(outdir, name, text):
+    with _open(outdir, name) as fh:
         fh.write(text)
-    return path
+    return fh.name
 
 
 def _emit_report(job, payload, violations):
@@ -286,17 +290,20 @@ def _run_measure(job):
     m = _load_measure(job, g)
     depth = job.param("depth")
     rep = measures.check_consistency(m, depth, tol=job.param("tol"))
-    table = measures.measure_table(m, depth)
     payload = {
         "measure": m.tag,
         "exact": m.exact,
         "consistency_checked": rep.checked,
         "worst_residual": rep.worst_residual,
     }
-    if job.param("format") == "json":
-        payload["table"] = [line.split("\t") for line in table.strip().split("\n")[1:]]
-    else:
-        _write(job.param("out", "."), "measure.tsv", table)
+    if job.param("format") == "json":  # each degree's rows split as they come
+        rows = []
+        measures.measure_table(m, depth, lambda text: rows.extend(
+            line.split("\t") for line in text.split("\n")[:-1]))
+        payload["table"] = rows[1:]
+    else:  # written degree by degree, never held whole
+        with _open(job.param("out", "."), "measure.tsv") as fh:
+            measures.measure_table(m, depth, fh.write)
     violations = []
     if not rep.ok:
         violations.append(

@@ -233,29 +233,32 @@ class CylinderMeasure:
     once per degree and computed by index, as numerators over one
     denominator: on an exact measure a list of ints over the degree's
     int denominator, on a float measure the values themselves over 1.  A
-    base degree takes ``block_fn(m)``, the measure's rule for a whole
-    block in that form, which reads the graph's tail arrays and glue
-    tables and builds no Path; a measure without one maps ``value`` over
-    block(m).  A shallower degree sums the numerators of degree m + e_c at
-    the runs of glue(m, e_c), in the order of ``KGraph.extensions``, over
-    the same denominator.  A bump rescales its own degree to a common
-    denominator.  ``values(m)`` builds the values from the numerators
-    when a caller asks, of the type ``value`` returns: Fractions, or ints
-    on a counting measure (one whose base values are ints), or the float
-    list itself.
+    base degree takes the measure's rule in that form: ``source_fn(m)``,
+    a rule whose value depends only on a path's source vertex and degree,
+    gives ({vertex: numerator}, denominator) and is read off the sources
+    of block(m); ``block_fn(m)`` gives the whole block, reading the
+    graph's tail arrays and glue tables with no Path built; a measure
+    with neither maps ``value`` over block(m).  A shallower degree sums
+    the numerators of degree m + e_c at the runs of glue(m, e_c), in the
+    order of ``KGraph.extensions``, over the same denominator.  A bump
+    rescales its own degree to a common denominator.  ``values(m)``
+    builds the values from the numerators when a caller asks, of the
+    type ``value`` returns: Fractions, or ints on a counting measure
+    (one whose base values are ints), or the float list itself.
     ``value(path)`` is the single-path route: the same definition for one
     path, building no block, so it is the only route above the enumeration
     cap.  Its sums are redone on every call; a rule's ``fn`` may keep the
     base values it computes, as product and Markov measures do.
     """
 
-    def __init__(self, graph, fn, tag, exact, base=None, block_fn=None):
+    def __init__(self, graph, fn, tag, exact, base=None, block_fn=None, source_fn=None):
         self.graph = graph
         self.tag = tag
         self.exact = exact
         self._fn = fn
         self._base = base
         self._block_fn = block_fn
+        self._source_fn = source_fn
         self._bumps = {}  # path -> delta
         self._numerators = {}  # degree -> (numerators, denominator) of block(degree)
         self._values = {}  # degree -> values of block(degree), built on request
@@ -294,7 +297,7 @@ class CylinderMeasure:
             return got
         g = self.graph
         color = self._short(m)
-        if not (color or self._block_fn):
+        if not (color or self._block_fn or self._source_fn):
             vals = self._values[m] = list(map(self.value, g.block(m)))  # value adds the bumps
             if not self.exact:
                 got = vals, 1
@@ -309,6 +312,9 @@ class CylinderMeasure:
                 if self.exact:  # equal sums share one int: a degree's values repeat
                     seen = {}
                     nums = [seen.setdefault(x, x) for x in nums]
+            elif self._source_fn:
+                by_source, den = self._source_fn(m)
+                nums = list(map(by_source.__getitem__, g.tails(m).sources))
             else:
                 nums, den = self._block_fn(m)
             # a rule's values and sums of checked ones are nonnegative; only a bump can go below 0
@@ -348,7 +354,7 @@ class CylinderMeasure:
         """Copy with the value at one canonical path bumped (fault injection);
         the values derived from it by additivity carry the bump."""
         out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact,
-                              self._base, self._block_fn)
+                              self._base, self._block_fn, self._source_fn)
         out._bumps = {**self._bumps, path: delta}
         return out
 
@@ -371,10 +377,11 @@ def _run_sums(table, up):
 def pf_measure(g, pf=None):
     """The self-similar measure: value(path) = rho^{-d(path)} kappa_{s(path)}.
 
-    One value per (source vertex, degree); a block's values are read off
-    the sources of its paths.  Exact data gives each source the numerator
-    kappa_v * L, L = lcm(den kappa), over the degree's denominator
-    L * rho_1^{m_1} ... rho_k^{m_k}.
+    Its rule is one value per (source vertex, degree) (``source_fn``).
+    Exact data gives each vertex the numerator kappa_v * L, L = lcm(den
+    kappa), over the degree's denominator L * rho_1^{m_1} ... rho_k^{m_k};
+    float data gives each vertex its value, divided in the same order as
+    value(path).
     """
     if pf is None:
         pf = pf_data(g)
@@ -399,14 +406,12 @@ def pf_measure(g, pf=None):
         numerator = dict(zip(g.vertices, nums))
         rhos = [rho.numerator for rho in pf.rho]  # exact radii are integers
 
-    def pf_block(m):
-        sources = g.tails(m).sources
+    def pf_sources(m):
         if pf.exact:
-            return list(map(numerator.__getitem__, sources)), scale * prod(map(pow, rhos, m))
-        by_source = {v: at(v, m) for v in g.vertices}
-        return list(map(by_source.__getitem__, sources)), 1
+            return numerator, scale * prod(map(pow, rhos, m))
+        return {v: at(v, m) for v in g.vertices}, 1
 
-    m = CylinderMeasure(g, fn, "pf", exact=pf.exact, block_fn=pf_block)
+    m = CylinderMeasure(g, fn, "pf", exact=pf.exact, source_fn=pf_sources)
     m.pf = pf
     return m
 
@@ -423,37 +428,48 @@ def check_consistency(measure, depth, tol=1e-12):
     """Square-cylinder additivity for all paths with degree <= depth*(1,..,1).
 
     The extensions lam.eta, eta of degree (1,..,1), are summed one color at
-    a time (_extension_sums), down the one-edge tables glue(m, e_c); no
-    glue(n, (1,..,1)) table is built.  An exact measure compares
-    val * D_top with total * D_n on ints, D the degrees' denominators, and
-    only on a degree where some differ turns each difference into the
-    correctly rounded float of its rational residual.  A float total adds
-    each color's runs in turn, the last color innermost, so its rounding
-    may differ from a flat sum over the extensions in block((1,..,1))
-    order.  The worst residual is kept as (degree, index), and only its
-    path is rebuilt.
+    a time, color k first, so a float total may round otherwise than a flat
+    sum in block((1,..,1)) order.  A measure with a source rule and no bump
+    sums once per (source vertex, degree) (_source_sums) and builds no glue
+    table; any other sums each path down the one-edge tables glue(m, e_c)
+    (_extension_sums).  Both add the same floats in the same order.  An
+    exact measure compares val * D_top with total * D_n on ints, D the
+    degrees' denominators, and only on a degree where some differ turns
+    each difference into the correctly rounded float of its rational
+    residual.  The worst residual is kept as (degree, index), the first
+    path of its degree with that residual, and only its path is rebuilt.
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
+    by_source = measure._source_fn is not None and not measure._bumps
     worst = 0.0
     worst_at = None
     checked = 0
     for n in deg_grid(g.k, depth):
-        totals, top_den = _extension_sums(measure, n)
-        nums, den = measure.numerators(n)
-        checked += len(nums)
-        if measure.exact:
-            res = [abs(val * top_den - total * den) for val, total in zip(nums, totals)]
-            if any(res):  # int true division rounds each rational residual correctly
-                res = [r / (den * top_den) for r in res]
+        if by_source:  # one residual per vertex, read off the source of each path
+            by_vertex = dict(zip(g.vertices, _residuals(measure.exact, *_source_sums(measure, n))))
+            res = list(map(by_vertex.__getitem__, g.tails(n).sources))
         else:
-            res = [abs(val - total) for val, total in zip(nums, totals)]
+            nums, den = measure.numerators(n)
+            res = _residuals(measure.exact, nums, den, *_extension_sums(measure, n))
+        checked += len(res)
         here = max(res, default=0)
         if float(here) > worst:
             worst, worst_at = float(here), (n, res.index(here))
     worst_path = None if worst_at is None else g.path_at(*worst_at)
     ok = worst == 0.0 if measure.exact else worst <= tol
     return ConsistencyReport(ok, checked, worst, worst_path, measure.exact)
+
+
+def _residuals(exact, vals, den, totals, top_den):
+    """|val - total| for each pair of numerators; exact ones compare
+    val * top_den with total * den and are floats only when one differs."""
+    if not exact:
+        return [abs(val - total) for val, total in zip(vals, totals)]
+    res = [abs(val * top_den - total * den) for val, total in zip(vals, totals)]
+    if any(res):  # int true division rounds each rational residual correctly
+        res = [r / (den * top_den) for r in res]
+    return res
 
 
 def _extension_sums(measure, n):
@@ -469,6 +485,20 @@ def _extension_sums(measure, n):
         m = deg_sub(m, unit)
         totals = _run_sums(g.glue(m, unit), totals)
     return totals, den
+
+
+def _source_sums(measure, n):
+    """(values, denominator, totals, top denominator) of a source rule, one
+    entry per vertex v in vertex order: v's value of degree n and the total
+    of every path of degree n with source v, as _extension_sums adds it.
+    Each color, k down to 1, sums the totals at the sources of
+    edges_from(v, c), in the order the runs of glue(m, e_c) list them."""
+    g = measure.graph
+    totals, top_den = measure._source_fn(deg_add(n, deg_diag(g.k, 1)))
+    for c in range(g.k, 0, -1):
+        totals = {v: sum([totals[e.source] for e in g.edges_from(v, c)]) for v in g.vertices}
+    vals, den = measure._source_fn(n)
+    return [vals[v] for v in g.vertices], den, [totals[v] for v in g.vertices], top_den
 
 
 # ---------------------------------------------------------------------------
@@ -1098,19 +1128,25 @@ def _value_texts(vals):
     return list(map(text.__getitem__, vals))
 
 
-def measure_table(measure, depth):
+def measure_table(measure, depth, write=None):
     """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1).
 
     A path's label is built from the tail arrays: its parent's label with
     its last edge appended, or its vertex at degree 0.  A degree's labels
     are kept until the last degree built on them is written, and its rows
-    are joined once it is done.
+    are joined once it is done and passed to write, the header first, so
+    no more than one degree's text is held.  Without write the table is
+    returned as one string.
     """
     g = measure.graph
     g.check_cap(depth * g.k, f"measure table depth {depth}")
+    chunks = None
+    if write is None:
+        chunks = []
+        write = chunks.append
     grid = deg_grid(g.k, depth)
     readers = Counter(g.tails(n).prev for n in grid)  # degrees whose labels extend each degree's
-    chunks = ["depth\tpath\tvalue\n"]
+    write("depth\tpath\tvalue\n")
     labels = {}
     for n in grid:
         t = g.tails(n)
@@ -1135,5 +1171,6 @@ def measure_table(measure, depth):
             nums, den = exact
             rows = [f"{total}\t{label}\t{a // d}/{den // d}\n"
                     for label, a, d in zip(here, nums, map(gcd, nums, repeat(den)))]
-        chunks.append("".join(rows))
-    return "".join(chunks)
+        write("".join(rows))
+    if chunks is not None:
+        return "".join(chunks)

@@ -26,6 +26,7 @@ from kgraph_lab.measures import (
     Equivalent,
     MarkovMeasureSpec,
     MutuallySingular,
+    PFData,
     PrefixRule,
     ProductMeasureSpec,
     Undetermined,
@@ -1310,9 +1311,16 @@ def test_measure_checks_build_no_blocks(label, name, make):
 @pytest.mark.parametrize("spec", ["pf", "const:1/4"])
 def test_consistency_builds_only_one_edge_glue_tables(spec):
     # the additivity sums go down the one-edge tables glue(m, e_c); no
-    # glue(n, (1, 1)) table is built, so none is kept or dropped
+    # glue(n, (1, 1)) table is built, so none is kept or dropped.  The pf
+    # measure sums per source vertex down edges_from: no glue table at all,
+    # no cut and no tails above the checked degrees
     g = builtin_graph("lambda2N:N=2")
-    m = pf_measure(g) if spec == "pf" else product_measure(g, parse_product_spec(spec))
+    if spec == "pf":
+        assert check_consistency(pf_measure(g), 3).ok
+        assert g._glues == {} and g._cuts == {}
+        assert g._tails and all(max(n) <= 3 for n in g._tails)
+        return
+    m = product_measure(g, parse_product_spec(spec))
     for n in range(5):
         m.numerators((n, n))  # the product squares scatter over glue((n-1, n-1), (1, 1))
     before = set(g._glues)
@@ -1320,6 +1328,76 @@ def test_consistency_builds_only_one_edge_glue_tables(spec):
     built = set(g._glues) - before
     assert built and {deg_total(r) for _, r in built} == {1}
     assert g._cuts == {}
+
+
+def per_path_route(m):
+    """m with a zero bump at its first vertex: the same values, checked path
+    by path down the glue tables."""
+    return m.perturbed(m.graph.vertex_path(m.graph.vertices[0]), 0)
+
+
+def assert_source_route_matches_path_route(m, depth, tol=1e-12):
+    """The check of m equals the per-path check of the same values, report
+    and each path's extension total bit for bit."""
+    g = m.graph
+    got = check_consistency(m, depth, tol)
+    assert g._glues == {}
+    ref = per_path_route(m)
+    want = check_consistency(ref, depth, tol)
+    assert g._glues  # the reference took the per-path route
+    assert got == want
+    assert got.worst_residual.hex() == want.worst_residual.hex()
+    for n in deg_grid(g.k, depth):
+        totals = dict(zip(g.vertices, measures._source_sums(m, n)[2]))
+        assert [totals[v] for v in g.tails(n).sources] == measures._extension_sums(ref, n)[0], n
+    return got
+
+
+def float_pf_data(g):
+    """The Perron data of g rounded to floats."""
+    pf = pf_data(g)
+    return pf._replace(rho=tuple(map(float, pf.rho)), exact=False,
+                       kappa={v: float(x) for v, x in pf.kappa.items()})
+
+
+def spread_pf_data(g):
+    """Float data in the form of Perron data, not a Perron vector, whose values
+    span many binades, so that a sum of three or more of them rounds by its
+    order: on lambda2N:N=2 by the order within a color, on product-kawamura by
+    the order of the colors."""
+    rng = random.Random(len(g.edges))
+    return PFData(tuple(rng.uniform(1, 4) for _ in range(g.k)),
+                  {v: rng.uniform(1, 2) * 2.0 ** -rng.randint(0, 60) for v in g.vertices},
+                  exact=False, residual=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pf_source_route_matches_the_path_route_on_random_graphs(seed):
+    for k, depth in ((2, 3), (3, 2)):
+        g = random_graph(random.Random(seed), k)
+        if g.is_strongly_connected():
+            for pf in (pf_data(g), float_pf_data(g)):
+                fresh = random_graph(random.Random(seed), k)  # no glue table built yet
+                assert_source_route_matches_path_route(pf_measure(fresh, pf), depth)
+
+
+@pytest.mark.parametrize("name", [n for n in BUILTIN_GRAPH_NAMES
+                                  if builtin_graph(n).is_strongly_connected()])
+def test_pf_source_route_matches_the_path_route_on_builtins(name):
+    pf = pf_data(builtin_graph(name))
+    skewed = pf._replace(kappa={v: x * (i + 1) for i, (v, x) in enumerate(pf.kappa.items())})
+    for depth in range(1, 6):
+        assert_source_route_matches_path_route(pf_measure(builtin_graph(name)), depth)
+        rep = assert_source_route_matches_path_route(pf_measure(builtin_graph(name), skewed), depth)
+        assert not rep.ok or len(pf.kappa) == 1
+    g = builtin_graph(name)
+    assert not assert_source_route_matches_path_route(pf_measure(g, spread_pf_data(g)), 3).ok
+
+
+@pytest.mark.parametrize("depth, tol", [(9, 1e-12), (11, 1e-12), (2, 0)])
+def test_pf_source_route_matches_the_path_route_on_ex3v8e(depth, tol):
+    rep = assert_source_route_matches_path_route(pf_measure(builtin_graph("ex3v8e")), depth, tol)
+    assert rep.ok == (tol > 0) and rep.worst_residual > 0
 
 
 # -- the integer form and the one-edge sums on random graphs ------------------------------

@@ -445,7 +445,7 @@ def test_monic_grid_path_builds_fractions_only_in_its_result():
 
 
 # exact measure values as numerators over one denominator per degree: the block
-# rules (pf_block in pf_measure, chain_squares in _chain_measure), the
+# rules (pf_sources in pf_measure, chain_squares in _chain_measure), the
 # additivity check, the exact rows of measure_table and the standard rep's
 # exact Radon-Nikodym test and adjoint read ints; values() builds Fractions
 # from them only when a caller asks.  The Perron scan's singularity test is
@@ -471,7 +471,7 @@ def test_exact_measure_routes_build_no_fractions():
 
 # the per-block layer of the measures reads tail arrays and glue tables, never Path
 # blocks; _segments reads the segments of degree (1, 1) once, through path_at
-BLOCK_READERS = {"check_consistency", "measure_table", "pf_block", "chain_squares"}
+BLOCK_READERS = {"check_consistency", "measure_table", "pf_sources", "chain_squares"}
 PATH_BLOCK_CALLS = {"block", "enumerate_paths", "split", "factorize", "_rainbow_symbols"}
 TAIL_READERS = {"_ends", "glue", "cut"}
 
@@ -527,7 +527,7 @@ def test_path_block_rules_see_each_form():
         "def markov_measure(g, spec):\n"
         "    def chain_squares(m):\n"
         "        return [g.split(p, cuts) for p in g.enumerate_paths(m)]\n"
-        "def pf_block(m):\n    return list(map(fn, g.block(m)))\n"
+        "def pf_sources(m):\n    return list(map(fn, g.block(m)))\n"
         "def other(g):\n    return g.block(m), g.split(p, [m])\n"
         "class KGraph:\n"
         "    def _ends(self, m):\n        return [source[lam.edges[-1]] for lam in self.block(m)]\n"
@@ -538,7 +538,7 @@ def test_path_block_rules_see_each_form():
     assert function_calls(source, BLOCK_READERS, PATH_BLOCK_CALLS) == {
         ("check_consistency", "block"), ("measure_table", "block"),
         ("chain_squares", "factorize"), ("chain_squares", "_rainbow_symbols"),
-        ("chain_squares", "split"), ("chain_squares", "enumerate_paths"), ("pf_block", "block")}
+        ("chain_squares", "split"), ("chain_squares", "enumerate_paths"), ("pf_sources", "block")}
     assert edge_reads(source, TAIL_READERS) == {("_ends", 18), ("glue", 21), ("cut", 23)}
 
 
