@@ -98,7 +98,7 @@ def pf_data(g, tol=1e-10):
     Exact data is settled first, over the rationals (_exact_pf).
     Otherwise: power iteration (all-ones seed) on I + sum(A_i); the shift
     handles periodic vertex matrices.  The iteration runs in plain Python
-    floats, so no Perron data loads numpy.
+    floats.
     """
     if not g.is_strongly_connected():
         raise NotStronglyConnected(g.name)
@@ -1128,22 +1128,17 @@ def _value_texts(vals):
     return list(map(text.__getitem__, vals))
 
 
-def measure_table(measure, depth, write=None):
+def measure_table(measure, depth, write):
     """TSV rows (depth, path, value) for all degrees <= depth*(1,..,1).
 
     A path's label is built from the tail arrays: its parent's label with
     its last edge appended, or its vertex at degree 0.  A degree's labels
     are kept until the last degree built on them is written, and its rows
     are joined once it is done and passed to write, the header first, so
-    no more than one degree's text is held.  Without write the table is
-    returned as one string.
+    no more than one degree's text is held.
     """
     g = measure.graph
     g.check_cap(depth * g.k, f"measure table depth {depth}")
-    chunks = None
-    if write is None:
-        chunks = []
-        write = chunks.append
     grid = deg_grid(g.k, depth)
     readers = Counter(g.tails(n).prev for n in grid)  # degrees whose labels extend each degree's
     write("depth\tpath\tvalue\n")
@@ -1172,5 +1167,3 @@ def measure_table(measure, depth, write=None):
             rows = [f"{total}\t{label}\t{a // d}/{den // d}\n"
                     for label, a, d in zip(here, nums, map(gcd, nums, repeat(den)))]
         write("".join(rows))
-    if chunks is not None:
-        return "".join(chunks)

@@ -37,8 +37,7 @@ on that block in one batch, keep each under its own path and hand the
 same ``_Op`` to every later caller; a ``ZeroDenominator`` met in a batch
 is raised only when its path is requested.  ``DirectSumRep`` builds each
 block operator once per rep, on its first request, stacking its parts'
-operators through ``_Op`` methods.  ``ScaledRep`` builds fresh operators
-from its part's operators.
+operators through ``_Op`` methods.
 
 Every standard table reads the run of ``KGraph.index(lam)`` in a
 ``KGraph.glue`` table, the products lam.eta in the order of eta: t_lam on
@@ -60,6 +59,7 @@ relation checks the tables against the path algebra.
 """
 
 from fractions import Fraction
+from math import fsum
 from typing import NamedTuple
 
 from .errors import (
@@ -86,7 +86,7 @@ from .kgraph import (
     deg_unit,
     shift_windows,
 )
-from .measures import CylinderMeasure, default_prefix_rule, pf_data
+from .measures import CylinderMeasure, _dot, _row_reduce, default_prefix_rule, pf_data
 
 
 # Label-action result for an image outside the truncation; None is "no image".
@@ -325,19 +325,16 @@ class StandardRep:
 
     def unit_vector(self, m):
         """Coordinates of the constant function 1 in block m."""
-        import numpy as np
-
-        return np.array([float(w) ** 0.5 for w in self._values(m)])
+        return [float(w) ** 0.5 for w in self._values(m)]
 
     def pvm_mask(self, lam, m):
         """Diagonal 0/1 mask of P(Z(lam)) on block m (zero unless m >= d(lam))."""
-        import numpy as np
-
-        g, mask = self.graph, np.zeros(self.block_dim(m))
+        g, mask = self.graph, [0.0] * self.block_dim(m)
         if deg_le(lam.degree, m):
             off, out = g.glue(lam.degree, deg_sub(m, lam.degree))
             a = g.index(lam)
-            mask[list(out[off[a]:off[a + 1]])] = 1.0
+            for j in out[off[a]:off[a + 1]]:
+                mask[j] = 1.0
         return mask
 
 
@@ -909,17 +906,6 @@ class _Op:
             return 1.0 if self.dst else 0.0
         return max((abs(float(c)) for c in self._coefs()), default=0.0)
 
-    def matrix(self):
-        import numpy as np
-
-        rows = self.rep.block_dim(self.dst_key)
-        cols = self.rep.block_dim(self.src_key)
-        mat = np.zeros((rows, cols))
-        for s, outs in self.table.items():
-            for d, c in outs.items():
-                mat[d, s] = float(c)
-        return mat
-
     def is_zero(self):
         if self.coef is None and self.dst is not None:
             return not self.dst
@@ -962,32 +948,6 @@ class CKReport(NamedTuple):
 
     def to_dict(self):
         return {**self._asdict(), "checks": [c._asdict() for c in self.checks]}
-
-
-class ScaledRep:
-    """Fault-injection wrapper: scales one edge generator by a factor."""
-
-    def __init__(self, rep, edge_id, factor):
-        self._rep = rep
-        self.edge_id = edge_id
-        self.factor = factor
-        self.graph = rep.graph
-        self.depth = rep.depth
-        self.kind = rep.kind
-        self.discrete = rep.discrete
-
-    def __getattr__(self, name):
-        return getattr(self._rep, name)
-
-    def _scaled(self, lam, op):
-        """Scale a block operator of lam by factor^(occurrences of the edge)."""
-        return None if op is None else op.scaled(self.factor ** lam.edges.count(self.edge_id))
-
-    def apply_path(self, lam, key):
-        return self._scaled(lam, self._rep.apply_path(lam, key))
-
-    def apply_adjoint(self, lam, key):
-        return self._scaled(lam, self._rep.apply_adjoint(lam, key))
 
 
 def verify_ck(rep, max_level=2, tol=1e-10):
@@ -1252,33 +1212,28 @@ def induced_measure(rep, xi=None, block=None):
     xi defaults to the constant function 1 on a rep whose basis is a block
     of paths (standard and KP reps): the paths of the block are the base
     cylinders with their weights, and CylinderMeasure sums shallower
-    cylinders from them, exactly for exact measures.
+    cylinders from them, exactly for exact measures.  A given xi sums xi_j^2
+    over the mask of P(Z(lam)).  Either way a path whose degree is not <=
+    block raises DepthTooSmall.
     """
     g = rep.graph
     if block is None:
         block = deg_diag(g.k, rep.depth)
-
-    if xi is None:
-        if not getattr(rep, "path_basis", False):
-            raise NoPathBasis(f"a {rep.kind} rep needs an explicit vector xi")
-
-        def fn(path):
-            if path.degree != block:
-                raise DepthTooSmall(f"{path} deeper than the represented block")
-            return rep.weight(path)
-
-        return CylinderMeasure(g, fn, f"induced({rep.kind})", rep.exact,
-                               lambda d: block if deg_le(d, block) else d)
-
-    import numpy as np
-
-    xi_vec = np.asarray(xi, dtype=float)
+    if xi is None and not getattr(rep, "path_basis", False):
+        raise NoPathBasis(f"a {rep.kind} rep needs an explicit vector xi")
+    squares = None if xi is None else [x * x for x in map(float, xi)]
 
     def fn(path):
-        mask = rep.pvm_mask(path, block)
-        return float(np.dot(xi_vec * mask, xi_vec))
+        if not deg_le(path.degree, block):
+            raise DepthTooSmall(f"{path} deeper than the represented block")
+        if squares is None:
+            return rep.weight(path)
+        return _dot(rep.pvm_mask(path, block), squares)
 
-    return CylinderMeasure(g, fn, f"induced({rep.kind})", False)
+    if squares is not None:
+        return CylinderMeasure(g, fn, f"induced({rep.kind})", False)
+    return CylinderMeasure(g, fn, f"induced({rep.kind})", rep.exact,
+                           lambda d: block if deg_le(d, block) else d)
 
 
 class MonicVectorReport(NamedTuple):
@@ -1288,21 +1243,24 @@ class MonicVectorReport(NamedTuple):
 
 
 def monic_vector_probe(rep, level, xi=None):
-    """Rank of {P(Z(lam)) xi : d(lam) <= level} inside the level block,
-    singular values up to 1e-9 counted as zero."""
-    import numpy as np
+    """Rank of {P(Z(lam)) xi : d(lam) <= level} inside the level block.
 
+    The vectors are M diag(xi), M the 0/1 masks, and diag(xi) is invertible
+    on the support of xi, so the rank is exactly that of M on the support
+    columns: the pivot count of its row reduction over the rationals.
+    """
+    if level > rep.depth:
+        raise DepthTooSmall(f"monic probe level {level} is above the rep depth {rep.depth}")
     g = rep.graph
     block = deg_diag(g.k, level)
     dim = rep.block_dim(block)
     if xi is None:
         xi = rep.unit_vector(block)
-    vectors = []
-    for n in deg_grid(g.k, level):
-        for lam in g.enumerate_paths(n):
-            vectors.append(rep.pvm_mask(lam, block) * xi)
-    mat = np.array(vectors)
-    span = int(np.linalg.matrix_rank(mat, tol=1e-9)) if mat.size else 0
+    support = [j for j, x in enumerate(xi) if x != 0]
+    masks = {tuple(mask[j] for j in support)
+             for n in deg_grid(g.k, level) for lam in g.enumerate_paths(n)
+             for mask in [rep.pvm_mask(lam, block)]}
+    span = len(_row_reduce(masks)[1]) if support and masks else 0
     return MonicVectorReport(span, dim, span == dim)
 
 
@@ -1333,18 +1291,15 @@ class IntervalDiagonalRep:
         return len(self.atoms)
 
     def unit_vector(self, block):
-        import numpy as np
-
-        return np.array([float(hi - lo) ** 0.5 for lo, hi in self.atoms])
+        return [float(hi - lo) ** 0.5 for lo, hi in self.atoms]
 
     def pvm_mask(self, lam, block):
         # every range of degree <= level generated the atoms: it holds the atoms it meets
-        import numpy as np
-
         if not deg_le(lam.degree, deg_diag(self.graph.k, self.depth)):
             raise DepthTooSmall(f"d({lam}) = {lam.degree} is beyond level {self.depth}")
-        mask = np.zeros(len(self.atoms))
-        mask[atoms_meeting(self.atoms, self._his, self.sys.path_range_1d(lam))] = 1.0
+        mask = [0.0] * len(self.atoms)
+        for j in atoms_meeting(self.atoms, self._his, self.sys.path_range_1d(lam)):
+            mask[j] = 1.0
         return mask
 
 
@@ -1686,6 +1641,30 @@ class WitnessReport(NamedTuple):
     omega_twist_gap: float  # |1 - rho^{(m-n)/2}|
 
 
+def _norm(op):
+    """The operator 2-norm of op: 0.0 when op is zero, else the power
+    iteration x <- A^T A x over its table, from x_j = 1 + frac(j/phi).
+    |Ax| / |x| never decreases along the iteration and tends to the largest
+    singular value; the iteration stops once a step gains under 1e-15
+    relatively, or after 10,000 steps."""
+    if op.is_zero():
+        return 0.0
+    cols = [[(d, float(c)) for d, c in outs.items()] for outs in op.table.values()]
+    x = [1.0 + (j * 0.6180339887498949) % 1.0 for j in range(len(cols))]
+    best = 0.0
+    for _ in range(10_000):
+        y = {}
+        for outs, xs in zip(cols, x):
+            for d, c in outs:
+                y[d] = y.get(d, 0.0) + c * xs
+        est = (_dot(y.values(), y.values()) / _dot(x, x)) ** 0.5
+        if est - best <= 1e-15 * est:
+            break
+        best = est
+        x = [fsum(c * y[d] for d, c in outs) for outs in cols]
+    return max(est, best)
+
+
 def nonfaithful_witness(graph, measure, depth=4):
     """Build b = t_mu t_mu^* - rho^{(m-n)/2} t_nu t_mu^* from a period candidate.
 
@@ -1728,12 +1707,9 @@ def nonfaithful_witness(graph, measure, depth=4):
         raise DepthTooSmall("depth too small for the witness element")
 
     def embedded(op):
-        return op.then(srep.refinement(op.dst_key, deep)).matrix()
+        return op.then(srep.refinement(op.dst_key, deep))
 
-    import numpy as np
-
-    diff = embedded(first) - scale * embedded(second)
-    worst = float(np.linalg.norm(diff, 2)) if diff.size else 0.0
+    worst = _norm(embedded(first).add(embedded(second).scaled(scale), sign=-1))
 
     # faithful side, one basis vector at a time: b delta_u lands in the
     # classes of mu.tail and nu.tail, which sit in orthogonal gauge

@@ -526,13 +526,6 @@ def _point_distance(p, q):
     return abs(float(p - q))
 
 
-def with_edge_map(sys, eid, new_map):
-    """Copy of the system with one prefixing map replaced (fault injection)."""
-    maps = dict(sys.edge_maps)
-    maps[eid] = new_map
-    return IntervalSBFS(sys.graph, sys.domains, maps, sys.name + "*")
-
-
 # ---------------------------------------------------------------------------
 # lifts: double and product systems
 

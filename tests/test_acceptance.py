@@ -29,7 +29,6 @@ from kgraph_lab.operators import (
     DirectSumRep,
     EncodingTable,
     KPRep,
-    ScaledRep,
     atoms_report,
     faithful_rep,
     gauge_covariance,
@@ -48,8 +47,9 @@ from kgraph_lab.sbfs import (
     kirchhoff_check,
     monic_probe,
     validate_sbfs,
-    with_edge_map,
 )
+from test_operators import ScaledRep
+from test_sbfs import with_edge_map
 
 SQRT2 = math.sqrt(2.0)
 

@@ -593,9 +593,16 @@ def test_format_value():
     assert len(format_value(1 / 3).replace("0.", "")) >= 16
 
 
+def table_text(measure, depth):
+    """measure_table's chunks joined into one string."""
+    chunks = []
+    measure_table(measure, depth, chunks.append)
+    return "".join(chunks)
+
+
 def test_measure_table_layout():
     g = builtin_graph("exonevtwoe")
-    table = measure_table(pf_measure(g), 1)
+    table = table_text(pf_measure(g), 1)
     lines = table.strip().split("\n")
     assert lines[0] == "depth\tpath\tvalue"
     assert any("\tv\t1/1" in ln or "\tv\t1" == ln.split("\t", 1)[-1].replace("path", "") for ln in lines[1:]) or any(
@@ -625,7 +632,7 @@ def table_cases():
 def test_measure_table_prints_format_value_of_each_value(label, make):
     m = make()
     g = m.graph
-    rows = [line.split("\t")[2] for line in measure_table(m, 2).splitlines()[1:]]
+    rows = [line.split("\t")[2] for line in table_text(m, 2).splitlines()[1:]]
     assert rows == [format_value(val) for n in deg_grid(g.k, 2) for val in m.values(n)]
     if label == "exonevtwoe-markov-float":
         assert all("/" not in text for text in rows) and any("." in text for text in rows)
@@ -650,9 +657,9 @@ def test_consistency_above_the_enumeration_cap_raises():
 def test_measure_table_above_the_enumeration_cap_raises():
     # the rows above enum_cap used to be left out of the table
     m = pf_measure(loop_graph(4))
-    assert len(measure_table(m, 4).splitlines()) == 1 + 5
+    assert len(table_text(m, 4).splitlines()) == 1 + 5
     with pytest.raises(DegreeCapExceeded, match="measure table depth 5 .* enumeration cap 4"):
-        measure_table(m, 5)
+        table_text(m, 5)
 
 
 def test_rn_estimate_not_composable():
@@ -1185,7 +1192,7 @@ def test_a_bump_below_zero_raises_at_its_path(edges):
     at = g.path(edges)
     bad = m.perturbed(at, -2 * m.value(at))
     reads = [lambda: bad.values(at.degree), lambda: bad.value(at),
-             lambda: check_consistency(bad, 1), lambda: measure_table(bad, 1)]
+             lambda: check_consistency(bad, 1), lambda: table_text(bad, 1)]
     for read in reads:
         with pytest.raises(AdditivityViolation) as err:
             read()
@@ -1200,7 +1207,7 @@ def test_measure_table_labels_match_blocks(label, g, bound):
     # labels come from the tail arrays; the reference joins each path's edges
     depth = min(bound, 2)
     m = CylinderMeasure(g, lambda p: Fraction(1), "one", True)
-    rows = [line.split("\t") for line in measure_table(m, depth).splitlines()[1:]]
+    rows = [line.split("\t") for line in table_text(m, depth).splitlines()[1:]]
     want = [(str(deg_total(n)), ".".join(p.edges) if p.edges else p.range)
             for n in deg_grid(g.k, depth) for p in g.block(n)]
     assert [(d, path) for d, path, _ in rows] == want
@@ -1279,7 +1286,7 @@ def test_bumps_by_index_match_the_path_route(label, make, degree, i):
     assert not check_consistency(bumped, 2).ok
     below = m.perturbed(at, -2 * m.value(at))
     reads = [lambda: below.values(at.degree), lambda: below.value(at),
-             lambda: check_consistency(below, 2), lambda: measure_table(below, 2)]
+             lambda: check_consistency(below, 2), lambda: table_text(below, 2)]
     for read in reads:
         with pytest.raises(AdditivityViolation) as err:
             read()
@@ -1301,7 +1308,7 @@ def test_measure_checks_build_no_blocks(label, name, make):
     g = builtin_graph(name)
     m = make(g)
     rep = check_consistency(m, 3)
-    measure_table(m, 3)
+    table_text(m, 3)
     assert rep.ok == ("perturbed" not in label)
     if not rep.ok:
         assert rep.worst_path.degree in ((1, 1), (0, 0))  # the bumped path or its parent

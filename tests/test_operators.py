@@ -4,10 +4,14 @@ import importlib
 import importlib.util
 import inspect
 import itertools
+import json
 import math
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +44,7 @@ from kgraph_lab.kgraph import (
 from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
+    check_consistency,
     markov_measure,
     parse_product_spec,
     pf_measure,
@@ -53,7 +58,6 @@ from kgraph_lab.operators import (
     EncodingTable,
     IntervalDiagonalRep,
     KPRep,
-    ScaledRep,
     atoms_report,
     decompose_permutative,
     encoding_map,
@@ -73,6 +77,7 @@ from kgraph_lab.operators import (
     tail_equivalence_map,
     verify_ck,
 )
+import numpy_free_routes
 from test_kgraph import (
     random_graph,
     random_walk,
@@ -100,6 +105,41 @@ def measures_for(name):
     return g, out
 
 
+def matrix(op):
+    """The dense matrix of a block operator, rows the destination block."""
+    mat = np.zeros((op.rep.block_dim(op.dst_key), op.rep.block_dim(op.src_key)))
+    for s, outs in op.table.items():
+        for d, c in outs.items():
+            mat[d, s] = float(c)
+    return mat
+
+
+class ScaledRep:
+    """Fault-injection wrapper: scales one edge generator by a factor."""
+
+    def __init__(self, rep, edge_id, factor):
+        self._rep = rep
+        self.edge_id = edge_id
+        self.factor = factor
+        self.graph = rep.graph
+        self.depth = rep.depth
+        self.kind = rep.kind
+        self.discrete = rep.discrete
+
+    def __getattr__(self, name):
+        return getattr(self._rep, name)
+
+    def _scaled(self, lam, op):
+        """Scale a block operator of lam by factor^(occurrences of the edge)."""
+        return None if op is None else op.scaled(self.factor ** lam.edges.count(self.edge_id))
+
+    def apply_path(self, lam, key):
+        return self._scaled(lam, self._rep.apply_path(lam, key))
+
+    def apply_adjoint(self, lam, key):
+        return self._scaled(lam, self._rep.apply_adjoint(lam, key))
+
+
 # -- standard representation ------------------------------------------------------
 
 
@@ -107,7 +147,7 @@ def test_vertex_action_is_projection():
     g = builtin_graph("ex3v8e")
     rep = standard_rep(g, pf_measure(g), 2)
     tv = op_forward(rep, g.vertex_path("v"), (1, 1))
-    mat = tv.matrix()
+    mat = matrix(tv)
     assert np.array_equal(mat, mat @ mat)
     for i, eta in enumerate(rep.block((1, 1))):
         assert mat[i, i] == (1.0 if eta.range == "v" else 0.0)
@@ -671,7 +711,7 @@ def assert_tables_match_references(rep, lam_bound):
             assert rows_of(fwd and fwd.table) == rows_of(reference_forward_table(rep, weight, index, lam, m))
             assert rows_of(adj and adj.table) == rows_of(reference_adjoint_table(rep, weight, index, lam, m))
             undefined += fwd is None and deg_add(m, lam.degree) in index
-            assert rep.pvm_mask(lam, m).tolist() == reference_pvm_mask(rep, lam, m)
+            assert rep.pvm_mask(lam, m) == reference_pvm_mask(rep, lam, m)
         for target in keys:
             if all(a <= b for a, b in zip(m, target)):
                 got = rows_of(rep.refinement(m, target).table)
@@ -1085,7 +1125,7 @@ def test_refinement_matches_embedding_reference(name, spec):
         for target in srep.block_keys():
             if not all(a <= b for a, b in zip(m, target)):
                 continue
-            mat = srep.refinement(m, target).matrix()
+            mat = matrix(srep.refinement(m, target))
             for i in range(srep.block_dim(m)):
                 unit = np.zeros(srep.block_dim(m))
                 unit[i] = 1.0
@@ -1131,14 +1171,14 @@ def test_pvm_is_indicator_diagonal():
     rep = standard_rep(g, pf_measure(g), 3)
     lam = g.path(["a0", "b0"])
     p = pvm(rep, lam, (2, 2))
-    mat = p.matrix()
+    mat = matrix(p)
     mask = rep.pvm_mask(lam, (2, 2))
     assert np.allclose(mat, np.diag(mask), atol=1e-12)
 
 
 def reference_self_adjoint_residual(p):
     """max |P - P^T| through a dense matrix, the check the transpose replaced."""
-    mat = p.matrix()
+    mat = matrix(p)
     return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
 
 
@@ -1182,7 +1222,7 @@ def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
         for key in rep.block_keys():
             for op in (op_forward(rep, lam, key), op_adjoint(rep, lam, key)):
                 if op is not None:
-                    assert np.array_equal(op.transpose().matrix(), op.matrix().T)
+                    assert np.array_equal(matrix(op.transpose()), matrix(op).T)
                     compared += 1
     assert compared
 
@@ -1260,15 +1300,6 @@ class ReferenceOp:
         coefs = (abs(float(c)) for outs in self.table.values() for c in outs.values())
         return max(coefs, default=0.0)
 
-    def matrix(self):
-        rows = self.rep.block_dim(self.dst_key)
-        cols = self.rep.block_dim(self.src_key)
-        mat = np.zeros((rows, cols))
-        for s, outs in self.table.items():
-            for d, c in outs.items():
-                mat[d, s] = float(c)
-        return mat
-
     def is_zero(self):
         return all(c == 0 for outs in self.table.values() for c in outs.values())
 
@@ -1290,7 +1321,7 @@ def assert_same_op(op, ref):
         assert op.table.keys() == ref.table.keys()
         assert all(list(row.items()) == list(ref.table[s].items()) for s, row in op.table.items())
         assert op.max_abs() == ref.max_abs() and op.is_zero() == ref.is_zero()
-        assert np.array_equal(op.matrix(), ref.matrix())
+        assert np.array_equal(matrix(op), matrix(ref))
         transposed, ref_transposed = op.transpose(), ref.transpose()
         assert transposed.table == ref_transposed.table
         assert (transposed.src_key, transposed.dst_key) == (ref_transposed.src_key, ref_transposed.dst_key)
@@ -1615,7 +1646,7 @@ def test_interval_pvm_mask_matches_subset_loop(name):
                 rng = sys.path_range_1d(lam)
                 old = [float(IntervalUnion.interval(lo, hi).is_subset_of(rng))
                        for lo, hi in rep.atoms]
-                assert rep.pvm_mask(lam, None).tolist() == old, (name, level, lam)
+                assert rep.pvm_mask(lam, None) == old, (name, level, lam)
 
 
 def test_interval_pvm_mask_beyond_the_level_raises_depth_too_small():
@@ -1640,6 +1671,86 @@ def test_monic_vector_probe_single_vector():
     res = monic_vector_probe(rep, 2, xi=xi)
     assert res.span_dim == 1
     assert not res.cyclic
+
+
+def test_monic_vector_probe_above_the_rep_depth_raises_depth_too_small():
+    g = builtin_graph("exonevtwoe")
+    rep = standard_rep(g, pf_measure(g), 2)
+    with pytest.raises(DepthTooSmall, match="level 3 is above the rep depth 2"):
+        monic_vector_probe(rep, 3)
+    assert monic_vector_probe(rep, 2).cyclic
+
+
+@pytest.mark.parametrize("route", ["xi", "weights"])
+def test_induced_measure_deeper_than_its_block_raises_depth_too_small(route):
+    # the xi route gave 0.0 here, and the consistency check failed at e.e
+    g = builtin_graph("exonevtwoe")
+    rep = standard_rep(g, pf_measure(g), 2)
+    xi = rep.unit_vector((2, 2)) if route == "xi" else None
+    m = induced_measure(rep, xi=xi, block=(2, 2))
+    for n in [(3, 3), (3, 0), (0, 3)]:
+        with pytest.raises(DepthTooSmall):
+            m.value(g.enumerate_paths(n)[0])
+    with pytest.raises(DepthTooSmall):
+        check_consistency(m, 2)
+    assert check_consistency(m, 1).ok
+
+
+def numpy_mask(rep, lam, block):
+    """The mask of P(Z(lam)) as the numpy route built it, its indices read
+    from the path algebra (strip_prefix) or from the atoms' subset tests."""
+    if isinstance(rep, IntervalDiagonalRep):
+        rng = rep.sys.path_range_1d(lam)
+        hits = [i for i, (lo, hi) in enumerate(rep.atoms)
+                if IntervalUnion.interval(lo, hi).is_subset_of(rng)]
+    else:
+        hits = [i for i, eta in enumerate(rep.block(block))
+                if rep.graph.strip_prefix(eta, lam) is not None]
+    mask = np.zeros(rep.block_dim(block))
+    mask[hits] = 1.0
+    return mask
+
+
+def numpy_unit_vector(rep, block):
+    if isinstance(rep, IntervalDiagonalRep):
+        return np.sqrt(np.array([float(hi - lo) for lo, hi in rep.atoms]))
+    return np.sqrt(np.array([float(rep.weight(eta)) for eta in rep.block(block)]))
+
+
+def test_former_numpy_routes_run_without_numpy():
+    """Every route that ran on numpy, in an interpreter where importing numpy
+    fails, against the numpy reference computed here."""
+    script = ('import json, sys\nsys.modules["numpy"] = None\nimport numpy_free_routes\n'
+              "print(json.dumps(numpy_free_routes.results()))\n")
+    path = os.pathsep.join([str(pathlib.Path(operators.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    got = json.loads(done.stdout)
+    for label, rep, level, xi in numpy_free_routes.probe_cases():
+        block = deg_diag(rep.graph.k, level)
+        unit = numpy_unit_vector(rep, block)
+        masks = [numpy_mask(rep, lam, block) for lam in numpy_free_routes.probe_paths(rep.graph, level)]
+        vec = unit if xi is None else np.array(xi)
+        rank = int(np.linalg.matrix_rank(np.array([mask * vec for mask in masks]), tol=1e-9))
+        assert got["probes"][label] == {"unit": unit.tolist(), "masks": [m.tolist() for m in masks],
+                                        "rank": rank}, label
+    assert got["probes"]["interval ex3v8e 3"]["rank"] == 24
+    assert got["probes"]["kp exonevtwoe single vector"]["rank"] == 1
+    for label, rep, block, xi in numpy_free_routes.induced_cases():
+        vec = np.array(xi)
+        want = [float(np.dot(vec * numpy_mask(rep, lam, block), vec))
+                for lam in numpy_free_routes.probe_paths(rep.graph, block[0])]
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+                   for a, b in zip(got["induced"][label], want, strict=True)), label
+    for name in numpy_free_routes.WITNESS_GRAPHS:
+        g = builtin_graph(name)
+        report = nonfaithful_witness(g, pf_measure(g), 4)
+        diff = numpy_free_routes.witness_difference(g, 4, report.mu, report.nu, report.scale)
+        assert got["witness"][name] == float(np.linalg.norm(matrix(diff), 2)) == 0.0, name
+    for label, op in numpy_free_routes.difference_cases():
+        want = float(np.linalg.norm(matrix(op), 2))
+        assert want > 0 and math.isclose(got["norms"][label], want, rel_tol=1e-12), label
 
 
 # -- orbits and atoms ---------------------------------------------------------------------------
@@ -2067,7 +2178,7 @@ def test_adjoint_consistency_is_transpose_on_matched_blocks():
             adj = op_adjoint(rep, lam, fwd.dst_key)
             if adj is None:
                 continue
-            assert np.array_equal(fwd.matrix().T, adj.matrix())
+            assert np.array_equal(matrix(fwd).T, matrix(adj))
 
 
 def test_encoding_map_typed_errors():

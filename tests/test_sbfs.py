@@ -44,7 +44,6 @@ from kgraph_lab.sbfs import (
     sbfs_to_dict,
     transport_projective,
     validate_sbfs,
-    with_edge_map,
 )
 
 BUILTIN_SYSTEMS = [
@@ -56,6 +55,13 @@ BUILTIN_SYSTEMS = [
     "double-kawamura",
     "product-kawamura",
 ]
+
+
+def with_edge_map(sys, eid, new_map):
+    """Copy of the system with one prefixing map replaced (fault injection)."""
+    maps = dict(sys.edge_maps)
+    maps[eid] = new_map
+    return IntervalSBFS(sys.graph, sys.domains, maps, sys.name + "*")
 
 
 def interval(lo, hi):

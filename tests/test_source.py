@@ -90,39 +90,67 @@ def imports_module(node, module):
     return any(name.split(".")[0] == module for name in names)
 
 
-def eager_numpy_imports(source):
-    """Line numbers of numpy imports that run when the module is imported:
-    every one outside a function body."""
-    out = []
-
-    def visit(node):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if imports_module(child, "numpy"):
-                out.append(child.lineno)
-            visit(child)
-
-    visit(ast.parse(source))
-    return out
+def numpy_imports(source):
+    """Line numbers of the numpy imports anywhere in source: at module level
+    and inside classes, functions and methods, at any nesting."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if imports_module(node, "numpy"))
 
 
+def numpy_imports_in(source, owners):
+    """(owner, line) for each numpy import anywhere inside a top-level
+    function or class named in owners, nested functions and methods included."""
+    return {(node.name, inner.lineno) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name in owners
+            for inner in ast.walk(node) if imports_module(inner, "numpy")}
+
+
+# the forms that run when a module is imported; a function-level import is seen too
 @pytest.mark.parametrize(
     "statement",
     ["import numpy", "import numpy as np", "import numpy.linalg", "from numpy import linalg",
      "import json, numpy", "if True:\n    import numpy", "class C:\n    import numpy as np"],
 )
 def test_eager_numpy_rule_sees_each_form(statement):
-    assert eager_numpy_imports(f"import json\n{statement}\n") == [1 + statement.count("\n") + 1]
-    assert eager_numpy_imports("def f():\n    import numpy as np\n    return np\n") == []
-    assert eager_numpy_imports("import numpyish\nfrom .numpy import x\n") == []
+    assert numpy_imports(f"import json\n{statement}\n") == [1 + statement.count("\n") + 1]
+    assert numpy_imports("def f():\n    import numpy as np\n    return np\n") == [2]
+    assert numpy_imports("import numpyish\nfrom .numpy import x\n") == []
 
 
+def test_numpy_free_rule_sees_each_form():
+    source = (
+        "class Rep:\n"
+        "    def unit_vector(self):\n        import numpy as np\n"
+        "    def row(self):\n        if self:\n            from numpy import ones\n"
+        "def _norm(op):\n    def step(v):\n        import numpy.linalg\n"
+        "def other():\n    import numpyish\n    from .numpy import x\n"
+    )
+    assert numpy_imports(source) == [3, 6, 9]
+    assert numpy_imports_in(source, {"Rep", "_norm", "other"}) == {("Rep", 3), ("Rep", 6),
+                                                                  ("_norm", 9)}
+    assert numpy_imports_in(source, {"other"}) == set()
+
+
+# the package runs on the standard library alone: float algebra on numpy runs
+# only in the tests, as the reference for masks, ranks and norms
 def test_numpy_is_imported_only_where_float_algebra_runs():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 8
-    found = {m.name: eager_numpy_imports(m.read_text()) for m in modules}
+    found = {m.name: numpy_imports(m.read_text()) for m in modules}
     assert not {name: lines for name, lines in found.items() if lines}
+
+
+# Perron data and stationary rows run in plain Python floats
+NUMPY_FREE = {"pf_data", "_exact_pf", "_power_iteration", "_dot", "_matvec", "MarkovMeasureSpec"}
+
+
+def test_perron_data_imports_no_numpy():
+    source = (PACKAGE / "measures.py").read_text()
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert NUMPY_FREE <= defined
+    assert numpy_imports_in(source, NUMPY_FREE) == set()
 
 
 # every CLI job is a fresh process, so what importing the package costs is paid
@@ -169,41 +197,6 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
-
-
-# Perron data and stationary rows run in plain Python floats
-NUMPY_FREE = {"pf_data", "_exact_pf", "_power_iteration", "_dot", "_matvec", "MarkovMeasureSpec"}
-
-
-def numpy_imports_in(source, owners):
-    """(owner, line) for each numpy import anywhere inside a top-level
-    function or class named in owners, nested functions and methods included."""
-    return {(node.name, inner.lineno) for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name in owners
-            for inner in ast.walk(node) if imports_module(inner, "numpy")}
-
-
-def test_numpy_free_rule_sees_each_form():
-    source = (
-        "import numpy as np\n"
-        "def pf_data(g):\n    import numpy as np\n"
-        "class MarkovMeasureSpec:\n"
-        "    def row(self):\n        if self:\n            from numpy import ones\n"
-        "def _power_iteration(mat):\n    def step(v):\n        import numpy.linalg\n"
-        "def other():\n    import numpy\n"
-        "def _exact_pf(g):\n    import numpyish\n    from .numpy import x\n"
-    )
-    assert numpy_imports_in(source, NUMPY_FREE) == {
-        ("pf_data", 3), ("MarkovMeasureSpec", 7), ("_power_iteration", 10)}
-
-
-def test_perron_data_imports_no_numpy():
-    source = (PACKAGE / "measures.py").read_text()
-    defined = {node.name for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert NUMPY_FREE <= defined
-    assert numpy_imports_in(source, NUMPY_FREE) == set()
 
 
 PATH_ALGEBRA = {"compose", "lambda_min", "strip_prefix", "split", "factorize"}
@@ -659,13 +652,13 @@ def test_package_exceptions_are_kgraph_lab_errors_in_errors_module():
 UNNAMED = {
     "measures.py:rn_estimate", "measures.py:star_markov_matrix",
     "operators.py:EncodingTable", "operators.py:IntervalDiagonalRep", "operators.py:KPRep",
-    "operators.py:ScaledRep", "operators.py:atoms_report", "operators.py:decompose_permutative",
+    "operators.py:atoms_report", "operators.py:decompose_permutative",
     "operators.py:encoding_map", "operators.py:induced_measure",
     "operators.py:monic_vector_probe", "operators.py:nonfaithful_witness",
     "operators.py:orbit_restriction", "operators.py:permutative_validate",
     "operators.py:pvm_additivity", "operators.py:tail_equivalence_map",
     "sbfs.py:PathspaceSBFS", "sbfs.py:sbfs_from_dict", "sbfs.py:sbfs_to_dict",
-    "sbfs.py:transport_projective", "sbfs.py:with_edge_map",
+    "sbfs.py:transport_projective",
 }
 
 
