@@ -19,6 +19,7 @@ from . import catalog, kgraph, measures, operators, sbfs
 from .errors import (
     DanglingEndpoint,
     DegreeCapExceeded,
+    DepthTooSmall,
     DimensionUnsupported,
     GammaOutOfRange,
     InvalidSquare,
@@ -423,7 +424,10 @@ def _run_orbit(job):
 
     x = parse_prefix(job.param("x_prefix"))
     y = parse_prefix(job.param("y_prefix"))
-    same = operators.orbit_equal(g, x, y, job.param("depth"))
+    try:
+        same = operators.orbit_equal(g, x, y, job.param("depth"))
+    except DepthTooSmall as exc:  # prefixes too short to compare: no witness to report
+        raise UsageError(str(exc)) from exc
     return {"orbit_equal": same}, []
 
 

@@ -696,15 +696,14 @@ class ProductMeasureSpec(NamedTuple):
     family: "const" (value c), "geometric" (gamma_j = c * r**j),
     "finite" (explicit values with zero tail), or "sampled" (explicit
     values with no closure claim; classification stays undetermined).
-    Indexing follows the position of the symbol along the path.
+    Indexing follows the position of the symbol along the path; explicit
+    values are gamma_1, gamma_2, ...
     """
 
     family: str
     c: Fraction = Fraction(0)
     r: Fraction = Fraction(0)
     values: tuple = ()
-    start: int = 1
-    symbol_count: int = 2
 
     def gamma(self, j):
         if self.family == "const":
@@ -712,8 +711,8 @@ class ProductMeasureSpec(NamedTuple):
         if self.family == "geometric":
             return self.c * self.r**j
         if self.family in ("finite", "sampled"):
-            if self.start <= j < self.start + len(self.values):
-                return self.values[j - self.start]
+            if 1 <= j <= len(self.values):
+                return self.values[j - 1]
             if self.family == "sampled":
                 raise GammaOutOfRange(f"sampled sequence has no term {j}")
             return Fraction(0)
@@ -769,7 +768,7 @@ def check_bias_terms(spec, j0):
     sampled specs are checked on every listed value.
     """
     if spec.family in ("finite", "sampled"):
-        terms = range(spec.start, spec.start + len(spec.values))
+        terms = range(1, len(spec.values) + 1)
     else:
         terms = [j0]
     for j in terms:
@@ -989,8 +988,6 @@ def kakutani_classify(spec_a, spec_b):
         isinstance(spec_a, ProductMeasureSpec) and isinstance(spec_b, ProductMeasureSpec)
     ):
         raise IncomparableSpecs("specs must both be product or both Markov")
-    if spec_a.symbol_count != spec_b.symbol_count:
-        raise IncomparableSpecs("different symbol counts")
     for spec in (spec_a, spec_b):
         check_bias_terms(spec, 1)
 

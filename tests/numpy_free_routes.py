@@ -77,8 +77,8 @@ def induced_cases():
 
 
 def witness_difference(g, depth, mu, nu, scale):
-    """t_mu t_mu^* - scale t_nu t_mu^* on the standard pf rep, embedded in
-    the deep block as nonfaithful_witness embeds it."""
+    """(rep, op): op is t_mu t_mu^* - scale t_nu t_mu^* on the standard pf
+    rep, embedded in the deep block as nonfaithful_witness embeds it."""
     srep = standard_rep(g, pf_measure(g), depth)
     deep = deg_diag(g.k, depth)
     base = deg_sub(deep, tuple(max(b - a, 0) for a, b in zip(mu.degree, nu.degree)))
@@ -87,7 +87,7 @@ def witness_difference(g, depth, mu, nu, scale):
         return op.then(srep.refinement(op.dst_key, deep))
 
     first, second = (embedded(operators._outer(srep, lam, mu, base)) for lam in (mu, nu))
-    return first.add(second.scaled(scale), sign=-1)
+    return srep, first.add(second.scaled(scale), sign=-1)
 
 
 def outer_sum(rep, n, key):
@@ -104,21 +104,21 @@ def outer_sum(rep, n, key):
 
 
 def difference_cases():
-    """(label, op): nonzero operators.  The witness pairs of three builtins
+    """(label, rep, op): nonzero operators of rep.  The witness pairs of three builtins
     at depth 3, their difference taken with scales other than the witness's,
     and outer sums on float pf and Markov weights."""
     for name in ("ehfg", "ex3v8e", "exonevtwoe"):
         g = builtin_graph(name)
         report = nonfaithful_witness(g, pf_measure(g), 3)
         for scale in (0.5, -2.0):
-            yield f"{name} {scale}", witness_difference(g, 3, report.mu, report.nu, scale)
+            yield f"{name} {scale}", *witness_difference(g, 3, report.mu, report.nu, scale)
     g = builtin_graph("ex3v8e")
     rep = standard_rep(g, pf_measure(g), 2)
-    yield "ex3v8e outer sum (1, 0)", outer_sum(rep, (1, 0), (1, 1))
-    yield "ex3v8e outer sum (1, 1)", outer_sum(rep, (1, 1), (2, 2))
+    yield "ex3v8e outer sum (1, 0)", rep, outer_sum(rep, (1, 0), (1, 1))
+    yield "ex3v8e outer sum (1, 1)", rep, outer_sum(rep, (1, 1), (2, 2))
     g = builtin_graph("exonevtwoe")
     rep = standard_rep(g, markov_measure(g, t_x_matrix(Fraction(1, 3))), 2)
-    yield "exonevtwoe markov outer sum (1, 1)", outer_sum(rep, (1, 1), (2, 2))
+    yield "exonevtwoe markov outer sum (1, 1)", rep, outer_sum(rep, (1, 1), (2, 2))
 
 
 def results():
@@ -137,5 +137,5 @@ def results():
         induced[label] = [m.value(lam) for lam in probe_paths(rep.graph, block[0])]
     witness = {name: nonfaithful_witness(builtin_graph(name), pf_measure(builtin_graph(name)), 4)
                .norm_standard for name in WITNESS_GRAPHS}
-    norms = {label: operators._norm(op) for label, op in difference_cases()}
+    norms = {label: operators._norm(op) for label, _, op in difference_cases()}
     return {"probes": probes, "induced": induced, "witness": witness, "norms": norms}

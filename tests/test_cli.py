@@ -316,6 +316,8 @@ BAD_BUILTIN_VALUES = [
                               '"squares": [{"left": ["f", "x"], "right": ["e", "f"]}]}}'],
         # builtin parameter values that do not parse or lie outside their range
         *BAD_BUILTIN_VALUES,
+        # orbit prefixes too short for any comparable shift window at the depth
+        ["orbit", "--builtin", "ex3v8e", "--x-prefix", "a0", "--y-prefix", "a0", "--depth", "2"],
     ],
 )
 def test_bad_input_exit_2(argv, tmp_path, capsys):

@@ -105,9 +105,9 @@ def measures_for(name):
     return g, out
 
 
-def matrix(op):
-    """The dense matrix of a block operator, rows the destination block."""
-    mat = np.zeros((op.rep.block_dim(op.dst_key), op.rep.block_dim(op.src_key)))
+def matrix(op, rep):
+    """The dense matrix of a block operator of rep, rows the destination block."""
+    mat = np.zeros((rep.block_dim(op.dst_key), rep.block_dim(op.src_key)))
     for s, outs in op.table.items():
         for d, c in outs.items():
             mat[d, s] = float(c)
@@ -147,7 +147,7 @@ def test_vertex_action_is_projection():
     g = builtin_graph("ex3v8e")
     rep = standard_rep(g, pf_measure(g), 2)
     tv = op_forward(rep, g.vertex_path("v"), (1, 1))
-    mat = matrix(tv)
+    mat = matrix(tv, rep)
     assert np.array_equal(mat, mat @ mat)
     for i, eta in enumerate(rep.block((1, 1))):
         assert mat[i, i] == (1.0 if eta.range == "v" else 0.0)
@@ -847,7 +847,7 @@ def float_adjoint_table(rep, lam, m):
     join = deg_join(m, lam.degree)
     dst, heads, table = deg_sub(join, lam.degree), g.cut(join, m)[0], {}
     rows = sorted((heads[j], alpha, j) for alpha, j in rep._rows(lam.degree, dst)[g.index(lam)])
-    top, blk = rep._values(join), rep._values(m)
+    top, blk = rep.measure.values(join), rep.measure.values(m)
     for i, alpha, j in rows:
         ratio = top[j] / blk[i]
         table.setdefault(i, {})[alpha] = 1 if ratio == 1 else float(ratio) ** 0.5
@@ -897,6 +897,85 @@ def test_standard_tables_need_no_path_algebra(monkeypatch):
                 rep.refinement(m, target)
     assert built > 0
     assert calls == {}
+
+
+def fraction_weights(rep, m):
+    """The weights of block m as Fractions (ints on exact measures read
+    through CylinderMeasure.values, floats on float ones); 1 on KP reps."""
+    if rep.measure is None:
+        return [Fraction(1)] * rep.block_dim(m)
+    return rep.measure.values(m)
+
+
+def fraction_refinement(rep, m, target):
+    """refinement's coefficients from the Fraction weights, in hex."""
+    deep, blk = fraction_weights(rep, target), fraction_weights(rep, m)
+    off, out = rep.graph.glue(m, deg_sub(target, m))
+    return {i: {j: ((float(deep[j]) / float(blk[i])) ** 0.5).hex() for j in out[off[i]:off[i + 1]]}
+            for i in range(len(blk))}
+
+
+WEIGHT_ROUTE_REPS = {
+    "pf-lambda2N:N=2": lambda: shallow_standard_rep("lambda2N:N=2", 3),
+    "pf-ex3v8e": lambda: shallow_standard_rep("ex3v8e", 3),
+    "pf-ehfg": lambda: shallow_standard_rep("ehfg", 3),
+    "pf-exonevtwoe": lambda: shallow_standard_rep("exonevtwoe", 3),
+    "markov-exact": lambda: standard_rep(builtin_graph("exonevtwoe"), markov_measure(
+        builtin_graph("exonevtwoe"), t_x_matrix(Fraction(1, 3))), 3),
+    # depth 4 at x = 2/7: one correctly rounded division of the cross-products
+    # would differ from the Fraction route in 60 of 1,935 coefficients
+    "markov-exact-2/7": lambda: standard_rep(builtin_graph("exonevtwoe"), markov_measure(
+        builtin_graph("exonevtwoe"), t_x_matrix(Fraction(2, 7))), 4),
+    "markov-float": lambda: standard_rep(builtin_graph("exonevtwoe"), markov_measure(
+        builtin_graph("exonevtwoe"), t_x_matrix(0.3)), 3),
+    "product": lambda: standard_rep(builtin_graph("exonevtwoe"), product_measure(
+        builtin_graph("exonevtwoe"), parse_product_spec("const:0")), 3),
+    "kp-ex3v8e": lambda: KPRep(builtin_graph("ex3v8e"), 3),
+}
+
+
+@pytest.mark.parametrize("make", WEIGHT_ROUTE_REPS.values(), ids=WEIGHT_ROUTE_REPS)
+def test_refinement_and_unit_vector_match_the_fraction_weights_bit_for_bit(make, monkeypatch):
+    # int true division and float(Fraction) are both correctly rounded, so the
+    # integer route builds no Fraction and gives the floats of the Fraction route
+    rep = make()
+    keys = rep.block_keys()
+    pairs = [(m, target) for m in keys for target in keys
+             if all(a <= b for a, b in zip(m, target))]
+    for m in keys:
+        rep._numerators(m)  # read the weights before counting
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs))
+    units = {m: rep.unit_vector(m) for m in keys}
+    tables = {pair: rep.refinement(*pair).table for pair in pairs}
+    monkeypatch.undo()
+    assert built == []
+    for m in keys:
+        assert [x.hex() for x in units[m]] == [
+            (float(w) ** 0.5).hex() for w in fraction_weights(rep, m)]
+    for pair, got in tables.items():
+        assert {i: {j: c.hex() for j, c in row.items()} for i, row in got.items()} == (
+            fraction_refinement(rep, *pair)), pair
+
+
+def test_standard_rep_builds_no_path_blocks():
+    # blocks are degrees over tail arrays; the usability probe's batch of each
+    # edge degree builds that Path block (on the vertex block) as its memo keys
+    g = builtin_graph("lambda2N:N=2")
+    rep = standard_rep(g, pf_measure(g), 6)
+    probed = {(0, 0), (1, 0), (0, 1)}
+    assert set(g._blocks) == probed
+    assert rep.block_keys() == list(deg_grid(2, 6))
+    assert [rep.block_dim(m) for m in rep.block_keys()] == [
+        len(g.tails(m).sources) for m in deg_grid(2, 6)]
+    assert rep.unit_vector((6, 6)) and rep.refinement((5, 5), (6, 6)).table
+    assert set(g._blocks) == probed
+    assert rep.block((1, 1)) == g.enumerate_paths((1, 1))
+    with pytest.raises(KeyError):
+        rep.block((7, 0))
+    with pytest.raises(KeyError):
+        rep.block_dim((7, 0))
 
 
 # -- faithful representation ---------------------------------------------------------
@@ -1024,7 +1103,7 @@ class OffByOneBlock:
         if op is None:
             return None
         dst = deg_add(op.dst_key, (1,) + (0,) * (self.graph.k - 1))
-        return operators._Op(op.rep, op.src_key, dst, op.dst, op.coef, op.rows)
+        return operators._Op(op.src_key, dst, op.dst, op.coef, op.rows)
 
 
 def test_gauge_covariance_fails_on_a_shifted_block_map():
@@ -1125,7 +1204,7 @@ def test_refinement_matches_embedding_reference(name, spec):
         for target in srep.block_keys():
             if not all(a <= b for a, b in zip(m, target)):
                 continue
-            mat = matrix(srep.refinement(m, target))
+            mat = matrix(srep.refinement(m, target), srep)
             for i in range(srep.block_dim(m)):
                 unit = np.zeros(srep.block_dim(m))
                 unit[i] = 1.0
@@ -1171,14 +1250,14 @@ def test_pvm_is_indicator_diagonal():
     rep = standard_rep(g, pf_measure(g), 3)
     lam = g.path(["a0", "b0"])
     p = pvm(rep, lam, (2, 2))
-    mat = matrix(p)
+    mat = matrix(p, rep)
     mask = rep.pvm_mask(lam, (2, 2))
     assert np.allclose(mat, np.diag(mask), atol=1e-12)
 
 
-def reference_self_adjoint_residual(p):
+def reference_self_adjoint_residual(p, rep):
     """max |P - P^T| through a dense matrix, the check the transpose replaced."""
-    mat = matrix(p)
+    mat = matrix(p, rep)
     return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
 
 
@@ -1202,13 +1281,14 @@ def test_projection_residual_matches_dense_reference(name):
                     p = pvm(rep, lam, key)
                     if p is None:
                         continue
-                    self_adjoint = reference_self_adjoint_residual(p)
+                    self_adjoint = reference_self_adjoint_residual(p, rep)
                     assert p.residual_vs(p.transpose()) == self_adjoint
                     worst = max(worst, p.then(p).residual_vs(p), self_adjoint)
                     checked += 1
         assert checked, rep.kind
-        projection = pvm_additivity(rep, depth=1).details["projection"]
-        assert projection == {"residual": worst, "checked": checked}, rep.kind
+        projection = pvm_additivity(rep, depth=1).checks[0]
+        assert (projection.relation, projection.residual, projection.blocks_checked) == (
+            "projection", worst, checked), rep.kind
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -1222,7 +1302,7 @@ def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
         for key in rep.block_keys():
             for op in (op_forward(rep, lam, key), op_adjoint(rep, lam, key)):
                 if op is not None:
-                    assert np.array_equal(matrix(op.transpose()), matrix(op).T)
+                    assert np.array_equal(matrix(op.transpose(), rep), matrix(op, rep).T)
                     compared += 1
     assert compared
 
@@ -1231,33 +1311,32 @@ def test_transpose_matches_dense_transpose_on_random_kp_reps(k, seed):
 
 
 class ReferenceOp:
-    """The dict-of-dicts block operator that _Op replaced: src_key -> dst_key
-    of rep, table {src index: {dst index: coef}}."""
+    """The dict-of-dicts block operator that _Op replaced: src_key -> dst_key,
+    table {src index: {dst index: coef}}."""
 
-    def __init__(self, rep, table, src_key, dst_key):
-        self.rep = rep
+    def __init__(self, table, src_key, dst_key):
         self.table = table
         self.src_key = src_key
         self.dst_key = dst_key
 
     def scaled(self, factor):
         table = {s: {d: c * factor for d, c in outs.items()} for s, outs in self.table.items()}
-        return ReferenceOp(self.rep, table, self.src_key, self.dst_key)
+        return ReferenceOp(table, self.src_key, self.dst_key)
 
-    def moved(self, rep, src_offset, dst_offset):
-        """The same operator as a block operator of rep, its indices offset."""
+    def moved(self, src_offset, dst_offset):
+        """The same operator with its source and destination indices offset."""
         table = {
             src_offset + s: {dst_offset + d: c for d, c in outs.items()}
             for s, outs in self.table.items()
         }
-        return ReferenceOp(rep, table, self.src_key, self.dst_key)
+        return ReferenceOp(table, self.src_key, self.dst_key)
 
     def transpose(self):
         table = {}
         for s, outs in self.table.items():
             for d, c in outs.items():
                 table.setdefault(d, {})[s] = c
-        return ReferenceOp(self.rep, table, self.dst_key, self.src_key)
+        return ReferenceOp(table, self.dst_key, self.src_key)
 
     def then(self, other):
         """other o self (apply self first)."""
@@ -1276,7 +1355,7 @@ class ReferenceOp:
             acc = {d: c for d, c in acc.items() if c != 0}
             if acc:
                 table[src] = acc
-        return ReferenceOp(self.rep, table, self.src_key, other.dst_key)
+        return ReferenceOp(table, self.src_key, other.dst_key)
 
     def add(self, other, sign=1):
         if (self.src_key, self.dst_key) != (other.src_key, other.dst_key):
@@ -1290,7 +1369,7 @@ class ReferenceOp:
             for d, c in other.table.get(s, {}).items():
                 acc[d] = acc.get(d, 0) + sign * c
             table[s] = acc
-        return ReferenceOp(self.rep, table, self.src_key, self.dst_key)
+        return ReferenceOp(table, self.src_key, self.dst_key)
 
     def residual_vs(self, other):
         return self.add(other, sign=-1).max_abs()
@@ -1305,43 +1384,44 @@ class ReferenceOp:
 
 
 def reference_of(op):
-    return None if op is None else ReferenceOp(op.rep, op.table, op.src_key, op.dst_key)
+    return None if op is None else ReferenceOp(op.table, op.src_key, op.dst_key)
 
 
 def layout(op):
     return "partial" if op.dst is not None else "rows"
 
 
-def assert_same_op(op, ref):
+def assert_same_op(op, ref, rep):
     """Equal block keys and entries, each row in its entry order (the order
-    in which then sums its products), and equal derived values."""
+    in which then sums its products), and equal derived values; rep gives
+    the block dimensions."""
     assert (op is None) == (ref is None)
     if op is not None:
         assert (op.src_key, op.dst_key) == (ref.src_key, ref.dst_key)
         assert op.table.keys() == ref.table.keys()
         assert all(list(row.items()) == list(ref.table[s].items()) for s, row in op.table.items())
         assert op.max_abs() == ref.max_abs() and op.is_zero() == ref.is_zero()
-        assert np.array_equal(matrix(op), matrix(ref))
+        assert np.array_equal(matrix(op, rep), matrix(ref, rep))
         transposed, ref_transposed = op.transpose(), ref.transpose()
         assert transposed.table == ref_transposed.table
         assert (transposed.src_key, transposed.dst_key) == (ref_transposed.src_key, ref_transposed.dst_key)
 
 
-def assert_algebra_matches_reference(ops):
+def assert_algebra_matches_reference(rep, ops):
     """then, add (both signs) and residual_vs of every composable pair and
-    every pair on the same blocks; returns the layouts compared."""
+    every pair on the same blocks of rep; returns the layouts compared."""
     seen = collections.Counter()
     refs = [reference_of(op) for op in ops]
     for a, ref_a in zip(ops, refs):
-        assert_same_op(a, ref_a)
+        assert_same_op(a, ref_a, rep)
         for b, ref_b in zip(ops, refs):
             if a.dst_key == b.src_key:
-                assert_same_op(a.then(b), ref_a.then(ref_b))
+                assert_same_op(a.then(b), ref_a.then(ref_b), rep)
                 seen["then", layout(a), layout(b)] += 1
             if (a.src_key, a.dst_key) == (b.src_key, b.dst_key):
                 for sign in (1, -1):
                     total = a.add(b, sign)
-                    assert_same_op(total, ref_a.add(ref_b, sign))
+                    assert_same_op(total, ref_a.add(ref_b, sign), rep)
                     seen["add", layout(a), layout(b), layout(total)] += 1
                     seen["zero coefficient"] += any(
                         c == 0 for row in total.table.values() for c in row.values())
@@ -1383,7 +1463,7 @@ def algebra_ops(rep):
 def test_block_operator_algebra_matches_the_dict_reference_on_random_reps(k):
     seen = collections.Counter()
     for rep in algebra_reps(k):
-        seen.update(assert_algebra_matches_reference(algebra_ops(rep)))
+        seen.update(assert_algebra_matches_reference(rep, algebra_ops(rep)))
     # every pairing of layouts, a sum that stays a partial map, one that
     # sends a source to two places, and zero coefficients were compared
     for x, y in itertools.product(["partial", "rows"], repeat=2):
@@ -1405,13 +1485,13 @@ def test_scaled_and_moved_operators_match_the_dict_reference(k):
                 ref = reference_of(getattr(rep, action)(lam, key))
                 for factor in SCALE_FACTORS:
                     want = ref and ref.scaled(factor ** lam.edges.count(eid))
-                    assert_same_op(getattr(ScaledRep(rep, eid, factor), action)(lam, key), want)
+                    assert_same_op(getattr(ScaledRep(rep, eid, factor), action)(lam, key), want, rep)
                 # the sum stacks the two copies at their offsets
                 if ref is not None:
                     src, dst = rep.block_dim(key), rep.block_dim(ref.dst_key)
-                    ref = ref.moved(total, 0, 0).add(ref.moved(total, src, dst))
+                    ref = ref.moved(0, 0).add(ref.moved(src, dst))
                     compared += 1
-                assert_same_op(getattr(total, action)(lam, key), ref)
+                assert_same_op(getattr(total, action)(lam, key), ref, total)
     assert compared
 
 
@@ -1451,7 +1531,7 @@ class Conjugated:
         table = {i: {i: 1} for i in range(self.rep.block_dim(key))}
         if len(table) > 1:
             table[0][1] = sign
-        return operators._Op(self.rep, key, key, rows=table)
+        return operators._Op(key, key, rows=table)
 
     def _conjugated(self, op):
         if op is None:
@@ -1468,7 +1548,7 @@ class Conjugated:
 def test_pvm_projection_fails_when_not_self_adjoint():
     report = pvm_additivity(Conjugated(KPRep(builtin_graph("exonevtwoe"), 2)))
     assert not report.ok
-    assert {name: d["residual"] for name, d in report.details.items()} == {
+    assert {c.relation: c.residual for c in report.checks} == {
         "projection": 1.0, "additivity": 0.0, "transport": 0.0, "shift_pullback": 0.0
     }
 
@@ -1477,11 +1557,11 @@ def test_pvm_additivity_and_transport():
     g = builtin_graph("ex3v8e")
     rep = standard_rep(g, pf_measure(g), 3)
     report = pvm_additivity(rep, depth=1)
-    assert report.ok, report.details
+    assert report.ok, report.checks
     assert report.max_residual < 1e-12
     # checked per identity: projection, additivity, transport, shift_pullback
-    assert [d["checked"] for d in report.details.values()] == [198, 99, 96, 288]
-    assert all(d["residual"] == 0.0 for d in report.details.values())
+    assert [c.blocks_checked for c in report.checks] == [198, 99, 96, 288]
+    assert all(c.residual == 0.0 for c in report.checks)
 
 
 def shallow_standard_rep(name, depth):
@@ -1497,7 +1577,7 @@ def shallow_standard_rep(name, depth):
 def test_pvm_identity_checked_on_no_block_fails(build, unchecked):
     # a vacuous identity is no evidence: the report fails as verify_ck does
     report = pvm_additivity(build(), depth=1)
-    assert [name for name, d in report.details.items() if not d["checked"]] == unchecked
+    assert [c.relation for c in report.checks if not c.blocks_checked] == unchecked
     assert report.max_residual == 0.0
     assert not report.ok
 
@@ -1508,8 +1588,8 @@ def test_pvm_discrete_exact():
     report = pvm_additivity(rep, depth=1)
     assert report.ok
     assert report.max_residual == 0.0
-    assert [d["checked"] for d in report.details.values()] == [183, 70, 78, 78]
-    assert all(d["residual"] == 0.0 for d in report.details.values())
+    assert [c.blocks_checked for c in report.checks] == [183, 70, 78, 78]
+    assert all(c.residual == 0.0 for c in report.checks)
 
 
 # -- induced measures --------------------------------------------------------------------
@@ -1746,10 +1826,10 @@ def test_former_numpy_routes_run_without_numpy():
     for name in numpy_free_routes.WITNESS_GRAPHS:
         g = builtin_graph(name)
         report = nonfaithful_witness(g, pf_measure(g), 4)
-        diff = numpy_free_routes.witness_difference(g, 4, report.mu, report.nu, report.scale)
-        assert got["witness"][name] == float(np.linalg.norm(matrix(diff), 2)) == 0.0, name
-    for label, op in numpy_free_routes.difference_cases():
-        want = float(np.linalg.norm(matrix(op), 2))
+        srep, diff = numpy_free_routes.witness_difference(g, 4, report.mu, report.nu, report.scale)
+        assert got["witness"][name] == float(np.linalg.norm(matrix(diff, srep), 2)) == 0.0, name
+    for label, rep, op in numpy_free_routes.difference_cases():
+        want = float(np.linalg.norm(matrix(op, rep), 2))
         assert want > 0 and math.isclose(got["norms"][label], want, rel_tol=1e-12), label
 
 
@@ -1844,6 +1924,41 @@ def test_atoms_doubled_rank_two():
     assert not report.monic_consistent
 
 
+ATOM_CASES = {
+    "ex3v8e-3-at-2": ("ex3v8e", 3, None, 2),
+    "exonevtwoe-4-cap2-at-2": ("exonevtwoe", 4, 2, 2),
+    "exonevtwoe-4-cap2-at-3": ("exonevtwoe", 4, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name, depth, cap, at", ATOM_CASES.values(), ids=ATOM_CASES)
+def test_faithful_atoms_match_a_recount(name, depth, cap, at):
+    # the encoding extends past the truncation, so each atom is regrouped one
+    # level deeper: it has stabilized when its labels share one deeper prefix
+    g = builtin_graph(name)
+    rep = faithful_rep(g, depth=depth, cap=cap)
+    report = atoms_report(rep, depth=at)
+    fibers = {}
+    for lab in rep.labels():
+        p = rep.encoding_prefix(lab, deg_diag(g.k, at))
+        fibers.setdefault((p.range, p.edges), []).append(lab)
+    want = []
+    for key, labs in sorted(fibers.items()):
+        deeper = {rep.encoding_prefix(lab, deg_diag(g.k, at + 1)) for lab in labs}
+        want.append((key, len(labs), len(deeper) == 1))
+    assert [tuple(a) for a in report.atoms] == want
+    assert report.all_rank_one == all(rank == 1 for _, rank, _ in want)
+    assert report.stabilized == all(stable for *_, stable in want)
+
+
+def test_faithful_atoms_recount_sees_both_verdicts():
+    stable = collections.Counter()
+    for name, depth, cap, at in ATOM_CASES.values():
+        rep = faithful_rep(builtin_graph(name), depth=depth, cap=cap)
+        stable.update(a.stabilized for a in atoms_report(rep, depth=at).atoms)
+    assert stable[True] and stable[False]
+
+
 # -- permutative structure ------------------------------------------------------------------------
 
 
@@ -1905,6 +2020,40 @@ def test_corrupted_table_fails_disjointness():
     table = corrupt_table(rep, (1, 0))
     report = permutative_validate(table)
     assert not report.disjoint_ok
+
+
+class MisencodedRep:
+    """Fault injection: encoding_prefix gives a wrong path for one label at one degree."""
+
+    def __init__(self, rep, label, n):
+        self._rep = rep
+        self._bad = (label, n)
+        right = rep.encoding_prefix(label, n)
+        self._wrong = next(p for p in rep.graph.enumerate_paths(n) if p != right)
+
+    def __getattr__(self, name):
+        return getattr(self._rep, name)
+
+    def encoding_prefix(self, label, n):
+        return self._wrong if (label, n) == self._bad else self._rep.encoding_prefix(label, n)
+
+
+def test_misencoded_label_fails_coding_intertwining():
+    # at max_degree 1 the probe is (1, 1): the coding check at n = (0, 1) reads
+    # each coding source at (1, 0), which no other check reads
+    rep = KPRep(builtin_graph("exonevtwoe"), 3)
+    honest = EncodingTable(rep, max_degree=1)
+    assert permutative_validate(honest).ok
+    core = set(honest.core)
+    bad = next(src for lab in honest.core
+               for _, src in [honest.coding(lab, (0, 1))] if src in core)
+    table = EncodingTable(MisencodedRep(rep, bad, (1, 0)), max_degree=1)
+    report = permutative_validate(table)
+    assert not report.ok and not report.intertwine_ok
+    assert report.cover_ok and report.disjoint_ok and report.composition_ok
+    assert report.witnesses == [("coding-intertwine", lab, (0, 1)) for lab in honest.core
+                                if honest.coding(lab, (0, 1))[1] == bad]
+    assert report.witnesses
 
 
 def test_encoding_table_rejects_max_degree_zero():
@@ -2178,7 +2327,7 @@ def test_adjoint_consistency_is_transpose_on_matched_blocks():
             adj = op_adjoint(rep, lam, fwd.dst_key)
             if adj is None:
                 continue
-            assert np.array_equal(matrix(fwd).T, matrix(adj))
+            assert np.array_equal(matrix(fwd, rep).T, matrix(adj, rep))
 
 
 def test_encoding_map_typed_errors():

@@ -440,7 +440,8 @@ def test_monic_grid_path_builds_fractions_only_in_its_result():
 # exact measure values as numerators over one denominator per degree: the block
 # rules (pf_sources in pf_measure, chain_squares in _chain_measure), the
 # additivity check, the exact rows of measure_table and the standard rep's
-# exact Radon-Nikodym test and adjoint read ints; values() builds Fractions
+# exact Radon-Nikodym test, adjoint, refinement and unit vectors read ints
+# (the last three divide them into floats); values() builds Fractions
 # from them only when a caller asks.  The Perron scan's singularity test is
 # fraction-free too.
 INTEGER_ROUTES = {
@@ -448,7 +449,8 @@ INTEGER_ROUTES = {
                     "_run_sums", "pf_measure", "_chain_measure", "check_consistency",
                     "_extension_sums", "measure_table", "_singular"},
     "operators.py": {"StandardRep._numerators", "StandardRep._rn_constant",
-                     "StandardRep._adjoint_tables"},
+                     "StandardRep._adjoint_tables", "StandardRep.refinement",
+                     "StandardRep.unit_vector"},
 }
 
 
@@ -715,12 +717,23 @@ CALLERS = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
 def defaulted_parameters(source):
     """(function, parameter, callee names, positional index or None) for each
     parameter with a default.  "C.m" names a method; its calls drop self, and
-    C(...) calls C.__init__.  Keyword-only parameters have no index."""
+    C(...) calls C.__init__.  Keyword-only parameters have no index.  A
+    NamedTuple field with a default is a parameter of C(...) at its field
+    position, and of _replace(...) by keyword."""
     tree = ast.parse(source)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for fn in cls.body if isinstance(fn, kinds)}
     out = set()
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases)):
+            continue
+        fields = [node for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for i, field in enumerate(fields):
+            if field.value is not None:
+                out.add((cls.name, field.target.id, (cls.name, "_replace"), i))
     for fn in ast.walk(tree):
         if not isinstance(fn, kinds):
             continue
@@ -783,6 +796,21 @@ def test_unset_parameter_rule_sees_each_form():
     assert unset_parameters(definitions, callers) == {
         "m.py:f(c)", "m.py:C.m(q)", "m.py:inner(t)"}
     assert unset_parameters(definitions, callers + ["f(c=3)\nobj.m(1, 2)\ninner(0)\n"]) == set()
+
+
+def test_unset_parameter_rule_sees_named_tuple_fields():
+    definitions = {"m.py": (
+        "class Spec(NamedTuple):\n"
+        "    family: str\n    c: int = 0\n    r: int = 0\n    start: int = 1\n    count: int = 2\n"
+        "    def gamma(self, j):\n        return self.c\n"
+        "class Report(typing.NamedTuple):\n    ok: bool\n    tol: float = 1e-10\n"
+        "class Plain:\n    kind: str = 'x'\n"
+    )}
+    callers = ["Spec('const', 1)\nSpec('geometric', r=2)\n"]
+    assert unset_parameters(definitions, callers) == {
+        "m.py:Spec(start)", "m.py:Spec(count)", "m.py:Report(tol)"}
+    more = ["Spec('a', 0, 0, 1)\nspec._replace(count=3)\nReport(*args)\n"]
+    assert unset_parameters(definitions, callers + more) == set()
 
 
 def test_every_defaulted_parameter_is_set_somewhere():
