@@ -13,11 +13,11 @@ command converts and range-checks a parameter by the same code;
 """
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InvalidPermutation, ParameterOutOfRange, UsageError
 from .intervals import Box, IntervalUnion
 from .kgraph import Edge, Square, build_lambda2N, validate_kgraph
+from .records import Record
 from .sbfs import Affine1D, IntervalSBFS, Skew2D, lift_double_sbfs, lift_product_sbfs
 
 
@@ -187,7 +187,7 @@ def _ehfg():
     return validate_kgraph(2, ["u", "v"], edges, squares, name="ehfg")
 
 
-class Builtin(NamedTuple):
+class Builtin(Record):
     """A base name's parameters, key -> default text (None: no default), and
     its builder, called with the parameter texts as keywords.  With system
     the builder returns an IntervalSBFS, whose graph is the builtin graph;

@@ -7,13 +7,11 @@ checks passed, 1 some mathematical check failed (the report names the
 witness), 2 usage error.
 """
 
-import argparse
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import catalog, kgraph, measures, operators, sbfs
 from .errors import (
@@ -29,9 +27,10 @@ from .errors import (
     UnsupportedGraphShape,
     UsageError,
 )
+from .records import Record
 
 
-class Job(NamedTuple):
+class Job(Record):
     command: str
     params: dict
 
@@ -55,13 +54,13 @@ REPS = ["standard", "faithful"]
 FLAGS = {
     "graph": {"help": "path to a skeleton JSON file"},
     "builtin": {"help": "builtin name, e.g. ex3v8e or kawamura:a=1/2"},
-    "depth": {"type": int},
-    "tol": {"type": float},
+    "depth": {"type": int, "help": "truncation depth (default: 4)"},
+    "tol": {"type": float, "help": "residual tolerance (default: 1e-10)"},
     "resolution": {"help": "rational like 1/32"},
     "out": {"help": "output directory (default: current)"},
-    "format": {"choices": FORMATS},
+    "format": {"help": " | ".join(FORMATS)},
     "measure": {"help": "pf | product:<spec> | markov:x=p/q"},
-    "rep": {"choices": REPS},
+    "rep": {"help": " | ".join(REPS)},
     "product_a": {"help": "product spec, e.g. geometric:1/2,1/2"},
     "product_b": {},
     "markov_a": {"help": "markov spec, e.g. x=1/3"},
@@ -69,34 +68,56 @@ FLAGS = {
     "x_prefix": {"help": "'.'-joined edge ids for orbit checks"},
     "y_prefix": {},
 }
+# every flag of the command line: --job, then FLAGS
+OPTIONS = {"job": {"help": "JSON job file; flags override its fields"}, **FLAGS}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Bad flags are a usage error like any other bad input."""
-        raise UsageError(message)
+def _print_help():
+    lines = ["usage: kgraph-lab COMMAND [--FLAG VALUE | --FLAG=VALUE ...]", "",
+             __doc__.strip(), "", "commands: " + ", ".join(COMMANDS), "", "flags:"]
+    for key, options in OPTIONS.items():
+        lines.append(f"  --{key.replace('_', '-'):<12} {options.get('help', '')}".rstrip())
+    print("\n".join(lines))
 
 
-def build_parser():
-    p = _Parser(prog="kgraph-lab", description=__doc__)
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--job", help="JSON job file; flags override its fields")
-    for key, options in FLAGS.items():
-        p.add_argument("--" + key.replace("_", "-"), **options)
-    return p
+def _read_argv(argv):
+    """(command, {key: value}) from `COMMAND --flag VALUE ...`; a flag may
+    also read --flag=VALUE, the last of a repeated flag wins, and an
+    OPTIONS entry's type converts its value."""
+    if "-h" in argv or "--help" in argv:
+        _print_help()
+        raise UsageError("--help runs no job")
+    if not argv or argv[0] not in COMMANDS:
+        got = repr(argv[0]) if argv else "nothing"
+        raise UsageError(f"expected a command first ({', '.join(COMMANDS)}), got {got}")
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        key = name[2:].replace("-", "_")
+        if not name.startswith("--") or key not in OPTIONS:
+            raise UsageError(f"unrecognized argument {arg!r}")
+        if not eq:
+            value = next(rest, None)
+        if value is None or value.startswith("--"):
+            raise UsageError(f"argument {name}: expected one argument")
+        convert = OPTIONS[key].get("type", str)
+        try:
+            values[key] = convert(value)
+        except ValueError as exc:
+            raise UsageError(
+                f"argument {name}: invalid {convert.__name__} value: {value!r}") from exc
+    return argv[0], values
 
 
 def parse_job(argv):
     """Resolve flags plus optional job file into a fully defaulted Job."""
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # --help prints the usage and exits
-        raise UsageError("invalid arguments") from exc
+    command, flags = _read_argv(argv)
     params = {}
-    if ns.job:
+    path = flags.pop("job", None)
+    if path:
         try:
-            with open(ns.job) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read job file: {exc}") from exc
@@ -104,7 +125,7 @@ def parse_job(argv):
             raise UsageError("job file must hold a JSON object")
         if not isinstance(data.get("params", {}), dict):
             raise UsageError("job file params must be a JSON object")
-        if "command" in data and data["command"] != ns.command:
+        if "command" in data and data["command"] != command:
             raise UsageError("job file command disagrees with the CLI command")
         for key in data.get("params", {}):
             if key not in FLAGS:
@@ -114,21 +135,18 @@ def parse_job(argv):
             params["graph"] = data["graph"]
         if data.get("builtin"):
             params["builtin"] = data["builtin"]
-    for key in FLAGS:
-        val = getattr(ns, key)
-        if val is not None:
-            params[key] = val
+    params.update(flags)
     for key, val in DEFAULTS.items():
         params.setdefault(key, val)
-    job = Job(ns.command, params)
+    job = Job(command, params)
     _validate_job(job)
     return job
 
 
 def _validate_job(job):
+    """The checks of a job's typed values, from flags and job files alike."""
     if job.command != "kakutani" and not (job.param("builtin") or job.param("graph")):
         raise UsageError(f"{job.command} needs --graph or --builtin")
-    # job files bypass argparse: check what its types and choices check
     depth = job.param("depth")
     if not _is_int(depth) or depth < 0:
         raise UsageError(f"depth must be a non-negative integer, got {depth!r}")

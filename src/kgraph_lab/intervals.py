@@ -17,9 +17,9 @@ graphs.  Ranges of both kinds answer ``measure``, ``contains_point(pt)``,
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import RangesOverlap
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def atoms_meeting(atoms, his, union):
 # box domains
 
 
-class Box(NamedTuple):
+class Box(Record):
     """The product x * y of two interval unions: a domain of a 2D system."""
 
     x: IntervalUnion
@@ -337,7 +337,7 @@ class Box(NamedTuple):
 # two-dimensional regions as strip unions
 
 
-class Strip(NamedTuple):
+class Strip(Record):
     """{(x, y): lo < x < hi, lower(x) < y < upper(x)} with polynomial bounds."""
 
     lo: Fraction

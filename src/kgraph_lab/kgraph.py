@@ -45,7 +45,6 @@ import itertools
 import json
 import operator
 from array import array
-from typing import NamedTuple
 
 from .errors import (
     CubeConditionFailed,
@@ -59,6 +58,7 @@ from .errors import (
     SourceVertex,
     SquareNotBijective,
 )
+from .records import Record
 
 # ---------------------------------------------------------------------------
 # degree vectors (tuples of nonnegative ints)
@@ -118,7 +118,7 @@ def shift_windows(dx, dy, bound):
 # skeleton data
 
 
-class Edge(NamedTuple):
+class Edge(Record):
     eid: str
     color: int  # 1-based
     source: str
@@ -184,7 +184,7 @@ class Path:
         return "Path<" + ".".join(self.edges) + ">"
 
 
-class Tails(NamedTuple):
+class Tails(Record):
     """The paths of one degree m as arrays, in block order.
 
     ``prev`` is m - e_c, c the highest color of m, or None for m = 0.
@@ -646,12 +646,12 @@ class KGraph:
         return Inconclusive()
 
 
-class AperiodicWitness(NamedTuple):
+class AperiodicWitness(Record):
     prefix: Path
     checked_up_to: tuple
 
 
-class PeriodCandidate(NamedTuple):
+class PeriodCandidate(Record):
     differences: tuple  # all m - n that agree on every enumerated prefix
 
 

@@ -25,7 +25,6 @@ from collections import Counter
 from fractions import Fraction
 from itertools import pairwise, repeat
 from math import fsum, gcd, lcm, prod
-from typing import NamedTuple
 
 from .errors import (
     AdditivityViolation,
@@ -40,6 +39,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .kgraph import deg_add, deg_diag, deg_grid, deg_sub, deg_total, deg_unit
+from .records import Record
 
 MAX_POWER_ITERATIONS = 100_000
 
@@ -48,7 +48,7 @@ MAX_POWER_ITERATIONS = 100_000
 # Perron-Frobenius data
 
 
-class PFData(NamedTuple):
+class PFData(Record):
     rho: tuple  # spectral radius per color
     kappa: dict  # vertex -> weight, positive, summing to 1
     exact: bool
@@ -244,14 +244,16 @@ class CylinderMeasure:
     rescales its own degree to a common denominator.  ``values(m)``
     builds the values from the numerators when a caller asks, of the
     type ``value`` returns: Fractions, or ints on a counting measure
-    (one whose base values are ints), or the float list itself.
+    (one whose base values are ints: read off ``value`` where it gives
+    them, else ``counting``), or the float list itself.
     ``value(path)`` is the single-path route: the same definition for one
     path, building no block, so it is the only route above the enumeration
     cap.  Its sums are redone on every call; a rule's ``fn`` may keep the
     base values it computes, as product and Markov measures do.
     """
 
-    def __init__(self, graph, fn, tag, exact, base=None, block_fn=None, source_fn=None):
+    def __init__(self, graph, fn, tag, exact, base=None, block_fn=None, source_fn=None,
+                 counting=False):
         self.graph = graph
         self.tag = tag
         self.exact = exact
@@ -262,7 +264,7 @@ class CylinderMeasure:
         self._bumps = {}  # path -> delta
         self._numerators = {}  # degree -> (numerators, denominator) of block(degree)
         self._values = {}  # degree -> values of block(degree), built on request
-        self._counting = False  # exact base values read from fn are all ints
+        self.counting = counting  # the exact base values are all ints
 
     def value(self, path):
         color = self._short(path.degree)
@@ -288,7 +290,7 @@ class CylinderMeasure:
     def fractions(self, m):
         """numerators(m) where the values of block(m) are Fractions, else None."""
         nums, den = self.numerators(m)
-        return None if not self.exact or (self._counting and den == 1) else (nums, den)
+        return None if not self.exact or (self.counting and den == 1) else (nums, den)
 
     def numerators(self, m):
         """(numerators, denominator) of the values of block(m), in block order."""
@@ -302,7 +304,7 @@ class CylinderMeasure:
             if not self.exact:
                 got = vals, 1
             else:
-                self._counting = all(type(v) is int for v in vals)
+                self.counting = all(type(v) is int for v in vals)
                 got = _over_lcm(vals)
         else:
             if color:
@@ -354,7 +356,8 @@ class CylinderMeasure:
         """Copy with the value at one canonical path bumped (fault injection);
         the values derived from it by additivity carry the bump."""
         out = CylinderMeasure(self.graph, self._fn, self.tag + "+perturbed", self.exact,
-                              self._base, self._block_fn, self._source_fn)
+                              self._base, self._block_fn, self._source_fn,
+                              self.counting and type(delta) is int)
         out._bumps = {**self._bumps, path: delta}
         return out
 
@@ -416,7 +419,7 @@ def pf_measure(g, pf=None):
     return m
 
 
-class ConsistencyReport(NamedTuple):
+class ConsistencyReport(Record):
     ok: bool
     checked: int
     worst_residual: float
@@ -509,7 +512,7 @@ def _source_sums(measure, n):
 # edge each way per color to each peripheral vertex; symbols are peripherals.
 
 
-class PathSpaceShape(NamedTuple):
+class PathSpaceShape(Record):
     kind: str  # "single-vertex" or "star"
     symbol_count: int
     symbol_color: int  # color whose edges carry symbols (single-vertex)
@@ -690,7 +693,7 @@ def _chain_measure(g, shape, tag, exact, first, step):
 # product measures
 
 
-class ProductMeasureSpec(NamedTuple):
+class ProductMeasureSpec(Record):
     """Bias sequence gamma for an infinite product measure.
 
     family: "const" (value c), "geometric" (gamma_j = c * r**j),
@@ -825,7 +828,7 @@ def product_measure(g, spec):
 # Markov measures
 
 
-class MarkovMeasureSpec(NamedTuple):
+class MarkovMeasureSpec(Record):
     matrix: tuple  # rows of transition probabilities, rows sum to 1
     lam: tuple = ()  # row vector with lam T = lam; defaults to all ones
 
@@ -949,15 +952,15 @@ def markov_measure(g, spec):
 # Kakutani classification
 
 
-class Equivalent(NamedTuple):
+class Equivalent(Record):
     series_bound: float
 
 
-class MutuallySingular(NamedTuple):
+class MutuallySingular(Record):
     reason: str
 
 
-class Undetermined(NamedTuple):
+class Undetermined(Record):
     partial_sum: float
     bound: int
 
@@ -1086,7 +1089,7 @@ def _least_cycle(g, start, diag, max_len):
     return search(start, [])
 
 
-class RNEstimate(NamedTuple):
+class RNEstimate(Record):
     quotients: list
     limit: object
     converged: bool

@@ -62,7 +62,6 @@ path algebra.
 
 from fractions import Fraction
 from math import fsum
-from typing import NamedTuple
 
 from .errors import (
     CoverViolation,
@@ -89,6 +88,7 @@ from .kgraph import (
     shift_windows,
 )
 from .measures import CylinderMeasure, _dot, _row_reduce, default_prefix_rule, pf_data
+from .records import Record
 
 
 # Label-action result for an image outside the truncation; None is "no image".
@@ -191,6 +191,11 @@ class StandardRep:
     def exact(self):
         """Whether the weights are exact rationals."""
         return self.measure.exact
+
+    @property
+    def counting(self):
+        """Whether the weights are ints, as on a counting measure."""
+        return self.measure.counting
 
     def weight(self, path):
         return self.measure.value(path)
@@ -357,6 +362,7 @@ class KPRep(StandardRep):
     discrete = True
     reach = 0  # no Radon-Nikodym test
     exact = True  # counting weights
+    counting = True
 
     def __init__(self, graph, depth):
         super().__init__(graph, None, depth)
@@ -924,14 +930,14 @@ def op_adjoint(rep, lam, key):
 # Cuntz-Krieger relation verification
 
 
-class RelationCheck(NamedTuple):
+class RelationCheck(Record):
     relation: str
     witness: str
     residual: float
     blocks_checked: int
 
 
-class CKReport(NamedTuple):
+class CKReport(Record):
     ok: bool
     max_residual: float
     checks: list
@@ -1203,10 +1209,11 @@ def induced_measure(rep, xi=None, block=None):
 
     xi defaults to the constant function 1 on a rep whose basis is a block
     of paths (standard and KP reps): the paths of the block are the base
-    cylinders with their weights, and CylinderMeasure sums shallower
-    cylinders from them, exactly for exact measures.  A given xi sums xi_j^2
-    over the mask of P(Z(lam)).  Either way a path whose degree is not <=
-    block raises DepthTooSmall.
+    cylinders, whose weights the rep gives as numerators with no Path
+    built, and CylinderMeasure sums shallower cylinders from them, exactly
+    for exact measures.  A given xi sums xi_j^2 over the mask of
+    P(Z(lam)).  Either way a path whose degree is not <= block raises
+    DepthTooSmall.
     """
     g = rep.graph
     if block is None:
@@ -1224,11 +1231,18 @@ def induced_measure(rep, xi=None, block=None):
 
     if squares is not None:
         return CylinderMeasure(g, fn, f"induced({rep.kind})", False)
+
+    def block_fn(m):
+        if not deg_le(m, block):
+            raise DepthTooSmall(f"degree {m} deeper than the represented block")
+        return rep._numerators(m)
+
     return CylinderMeasure(g, fn, f"induced({rep.kind})", rep.exact,
-                           lambda d: block if deg_le(d, block) else d)
+                           lambda d: block if deg_le(d, block) else d, block_fn,
+                           counting=rep.counting)
 
 
-class MonicVectorReport(NamedTuple):
+class MonicVectorReport(Record):
     span_dim: int
     block_dim: int
     cyclic: bool
@@ -1300,16 +1314,18 @@ class IntervalDiagonalRep:
 
 
 def orbit_equal(graph, x_prefix, y_prefix, depth):
-    """Depth-limited orbit test: some shifted windows of x and y agree."""
+    """Depth-limited orbit test: some shifted windows of x and y agree.
+
+    The shift pair m = n = 0 is in the grid at every depth, so a window
+    exists exactly when both prefixes have degree >= (1,..,1)."""
     g = graph
-    found_comparable = False
-    for m, n, w in shift_windows(x_prefix.degree, y_prefix.degree, depth):
-        found_comparable = True
-        if g.segment(x_prefix, m, deg_add(m, w)) == g.segment(y_prefix, n, deg_add(n, w)):
-            return True
-    if not found_comparable:
-        raise DepthTooSmall("no comparable shift windows at this depth")
-    return False
+    ones = deg_diag(g.k, 1)
+    for prefix in (x_prefix, y_prefix):
+        if not deg_le(ones, prefix.degree):
+            raise DepthTooSmall(f"prefix {prefix} has degree {prefix.degree}: orbit windows "
+                                f"need each prefix of degree >= {ones}")
+    return any(g.segment(x_prefix, m, deg_add(m, w)) == g.segment(y_prefix, n, deg_add(n, w))
+               for m, n, w in shift_windows(x_prefix.degree, y_prefix.degree, depth))
 
 
 def prefix_has_period(graph, prefix, bound=3):
@@ -1322,13 +1338,13 @@ def prefix_has_period(graph, prefix, bound=3):
     )
 
 
-class Atom(NamedTuple):
+class Atom(Record):
     prefix: object
     rank: int
     stabilized: bool
 
 
-class AtomsReport(NamedTuple):
+class AtomsReport(Record):
     atoms: list
     all_rank_one: bool
     stabilized: bool
@@ -1428,7 +1444,7 @@ class EncodingTable:
         return hits[0] if len(hits) == 1 else None
 
 
-class PermutativeReport(NamedTuple):
+class PermutativeReport(Record):
     ok: bool
     cover_ok: bool
     disjoint_ok: bool
@@ -1536,7 +1552,7 @@ def encoding_map(table, label, n):
 # permutative decomposition
 
 
-class Decomposition(NamedTuple):
+class Decomposition(Record):
     summands: list  # lists of labels
     invariant: bool
     spans: bool
@@ -1600,7 +1616,7 @@ def _generator_orbit(rep, seeds, known):
 # gauge covariance and the non-faithfulness witness
 
 
-class GaugeReport(NamedTuple):
+class GaugeReport(Record):
     structural_ok: bool
     max_residual: float
 
@@ -1624,7 +1640,7 @@ def gauge_covariance(rep):
     return GaugeReport(structural, 0.0 if structural else 2.0)
 
 
-class WitnessReport(NamedTuple):
+class WitnessReport(Record):
     mu: object
     nu: object
     scale: float

@@ -24,7 +24,6 @@ rule.  Interval and path-space systems both answer ``code(n, pt)`` and
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     CocycleViolation,
@@ -60,13 +59,14 @@ from .kgraph import (
     graph_from_dict,
     graph_to_dict,
 )
+from .records import Record
 
 
 # ---------------------------------------------------------------------------
 # prefixing maps
 
 
-class Affine1D(NamedTuple):
+class Affine1D(Record):
     """x -> a x + b."""
 
     a: Fraction
@@ -131,7 +131,7 @@ def _xpoly(coeffs):
     return poly_trim(tuple(Fraction(coeffs.get(i, 0)) for i in range(max(coeffs, default=0) + 1)))
 
 
-class Skew2D(NamedTuple):
+class Skew2D(Record):
     """(x, y) -> (a x + b, p0(x) + p1(x) y), with p0 and p1 trimmed x-polynomials.
 
     Skew maps are closed under composition and the form is canonical, so
@@ -393,7 +393,7 @@ class IntervalSBFS:
 # validation
 
 
-class ConditionReport(NamedTuple):
+class ConditionReport(Record):
     name: str
     ok: bool
     mode: str  # "exact" or "numeric"
@@ -404,7 +404,7 @@ class ConditionReport(NamedTuple):
         return {**self._asdict(), "witnesses": [str(w) for w in self.witnesses[:8]]}
 
 
-class SBFSValidationReport(NamedTuple):
+class SBFSValidationReport(Record):
     system: str
     ok: bool
     conditions: list
@@ -681,7 +681,7 @@ class ProjectiveSystem:
             raise CocycleViolation(*witness, worst)
 
 
-class CocycleReport(NamedTuple):
+class CocycleReport(Record):
     ok: bool
     worst_residual: float
     witness: object
@@ -738,7 +738,7 @@ def _chain_density(sys, density):
 # Kirchhoff parallel-sum rule
 
 
-class KirchhoffReport(NamedTuple):
+class KirchhoffReport(Record):
     ok: bool
     worst_residual: float
     checked: int
@@ -818,17 +818,17 @@ def _coding_jacobian(base, n, z):
 # monic probe on the range algebra
 
 
-class Monic(NamedTuple):
+class Monic(Record):
     depth: int
     resolution: Fraction
 
 
-class NotMonic(NamedTuple):
+class NotMonic(Record):
     witness: tuple  # widest (lo, hi) interval the range algebra never cuts
     witnesses: tuple = ()  # every invariant atom wider than the resolution
 
 
-class InconclusiveMonic(NamedTuple):
+class InconclusiveMonic(Record):
     max_atom_width: Fraction
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from kgraph_lab import cli
 from kgraph_lab.catalog import builtin_graph
 from kgraph_lab.cli import main, parse_job
 from kgraph_lab.errors import UsageError
@@ -226,106 +228,112 @@ BAD_BUILTIN_VALUES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["monic", "--builtin", "kawamura", "--resolution", "abc"],
-        ["monic", "--builtin", "kawamura", "--resolution", "0"],
-        ["measure", "--builtin", "exonevtwoe", "--measure", "markov:x=abc"],
-        ["measure", "--builtin", "exonevtwoe", "--measure", "product:geometric:zz"],
-        ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=q"],
-        ["kakutani", "--product-a", "geometric:1/2", "--product-b", "const:1"],
-        ["orbit", "--builtin", "ex3v8e", "--x-prefix", "nosuch", "--y-prefix", "nosuch"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "-1"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "-1"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "nan"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "inf"],
-        ["rep-verify", "--builtin", "lambda2N:N=x"],
-        ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;x;3;4"],
-        ["rep-verify", "--builtin", "lambda2N:N=0"],
-        ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;1;2;3"],
-        ["monic", "--builtin", "kawamura:a=zz"],
-        ["monic", "--builtin", "kawamura:a=1/0"],
-        ["monic", "--builtin", "product-kawamura:a=2"],
-        # the text after --job is written to a job file
-        ["validate", "--job", "[1, 2]"],
-        ["validate", "--job", '{"builtin": "ex3v8e", "params": [1, 2]}'],
-        # job-file values get the checks argparse gives the flags
-        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"rep": "faithul"}}'],
-        ["measure", "--job", '{"builtin": "exonevtwoe", "params": {"format": "xml"}}'],
-        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"depth": true}}'],
-        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"tol": false}}'],
-        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"seed": true}}'],
-        # depth * k above the enumeration cap
-        ["monic", "--builtin", "kawamura", "--depth", "40"],
-        # Markov matrices that fail MarkovMeasureSpec.validated
-        ["measure", "--builtin", "lambda2N:N=2", "--measure",
-         "markov:1/4,1/4,1/4,1/4;1/2,1/2,0,0;0,0,1/2,1/2;1/4,1/4,1/4,1/4"],
-        ["kakutani", "--markov-a", "1/2,1/2;1,0", "--markov-b", "x=1/3"],
-        ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=2"],
-        # degrees above the enumeration cap
-        ["measure", "--builtin", "kawamura", "--depth", "30"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "13"],
-        ["rep-verify", "--builtin", "ex3v8e", "--depth", "13", "--rep", "faithful"],
-        # product bias terms outside (-1/2, 1/2)
-        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:geometric:1/2,1/2"],
-        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:const:1/2"],
-        ["kakutani", "--product-a", "const:3/4", "--product-b", "const:3/4"],
-        ["kakutani", "--product-a", "geometric:1/4,3", "--product-b", "const:0"],
-        # flags and job-file params outside the flag names
-        ["rep-verify", "--builtin", "ex3v8e", "--seed", "7"],
-        ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"dpeth": 3}}'],
-        # measure specs whose shape does not fit the graph
-        ["measure", "--builtin", "ehfg", "--measure", "product:const:0"],
-        ["measure", "--builtin", "lambda2N:N=2", "--measure", "markov:x=1/3"],
-        ["rep-verify", "--builtin", "kawamura", "--measure", "product:const:0"],
-        # a 2D system without product structure
-        ["monic", "--builtin", "noncstrn"],
-        # sampled product specs without a term the top degree reads
-        ["measure", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4", "--depth", "1"],
-        ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:sampled:1/4,1/4"],
-        ["rep-verify", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4,1/8",
-         "--depth", "2"],
-        # builtin parameter keys the builtin does not take, or repeated ones
-        ["monic", "--builtin", "kawamura:A=1/4", "--depth", "4"],
-        ["validate", "--builtin", "ex3v8e:N=7"],
-        ["rep-verify", "--builtin", "lambda2N:N=2,N=3"],
-        # malformed skeletons: k below 1, a color that is no integer, a square
-        # side that is no pair
-        ["validate", "--job", '{"graph": {"k": 0, "vertices": ["v"], "edges": [], '
-                              '"squares": []}}'],
-        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
-                              '"color": "blue", "source": "v", "range": "v"}], "squares": []}}'],
-        ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
-                              '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
-                              '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
-                              '"squares": [{"left": ["f"], "right": ["e", "f"]}]}}'],
-        # a color or k that int() would truncate: a fraction part or a bool
-        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
-                              '"color": 1.7, "source": "v", "range": "v"}], "squares": []}}'],
-        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
-                              '"color": true, "source": "v", "range": "v"}], "squares": []}}'],
-        ["validate", "--job", '{"graph": {"k": 2.5, "vertices": ["v"], "edges": [{"id": "e", '
-                              '"color": 1, "source": "v", "range": "v"}], "squares": []}}'],
-        # skeletons that fail a shape rule: DanglingEndpoint, InvalidSquare
-        ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
-                              '"color": 1, "source": "w", "range": "v"}], "squares": []}}'],
-        ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
-                              '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
-                              '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
-                              '"squares": [{"left": ["f", "x"], "right": ["e", "f"]}]}}'],
-        # builtin parameter values that do not parse or lie outside their range
-        *BAD_BUILTIN_VALUES,
-        # orbit prefixes too short for any comparable shift window at the depth
-        ["orbit", "--builtin", "ex3v8e", "--x-prefix", "a0", "--y-prefix", "a0", "--depth", "2"],
-    ],
-)
+BAD_INPUTS = [
+    ["monic", "--builtin", "kawamura", "--resolution", "abc"],
+    ["monic", "--builtin", "kawamura", "--resolution", "0"],
+    ["measure", "--builtin", "exonevtwoe", "--measure", "markov:x=abc"],
+    ["measure", "--builtin", "exonevtwoe", "--measure", "product:geometric:zz"],
+    ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=q"],
+    ["kakutani", "--product-a", "geometric:1/2", "--product-b", "const:1"],
+    ["orbit", "--builtin", "ex3v8e", "--x-prefix", "nosuch", "--y-prefix", "nosuch"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "-1"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "-1"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "nan"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "2", "--tol", "inf"],
+    ["rep-verify", "--builtin", "lambda2N:N=x"],
+    ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;x;3;4"],
+    ["rep-verify", "--builtin", "lambda2N:N=0"],
+    ["rep-verify", "--builtin", "lambda2N:N=2,perm=1;1;2;3"],
+    ["monic", "--builtin", "kawamura:a=zz"],
+    ["monic", "--builtin", "kawamura:a=1/0"],
+    ["monic", "--builtin", "product-kawamura:a=2"],
+    # the text after --job is written to a job file
+    ["validate", "--job", "[1, 2]"],
+    ["validate", "--job", '{"builtin": "ex3v8e", "params": [1, 2]}'],
+    # job-file values get the checks the flags get
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"rep": "faithul"}}'],
+    ["measure", "--job", '{"builtin": "exonevtwoe", "params": {"format": "xml"}}'],
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"depth": true}}'],
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"tol": false}}'],
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"seed": true}}'],
+    # depth * k above the enumeration cap
+    ["monic", "--builtin", "kawamura", "--depth", "40"],
+    # Markov matrices that fail MarkovMeasureSpec.validated
+    ["measure", "--builtin", "lambda2N:N=2", "--measure",
+     "markov:1/4,1/4,1/4,1/4;1/2,1/2,0,0;0,0,1/2,1/2;1/4,1/4,1/4,1/4"],
+    ["kakutani", "--markov-a", "1/2,1/2;1,0", "--markov-b", "x=1/3"],
+    ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=2"],
+    # degrees above the enumeration cap
+    ["measure", "--builtin", "kawamura", "--depth", "30"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "13"],
+    ["rep-verify", "--builtin", "ex3v8e", "--depth", "13", "--rep", "faithful"],
+    # product bias terms outside (-1/2, 1/2)
+    ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:geometric:1/2,1/2"],
+    ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:const:1/2"],
+    ["kakutani", "--product-a", "const:3/4", "--product-b", "const:3/4"],
+    ["kakutani", "--product-a", "geometric:1/4,3", "--product-b", "const:0"],
+    # flags and job-file params outside the flag names
+    ["rep-verify", "--builtin", "ex3v8e", "--seed", "7"],
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"dpeth": 3}}'],
+    # measure specs whose shape does not fit the graph
+    ["measure", "--builtin", "ehfg", "--measure", "product:const:0"],
+    ["measure", "--builtin", "lambda2N:N=2", "--measure", "markov:x=1/3"],
+    ["rep-verify", "--builtin", "kawamura", "--measure", "product:const:0"],
+    # a 2D system without product structure
+    ["monic", "--builtin", "noncstrn"],
+    # sampled product specs without a term the top degree reads
+    ["measure", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4", "--depth", "1"],
+    ["measure", "--builtin", "lambda2N:N=2", "--measure", "product:sampled:1/4,1/4"],
+    ["rep-verify", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4,1/8",
+     "--depth", "2"],
+    # builtin parameter keys the builtin does not take, or repeated ones
+    ["monic", "--builtin", "kawamura:A=1/4", "--depth", "4"],
+    ["validate", "--builtin", "ex3v8e:N=7"],
+    ["rep-verify", "--builtin", "lambda2N:N=2,N=3"],
+    # malformed skeletons: k below 1, a color that is no integer, a square
+    # side that is no pair
+    ["validate", "--job", '{"graph": {"k": 0, "vertices": ["v"], "edges": [], '
+                          '"squares": []}}'],
+    ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                          '"color": "blue", "source": "v", "range": "v"}], "squares": []}}'],
+    ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
+                          '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
+                          '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
+                          '"squares": [{"left": ["f"], "right": ["e", "f"]}]}}'],
+    # a color or k that int() would truncate: a fraction part or a bool
+    ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                          '"color": 1.7, "source": "v", "range": "v"}], "squares": []}}'],
+    ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                          '"color": true, "source": "v", "range": "v"}], "squares": []}}'],
+    ["validate", "--job", '{"graph": {"k": 2.5, "vertices": ["v"], "edges": [{"id": "e", '
+                          '"color": 1, "source": "v", "range": "v"}], "squares": []}}'],
+    # skeletons that fail a shape rule: DanglingEndpoint, InvalidSquare
+    ["validate", "--job", '{"graph": {"k": 1, "vertices": ["v"], "edges": [{"id": "e", '
+                          '"color": 1, "source": "w", "range": "v"}], "squares": []}}'],
+    ["validate", "--job", '{"graph": {"k": 2, "vertices": ["v"], "edges": ['
+                          '{"id": "f", "color": 1, "source": "v", "range": "v"}, '
+                          '{"id": "e", "color": 2, "source": "v", "range": "v"}], '
+                          '"squares": [{"left": ["f", "x"], "right": ["e", "f"]}]}}'],
+    # builtin parameter values that do not parse or lie outside their range
+    *BAD_BUILTIN_VALUES,
+    # orbit prefixes of degree below (1,..,1): no shift window at any depth
+    ["orbit", "--builtin", "ex3v8e", "--x-prefix", "a0", "--y-prefix", "a0", "--depth", "2"],
+]
+
+
+def with_job_file(argv, tmp_path):
+    """argv with the text after --job written to a job file and replaced by its path."""
+    if "--job" not in argv:
+        return argv
+    at = argv.index("--job") + 1
+    job = tmp_path / "job.json"
+    job.write_text(argv[at])
+    return argv[:at] + [str(job)] + argv[at + 1:]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
 def test_bad_input_exit_2(argv, tmp_path, capsys):
-    if "--job" in argv:
-        at = argv.index("--job") + 1
-        job = tmp_path / "job.json"
-        job.write_text(argv[at])
-        argv = argv[:at] + [str(job)] + argv[at + 1:]
+    argv = with_job_file(argv, tmp_path)
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:")
@@ -339,6 +347,164 @@ def test_bad_builtin_value_reads_as_under_monic(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert main(["monic", *argv[1:], "--out", str(tmp_path)]) == 2
     assert err == capsys.readouterr().err
+
+
+# -- the flag reader against the argparse parser it replaced --------------------
+
+
+def reference_parse_job(argv):
+    """parse_job as it was on argparse: the same flags, with the choices of
+    --format and --rep, and the same job-file reading and defaults."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="kgraph-lab")
+    parser.add_argument("command", choices=cli.COMMANDS)
+    parser.add_argument("--job")
+    choices = {"format": cli.FORMATS, "rep": cli.REPS}
+    for key, options in cli.FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=options.get("type"),
+                            choices=choices.get(key))
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        raise UsageError("invalid arguments") from exc
+    params = {}
+    if ns.job:
+        try:
+            with open(ns.job) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read job file: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError("job file must hold a JSON object")
+        if not isinstance(data.get("params", {}), dict):
+            raise UsageError("job file params must be a JSON object")
+        if "command" in data and data["command"] != ns.command:
+            raise UsageError("job file command disagrees with the CLI command")
+        for key in data.get("params", {}):
+            if key not in cli.FLAGS:
+                raise UsageError(f"unknown job-file param {key!r}")
+        params.update(data.get("params", {}))
+        if data.get("graph"):
+            params["graph"] = data["graph"]
+        if data.get("builtin"):
+            params["builtin"] = data["builtin"]
+    for key in cli.FLAGS:
+        val = getattr(ns, key)
+        if val is not None:
+            params[key] = val
+    for key, val in cli.DEFAULTS.items():
+        params.setdefault(key, val)
+    job = cli.Job(ns.command, params)
+    cli._validate_job(job)
+    return job
+
+
+def typed_job(job):
+    """A job's command and params with the type of each value: 3 != 3.0."""
+    return job.command, {key: (type(val), val) for key, val in job.params.items()}
+
+
+BENCHMARK_ARGVS = [label.split() for label in json.loads(BENCHMARK_REFERENCE.read_text())["jobs"]]
+# the argvs of the tests above that parse, the benchmark jobs, and the forms
+# argparse read too: --flag=VALUE, repeated flags (the last wins), a job file
+# with a flag over one of its fields
+GOOD_INPUTS = [
+    ["spectral", "--builtin", "ex3v8e"],
+    ["rep-verify", "--builtin", "ex3v8e", "--tol", "0"],
+    ["monic", "--builtin", "exonevthreeed", "--depth", "5"],
+    ["validate", "--graph", "graph.json", "--out", "out"],
+    ["validate", "--builtin", "ex3v8e", "--out", "out"],
+    ["spectral", "--builtin", "lambda2N:N=2", "--out", "out"],
+    ["measure", "--builtin", "exonevtwoe", "--measure", "markov:x=1/3", "--depth", "3"],
+    ["rep-verify", "--builtin", "ex3v8e", "--measure", "pf", "--depth", "3"],
+    ["rep-verify", "--builtin", "ehfg", "--rep", "faithful", "--depth", "4"],
+    ["rep-verify", "--builtin", "ex3v8e", "--rep", "faithful", "--depth", "0"],
+    ["rep-verify", "--builtin", "exonevthreeed", "--rep", "standard", "--depth", "2"],
+    ["monic", "--builtin", "double-kawamura", "--depth", "13"],
+    ["measure", "--builtin", "exonevtwoe", "--measure", "product:sampled:1/4,1/8", "--depth", "1"],
+    ["kakutani", "--product-a", "geometric:1/2,1/2", "--product-b", "const:0"],
+    ["kakutani", "--markov-a", "x=1/3", "--markov-b", "x=2/5"],
+    ["monic", "--builtin", "product-kawamura", "--depth", "6"],
+    ["sbfs-check", "--builtin", "ex3v8e"],
+    ["orbit", "--builtin", "exonevtwoe", "--x-prefix", "f1.f2.e.e", "--y-prefix", "f1.f2.e.e",
+     "--depth", "1"],
+    ["export-dot", "--builtin", "ex3v8e"],
+    ["spectral", "--job", '{"command": "spectral", "builtin": "ex3v8e", "params": {"depth": 3}}'],
+    ["validate", "--job", '{"command": "validate", "graph": {"k": 1, "vertices": ["v"], '
+                          '"edges": [], "squares": []}}'],
+    ["measure", "--builtin", "exonevtwoe", "--measure", "pf", "--depth", "2", "--format", "json"],
+    *BENCHMARK_ARGVS,
+    ["measure", "--builtin=ex3v8e", "--measure=markov:x=1/3", "--depth=3", "--format=json"],
+    ["rep-verify", "--builtin=ex3v8e", "--tol=1e-8", "--rep=faithful", "--out=a=b"],
+    ["orbit", "--builtin", "ex3v8e", "--x-prefix=a0.b0", "--y-prefix", "a0.b0"],
+    ["measure", "--builtin", "ex3v8e", "--depth", "2", "--depth", "3"],
+    ["rep-verify", "--builtin", "kawamura", "--builtin=ex3v8e", "--tol", "0", "--tol=1e-6"],
+    ["rep-verify", "--job", '{"builtin": "ex3v8e", "params": {"depth": 2, "tol": 0}}',
+     "--depth", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", GOOD_INPUTS)
+def test_flags_read_as_argparse_read_them(argv, tmp_path):
+    argv = with_job_file(argv, tmp_path)
+    assert typed_job(parse_job(argv)) == typed_job(reference_parse_job(argv))
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS)
+def test_bad_input_parses_as_under_argparse(argv, tmp_path):
+    # a UsageError where argparse or the job checks gave one, else the same job
+    argv = with_job_file(argv, tmp_path)
+    try:
+        want = reference_parse_job(argv)
+    except UsageError:
+        with pytest.raises(UsageError):
+            parse_job(argv)
+    else:
+        assert typed_job(parse_job(argv)) == typed_job(want)
+
+
+@pytest.mark.parametrize("argv, message, argparse_took_it", [
+    (["rep-verify", "--builtin", "ex3v8e", "--dep", "3"], "unrecognized argument '--dep'", True),
+    (["rep-verify", "--builtin", "ex3v8e", "--depth"], "argument --depth: expected one argument",
+     False),
+    (["rep-verify", "--builtin", "--depth", "3"], "argument --builtin: expected one argument",
+     False),
+    (["--depth", "3", "rep-verify", "--builtin", "ex3v8e"],
+     "expected a command first (validate, spectral, measure, sbfs-check, rep-verify, kakutani, "
+     "monic, orbit, export-dot), got '--depth'", True),
+    ([], "expected a command first (validate, spectral, measure, sbfs-check, rep-verify, "
+         "kakutani, monic, orbit, export-dot), got nothing", False),
+    (["rep-verify", "--builtin", "ex3v8e", "--depth", "x"],
+     "argument --depth: invalid int value: 'x'", False),
+    (["rep-verify", "ex3v8e"], "unrecognized argument 'ex3v8e'", False),
+    (["rep-verify", "-b", "ex3v8e"], "unrecognized argument '-b'", False),
+], ids=["abbreviation", "missing-value", "flag-as-value", "flag-before-command", "no-command",
+        "bad-int", "bare-value", "short-flag"])
+def test_flag_reader_refuses(argv, message, argparse_took_it, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: {message}\n")
+    if argparse_took_it:
+        assert reference_parse_job(argv).param("depth") == 3
+    else:
+        with pytest.raises(UsageError):
+            reference_parse_job(argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["rep-verify", "--builtin", "ex3v8e", "-h"],
+                                  ["measure", "--help", "--depth", "x"]])
+def test_help_prints_commands_and_flags_and_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: kgraph-lab COMMAND")
+    assert "commands: " + ", ".join(cli.COMMANDS) in out
+    for key, options in cli.OPTIONS.items():
+        assert f"  --{key.replace('_', '-'):<12} {options.get('help', '')}".rstrip() in out
+    assert err == "usage error: --help runs no job\n"
 
 
 def loop_skeleton(k, edges, squares):
@@ -484,6 +650,20 @@ def test_orbit_command(tmp_path):
     )
     assert code == 0
     assert read_report(tmp_path)["results"]["orbit_equal"] is True
+
+
+@pytest.mark.parametrize("depth", [0, 8])
+def test_orbit_names_the_short_prefix_at_any_depth(depth, tmp_path, capsys):
+    # the shift pair (0, 0) is in the grid at every depth: a prefix of degree
+    # below (1, 1) has no window at any depth
+    argv = ["orbit", "--builtin", "ex3v8e", "--x-prefix", "a0", "--y-prefix", "a0",
+            "--depth", str(depth), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("usage error: prefix Path<a0> has degree (1, 0): orbit "
+                                       "windows need each prefix of degree >= (1, 1)\n")
+    assert not (tmp_path / "report.json").exists()
+    assert main([*argv[:4], "a0.b0", *argv[5:]]) == 2  # y is still short
+    assert "prefix Path<a0> has degree (1, 0)" in capsys.readouterr().err
 
 
 def test_export_dot(tmp_path):

@@ -961,21 +961,25 @@ def test_refinement_and_unit_vector_match_the_fraction_weights_bit_for_bit(make,
 
 def test_standard_rep_builds_no_path_blocks():
     # blocks are degrees over tail arrays; the usability probe's batch of each
-    # edge degree builds that Path block (on the vertex block) as its memo keys
-    g = builtin_graph("lambda2N:N=2")
-    rep = standard_rep(g, pf_measure(g), 6)
+    # edge degree builds that Path block (on the vertex block) as its memo keys.
+    # A KP rep's induced measure gives its base block as numerators, too.
     probed = {(0, 0), (1, 0), (0, 1)}
-    assert set(g._blocks) == probed
-    assert rep.block_keys() == list(deg_grid(2, 6))
-    assert [rep.block_dim(m) for m in rep.block_keys()] == [
-        len(g.tails(m).sources) for m in deg_grid(2, 6)]
-    assert rep.unit_vector((6, 6)) and rep.refinement((5, 5), (6, 6)).table
-    assert set(g._blocks) == probed
-    assert rep.block((1, 1)) == g.enumerate_paths((1, 1))
-    with pytest.raises(KeyError):
-        rep.block((7, 0))
-    with pytest.raises(KeyError):
-        rep.block_dim((7, 0))
+    for name, make, depth in [("lambda2N:N=2", pf_measure, 6),
+                              ("exonevtwoe", lambda g: induced_measure(KPRep(g, 4)), 3)]:
+        g = builtin_graph(name)
+        rep = standard_rep(g, make(g), depth)
+        top = (depth, depth)
+        assert set(g._blocks) == probed, name
+        assert rep.block_keys() == list(deg_grid(2, depth))
+        assert [rep.block_dim(m) for m in rep.block_keys()] == [
+            len(g.tails(m).sources) for m in deg_grid(2, depth)]
+        assert rep.unit_vector(top) and rep.refinement((depth - 1, depth - 1), top).table
+        assert set(g._blocks) == probed, name
+        assert rep.block((1, 1)) == g.enumerate_paths((1, 1))
+        with pytest.raises(KeyError):
+            rep.block((depth + 1, 0))
+        with pytest.raises(KeyError):
+            rep.block_dim((depth + 1, 0))
 
 
 # -- faithful representation ---------------------------------------------------------

@@ -1,9 +1,10 @@
 """The package's records against dataclass copies of their fields.
 
-Each record is a NamedTuple, or a slots class where a tuple would change
-what reports print.  The copies below are the reference: a record must
-print, compare within its class and (where the copy is frozen) hash as
-its copy does, so that reports and set and dict orders stay as they were.
+Each record is a records.Record, a tuple whose class lists its fields as
+annotations, or a slots class where a tuple would change what reports
+print.  The copies below are the reference: a record must print, compare
+within its class and (where the copy is frozen) hash as its copy does,
+so that reports and set and dict orders stay as they were.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from kgraph_lab import cli, intervals, kgraph, measures, operators, sbfs
+from kgraph_lab import cli, intervals, kgraph, measures, operators, records, sbfs
 from kgraph_lab.catalog import builtin_graph
 
 
@@ -126,3 +127,38 @@ def test_path_serializes_as_its_dotted_edge_ids():
 def test_inconclusive_is_truthy():
     assert kgraph.Inconclusive()
     assert kgraph.Inconclusive() == kgraph.Inconclusive()
+
+
+TUPLE_RECORDS = [(module, name, fields, defaults)
+                 for module, name, _, fields, defaults, _ in RECORDS
+                 if issubclass(getattr(module, name), tuple)]
+
+
+@pytest.mark.parametrize("module, name, fields, defaults", TUPLE_RECORDS,
+                         ids=[f"{m.__name__.split('.')[-1]}.{n}" for m, n, *_ in TUPLE_RECORDS])
+def test_tuple_record_fields_keywords_and_replace(module, name, fields, defaults):
+    cls = getattr(module, name)
+    assert issubclass(cls, records.Record)
+    names = fields.split()
+    a, b = sample(fields, 1), sample(fields, 2)
+    rec = cls(**dict(zip(names, a)))
+    assert rec == cls(*a) == tuple(a) and type(rec) is cls
+    assert not hasattr(rec, "__dict__")
+    assert (cls._fields, cls._field_defaults) == (tuple(names), defaults)
+    assert rec._asdict() == dict(zip(names, a))
+    for field, value in zip(names, b):
+        changed = rec._replace(**{field: value})
+        assert type(changed) is cls and getattr(changed, field) == value
+        assert changed == tuple(value if f == field else v for f, v in zip(names, a))
+    with pytest.raises(TypeError):
+        rec._replace(no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*a, no_such_field=0)
+    with pytest.raises(TypeError):
+        cls(*a, 0)
+    required = [f for f in names if f not in defaults]
+    if required:
+        with pytest.raises(TypeError):
+            cls(*a[:len(required) - 1])  # the last required field missing
+        with pytest.raises(TypeError):
+            cls(*a, **{required[0]: 0})  # a field given twice

@@ -181,8 +181,8 @@ def test_no_package_module_imports_dataclasses():
     assert not {name: lines for name, lines in found.items() if lines}
 
 
-# postponed annotations make typing compile each NamedTuple field's string
-# annotation at import, and the statement itself loads __future__
+# postponed annotations turn each record field's annotation into a string,
+# and the statement itself loads __future__
 def test_no_package_module_postpones_annotations():
     found = [m.name for m in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(m.read_text()))
@@ -191,12 +191,45 @@ def test_no_package_module_postpones_annotations():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # nor argparse, nor the gettext that argparse imports
     script = ("import sys\nbefore = set(sys.modules)\nimport kgraph_lab.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n")
+              "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'}"
+              " & (set(sys.modules) - before)))\n")
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# importing argparse, or typing for NamedTuple, costs every CLI job
+# milliseconds: the flags are read by one loop over FLAGS, and records.Record
+# is the base of the records
+SLOW_IMPORTS = ("typing", "argparse")
+
+
+def slow_imports(source):
+    """(line, module) for each typing or argparse import anywhere in source."""
+    return [(node.lineno, module) for node in ast.walk(ast.parse(source))
+            for module in SLOW_IMPORTS if imports_module(node, module)]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import typing", "from typing import NamedTuple", "import argparse as ap",
+     "from argparse import ArgumentParser", "import json, typing", "import typing.io",
+     "def f():\n    import argparse", "class C:\n    from typing import Any"],
+)
+def test_typing_and_argparse_rule_sees_each_form(statement):
+    found = slow_imports(f"import json\n{statement}\n")
+    assert [line for line, _ in found] == [2 + statement.count("\n")]
+    assert slow_imports("import typingish\nfrom .typing import x\nfrom . import argparse\n") == []
+
+
+def test_no_package_module_imports_typing_or_argparse():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = {m.name: slow_imports(m.read_text()) for m in modules}
+    assert not {name: hits for name, hits in found.items() if hits}
 
 
 PATH_ALGEBRA = {"compose", "lambda_min", "strip_prefix", "split", "factorize"}
@@ -711,6 +744,7 @@ def test_unnamed_definitions_are_pinned():
 
 # a defaulted parameter that no call sets is a setting nobody uses: a constant
 ROOT = PACKAGE.parents[1]
+RECORD_BASES = {"NamedTuple", "Record"}
 CALLERS = [PACKAGE, ROOT / "tests", ROOT / "perfbench"]
 
 
@@ -718,8 +752,9 @@ def defaulted_parameters(source):
     """(function, parameter, callee names, positional index or None) for each
     parameter with a default.  "C.m" names a method; its calls drop self, and
     C(...) calls C.__init__.  Keyword-only parameters have no index.  A
-    NamedTuple field with a default is a parameter of C(...) at its field
-    position, and of _replace(...) by keyword."""
+    record field (of a NamedTuple or Record subclass) with a default is a
+    parameter of C(...) at its field position, and of _replace(...) by
+    keyword."""
     tree = ast.parse(source)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -727,7 +762,7 @@ def defaulted_parameters(source):
     out = set()
     for cls in ast.walk(tree):
         if not (isinstance(cls, ast.ClassDef) and any(
-                getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple" for b in cls.bases)):
+                getattr(b, "id", getattr(b, "attr", None)) in RECORD_BASES for b in cls.bases)):
             continue
         fields = [node for node in cls.body
                   if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
@@ -804,12 +839,13 @@ def test_unset_parameter_rule_sees_named_tuple_fields():
         "    family: str\n    c: int = 0\n    r: int = 0\n    start: int = 1\n    count: int = 2\n"
         "    def gamma(self, j):\n        return self.c\n"
         "class Report(typing.NamedTuple):\n    ok: bool\n    tol: float = 1e-10\n"
+        "class Box(Record):\n    lo: int\n    hi: int = 1\n    side: str = 'x'\n"
         "class Plain:\n    kind: str = 'x'\n"
     )}
-    callers = ["Spec('const', 1)\nSpec('geometric', r=2)\n"]
+    callers = ["Spec('const', 1)\nSpec('geometric', r=2)\nBox(0, 2)\n"]
     assert unset_parameters(definitions, callers) == {
-        "m.py:Spec(start)", "m.py:Spec(count)", "m.py:Report(tol)"}
-    more = ["Spec('a', 0, 0, 1)\nspec._replace(count=3)\nReport(*args)\n"]
+        "m.py:Spec(start)", "m.py:Spec(count)", "m.py:Report(tol)", "m.py:Box(side)"}
+    more = ["Spec('a', 0, 0, 1)\nspec._replace(count=3)\nReport(*args)\nbox._replace(side='y')\n"]
     assert unset_parameters(definitions, callers + more) == set()
 
 
