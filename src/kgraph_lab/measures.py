@@ -278,6 +278,14 @@ class CylinderMeasure:
             raise AdditivityViolation(path, float(val))
         return val
 
+    @property
+    def by_source(self):
+        """Whether every value is the source rule's, with no bump: a value
+        that depends only on its path's source vertex and degree.  The one
+        such rule, pf_measure's, gives value(lam.zeta) = rho^{-d(lam)}
+        value(zeta) for every zeta, with every value positive."""
+        return self._source_fn is not None and not self._bumps
+
     def values(self, m):
         """The values of block(m), in block order."""
         vals = self._values.get(m)
@@ -444,12 +452,11 @@ def check_consistency(measure, depth, tol=1e-12):
     """
     g = measure.graph
     g.check_cap(depth * g.k + g.k, f"consistency depth {depth}")
-    by_source = measure._source_fn is not None and not measure._bumps
     worst = 0.0
     worst_at = None
     checked = 0
     for n in deg_grid(g.k, depth):
-        if by_source:  # one residual per vertex, read off the source of each path
+        if measure.by_source:  # one residual per vertex, read off the source of each path
             by_vertex = dict(zip(g.vertices, _residuals(measure.exact, *_source_sums(measure, n))))
             res = list(map(by_vertex.__getitem__, g.tails(n).sources))
         else:

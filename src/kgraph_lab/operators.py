@@ -47,7 +47,12 @@ block m that of glue(d(lam), m), t_lam^* that of glue(d(lam), (m v d(lam))
 glue(d(lam), m - d(lam)); refinement reads every run of glue(m, target -
 m).  Weights are read at the same indices from ``CylinderMeasure.numerators``
 (float weights over 1); on exact weights the Radon-Nikodym test compares
-integer cross-products, and the other tables divide them as ints.
+integer cross-products, and the other tables divide them as ints.  The
+test and the usability probe run only where the test can fail: counting
+weights, and a measure with a source rule and no bump
+(``CylinderMeasure.by_source``, whose quotient is rho^{-d(lam)} on every
+cylinder), skip both, so such a rep reads no glue table, tail array or
+numerator past its depth.
 
 The faithful tables name a label (i, mu) by (i, index(mu)): lam.mu is the
 entry of mu in the run of lam in glue(d(lam), d(mu)), a rule segment
@@ -146,7 +151,9 @@ class StandardRep:
     kind = "standard"
     discrete = False
     path_basis = True  # block m holds the paths of degree m
-    reach = 1  # the Radon-Nikodym test reads block depth + 1
+    # the Radon-Nikodym test reads block depth + 1; the cap counts it even
+    # where the test is skipped, so an exit code does not depend on the measure
+    reach = 1
     tol = 1e-10  # float Radon-Nikodym quotients this close count as constant
 
     def __init__(self, graph, measure, depth):
@@ -159,7 +166,12 @@ class StandardRep:
         # one int object per block index, shared by every table that holds it
         self._indices = list(range(max(self._dims.values())))
         self._tables = {}  # built operators
-        self._probe_usability()
+        # counting weights (no measure) and a source rule with no bump have a
+        # positive, constant Radon-Nikodym derivative: every row test would
+        # pass and every edge action is defined, so neither is run
+        self.rn_tested = measure is not None and not measure.by_source
+        if self.rn_tested:
+            self._probe_usability()
 
     def _probe_usability(self):
         """Every edge action must be defined on at least one block whose
@@ -282,6 +294,8 @@ class StandardRep:
         dst = deg_add(m, n)
         if m not in self._dims or dst not in self._dims:
             return None
+        if not self.rn_tested:
+            return [_Op(m, dst, dict(rows)) for rows in self._rows(n, m)]
         constant = self._rn_constant(n, m)
 
         def table(a, rows):  # nonconstant RN data: block not represented
@@ -360,24 +374,18 @@ class KPRep(StandardRep):
 
     kind = "kp"
     discrete = True
-    reach = 0  # no Radon-Nikodym test
+    reach = 0  # counting weights: no Radon-Nikodym test, no block past the depth
     exact = True  # counting weights
     counting = True
 
     def __init__(self, graph, depth):
         super().__init__(graph, None, depth)
 
-    def _probe_usability(self):
-        pass  # counting weights: nothing to probe
-
     def weight(self, path):
         return 1
 
     def _numerators(self, m):
         return [1] * len(self.graph.tails(m).sources), 1
-
-    def _rn_constant(self, n, m):
-        return lambda a, rows: True  # counting weights: no test, no block past the depth
 
     def labels(self):
         return [lab for m in self._dims for lab in self.graph.block(m)]

@@ -39,6 +39,7 @@ from kgraph_lab.kgraph import (
     deg_diag,
     deg_grid,
     deg_join,
+    deg_le,
     deg_sub,
 )
 from kgraph_lab.measures import (
@@ -777,6 +778,97 @@ def test_kp_tables_match_the_replaced_builders_on_random_graphs(k, seed):
     assert assert_tables_match_references(rep, depth) == 0
 
 
+# -- a pf rep skips the row test: the row test is its reference ---------------------
+
+
+def row_tested_rep(measure, depth):
+    """A standard rep over measure with a zero bump: the same weights, with the
+    Radon-Nikodym row test and the usability probe run."""
+    g = measure.graph
+    rep = standard_rep(g, measure.perturbed(g.vertex_path(g.vertices[0]), 0), depth)
+    assert rep.rn_tested
+    return rep
+
+
+def op_layout(op):
+    """An _Op's block keys and layout, in entry order, each float in hex."""
+    if op is None:
+        return None
+
+    def entries(table):
+        return None if table is None else [
+            (s, c.hex() if isinstance(c, float) else c) for s, c in table.items()]
+
+    rows = None if op.rows is None else [(s, entries(outs)) for s, outs in op.rows.items()]
+    dst = None if op.dst is None else list(op.dst.items())
+    return op.src_key, op.dst_key, dst, entries(op.coef), rows
+
+
+def batch_layouts(rep):
+    """op_layout of every forward and adjoint table of every degree on every block."""
+    keys, out = rep.block_keys(), {}
+    for build in (rep._forward_tables, rep._adjoint_tables):
+        for m in keys:
+            for n in keys:
+                ops = build(n, m)
+                out[build.__name__, n, m] = None if ops is None else list(map(op_layout, ops))
+    return out
+
+
+def assert_shortcut_matches_the_row_test(measure, depth):
+    rep = standard_rep(measure.graph, measure, depth)
+    assert not rep.rn_tested
+    got = batch_layouts(rep)
+    assert got == batch_layouts(row_tested_rep(measure, depth))
+    assert all(ops is not None for (name, n, m), ops in got.items()
+               if name == "_forward_tables" and deg_add(m, n) in rep.block_keys())
+    return got
+
+
+PF_NAMES = [name for name in BUILTIN_GRAPH_NAMES if builtin_graph(name).is_strongly_connected()]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", PF_NAMES)
+def test_pf_tables_without_the_row_test_match_the_row_test(name, depth):
+    g = builtin_graph(name)
+    measure = pf_measure(g)
+    got = assert_shortcut_matches_the_row_test(measure, depth)
+    if name in ("ex3v8e", "kawamura"):  # float Perron data: coefficients compared in hex
+        assert not measure.exact and "'0x1." in repr(got)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_pf_tables_without_the_row_test_match_the_row_test_on_random_graphs(k, depth):
+    # the first three draws whose top block is small enough to compare quickly
+    limit = 300 if k == 2 else 80
+    draws = (g for g in strongly_connected_draws(k, 20, seed=700)
+             if len(g.tails(deg_diag(k, depth)).sources) <= limit)
+    for g in itertools.islice(draws, 3):
+        assert_shortcut_matches_the_row_test(pf_measure(g), depth)
+
+
+@pytest.mark.parametrize("name", ["lambda2N:N=2", "ex3v8e"])
+def test_a_pf_rep_reads_no_block_past_its_depth(name):
+    # the row test read glue tables, tail arrays and numerators of degree
+    # up to (depth + 1)*(1,..,1); the usability probe built some at construction
+    g = builtin_graph(name)
+    measure = pf_measure(g)
+    rep = standard_rep(g, measure, 3)
+    assert (g._glues, measure._numerators, g._blocks) == ({}, {}, {})
+    assert verify_ck(rep).ok
+    top = deg_diag(g.k, 3)
+
+    def past(degrees):
+        return [d for d in degrees if not deg_le(d, top)]
+
+    assert past(deg_add(n, r) for n, r in g._glues) == []
+    assert past(g._tails) == []
+    assert past(measure._numerators) == []
+    assert g._glues and g._tails and measure._numerators
+
+
 def rn_cases():
     """Exact measures for the integer Radon-Nikodym test, and one per graph
     with a bump a level past the truncation that some classes see."""
@@ -960,12 +1052,13 @@ def test_refinement_and_unit_vector_match_the_fraction_weights_bit_for_bit(make,
 
 
 def test_standard_rep_builds_no_path_blocks():
-    # blocks are degrees over tail arrays; the usability probe's batch of each
-    # edge degree builds that Path block (on the vertex block) as its memo keys.
-    # A KP rep's induced measure gives its base block as numerators, too.
-    probed = {(0, 0), (1, 0), (0, 1)}
-    for name, make, depth in [("lambda2N:N=2", pf_measure, 6),
-                              ("exonevtwoe", lambda g: induced_measure(KPRep(g, 4)), 3)]:
+    # blocks are degrees over tail arrays.  A pf rep runs no usability probe;
+    # on the induced measure of a KP rep, which gives its base block as
+    # numerators, the probe's batch of each edge degree builds that Path
+    # block (on the vertex block) as its memo keys.
+    for name, make, depth, probed in [
+            ("lambda2N:N=2", pf_measure, 6, set()),
+            ("exonevtwoe", lambda g: induced_measure(KPRep(g, 4)), 3, {(0, 0), (1, 0), (0, 1)})]:
         g = builtin_graph(name)
         rep = standard_rep(g, make(g), depth)
         top = (depth, depth)
