@@ -228,6 +228,7 @@ class KGraph:
         self._blocks = {}
         self._glues = {}
         self._cuts = {}
+        self._indices = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -519,12 +520,16 @@ class KGraph:
     def index(self, p):
         """The position of p in block(d(p)): canonical p is its vertex with
         each edge appended in turn, at the edge's offset in its run of
-        glue(m, e_c)."""
-        i, m = self._vertex_index[p.range], deg_zero(self.k)
-        for eid in p.edges:
-            unit = deg_unit(self.k, self.edge_by_id[eid].color)
-            i = self.glue(m, unit)[0][i] + self._pos[eid]
-            m = deg_add(m, unit)
+        glue(m, e_c).  Kept once per path asked for."""
+        key = (p.range, p.edges)
+        i = self._indices.get(key)
+        if i is None:
+            i, m = self._vertex_index[p.range], deg_zero(self.k)
+            for eid in p.edges:
+                unit = deg_unit(self.k, self.edge_by_id[eid].color)
+                i = self.glue(m, unit)[0][i] + self._pos[eid]
+                m = deg_add(m, unit)
+            self._indices[key] = i
         return i
 
     def extensions(self, p, c):

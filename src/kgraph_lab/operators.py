@@ -34,9 +34,10 @@ truncation.
 
 ``StandardRep`` (with ``KPRep``) and ``FaithfulRep`` build, on the first
 request for lam on a block, the operators of every path of degree d(lam)
-on that block in one batch, keep each under its own path and hand the
-same ``_Op`` to every later caller; a ``ZeroDenominator`` met in a batch
-is raised only when its path is requested.  ``DirectSumRep`` builds each
+on that block in one batch, keep it as one memo entry per (direction,
+degree, block) and hand its entry ``KGraph.index(lam)``, the same
+``_Op``, to every later caller; a ``ZeroDenominator`` met in a batch is
+raised only when its path is requested.  ``DirectSumRep`` builds each
 block operator once per rep, on its first request, stacking its parts'
 operators through ``_Op`` methods.
 
@@ -66,6 +67,7 @@ path algebra.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import fsum
 
 from .errors import (
@@ -102,25 +104,19 @@ _UNBUILT = object()
 
 
 def _built_once(rep, direction, lam, key, build):
-    """The table of lam on block key, remembered in rep._tables under
-    (direction, r(lam), edge ids of lam, key), a key hashed without calling
-    Path.__hash__; the shared _Op is read-only.
-
-    On a miss, build(d(lam), key) lists the tables of every path of degree
-    d(lam) in block order, each remembered under its own path, or returns
-    None when block key or its image is not represented, remembered for
-    lam alone.  A ZeroDenominator in the list is raised for its path only.
-    """
-    tables, memo = rep._tables, (direction, lam.range, lam.edges, key)
-    op = tables.get(memo, _UNBUILT)
-    if op is _UNBUILT:
-        ops = build(lam.degree, key)
-        if ops is None:
-            op = tables[memo] = None
-        else:
-            paths = rep.graph.block(lam.degree)
-            tables.update(zip([(direction, p.range, p.edges, key) for p in paths], ops))
-            op = tables[memo]
+    """The table of lam on block key: entry index(lam) of the batch
+    build(d(lam), key), kept in rep._tables under (direction, d(lam), key).
+    A batch lists the tables of every path of degree d(lam) in block order,
+    or is None when block key or its image is not represented; a
+    ZeroDenominator in it is raised for its path only.  The shared _Op is
+    read-only."""
+    memo = (direction, lam.degree, key)
+    ops = rep._tables.get(memo, _UNBUILT)
+    if ops is _UNBUILT:
+        ops = rep._tables[memo] = build(lam.degree, key)
+    if ops is None:
+        return None
+    op = ops[rep.graph.index(lam)]
     if isinstance(op, ZeroDenominator):
         raise op.with_traceback(None)
     return op
@@ -418,7 +414,8 @@ class FaithfulRep:
     covariance is structural.  A label (i, mu) is reduced: for i >= 2, mu
     does not end in the rule segment x_{i-1}.
 
-    The tables name a label (i, mu) by (i, index(mu)), read lam.mu and
+    The rep keeps a label (i, mu) as (i, index(mu)) and builds (i, Path)
+    labels only for ``block`` and ``labels``.  The tables read lam.mu and
     the trailing rule segments of a path off ``KGraph.glue`` runs and the
     prefix test off ``KGraph.cut``.
     The label actions compose and factorize paths; they are the reference
@@ -441,18 +438,20 @@ class FaithfulRep:
         # ... and in the run of their range: w.x is at off[w] + offset in glue(d(w), diag)
         self._offsets = [i - g.run(self._diag, seg.range).start
                          for i, seg in zip(self._segments, rule.segments)]
-        self._blocks, self._slots, self._tables, self._heads = {}, {}, {}, {}
+        # block delta: the slot of each label (i, index(mu)), and r(mu) per slot
+        self._slots, self._ranges, self._tables, self._heads = {}, {}, {}, {}
         for i in range(1, depth + 1):
             v_i = rule.segment(i - 1).range
             for m in deg_grid(g.k, self.cap):
                 sources, delta = g.tails(m).sources, deg_sub(m, deg_diag(g.k, i))
                 strips = self._strips(i, m)
                 stripped = strips[0] if strips else {}
-                for j, mu in enumerate(g.block(m)):
-                    if sources[j] == v_i and j not in stripped:
-                        labels = self._blocks.setdefault(delta, [])
-                        self._slots.setdefault(delta, {})[(i, j)] = len(labels)
-                        labels.append((i, mu))
+                for v in g.vertices:  # block order groups the paths by range
+                    for j in g.run(m, v):
+                        if sources[j] == v_i and j not in stripped:
+                            slots = self._slots.setdefault(delta, {})
+                            slots[(i, j)] = len(slots)
+                            self._ranges.setdefault(delta, []).append(v)
 
     def _reduce(self, i, mu):
         g = self.graph
@@ -504,17 +503,15 @@ class FaithfulRep:
     # -- basis ----------------------------------------------------------------------
 
     def block_keys(self):
-        return list(self._blocks)
+        return list(self._slots)
 
     def block(self, delta):
-        return self._blocks[delta]
+        """The labels (i, mu) of block delta in slot order, built on request."""
+        g = self.graph
+        return [(i, g.block(deg_add(delta, deg_diag(g.k, i)))[j]) for i, j in self._slots[delta]]
 
     def block_dim(self, delta):
-        return len(self._blocks[delta])
-
-    def label_index(self, delta, label):
-        i, mu = label
-        return self._slots[delta][(i, self.graph.index(mu))]
+        return len(self._slots[delta])
 
     def has_label(self, label):
         """True when label is a basis label (looked up in its own gauge block)."""
@@ -524,7 +521,7 @@ class FaithfulRep:
             (i, self.graph.index(mu)) in slots)
 
     def labels(self):
-        return [lab for delta in self._blocks for lab in self._blocks[delta]]
+        return [lab for delta in self._slots for lab in self.block(delta)]
 
     # -- operator actions ---------------------------------------------------------------
 
@@ -564,10 +561,10 @@ class FaithfulRep:
         the truncation leaves the block undefined.  Tables whose paths pass
         the enumeration cap are read off the label actions."""
         dst = deg_add(delta, n)
-        if delta not in self._blocks or dst not in self._blocks:
+        if delta not in self._slots or dst not in self._slots:
             return None
         g, slots, strata = self.graph, self._slots[dst], {}
-        for ((i, j), t), (_, mu) in zip(self._slots[delta].items(), self._blocks[delta]):
+        for ((i, j), t), v in zip(self._slots[delta].items(), self._ranges[delta]):
             if i not in strata:
                 m = deg_add(delta, deg_diag(g.k, i))
                 top = deg_add(m, n)
@@ -578,7 +575,7 @@ class FaithfulRep:
                 else:
                     images, strips = g.glue(n, m), self._strips(i, top)
                 strata[i] = strips, images, {v: g.run(m, v).start for v in g.vertices}, {}
-            strata[i][3].setdefault(mu.range, []).append((j, t))
+            strata[i][3].setdefault(v, []).append((j, t))
 
         def table(a, v):
             out_table = {}
@@ -613,7 +610,7 @@ class FaithfulRep:
         read off the label actions.
         """
         dst = deg_sub(delta, n)
-        if delta not in self._blocks or dst not in self._blocks:
+        if delta not in self._slots or dst not in self._slots:
             return None
         g, slots, strata = self.graph, self._slots[dst], {}
         tables = [{} for _ in g.tails(n).sources]
@@ -635,15 +632,16 @@ class FaithfulRep:
         """The tables of the paths of degree n read off a label action, one
         label at a time: the route for tables whose paths pass the
         enumeration cap, where the graph builds no block to index them."""
+        labels, slots, index = self.block(delta), self._slots[dst], self.graph.index
 
         def table(lam):
             out_table = {}
-            for t, label in enumerate(self._blocks[delta]):
+            for t, label in enumerate(labels):
                 out = action(lam, label)
                 if out is ESCAPE:
                     return None
                 if out is not None:
-                    out_table[t] = self.label_index(dst, out)
+                    out_table[t] = slots[(out[0], index(out[1]))]
             return _Op(delta, dst, out_table)
 
         return [table(lam) for lam in self.graph.block(n)]
@@ -706,23 +704,18 @@ class DirectSumRep:
         return sorted(set().union(*self._keys))
 
     def block(self, key):
-        out = []
-        for c, p in enumerate(self.parts):
-            if key in self._keys[c]:
-                out.extend((c, lab) for lab in p.block(key))
-        return out
+        return [(c, lab) for c, (p, keys) in enumerate(zip(self.parts, self._keys))
+                if key in keys for lab in p.block(key)]
+
+    def _dims(self, key):
+        """Each part's dimension of block key, 0 for a part without it."""
+        return [p.block_dim(key) if key in keys else 0 for p, keys in zip(self.parts, self._keys)]
 
     def block_dim(self, key):
-        return len(self.block(key))
+        return sum(self._dims(key))
 
     def _offsets(self, key):
-        offs = []
-        total = 0
-        for c, p in enumerate(self.parts):
-            offs.append(total)
-            if key in self._keys[c]:
-                total += p.block_dim(key)
-        return offs
+        return list(accumulate(self._dims(key), initial=0))
 
     def _stacked(self, action, lam, key):
         """The parts' operators p.action(lam, key), moved to their offsets and

@@ -41,11 +41,13 @@ from kgraph_lab.kgraph import (
     deg_join,
     deg_le,
     deg_sub,
+    deg_unit,
 )
 from kgraph_lab.measures import (
     PrefixRule,
     ProductMeasureSpec,
     check_consistency,
+    default_prefix_rule,
     markov_measure,
     parse_product_spec,
     pf_measure,
@@ -453,8 +455,8 @@ def requested(rep, requests):
 @pytest.mark.parametrize("order", ["block", "reversed", "shuffled"])
 @pytest.mark.parametrize("kind", MEMO_REPS)
 def test_each_batch_is_built_once_whatever_the_request_order(kind, order, monkeypatch):
-    # a batch is every path of one degree in one direction on one block; a
-    # block or image that is not represented is remembered per path instead
+    # a batch is every path of one degree in one direction on one block,
+    # remembered once even where the block or its image is not represented
     rep = MEMO_REPS[kind](builtin_graph("ex3v8e"))
     built = collections.Counter()
     for name in ("_forward_tables", "_adjoint_tables"):
@@ -472,10 +474,8 @@ def test_each_batch_is_built_once_whatever_the_request_order(kind, order, monkey
         random.Random(7).shuffle(requests)
     first = requested(rep, requests)
     assert requested(rep, requests) == first
-    batches = [key for key, count in built.items() if not key[-1]]
-    assert batches and all(built[key] == 1 for key in batches)
-    g = rep.graph
-    assert all(count == len(g.enumerate_paths(n)) for (_, n, _, none), count in built.items() if none)
+    assert any(not none for *_, none in built) and any(none for *_, none in built)
+    assert set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("kind", MEMO_REPS)
@@ -1053,26 +1053,55 @@ def test_refinement_and_unit_vector_match_the_fraction_weights_bit_for_bit(make,
 
 def test_standard_rep_builds_no_path_blocks():
     # blocks are degrees over tail arrays.  A pf rep runs no usability probe;
-    # on the induced measure of a KP rep, which gives its base block as
-    # numerators, the probe's batch of each edge degree builds that Path
-    # block (on the vertex block) as its memo keys.
-    for name, make, depth, probed in [
-            ("lambda2N:N=2", pf_measure, 6, set()),
-            ("exonevtwoe", lambda g: induced_measure(KPRep(g, 4)), 3, {(0, 0), (1, 0), (0, 1)})]:
+    # the induced measure of a KP rep runs it, and its batches are read by index
+    for name, make, depth in [
+            ("lambda2N:N=2", pf_measure, 6),
+            ("exonevtwoe", lambda g: induced_measure(KPRep(g, 4)), 3)]:
         g = builtin_graph(name)
         rep = standard_rep(g, make(g), depth)
         top = (depth, depth)
-        assert set(g._blocks) == probed, name
+        assert g._blocks == {}, name
         assert rep.block_keys() == list(deg_grid(2, depth))
         assert [rep.block_dim(m) for m in rep.block_keys()] == [
             len(g.tails(m).sources) for m in deg_grid(2, depth)]
         assert rep.unit_vector(top) and rep.refinement((depth - 1, depth - 1), top).table
-        assert set(g._blocks) == probed, name
+        assert g._blocks == {}, name
         assert rep.block((1, 1)) == g.enumerate_paths((1, 1))
         with pytest.raises(KeyError):
             rep.block((depth + 1, 0))
         with pytest.raises(KeyError):
             rep.block_dim((depth + 1, 0))
+
+
+def test_table_requests_build_no_path_blocks():
+    # every rep reads its batches by index, and the faithful rep keeps its
+    # labels as indices; only the prefix rule's search builds Path blocks
+    g = builtin_graph("exonevtwoe")
+    rule = default_prefix_rule(g)
+    built = set(g._blocks)
+    reps = [standard_rep(g, pf_measure(g), 3),
+            standard_rep(g, markov_measure(g, t_x_matrix(Fraction(1, 3))), 3),  # probed
+            KPRep(g, 3), operators.FaithfulRep(g, rule, 3)]
+    lams = [g.vertex_path(v) for v in g.vertices] + [g.edge_path(e.eid) for e in g.edges]
+    for rep in reps:
+        for key in rep.block_keys():
+            for lam in lams:
+                rep.apply_path(lam, key)
+                rep.apply_adjoint(lam, key)
+        assert set(g._blocks) == built, rep.kind
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: DirectSumRep([KPRep(g, 2), KPRep(g, 3)]),
+    lambda g: faithful_rep(g, depth=3, sum_over_vertices=True),
+], ids=["kp-sum", "faithful-sum"])
+def test_direct_sum_block_dim_builds_no_labels(make):
+    g = builtin_graph("ex3v8e")
+    rep = make(g)
+    built = set(g._blocks)
+    dims = [rep.block_dim(key) for key in rep.block_keys()]
+    assert set(g._blocks) == built
+    assert dims == [len(rep.block(key)) for key in rep.block_keys()]
 
 
 # -- faithful representation ---------------------------------------------------------
@@ -1337,6 +1366,16 @@ def test_nonfaithful_witness_needs_period():
     g = builtin_graph("kawamura")
     with pytest.raises(NoPeriodFound):
         nonfaithful_witness(g, pf_measure(g), depth=3)
+
+
+@pytest.mark.parametrize("name, pair", [
+    ("kawamura", None), ("ex3v8e", None), ("ehfg", ("e", "u"))])
+def test_find_matching_pair_rejects_unmatched_windows(name, pair):
+    # on kawamura and ex3v8e every candidate fails on ranges, sources or a
+    # window; on ehfg the edge e and the vertex u agree on every window
+    g = builtin_graph(name)
+    got = operators._find_matching_pair(g, deg_unit(g.k, 1), deg_diag(g.k, 0), 2)
+    assert got == (pair and (g.edge_path(pair[0]), g.vertex_path(pair[1])))
 
 
 # -- projection-valued measure --------------------------------------------------------

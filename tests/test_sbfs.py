@@ -494,6 +494,26 @@ def test_transport_constant_density_cancels():
             assert abs(moved.f_eval(lam, pt) - sys.f_eval(lam, pt)) < 1e-12
 
 
+def test_transport_twice_is_one_transport_by_the_product():
+    # the second transport chains its density onto the first one's
+    sys = canonical_projective(builtin_sbfs("kawamura"))
+
+    def d1(x):
+        return 1 + x
+
+    def d2(x):
+        return 2 - x
+
+    twice = transport_projective(transport_projective(sys, d1), d2)
+    once = transport_projective(sys, lambda x: d1(x) * d2(x))
+    g = sys.graph
+    for e in g.edges:
+        lam = g.edge_path(e.eid)
+        for pt in sys.sample_points(lam.range, 16):
+            assert twice.f_eval(lam, pt) == once.f_eval(lam, pt)
+    assert twice.intertwine_residual < 1e-12
+
+
 def test_transport_pathspace_matches_direct_construction():
     g = builtin_graph("exonevtwoe")
     m_pf = pf_measure(g)
